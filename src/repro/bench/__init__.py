@@ -74,13 +74,7 @@ from repro.bench.parallel import (
     PARALLEL_TASK_TARGET,
     run_parallel_suite,
 )
-from repro.bench.scale import (
-    SCALE_BACKENDS,
-    SCALE_IO_LATENCY_S,
-    SCALE_RUNGS,
-    SCALE_TARGET_SPEEDUP,
-    run_scale_suite,
-)
+from repro.bench.scale import SCALE_IO_LATENCY_S, SCALE_RUNGS, run_scale_suite
 from repro.bench.record import (
     DETERMINISTIC_METRICS,
     POLICIES,
@@ -141,10 +135,8 @@ __all__ = [
     "POLICY_RATE",
     "POLICY_TIME",
     "REGRESSED",
-    "SCALE_BACKENDS",
     "SCALE_IO_LATENCY_S",
     "SCALE_RUNGS",
-    "SCALE_TARGET_SPEEDUP",
     "SCHEMA_VERSION",
     "SERVICE_BATCH_WINDOW_S",
     "SERVICE_CONFIG",

@@ -1,38 +1,30 @@
-"""The ``scale`` benchmark suite: storage backends at client-count rungs.
+"""The ``scale`` benchmark suite: the disk workspace at client-count rungs.
 
 A ladder of dataset sizes (the *rungs*: 100K / 500K / 1M clients by
-default), every method, three disk backends over the same persisted
-workspace:
-
-* ``file`` — v1 (packed-row) page files read through per-page
-  ``pread`` syscalls, records decoded on every counted read;
-* ``mmap`` — the same v1 files served as zero-copy views from one
-  ``mmap`` each (:class:`~repro.storage.diskfile.MappedPageFile`);
-* ``mmap+columnar`` — v2 (structure-of-arrays) files, mapped: pages
-  *are* the column blocks the batch kernels consume, so a leaf read
-  does no decode work at all (:mod:`repro.storage.soa`).
+default), every method, run over the persisted workspace of
+:mod:`repro.core.diskmode`: columnar leaf and block pages
+(:mod:`repro.storage.soa`) served as zero-copy views of one ``mmap``
+per file, so a leaf read does no decode work at all.
 
 As with the ``kernels`` suite, two things are measured and one is
 *enforced*:
 
-* **measured** — wall time per (rung, method, backend), median of
-  ``repeats``, with zero simulated page latency (the backends differ in
-  CPU work per page, not in page counts; real wall time is the honest
-  metric).  The ``mmap+columnar`` rows also record the advisory
-  ``speedup`` over the ``file`` backend;
-* **enforced** — exactness: for every (rung, method) all three backends
+* **measured** — wall time per (rung, method), median of ``repeats``,
+  with zero simulated page latency (real wall time is the honest
+  metric for CPU work per page);
+* **enforced** — exactness: for every (rung, method) the disk workspace
   must return the identical selected location, aggregate ``dr``, full
-  ``dr`` vector (bit for bit), ``io_total`` and per-structure read
-  split as the in-memory reference workspace — serial *and* under the
-  engine with two worker threads.  The recorder raises on any
-  deviation, so the zero-copy path can never drift from the reference
-  semantics and still produce a plausible-looking record.
+  ``dr`` vector (bit for bit), ``io_total``, per-structure read split
+  and ``index_pages`` as the in-memory reference workspace — serial
+  *and* under the engine with two worker threads.  The recorder raises
+  on any deviation, so the zero-copy path can never drift from the
+  reference semantics and still produce a plausible-looking record.
 
 The gate pins ``io_total`` / ``index_reads`` / ``data_reads`` /
 ``index_pages`` of every row to the committed ``BENCH_scale.json``
-exactly; ``elapsed_s`` and ``speedup`` stay advisory.  CI runs only the
-smallest rung (``--rungs``) and compares in ``--subset`` mode, so the
-committed full ladder gates without being re-timed on every push.
+exactly; ``elapsed_s`` stays advisory.  CI runs only the smallest rung
+(``--rungs``) and compares in ``--subset`` mode, so the committed full
+ladder gates without being re-timed on every push.
 """
 
 from __future__ import annotations
@@ -59,19 +51,9 @@ SCALE_RUNGS: tuple[int, ...] = (100_000, 500_000, 1_000_000)
 SCALE_N_F = 2_000
 SCALE_N_P = 400
 
-#: The three storage backends, in the order they appear in the record.
-SCALE_BACKENDS = ("file", "mmap", "mmap+columnar")
-
-#: Zero simulated latency: backend differences are CPU-per-page, and
-#: page counts are enforced identical anyway.
+#: Zero simulated latency: wall time measures CPU work per page, and
+#: page counts are enforced identical to the reference anyway.
 SCALE_IO_LATENCY_S = 0.0
-
-#: The floor asserted by CI on the committed record: at the largest
-#: rung, the best per-method ``mmap+columnar`` speedup over ``file``
-#: must reach this factor (see tests/bench/test_scale_suite.py).  The
-#: index-join methods clear it; SS is scan-kernel-bound by design and
-#: records its (near-1x) ratio honestly.
-SCALE_TARGET_SPEEDUP = 2.0
 
 #: Engine worker threads for the parallel parity check.
 PARITY_WORKERS = 2
@@ -90,7 +72,7 @@ def _run_once(workspace, name: str):
     return result, selector.distance_reductions()
 
 
-def _check_parity(label, name, backend, mode, result, dr, ref, ref_dr):
+def _check_parity(label, name, mode, result, dr, ref, ref_dr):
     mismatches = [
         field
         for field, got, want in (
@@ -106,7 +88,7 @@ def _check_parity(label, name, backend, mode, result, dr, ref, ref_dr):
         mismatches.append("dr_vector")
     if mismatches:
         raise AssertionError(
-            f"{label} {name} [{backend}, {mode}]: disk backend diverges "
+            f"{label} {name} [{mode}]: the disk workspace diverges "
             f"from the in-memory reference on {mismatches} — the storage "
             "fast path must be exact"
         )
@@ -122,7 +104,7 @@ def run_scale_suite(
     """Record one execution of the ``scale`` suite.
 
     ``rungs`` overrides the client-count ladder (CI passes the smallest
-    rung only).  Raises on any backend/reference divergence.
+    rung only).  Raises on any disk/reference divergence.
     """
     if repeats < 1:
         raise ValueError("repeats must be >= 1")
@@ -147,77 +129,58 @@ def run_scale_suite(
             progress(f"building {label} (n_c={n_c:,}) and persisting ...")
         workspace = Workspace(config.instance(), io_latency_s=SCALE_IO_LATENCY_S)
         with tempfile.TemporaryDirectory(prefix="mindist-scale-") as tmp:
-            v1 = persist_indexes(workspace, Path(tmp) / "v1", leaf_format="rows")
-            v2 = persist_indexes(workspace, Path(tmp) / "v2", leaf_format="columns")
-            backends = {
-                "file": (v1, False),
-                "mmap": (v1, True),
-                "mmap+columnar": (v2, True),
-            }
+            indexes = persist_indexes(workspace, Path(tmp))
             for name in chosen:
                 reference, reference_dr = _run_once(workspace, name)
-                file_elapsed: Optional[float] = None
-                for backend in SCALE_BACKENDS:
-                    indexes, mapped = backends[backend]
-                    if progress is not None:
-                        progress(f"running {label} {name} [{backend}] ...")
-                    with DiskWorkspace(
-                        indexes,
-                        stats=IOStats(),
-                        mapped=mapped,
-                        io_latency_s=SCALE_IO_LATENCY_S,
-                    ) as frozen:
-                        samples: list[float] = []
-                        result = None
-                        for __ in range(repeats):
-                            result, dr = _run_once(frozen, name)
-                            _check_parity(
-                                label, name, backend, "serial",
-                                result, dr, reference, reference_dr,
-                            )
-                            samples.append(result.elapsed_s)
-                        assert result is not None
-                        # The same answer must come back from the
-                        # engine's worker pool (shared mmap / shared
-                        # file handle under concurrency).
-                        frozen.invalidate_leaf_cache()
-                        with QueryEngine(
-                            frozen, workers=PARITY_WORKERS, executor="thread"
-                        ) as engine:
-                            parallel = engine.run(name)
+                if progress is not None:
+                    progress(f"running {label} {name} ...")
+                with DiskWorkspace(
+                    indexes, stats=IOStats(), io_latency_s=SCALE_IO_LATENCY_S
+                ) as frozen:
+                    samples: list[float] = []
+                    result = None
+                    for __ in range(repeats):
+                        result, dr = _run_once(frozen, name)
                         _check_parity(
-                            label, name, backend, f"workers={PARITY_WORKERS}",
-                            parallel, None, reference, reference_dr,
+                            label, name, "serial", result, dr, reference, reference_dr
                         )
-                    elapsed = statistics.median(samples)
-                    if backend == "file":
-                        file_elapsed = elapsed
-                    index_reads = sum(
-                        pages
-                        for source, pages in result.io_reads.items()
-                        if source.startswith("R_")
+                        samples.append(result.elapsed_s)
+                    assert result is not None
+                    # The same answer must come back from the engine's
+                    # worker pool (one shared mmap under concurrency).
+                    frozen.invalidate_leaf_cache()
+                    with QueryEngine(
+                        frozen, workers=PARITY_WORKERS, executor="thread"
+                    ) as engine:
+                        parallel = engine.run(name)
+                    _check_parity(
+                        label,
+                        name,
+                        f"workers={PARITY_WORKERS}",
+                        parallel,
+                        None,
+                        reference,
+                        reference_dr,
                     )
-                    metrics = {
-                        "io_total": float(result.io_total),
-                        "index_reads": float(index_reads),
-                        "data_reads": float(result.io_total - index_reads),
-                        "index_pages": float(result.index_pages),
-                        "elapsed_s": elapsed,
-                    }
-                    if backend == "mmap+columnar" and file_elapsed:
-                        # Informational (not gated): what zero-copy +
-                        # zero-decode bought over the v1 file path.
-                        metrics["speedup"] = (
-                            file_elapsed / elapsed if elapsed > 0 else 0.0
-                        )
-                    record.entries.append(
-                        BenchEntry(
-                            config=f"{label}|{backend}",
-                            method=name,
-                            x=float(n_c),
-                            metrics=metrics,
-                            io_breakdown=dict(result.io_reads),
-                            elapsed_samples=samples,
-                        )
+                index_reads = sum(
+                    pages
+                    for source, pages in result.io_reads.items()
+                    if source.startswith("R_")
+                )
+                record.entries.append(
+                    BenchEntry(
+                        config=label,
+                        method=name,
+                        x=float(n_c),
+                        metrics={
+                            "io_total": float(result.io_total),
+                            "index_reads": float(index_reads),
+                            "data_reads": float(result.io_total - index_reads),
+                            "index_pages": float(result.index_pages),
+                            "elapsed_s": statistics.median(samples),
+                        },
+                        io_breakdown=dict(result.io_reads),
+                        elapsed_samples=samples,
                     )
+                )
     return record

@@ -40,6 +40,7 @@ from typing import Callable, Optional, Sequence
 
 from repro.bench.record import BenchEntry, BenchRecord, environment_fingerprint
 from repro.core import Workspace, make_selector
+from repro.core.types import fingerprint
 from repro.experiments.config import ExperimentConfig
 from repro.experiments.smoke import SMOKE_METHODS
 
@@ -54,17 +55,6 @@ PIPELINE_ROUNDS = 3
 #: Micro-batch window while recording (wide enough that a pipelined
 #: burst reliably coalesces on a loaded CI machine).
 SERVICE_BATCH_WINDOW_S = 0.02
-
-
-def _fingerprint(result) -> tuple:
-    return (
-        result.location.sid,
-        result.location.x,
-        result.location.y,
-        result.dr,
-        result.io_total,
-        dict(result.io_reads),
-    )
 
 
 def run_service_suite(
@@ -90,7 +80,7 @@ def run_service_suite(
     # The serial in-process reference every wire answer must equal.
     reference = Workspace(config.instance())
     expected = {
-        name: _fingerprint(make_selector(reference, name).select())
+        name: fingerprint(make_selector(reference, name).select())
         for name in chosen
     }
 
@@ -121,7 +111,7 @@ def run_service_suite(
                         raise AssertionError(
                             f"{name}: cache-bypassing request claimed a hit"
                         )
-                    if _fingerprint(answer.result) != expected[name]:
+                    if fingerprint(answer.result) != expected[name]:
                         raise AssertionError(
                             f"{name}: wire result diverges from the serial "
                             "in-process select() — the service must be "
@@ -139,7 +129,7 @@ def run_service_suite(
                         raise AssertionError(
                             f"{name}: repeated request missed the result cache"
                         )
-                    if _fingerprint(answer.result) != expected[name]:
+                    if fingerprint(answer.result) != expected[name]:
                         raise AssertionError(
                             f"{name}: cached result diverges from select()"
                         )
@@ -177,7 +167,7 @@ def run_service_suite(
             answers = client.select_many(burst, no_cache=True)
             wall_s = time.perf_counter() - t0
             for name, answer in zip(burst, answers):
-                if _fingerprint(answer.result) != expected[name]:
+                if fingerprint(answer.result) != expected[name]:
                     raise AssertionError(
                         f"{name}: batched result diverges from select()"
                     )

@@ -35,6 +35,7 @@ import numpy as np
 
 from repro.bench.record import BenchEntry, BenchRecord, environment_fingerprint
 from repro.core import Workspace
+from repro.core.types import fingerprint
 from repro.experiments.config import ExperimentConfig
 from repro.experiments.smoke import SMOKE_METHODS
 
@@ -49,18 +50,6 @@ SHARD_TILES = 4
 
 #: The shard counts measured (every divisor-ish rung of the tile count).
 SHARD_LADDER = (1, 2, 4)
-
-
-def _fingerprint(result) -> tuple:
-    return (
-        result.location.sid,
-        result.location.x,
-        result.location.y,
-        result.dr,
-        result.io_total,
-        dict(result.io_reads),
-        result.index_pages,
-    )
 
 
 def run_shard_suite(
@@ -107,7 +96,7 @@ def run_shard_suite(
         reference = serial_reference(
             partition, name, workers=per_shard_workers
         )
-        expected[name] = _fingerprint(reference)
+        expected[name] = fingerprint(reference)
         executor = ScatterGatherExecutor(
             partition, n_shards=1, workers_per_shard=per_shard_workers
         )
@@ -134,7 +123,7 @@ def run_shard_suite(
                 partials = executor.scatter(name)
                 merged = executor.run(name)
                 samples.append(time.perf_counter() - t0)
-                if _fingerprint(merged) != expected[name]:
+                if fingerprint(merged) != expected[name]:
                     raise AssertionError(
                         f"{name}@k{n_shards}: merged answer diverges from "
                         "the serial tile-order reference — the shard merge "
@@ -199,7 +188,7 @@ def run_shard_suite(
                 t0 = time.perf_counter()
                 for name in chosen:
                     answer = client.select(name, no_cache=True)
-                    if _fingerprint(answer.result) != expected[name]:
+                    if fingerprint(answer.result) != expected[name]:
                         raise AssertionError(
                             f"{name}: coordinator wire answer diverges from "
                             "the serial tile-order reference"

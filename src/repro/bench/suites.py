@@ -125,9 +125,8 @@ def _builtin_suites() -> dict[str, Suite]:
         ),
         "scale": Suite(
             name="scale",
-            description="storage backends (file / mmap / mmap+columnar) "
-            "at client-count rungs, bitwise result parity "
-            "vs memory enforced",
+            description="the mmap-served columnar disk workspace at "
+            "client-count rungs, bitwise result parity vs memory enforced",
             configs=tuple((float(n), config_for_rung(n)) for n in SCALE_RUNGS),
             runner=run_scale_suite,
         ),

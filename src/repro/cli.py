@@ -1372,11 +1372,7 @@ def _add_shard_parser(sub: argparse._SubParsersAction) -> None:
 def _cmd_pages_info(args: argparse.Namespace) -> int:
     import struct as _struct
 
-    from repro.storage.diskfile import (
-        COLUMNAR_VERSION,
-        PageFile,
-        PageFileError,
-    )
+    from repro.storage.diskfile import FORMAT_VERSION, PageFile, PageFileError
 
     try:
         with PageFile(args.file).open() as pf:
@@ -1388,10 +1384,7 @@ def _cmd_pages_info(args: argparse.Namespace) -> int:
             rtree_meta = _struct.unpack_from("<IIB", meta)
             block_meta = _struct.unpack_from("<QII", meta)
             print(f"file:         {args.file}")
-            print(
-                f"format:       v{pf.format_version} "
-                f"({'columns (SoA)' if pf.format_version == COLUMNAR_VERSION else 'rows (AoS)'})"
-            )
+            print(f"format:       v{FORMAT_VERSION} (columns (SoA))")
             print(f"page size:    {pf.page_size}")
             print(f"pages:        {pf.num_pages}")
             print(f"root page:    {pf.root_page}")
@@ -1411,29 +1404,8 @@ def _cmd_pages_info(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_pages_convert(args: argparse.Namespace) -> int:
-    from repro.rtree.persist import convert_page_file
-    from repro.storage.codecs import ClientCodec, SiteCodec
-    from repro.storage.diskblocks import convert_block_file
-    from repro.storage.diskfile import PageFileError
-
-    try:
-        if args.codec == "block":
-            pages = convert_block_file(args.src, args.dst, args.to)
-        else:
-            codec = ClientCodec() if args.codec == "client" else SiteCodec()
-            pages = convert_page_file(args.src, args.dst, codec, args.to)
-    except (PageFileError, ValueError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    print(f"wrote {args.dst} ({pages} pages, leaf format {args.to})")
-    return 0
-
-
 def _add_pages_parser(sub: argparse._SubParsersAction) -> None:
-    p_pages = sub.add_parser(
-        "pages", help="inspect and convert on-disk page files"
-    )
+    p_pages = sub.add_parser("pages", help="inspect on-disk page files")
     pages_sub = p_pages.add_subparsers(dest="pages_command", required=True)
 
     p_info = pages_sub.add_parser(
@@ -1441,26 +1413,6 @@ def _add_pages_parser(sub: argparse._SubParsersAction) -> None:
     )
     p_info.add_argument("file", help="path to a .pages file")
     p_info.set_defaults(func=_cmd_pages_info)
-
-    p_conv = pages_sub.add_parser(
-        "convert", help="rewrite a page file between row (v1) and "
-        "columnar (v2) leaf encodings"
-    )
-    p_conv.add_argument("src", help="source .pages file")
-    p_conv.add_argument("dst", help="destination .pages file")
-    p_conv.add_argument(
-        "--codec",
-        required=True,
-        choices=("client", "site", "block"),
-        help="leaf payload kind: client/site r-tree, or a flat block file",
-    )
-    p_conv.add_argument(
-        "--to",
-        required=True,
-        choices=("rows", "columns"),
-        help="target leaf encoding",
-    )
-    p_conv.set_defaults(func=_cmd_pages_convert)
 
 
 def _add_bench_parser(sub: argparse._SubParsersAction) -> None:

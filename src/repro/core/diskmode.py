@@ -4,7 +4,7 @@
 page files; ``DiskWorkspace`` reopens them read-only and duck-types
 enough of :class:`~repro.core.workspace.Workspace` for all four paper
 methods (SS, QVC, NFC, MND) to run unmodified — every node or block
-fetched is decoded from real file bytes and counted as an I/O, making
+fetched is served from real file bytes and counted as an I/O, making
 this the closest simulation of the paper's disk-resident setting.
 
 Persisted per workspace (``manifest.json`` records the layout):
@@ -19,27 +19,25 @@ Persisted per workspace (``manifest.json`` records the layout):
 ``file_p.pages``          the flat potential file (SS, QVC)
 ========================  ==========================================
 
-Three backends serve the same files with identical answers and
-identical I/O accounting (see ``repro.bench.scale`` for the
-measurements):
-
-* ``DiskWorkspace(..., mapped=False)`` over v1 (row) files — per-read
-  ``seek``/``read`` syscalls, packed-record decode;
-* ``mapped=True`` over v1 — zero-copy ``mmap`` views, packed decode;
-* ``mapped=True`` over v2 (``leaf_format="columns"``) files — zero-copy
-  views *and* zero decode: leaf pages are already the column blocks the
-  batch kernels consume.
+There is one format and one reader: leaf and block pages hold the
+structure-of-arrays column blocks of :mod:`repro.storage.soa`, and
+every file is served as zero-copy views of one ``mmap``
+(:class:`~repro.storage.diskfile.PageFile`).  A leaf read therefore
+does no decode work at all — the page already is the column block the
+batch kernels consume — and answers and I/O accounting are identical
+to the in-memory workspace (``repro.bench.scale`` enforces both).
 
 Typical flow::
 
-    paths = persist_indexes(ws, directory, leaf_format="columns")
-    frozen = DiskWorkspace(paths, stats=IOStats(), mapped=True)
+    paths = persist_indexes(ws, directory)
+    frozen = DiskWorkspace(load_persisted(directory))
     result = MaximumNFCDistance(frozen).select()   # answers from disk
 """
 
 from __future__ import annotations
 
 import json
+from contextlib import ExitStack
 from dataclasses import dataclass, fields
 from functools import cached_property
 from pathlib import Path
@@ -49,8 +47,6 @@ import numpy as np
 
 from repro.core.types import Site
 from repro.core.workspace import Workspace
-from repro.geometry.circle import Circle
-from repro.geometry.point import Point
 from repro.geometry.rect import Rect
 from repro.obs.trace import NOOP_TRACER, Tracer
 from repro.rtree.persist import DiskRTree, save_rtree
@@ -66,31 +62,22 @@ MANIFEST_NAME = "manifest.json"
 
 @dataclass(frozen=True)
 class PersistedIndexes:
-    """File locations of a frozen query workspace.
-
-    The first four fields are the original MND-only persistence; the
-    optional tail (default ``None``) is the full-workspace layout that
-    lets every method run from disk.  A ``DiskWorkspace`` over an
-    MND-only record still supports the MND method — touching any other
-    structure raises with a pointer to ``persist_indexes``.
-    """
+    """File locations and counts of a frozen query workspace."""
 
     directory: Path
     mnd_tree_path: Path
     r_p_path: Path
     n_p: int
-    r_c_path: Optional[Path] = None
-    r_f_path: Optional[Path] = None
-    rnn_tree_path: Optional[Path] = None
-    client_file_path: Optional[Path] = None
-    potential_file_path: Optional[Path] = None
-    n_c: Optional[int] = None
-    n_f: Optional[int] = None
+    r_c_path: Path
+    r_f_path: Path
+    rnn_tree_path: Path
+    client_file_path: Path
+    potential_file_path: Path
+    n_c: int
+    n_f: int
     #: Effective data bounds ``(xmin, ymin, xmax, ymax)`` — the QVC
     #: clipping domain.  JSON float repr round-trips doubles exactly.
-    bounds: Optional[tuple[float, float, float, float]] = None
-    #: Leaf/block encoding of every page file: "rows" (v1) or "columns" (v2).
-    leaf_format: str = "rows"
+    bounds: tuple[float, float, float, float]
 
 
 _PATH_FIELDS = (
@@ -105,57 +92,40 @@ _PATH_FIELDS = (
 
 
 def persist_indexes(
-    ws: Workspace,
-    directory: str | Path,
-    leaf_format: str = "rows",
-    full: bool = True,
+    ws: Workspace, directory: str | Path, leaf_format: str = "columns"
 ) -> PersistedIndexes:
-    """Serialise a workspace's query structures to ``directory``.
+    """Serialise every structure the four methods touch to ``directory``.
 
-    With ``full`` (the default) every structure the four methods touch
-    is written, plus a ``manifest.json`` so :func:`load_persisted` can
-    reopen the directory without the source workspace; ``full=False``
-    reproduces the original MND-only pair.  ``leaf_format="columns"``
-    writes v2 (structure-of-arrays) leaf and block pages throughout.
+    Writes the seven page files plus a ``manifest.json``, so
+    :func:`load_persisted` can reopen the directory without the source
+    workspace.  ``leaf_format`` is kept for callers of the retired
+    two-format API and accepts only ``"columns"``, the one encoding.
     """
+    if leaf_format != "columns":
+        raise ValueError(
+            f"leaf_format={leaf_format!r} is not supported; page files are "
+            "always written with leaf_format='columns'"
+        )
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
     mnd_path = directory / "r_c_m.pages"
     r_p_path = directory / "r_p.pages"
-    save_rtree(ws.mnd_tree, mnd_path, ClientCodec(), leaf_format=leaf_format)
-    save_rtree(ws.r_p, r_p_path, SiteCodec(), leaf_format=leaf_format)
-    if not full:
-        return PersistedIndexes(
-            directory=directory,
-            mnd_tree_path=mnd_path,
-            r_p_path=r_p_path,
-            n_p=ws.n_p,
-            leaf_format=leaf_format,
-        )
     r_c_path = directory / "r_c.pages"
     r_f_path = directory / "r_f.pages"
     rnn_path = directory / "r_c_n.pages"
     file_c_path = directory / "file_c.pages"
     file_p_path = directory / "file_p.pages"
-    save_rtree(ws.r_c, r_c_path, ClientCodec(), leaf_format=leaf_format)
-    save_rtree(ws.r_f, r_f_path, SiteCodec(), leaf_format=leaf_format)
-    save_rtree(ws.rnn_tree, rnn_path, ClientCodec(), leaf_format=leaf_format)
+    save_rtree(ws.mnd_tree, mnd_path, ClientCodec())
+    save_rtree(ws.r_p, r_p_path, SiteCodec())
+    save_rtree(ws.r_c, r_c_path, ClientCodec())
+    save_rtree(ws.r_f, r_f_path, SiteCodec())
+    save_rtree(ws.rnn_tree, rnn_path, ClientCodec())
     # Block capacities are the *logical* per-page record counts of the
     # in-memory layouts, which pins block counts (and io_total) to the
     # memory workspace exactly.
     client_matrix = np.column_stack([ws.client_xyd, ws.client_w])
-    save_block_file(
-        file_c_path,
-        client_matrix,
-        CLIENT_RECORD.capacity(PAGE_SIZE),
-        block_format=leaf_format,
-    )
-    save_block_file(
-        file_p_path,
-        ws.potential_xy,
-        POINT_RECORD.capacity(PAGE_SIZE),
-        block_format=leaf_format,
-    )
+    save_block_file(file_c_path, client_matrix, CLIENT_RECORD.capacity(PAGE_SIZE))
+    save_block_file(file_p_path, ws.potential_xy, POINT_RECORD.capacity(PAGE_SIZE))
     bounds = ws.data_bounds
     indexes = PersistedIndexes(
         directory=directory,
@@ -170,7 +140,6 @@ def persist_indexes(
         n_c=ws.n_c,
         n_f=ws.n_f,
         bounds=(bounds.xmin, bounds.ymin, bounds.xmax, bounds.ymax),
-        leaf_format=leaf_format,
     )
     _write_manifest(indexes)
     return indexes
@@ -182,7 +151,7 @@ def _write_manifest(indexes: PersistedIndexes) -> None:
         value = getattr(indexes, field.name)
         if field.name == "directory":
             continue
-        if field.name in _PATH_FIELDS and value is not None:
+        if field.name in _PATH_FIELDS:
             value = Path(value).name  # manifest stays relocatable
         if isinstance(value, tuple):
             value = list(value)
@@ -199,17 +168,17 @@ def load_persisted(directory: str | Path) -> PersistedIndexes:
     if not manifest.exists():
         raise FileNotFoundError(
             f"{manifest}: no manifest — was this directory written by "
-            "persist_indexes(..., full=True)?"
+            "persist_indexes()?"
         )
     payload = json.loads(manifest.read_text())
     kwargs = {"directory": directory}
     for field in fields(PersistedIndexes):
         if field.name == "directory":
             continue
-        value = payload.get(field.name)
-        if field.name in _PATH_FIELDS and value is not None:
+        value = payload[field.name]
+        if field.name in _PATH_FIELDS:
             value = directory / value
-        if field.name == "bounds" and value is not None:
+        if field.name == "bounds":
             value = tuple(value)
         kwargs[field.name] = value
     return PersistedIndexes(**kwargs)
@@ -221,10 +190,10 @@ class DiskWorkspace:
     Exposes every attribute the four methods touch — trees, flat files,
     ``potentials``, ``data_bounds``, ``stats``, ``leaf_cache``,
     ``io_latency_s`` — with each structure opened lazily on first use
-    (the MND pair eagerly, to keep the original validation behaviour).
-    ``mapped=True`` serves every page file through one ``mmap`` each
-    (zero-copy reads); accounting is identical either way.  Mutating
-    accessors do not exist.
+    (the MND pair eagerly, to validate the directory at construction).
+    Every page file is served through one ``mmap`` (zero-copy reads).
+    ``mapped`` is kept for callers of the retired two-reader API and
+    accepts only ``True``.  Mutating accessors do not exist.
     """
 
     def __init__(
@@ -233,95 +202,77 @@ class DiskWorkspace:
         stats: Optional[IOStats] = None,
         buffer_pool: Optional[LRUBufferPool] = None,
         io_latency_s: float = Workspace.DEFAULT_IO_LATENCY_S,
-        mapped: bool = False,
+        mapped: bool = True,
     ):
+        if mapped is not True:
+            raise ValueError(
+                f"mapped={mapped!r} is not supported; page files are always "
+                "served with mapped=True"
+            )
         self.indexes = indexes
         self.stats = stats or IOStats()
         self.tracer = NOOP_TRACER
         self.buffer_pool = buffer_pool
         self.io_latency_s = io_latency_s
-        self.mapped = mapped
         self.leaf_cache = DecodedLeafCache()
-        self.mnd_tree = DiskRTree(
-            "R_C^m",
-            indexes.mnd_tree_path,
-            ClientCodec(),
-            self.stats,
-            buffer_pool,
-            radius_of=lambda c: c.dnn,
-            mapped=mapped,
-        )
-        self.r_p = DiskRTree(
-            "R_P",
-            indexes.r_p_path,
-            SiteCodec(),
-            self.stats,
-            buffer_pool,
-            mapped=mapped,
-        )
-        # Rebuild the candidate table from the R_P leaves (ids are the
-        # original candidate ids, so ordering by id restores it).
-        sites = [entry.payload for entry in self.r_p.iter_leaf_entries()]
-        sites.sort(key=lambda s: s.sid)
-        self.potentials: list[Site] = sites
-        if len(self.potentials) != indexes.n_p:
-            raise ValueError(
-                f"persisted R_P holds {len(self.potentials)} candidates, "
-                f"metadata promises {indexes.n_p}"
+        # Whatever opened before a failure is closed again on the way out.
+        with ExitStack() as opened:
+            self.mnd_tree = opened.enter_context(
+                DiskRTree(
+                    "R_C^m",
+                    indexes.mnd_tree_path,
+                    ClientCodec(),
+                    self.stats,
+                    buffer_pool,
+                    radius_of=lambda c: c.dnn,
+                )
             )
+            self.r_p = opened.enter_context(
+                DiskRTree("R_P", indexes.r_p_path, SiteCodec(), self.stats, buffer_pool)
+            )
+            # Rebuild the candidate table from the R_P leaves (ids are the
+            # original candidate ids, so ordering by id restores it).
+            sites = [entry.payload for entry in self.r_p.iter_leaf_entries()]
+            sites.sort(key=lambda s: s.sid)
+            self.potentials: list[Site] = sites
+            if len(self.potentials) != indexes.n_p:
+                raise ValueError(
+                    f"persisted R_P holds {len(self.potentials)} candidates, "
+                    f"metadata promises {indexes.n_p}"
+                )
+            opened.pop_all()
 
     # ------------------------------------------------------------------
     # Lazily opened structures (QVC / NFC / SS)
     # ------------------------------------------------------------------
-    def _require(self, path: Optional[Path], what: str) -> Path:
-        if path is None:
-            raise ValueError(
-                f"persisted workspace at {self.indexes.directory} carries no "
-                f"{what}; re-persist with persist_indexes(..., full=True)"
-            )
-        return path
-
     @cached_property
     def r_c(self) -> DiskRTree:
         """``R_C``: the client point tree (QVC)."""
         return DiskRTree(
-            "R_C",
-            self._require(self.indexes.r_c_path, "R_C tree"),
-            ClientCodec(),
-            self.stats,
-            self.buffer_pool,
-            mapped=self.mapped,
+            "R_C", self.indexes.r_c_path, ClientCodec(), self.stats, self.buffer_pool
         )
 
     @cached_property
     def r_f(self) -> DiskRTree:
         """``R_F``: the facility tree (QVC quadrant NN queries)."""
         return DiskRTree(
-            "R_F",
-            self._require(self.indexes.r_f_path, "R_F tree"),
-            SiteCodec(),
-            self.stats,
-            self.buffer_pool,
-            mapped=self.mapped,
+            "R_F", self.indexes.r_f_path, SiteCodec(), self.stats, self.buffer_pool
         )
 
     @cached_property
     def rnn_tree(self) -> DiskRTree:
         """``R_C^n``: the RNN-tree over NFC circles (NFC method).
 
-        Leaf entry MBRs are the squares around each client's NFC —
-        reconstructed from the payload on decode (v1) or from the
-        columns (v2, ``leaf_shape="circle"``), bit-identical to the
-        in-memory tree.
+        Leaf entry MBRs are the squares around each client's NFC,
+        derived from the columns (``leaf_shape="circle"``) bit-identical
+        to the in-memory tree.
         """
         return DiskRTree(
             "R_C^n",
-            self._require(self.indexes.rnn_tree_path, "RNN-tree"),
+            self.indexes.rnn_tree_path,
             ClientCodec(),
             self.stats,
             self.buffer_pool,
-            leaf_mbr=lambda c: Circle(Point(c.x, c.y), c.dnn).mbr(),
-            mapped=self.mapped,
             leaf_shape="circle",
         )
 
@@ -329,32 +280,19 @@ class DiskWorkspace:
     def client_file(self) -> DiskBlockFile:
         """``file.C``: the flat client file of the SS scan."""
         return DiskBlockFile(
-            "file.C",
-            self._require(self.indexes.client_file_path, "client block file"),
-            self.stats,
-            self.buffer_pool,
-            mapped=self.mapped,
+            "file.C", self.indexes.client_file_path, self.stats, self.buffer_pool
         )
 
     @cached_property
     def potential_file(self) -> DiskBlockFile:
         """``file.P``: the flat potential-location file (SS, QVC)."""
         return DiskBlockFile(
-            "file.P",
-            self._require(self.indexes.potential_file_path, "potential block file"),
-            self.stats,
-            self.buffer_pool,
-            mapped=self.mapped,
+            "file.P", self.indexes.potential_file_path, self.stats, self.buffer_pool
         )
 
     @cached_property
     def data_bounds(self) -> Rect:
         """The effective clipping domain (QVC), from the manifest."""
-        if self.indexes.bounds is None:
-            raise ValueError(
-                f"persisted workspace at {self.indexes.directory} carries no "
-                "data bounds; re-persist with persist_indexes(..., full=True)"
-            )
         return Rect(*self.indexes.bounds)
 
     # ------------------------------------------------------------------
@@ -364,14 +302,10 @@ class DiskWorkspace:
 
     @property
     def n_c(self) -> int:
-        if self.indexes.n_c is None:
-            raise ValueError("persisted workspace predates full persistence")
         return self.indexes.n_c
 
     @property
     def n_f(self) -> int:
-        if self.indexes.n_f is None:
-            raise ValueError("persisted workspace predates full persistence")
         return self.indexes.n_f
 
     def reset_stats(self) -> None:

@@ -5,7 +5,8 @@ precomputed nearest-facility distance ``dnn(c, F)`` "stored with the
 client's record" (Section III-B).  ``Site`` is the common shape of
 facility and potential-location records.  ``SelectionResult`` carries
 the answer together with the measurements every experiment reports:
-running time, number of I/Os and index size.
+running time, number of I/Os and index size; ``fingerprint`` is the
+part of it every execution path must reproduce exactly.
 """
 
 from __future__ import annotations
@@ -84,3 +85,22 @@ class SelectionResult:
             f"time={self.elapsed_s * 1000:.2f}ms (cpu {self.cpu_s * 1000:.2f}ms), "
             f"io={self.io_total}, index={self.index_pages}p)"
         )
+
+
+def fingerprint(result: SelectionResult) -> tuple:
+    """Everything deterministic about a result — timings excluded.
+
+    The parity contract compares this tuple: every execution path
+    (serial, engine workers, disk, shards, the service and coordinator
+    over the wire) must reproduce the serial reference's exactly.
+    """
+    return (
+        result.method,
+        result.location.sid,
+        result.location.x,
+        result.location.y,
+        result.dr,
+        result.io_total,
+        dict(result.io_reads),
+        result.index_pages,
+    )

@@ -8,10 +8,12 @@ both costs without moving a single page read:
 
 * :mod:`repro.kernels.columnar` — structure-of-arrays buffers
   (``ids: uint32[n]``, ``xs/ys: float64[n]``) and the numpy dtypes that
-  mirror the storage codecs byte for byte;
+  mirror the packed branch entries byte for byte;
 * :mod:`repro.kernels.vector` — the default backend: one
-  ``np.frombuffer`` per page, batch ``dist``/``minDist``/``maxDist``/
-  containment/``IS(p)``/``dr`` kernels over whole pages at once;
+  ``np.frombuffer`` per packed branch page, batch ``dist``/``minDist``/
+  ``maxDist``/containment/``IS(p)``/``dr`` kernels over whole pages at
+  once.  Leaf pages need no decode kernel: they are persisted as the
+  column blocks themselves (:mod:`repro.storage.soa`);
 * :mod:`repro.kernels.scalar` — the loop-per-record twin kept for
   cross-checking; property tests and the ``kernels`` bench suite
   assert **bit-identical** outputs against the vector backend.
@@ -42,8 +44,6 @@ from repro.kernels import scalar, vector
 from repro.kernels.columnar import (
     BRANCH_DTYPE,
     BRANCH_MND_DTYPE,
-    CLIENT_DTYPE,
-    SITE_DTYPE,
     BranchColumns,
     ClientColumns,
     RectColumns,
@@ -98,16 +98,6 @@ def _impl():
 # ---------------------------------------------------------------------------
 # Dispatched kernels — signatures documented in repro.kernels.vector
 # ---------------------------------------------------------------------------
-
-
-def decode_site_columns(data, count, offset=0):
-    """Decode a leaf page of packed site records into columns."""
-    return _impl().decode_site_columns(data, count, offset=offset)
-
-
-def decode_client_columns(data, count, offset=0):
-    """Decode a leaf page of packed client records into columns."""
-    return _impl().decode_client_columns(data, count, offset=offset)
 
 
 def decode_branch_columns(data, count, with_mnd=False, offset=0):
@@ -173,8 +163,6 @@ def rect_intersect_matrix(a, b):
 __all__ = [
     "BRANCH_DTYPE",
     "BRANCH_MND_DTYPE",
-    "CLIENT_DTYPE",
-    "SITE_DTYPE",
     "BranchColumns",
     "ClientColumns",
     "RectColumns",
@@ -185,8 +173,6 @@ __all__ = [
     "circle_columns_from_rects",
     "circles_contain_point",
     "decode_branch_columns",
-    "decode_client_columns",
-    "decode_site_columns",
     "influence_matrix",
     "max_dist_points_rect",
     "min_dist_points_rect",

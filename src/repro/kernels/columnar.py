@@ -1,24 +1,23 @@
 """Structure-of-arrays buffers for records, entries and rectangles.
 
-The storage layer's byte story is record-at-a-time (:mod:`repro.storage.codecs`
-packs and unpacks one 20/28/36/44-byte record per call); the geometry
-kernels want the *transpose*: one contiguous numpy array per field.
-This module owns those column buffers and the numpy dtypes that mirror
-the codec layouts byte for byte, so a whole page decodes with a single
-``np.frombuffer`` instead of ``n`` ``struct.unpack`` calls:
+The geometry kernels want one contiguous numpy array per field.  This
+module owns those column buffers.  Leaf pages on disk *are* such
+columns (:mod:`repro.storage.soa`), so a leaf decodes as plain
+``np.frombuffer`` views; branch pages keep the packed entry layout, and
+the dtypes below mirror it byte for byte so a whole branch page still
+decodes with a single ``np.frombuffer`` instead of ``n``
+``struct.unpack`` calls:
 
 ========================  =========================  ==========
 codec layout              dtype                      bytes/rec
 ========================  =========================  ==========
-``SiteCodec``   (<Idd)    :data:`SITE_DTYPE`         20
-``ClientCodec`` (<Iddd)   :data:`CLIENT_DTYPE`       28
 branch entry    (<ddddI)  :data:`BRANCH_DTYPE`       36
 MND branch      (<ddddId) :data:`BRANCH_MND_DTYPE`   44
 ========================  =========================  ==========
 
 The dtypes are packed (no alignment padding) — ``tests/kernels`` holds
-property tests proving every buffer round-trips bit-identically through
-the record codecs.  Column buffers are what
+property tests proving every branch buffer round-trips bit-identically
+through ``encode_branch``.  Column buffers are what
 :class:`~repro.storage.leafcache.DecodedLeafCache` stores: decode once,
 evaluate many times, never touching per-record Python objects on the
 hot path.
@@ -32,14 +31,6 @@ from __future__ import annotations
 from typing import Any, Iterable, Optional, Sequence
 
 import numpy as np
-
-#: ``SiteCodec`` layout: ``(id, x, y)`` — 20 bytes, packed little-endian.
-SITE_DTYPE = np.dtype([("id", "<u4"), ("x", "<f8"), ("y", "<f8")])
-
-#: ``ClientCodec`` layout: ``(id, x, y, dnn)`` — 28 bytes.
-CLIENT_DTYPE = np.dtype(
-    [("id", "<u4"), ("x", "<f8"), ("y", "<f8"), ("dnn", "<f8")]
-)
 
 #: Branch entry: MBR + child page id — 36 bytes.
 BRANCH_DTYPE = np.dtype(
@@ -92,14 +83,6 @@ class SiteColumns:
             ys=_f64((s.y for s in sites), n),
         )
 
-    def to_bytes(self) -> bytes:
-        """The exact byte string ``SiteCodec`` would produce record by record."""
-        out = np.empty(len(self), dtype=SITE_DTYPE)
-        out["id"] = self.ids
-        out["x"] = self.xs
-        out["y"] = self.ys
-        return out.tobytes()
-
     def __repr__(self) -> str:
         return f"SiteColumns(n={len(self)})"
 
@@ -109,8 +92,8 @@ class ClientColumns:
 
     ``dnn`` doubles as the circle radius when the columns describe NFCs
     reconstructed from square MBRs (the NFC method's leaf decode).  The
-    on-disk layout carries no weight field; byte-decoded columns default
-    to unit weights, exactly like ``ClientCodec.decode``.
+    on-disk layout carries no weight field; page-decoded columns default
+    to unit weights.
     """
 
     __slots__ = ("ids", "xs", "ys", "dnn", "weights")
@@ -143,15 +126,6 @@ class ClientColumns:
             dnn=_f64((c.dnn for c in clients), n),
             weights=_f64((c.weight for c in clients), n),
         )
-
-    def to_bytes(self) -> bytes:
-        """The exact byte string ``ClientCodec`` would produce (no weight)."""
-        out = np.empty(len(self), dtype=CLIENT_DTYPE)
-        out["id"] = self.ids
-        out["x"] = self.xs
-        out["y"] = self.ys
-        out["dnn"] = self.dnn
-        return out.tobytes()
 
     def __repr__(self) -> str:
         return f"ClientColumns(n={len(self)})"

@@ -32,49 +32,14 @@ from typing import Any
 
 import numpy as np
 
-from repro.kernels.columnar import (
-    BranchColumns,
-    ClientColumns,
-    RectColumns,
-    SiteColumns,
-)
+from repro.kernels.columnar import BranchColumns, ClientColumns, RectColumns
 
-_SITE = struct.Struct("<Idd")
-_CLIENT = struct.Struct("<Iddd")
 _BRANCH = struct.Struct("<ddddI")
 _BRANCH_MND = struct.Struct("<ddddId")
 
 # ---------------------------------------------------------------------------
-# Record-at-a-time page decoding
+# Entry-at-a-time branch page decoding
 # ---------------------------------------------------------------------------
-
-
-def decode_site_columns(data: bytes, count: int, offset: int = 0) -> SiteColumns:
-    """Decode ``count`` site records one ``struct.unpack`` at a time."""
-    ids = np.empty(count, dtype=np.uint32)
-    xs = np.empty(count, dtype=np.float64)
-    ys = np.empty(count, dtype=np.float64)
-    for i in range(count):
-        sid, x, y = _SITE.unpack_from(data, offset + i * _SITE.size)
-        ids[i] = sid
-        xs[i] = x
-        ys[i] = y
-    return SiteColumns(ids, xs, ys)
-
-
-def decode_client_columns(data: bytes, count: int, offset: int = 0) -> ClientColumns:
-    """Decode ``count`` client records one ``struct.unpack`` at a time."""
-    ids = np.empty(count, dtype=np.uint32)
-    xs = np.empty(count, dtype=np.float64)
-    ys = np.empty(count, dtype=np.float64)
-    dnn = np.empty(count, dtype=np.float64)
-    for i in range(count):
-        cid, x, y, d = _CLIENT.unpack_from(data, offset + i * _CLIENT.size)
-        ids[i] = cid
-        xs[i] = x
-        ys[i] = y
-        dnn[i] = d
-    return ClientColumns(ids, xs, ys, dnn, np.ones(count, dtype=np.float64))
 
 
 def decode_branch_columns(

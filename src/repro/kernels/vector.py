@@ -1,4 +1,4 @@
-"""Vectorized kernel backend: bulk page decoding + batch geometry.
+"""Vectorized kernel backend: branch-page decoding + batch geometry.
 
 This is the default backend behind the :mod:`repro.kernels` dispatch
 layer.  Every function here has a loop-per-record twin in
@@ -6,11 +6,12 @@ layer.  Every function here has a loop-per-record twin in
 (enforced by hypothesis property tests and at bench-record time), so
 the formulas below are chosen for exactness, not just speed:
 
-* page decoding is a single ``np.frombuffer`` view over the packed
-  record layout (:data:`~repro.kernels.columnar.SITE_DTYPE` and
-  friends), copied field-wise into contiguous columns — the same
-  IEEE-754 bytes ``struct.unpack`` would produce, without the ``n``
-  tuple allocations;
+* branch-page decoding is a single ``np.frombuffer`` view over the
+  packed entry layout (:data:`~repro.kernels.columnar.BRANCH_DTYPE`
+  and its MND twin), copied field-wise into contiguous columns — the
+  same IEEE-754 bytes ``struct.unpack`` would produce, without the
+  ``n`` tuple allocations (leaf pages are stored as columns already,
+  see :mod:`repro.storage.soa`);
 * distances use ``np.hypot`` in both backends.  ``math.hypot`` is *not*
   interchangeable — it disagrees with ``np.hypot`` in the last ulp for
   roughly 1 in 130 random operand pairs — so the scalar backend calls
@@ -37,43 +38,14 @@ import numpy as np
 from repro.kernels.columnar import (
     BRANCH_DTYPE,
     BRANCH_MND_DTYPE,
-    CLIENT_DTYPE,
-    SITE_DTYPE,
     BranchColumns,
     ClientColumns,
     RectColumns,
-    SiteColumns,
 )
 
 # ---------------------------------------------------------------------------
-# Bulk page decoding
+# Branch page decoding
 # ---------------------------------------------------------------------------
-
-
-def decode_site_columns(data: bytes, count: int, offset: int = 0) -> SiteColumns:
-    """Decode ``count`` packed ``<Idd`` site records in one ``frombuffer``."""
-    raw = np.frombuffer(data, dtype=SITE_DTYPE, count=count, offset=offset)
-    return SiteColumns(
-        ids=np.ascontiguousarray(raw["id"]),
-        xs=np.ascontiguousarray(raw["x"]),
-        ys=np.ascontiguousarray(raw["y"]),
-    )
-
-
-def decode_client_columns(data: bytes, count: int, offset: int = 0) -> ClientColumns:
-    """Decode ``count`` packed ``<Iddd`` client records in one ``frombuffer``.
-
-    The on-page layout carries no weight; like ``ClientCodec.decode``,
-    decoded clients get unit weights.
-    """
-    raw = np.frombuffer(data, dtype=CLIENT_DTYPE, count=count, offset=offset)
-    return ClientColumns(
-        ids=np.ascontiguousarray(raw["id"]),
-        xs=np.ascontiguousarray(raw["x"]),
-        ys=np.ascontiguousarray(raw["y"]),
-        dnn=np.ascontiguousarray(raw["dnn"]),
-        weights=np.ones(count, dtype=np.float64),
-    )
 
 
 def decode_branch_columns(

@@ -36,6 +36,7 @@ from pathlib import Path
 
 from repro.core import METHODS, Workspace, make_selector
 from repro.core.dynamic import DynamicWorkspace
+from repro.core.types import fingerprint
 from repro.datasets.generators import make_instance
 from repro.obs.openmetrics import lint_openmetrics
 from repro.service import (
@@ -47,17 +48,6 @@ from repro.service import (
 
 SMOKE_SEED = 11
 SMOKE_SIZES = dict(n_c=800, n_f=40, n_p=60)
-
-
-def _fingerprint(result) -> tuple:
-    return (
-        result.location.sid,
-        result.location.x,
-        result.location.y,
-        result.dr,
-        result.io_total,
-        dict(result.io_reads),
-    )
 
 
 def _walk(span: dict):
@@ -168,7 +158,7 @@ def check_parity(host: str, port: int, expected: dict) -> list[str]:
     with ServiceClient(host, port) as client:
         for method in sorted(METHODS):
             answer = client.select(method, no_cache=True)
-            if _fingerprint(answer.result) != expected[method]:
+            if fingerprint(answer.result) != expected[method]:
                 failures.append(
                     f"{method}: answer differs from select() with telemetry on"
                 )
@@ -224,7 +214,7 @@ def main(argv=None) -> int:
 
     reference = Workspace(make_instance(rng=SMOKE_SEED, **SMOKE_SIZES))
     expected = {
-        m: _fingerprint(make_selector(reference, m).select()) for m in METHODS
+        m: fingerprint(make_selector(reference, m).select()) for m in METHODS
     }
 
     failures: list[str] = []

@@ -9,16 +9,12 @@ returns the structure-of-arrays buffers of
 ``(tree_name, node_id)`` key (leaf and branch nodes share one id space
 per tree, so the key space cannot collide).
 
-Decoding takes the fastest route available:
+Decoding takes one of two routes:
 
-* column-encoded disk trees (v2 page files, see
-  :mod:`repro.storage.soa`) expose ``leaf_columns`` — the page *is*
-  the columns, so "decoding" is zero-copy view construction;
-* row-encoded disk trees (:class:`~repro.rtree.persist.DiskRTree` over
-  v1 files) expose ``node_page_bytes``, so a whole page of packed
-  records bulk-decodes straight from bytes via :mod:`repro.kernels` —
-  under the vector backend that is one ``np.frombuffer`` instead of
-  ``n`` unpacks;
+* disk trees (:class:`~repro.rtree.persist.DiskRTree`) hand out leaves
+  that carry their zero-copy column views (``node.columns``) — the page
+  *is* the columns — and expose ``node_page_bytes``, so a branch page
+  bulk-decodes straight from its packed bytes via :mod:`repro.kernels`;
 * in-memory trees decode from the node's entry objects.
 
 Both routes produce identical column values for the same logical
@@ -45,43 +41,13 @@ from repro.kernels.columnar import (
 )
 
 
-def _page_bytes(tree: Any, node_id: int):
-    """``(level, count, offset, data)`` for byte-backed trees, else None."""
-    reader = getattr(tree, "node_page_bytes", None)
-    if reader is None:
-        return None
-    return reader(node_id)
-
-
-def _column_leaf(tree: Any, node: Any):
-    """Zero-copy payload columns for v2 leaves, else None.
-
-    A :class:`~repro.rtree.persist.ColumnLeafNode` carries the column
-    views it was decoded from, so the common case costs one attribute
-    read.  ``leaf_columns`` (on ``DiskRTree``) answers None for
-    row-encoded files, so this is also the guard that keeps v2 pages
-    out of the packed-row bulk decoders below.
-    """
-    cols = getattr(node, "columns", None)
-    if cols is not None:
-        return cols
-    reader = getattr(tree, "leaf_columns", None)
-    if reader is None:
-        return None
-    return reader(node.node_id)
-
-
 def leaf_site_columns(tree: Any, node: Any, cache: Any) -> SiteColumns:
     """Columns of the site records in one leaf of a potential-location tree."""
 
     def decode() -> SiteColumns:
-        cols = _column_leaf(tree, node)
+        cols = getattr(node, "columns", None)
         if cols is not None:
             return cols
-        page = _page_bytes(tree, node.node_id)
-        if page is not None:
-            __, count, offset, data = page
-            return kernels.decode_site_columns(data, count, offset=offset)
         return SiteColumns.from_sites([e.payload for e in node.entries])
 
     return cache.get(tree.name, tree.version, node.node_id, decode)
@@ -90,18 +56,14 @@ def leaf_site_columns(tree: Any, node: Any, cache: Any) -> SiteColumns:
 def leaf_client_columns(tree: Any, node: Any, cache: Any) -> ClientColumns:
     """Columns of the client records in one leaf of ``R_C`` / ``R_C^m``.
 
-    Byte-backed pages carry no weight field and decode with unit
-    weights, exactly like their object decode through ``ClientCodec``.
+    Disk pages carry no weight field and decode with unit weights,
+    exactly like their object decode through ``ClientCodec``.
     """
 
     def decode() -> ClientColumns:
-        cols = _column_leaf(tree, node)
+        cols = getattr(node, "columns", None)
         if cols is not None:
             return cols
-        page = _page_bytes(tree, node.node_id)
-        if page is not None:
-            __, count, offset, data = page
-            return kernels.decode_client_columns(data, count, offset=offset)
         return ClientColumns.from_clients([e.payload for e in node.entries])
 
     return cache.get(tree.name, tree.version, node.node_id, decode)
@@ -113,13 +75,13 @@ def nfc_leaf_columns(tree: Any, node: Any, cache: Any) -> ClientColumns:
     Reconstructed from the entries' square MBRs — lines 12–13 of the
     paper's Algorithm 4 — not from the client records, so the float
     values match the geometric reconstruction the join has always used.
-    The columnar fast path builds those same square rects from the
+    The disk route builds those same square rects from the
     ``xs``/``ys``/``dnn`` columns before the circle reconstruction, so
     its floats are bit-identical to the entry-object route.
     """
 
     def decode() -> ClientColumns:
-        cols = _column_leaf(tree, node)
+        cols = getattr(node, "columns", None)
         if cols is not None:
             rects = RectColumns(
                 xmin=cols.xs - cols.dnn,
@@ -142,9 +104,9 @@ def branch_columns(tree: Any, node: Any, cache: Any) -> BranchColumns:
     """Columns of one internal node: MBRs, child ids, MNDs when present."""
 
     def decode() -> BranchColumns:
-        page = _page_bytes(tree, node.node_id)
-        if page is not None:
-            __, count, offset, data = page
+        reader = getattr(tree, "node_page_bytes", None)
+        if reader is not None:
+            __, count, offset, data = reader(node.node_id)
             return kernels.decode_branch_columns(
                 data, count, with_mnd=bool(getattr(tree, "has_mnd", False)),
                 offset=offset,

@@ -1,45 +1,35 @@
 """R-tree persistence: byte-accurate page files on real disk.
 
 ``save_rtree`` serialises any tree built by this package (plain,
-RNN-tree or MND-augmented) into a :class:`~repro.storage.diskfile.PageFile`
-whose pages hold exactly the entry layouts of
-:mod:`repro.storage.records`; ``DiskRTree`` reopens such a file as a
-*read-only* index that answers the same window / NN / join queries with
-identical results and I/O accounting — node pages are decoded on every
-counted read, exactly like a database reading from disk.
+RNN-tree or MND-augmented) into a :class:`~repro.storage.diskfile.PageFile`;
+``DiskRTree`` reopens such a file as a *read-only* index that answers
+the same window / NN / join queries with identical results and I/O
+accounting — every node read is served from the mapped file and
+counted, exactly like a database reading from disk.
 
 Page 0 is a metadata page; tree nodes occupy pages 1..n.
 
-Leaf entries store *only* the payload record; the entry MBR is derived
-from it at decode time via the tree's ``leaf_mbr`` function (a point
-record's MBR is the degenerate point rectangle; an RNN-tree entry's MBR
-is the square around its NFC).  This mirrors real systems — and keeps
-every full node within one 4 KiB page, since the in-memory capacities
-are derived from 36/44-byte entry layouts while a self-contained
-"MBR + record" encoding would be wider.
+Leaf pages store *only* the payload records, as the structure-of-arrays
+column blocks of :mod:`repro.storage.soa`; the entry MBRs are derived
+from the columns at read time according to the tree's ``leaf_shape``
+(a point record's MBR is the degenerate point rectangle; an RNN-tree
+entry's MBR is the square around its NFC).  This mirrors real systems —
+and keeps every full node within one 4 KiB page, since the in-memory
+capacities are derived from 36/44-byte entry layouts while a
+self-contained "MBR + record" encoding would be wider.  A leaf read
+decodes as zero-copy numpy views (no per-record work at all), and the
+returned node materialises its entry objects lazily — the join and
+window hot paths only ever touch the columns and the node MBR.
 
-Two leaf encodings share the node-page header (``level: u16`` +
-``count: u16``):
-
-* **rows** (format version 1) — ``count`` packed records, codec layout;
-* **columns** (format version 2) — the records transposed into the
-  structure-of-arrays blocks of :mod:`repro.storage.soa`.  A v2 leaf
-  decodes as zero-copy numpy views (no per-record work at all), and the
-  returned node materialises its entry objects lazily — the join and
-  window hot paths only ever touch the columns and the node MBR, so a
-  v2 leaf read does *no* decode work.
-
-Branch pages keep the packed v1 entry layout in both versions (they are
-small, and traversal needs their entry objects anyway).
-``convert_page_file`` rewrites a file between the two leaf encodings,
-byte-exactly in both directions.
+Branch pages keep the packed entry layout (they are small, and
+traversal needs their entry objects anyway).
 
 File layout per node page::
 
     level:  u16     (0 = leaf)
     count:  u16
-    then the leaf payload block (rows or columns), or `count` branch
-    entries: mbr (4 doubles) + child page (u32) [+ mnd (double)]
+    then the leaf column block, or `count` branch entries:
+    mbr (4 doubles) + child page (u32) [+ mnd (double)]
 """
 
 from __future__ import annotations
@@ -60,30 +50,13 @@ from repro.rtree.node import Node
 from repro.rtree.rtree import RTree
 from repro.storage.buffer import LRUBufferPool
 from repro.storage.codecs import PayloadCodec, encode_branch
-from repro.storage.diskfile import (
-    COLUMNAR_VERSION,
-    FORMAT_VERSION,
-    DiskPager,
-    PageFile,
-    PageFileError,
-    open_page_file,
-)
+from repro.storage.diskfile import DiskPager, PageFile, PageFileError
 from repro.storage.stats import IOStats
 
 _NODE_HEADER = struct.Struct("<HH")
 
-#: Leaf encodings, keyed by the page-file format version they imply.
-LEAF_FORMATS = ("rows", "columns")
-_FORMAT_VERSION_OF = {"rows": FORMAT_VERSION, "columns": COLUMNAR_VERSION}
-
-
-def _point_mbr(payload: Any) -> Rect:
-    """Default leaf MBR: the payload is a point record."""
-    try:
-        x, y = payload.x, payload.y
-    except AttributeError:
-        x, y = payload[0], payload[1]
-    return Rect(x, y, x, y)
+#: How a leaf derives its entry MBRs from the payload columns.
+LEAF_SHAPES = ("point", "circle")
 
 _META = struct.Struct("<IIB")  # num_entries, height, flags
 _FLAG_MND = 1
@@ -93,43 +66,9 @@ class ReadOnlyTreeError(RuntimeError):
     """Raised when mutating a disk-backed tree."""
 
 
-def _check_leaf_format(leaf_format: str) -> None:
-    if leaf_format not in LEAF_FORMATS:
-        raise ValueError(
-            f"unknown leaf format {leaf_format!r}; expected one of {LEAF_FORMATS}"
-        )
-
-
-def _encode_leaf_payloads(
-    codec: PayloadCodec, payloads: list, leaf_format: str
-) -> bytes:
-    """The payload block of one leaf page in the chosen encoding."""
-    if leaf_format == "rows":
-        return b"".join(codec.encode(payload) for payload in payloads)
-    if not hasattr(codec, "encode_soa"):
-        raise ValueError(
-            f"codec {type(codec).__name__} has no columnar encoding; "
-            "use leaf_format='rows'"
-        )
-    # columns: transpose through the codec's column constructors; the
-    # float values are the identical IEEE-754 doubles either way.
-    n = len(payloads)
-    rows = b"".join(codec.encode(payload) for payload in payloads)
-    return codec.encode_soa(codec.decode_columns(rows, n))
-
-
-def save_rtree(
-    tree: RTree,
-    path: str | Path,
-    codec: PayloadCodec,
-    leaf_format: str = "rows",
-) -> int:
+def save_rtree(tree: RTree, path: str | Path, codec: PayloadCodec) -> int:
     """Serialise ``tree`` to ``path``; returns the number of pages written
-    (including the metadata page).
-
-    ``leaf_format="columns"`` writes the v2 structure-of-arrays leaf
-    encoding (same bytes per record, transposed)."""
-    _check_leaf_format(leaf_format)
+    (including the metadata page)."""
     has_mnd = isinstance(tree, MNDTree)
     # Assign page ids in DFS order; page 0 is metadata, root gets page 1.
     order: list[Node] = list(tree.iter_nodes())
@@ -140,11 +79,8 @@ def save_rtree(
     for node in order:
         parts = [_NODE_HEADER.pack(node.level, len(node.entries))]
         if node.is_leaf:
-            parts.append(
-                _encode_leaf_payloads(
-                    codec, [entry.payload for entry in node.entries], leaf_format
-                )
-            )
+            payloads = [entry.payload for entry in node.entries]
+            parts.append(codec.encode_soa(codec.columns_from_objects(payloads)))
         else:
             for entry in node.entries:
                 parts.append(
@@ -163,49 +99,7 @@ def save_rtree(
         pages.append(image)
 
     root_page = page_of[tree.root_id] if order else 0
-    page_file.create(pages, root_page, _FORMAT_VERSION_OF[leaf_format])
-    return len(pages)
-
-
-def convert_page_file(
-    src: str | Path,
-    dst: str | Path,
-    codec: PayloadCodec,
-    leaf_format: str,
-) -> int:
-    """Rewrite an R-tree page file between the two leaf encodings.
-
-    Branch pages and the metadata page copy through unchanged; leaf
-    pages transpose between packed rows and column blocks.  Converting
-    v1 -> v2 -> v1 reproduces the original file byte for byte (the
-    record values are the same doubles either way).  Returns the number
-    of pages written."""
-    _check_leaf_format(leaf_format)
-    with PageFile(src).open() as source:
-        pages = [bytes(source.read_page(0)).rstrip(b"\x00")]
-        src_columns = source.format_version == COLUMNAR_VERSION
-        for page_id in range(1, source.num_pages):
-            data = source.read_page(page_id)
-            level, count = _NODE_HEADER.unpack_from(data)
-            if level != 0:
-                # Branch pages are format-independent; copy the image.
-                # rstrip may eat real zero tail bytes of the last entry,
-                # but create() re-pads every page with zeros to page_size,
-                # so the written bytes come out identical either way.
-                pages.append(bytes(data).rstrip(b"\x00"))
-                continue
-            offset = _NODE_HEADER.size
-            if src_columns:
-                cols = codec.decode_soa(data, count, offset=offset)
-            else:
-                cols = codec.decode_columns(data, count, offset=offset)
-            if leaf_format == "columns":
-                payload = codec.encode_soa(cols)
-            else:
-                payload = cols.to_bytes()
-            pages.append(_NODE_HEADER.pack(level, count) + payload)
-        out = PageFile(dst, page_size=source.page_size)
-        out.create(pages, source.root_page, _FORMAT_VERSION_OF[leaf_format])
+    page_file.create(pages, root_page)
     return len(pages)
 
 
@@ -289,41 +183,24 @@ class DiskRTree:
         stats: IOStats,
         buffer_pool: Optional[LRUBufferPool] = None,
         radius_of: Optional[Callable[[Any], float]] = None,
-        leaf_mbr: Optional[Callable[[Any], Rect]] = None,
-        mapped: bool = False,
         leaf_shape: str = "point",
     ):
-        """``leaf_mbr`` reconstructs a data entry's MBR from its decoded
-        payload; by default the payload is treated as a point record
-        with ``x``/``y`` attributes (or a bare ``(x, y)`` tuple).  Pass
-        an explicit function for non-point entries, e.g.
-        ``lambda c: Circle(Point(c.x, c.y), c.dnn).mbr()`` to reopen an
-        RNN-tree.
-
-        ``mapped`` serves pages as zero-copy views from one ``mmap``
-        (:class:`~repro.storage.diskfile.MappedPageFile`) instead of
-        per-read file I/O; accounting is identical either way.
-
-        ``leaf_shape`` is the columnar twin of ``leaf_mbr`` — how a v2
-        leaf derives entry MBRs straight from its columns: ``"point"``
-        (degenerate point rectangles) or ``"circle"`` (the square of
-        radius ``dnn`` around each point, i.e. an RNN-tree)."""
-        if leaf_shape not in ("point", "circle"):
+        """``leaf_shape`` is how a leaf derives its entry MBRs from its
+        columns: ``"point"`` (degenerate point rectangles) or
+        ``"circle"`` (the square of radius ``dnn`` around each point,
+        i.e. an RNN-tree).  ``radius_of`` gives a payload's radius for
+        leaf-level MND (an MND-augmented client tree)."""
+        if leaf_shape not in LEAF_SHAPES:
             raise ValueError(f"unknown leaf shape {leaf_shape!r}")
-        self._file = open_page_file(path, mapped=mapped)
+        self._file = PageFile(path).open()
         self._pager = DiskPager(name, self._file, stats, buffer_pool)
         self.name = name
-        self.mapped = mapped
-        self.leaf_format = (
-            "columns" if self._file.format_version == COLUMNAR_VERSION else "rows"
-        )
         self._reg_node_reads = REGISTRY.counter("rtree.node_reads")
         self._leaf_read_key = f"reads.{name}.leaf"
         self._branch_read_key = f"reads.{name}.branch"
         self._codec = codec
         self._radius_of = radius_of
         self._leaf_shape = leaf_shape
-        self._leaf_mbr = leaf_mbr if leaf_mbr is not None else _point_mbr
         meta = self._file.read_page(0)[: _META.size]
         self.num_entries, self.height, flags = _META.unpack(bytes(meta))
         self.has_mnd = bool(flags & _FLAG_MND)
@@ -338,61 +215,56 @@ class DiskRTree:
     def _decode(self, page_id: int, data) -> Node:
         level, count = _NODE_HEADER.unpack_from(data)
         offset = _NODE_HEADER.size
-        entries: list = []
         if level == 0:
-            if self.leaf_format == "columns":
-                return self._column_leaf(page_id, count, data, offset)
-            decode_columns = getattr(self._codec, "decode_columns", None)
-            if decode_columns is not None:
-                cols = decode_columns(data, count, offset=offset)
-                leaf_mbr = self._leaf_mbr
-                entries = [
-                    LeafEntry(leaf_mbr(payload), payload)
-                    for payload in self._codec.objects_from_columns(cols)
-                ]
-            else:
-                step = self._codec.size
-                for __ in range(count):
-                    payload = self._codec.decode(data[offset : offset + step])
-                    entries.append(LeafEntry(self._leaf_mbr(payload), payload))
-                    offset += step
-        else:
-            cols = kernels.decode_branch_columns(
-                data, count, with_mnd=self.has_mnd, offset=offset
+            return self._column_leaf(page_id, count, data, offset)
+        cols = kernels.decode_branch_columns(
+            data, count, with_mnd=self.has_mnd, offset=offset
+        )
+        rects = cols.rects
+        mnds = cols.mnd.tolist() if cols.mnd is not None else [None] * count
+        entries = [
+            BranchEntry(Rect(x1, y1, x2, y2), child, mnd)
+            for x1, y1, x2, y2, child, mnd in zip(
+                rects.xmin.tolist(),
+                rects.ymin.tolist(),
+                rects.xmax.tolist(),
+                rects.ymax.tolist(),
+                cols.children.tolist(),
+                mnds,
             )
-            rects = cols.rects
-            mnds = cols.mnd.tolist() if cols.mnd is not None else [None] * count
-            entries = [
-                BranchEntry(Rect(x1, y1, x2, y2), child, mnd)
-                for x1, y1, x2, y2, child, mnd in zip(
-                    rects.xmin.tolist(),
-                    rects.ymin.tolist(),
-                    rects.xmax.tolist(),
-                    rects.ymax.tolist(),
-                    cols.children.tolist(),
-                    mnds,
-                )
-            ]
+        ]
         return Node(page_id, level, entries)
 
+    def _entry_bounds(self, cols) -> tuple:
+        """``(xmin, ymin, xmax, ymax)`` arrays of a leaf's entry MBRs.
+
+        Elementwise float arithmetic, so each value is bit-identical to
+        the scalar ``Rect`` the in-memory tree stores (``Circle.mbr``
+        for the circle shape)."""
+        if self._leaf_shape == "circle":
+            return (
+                cols.xs - cols.dnn,
+                cols.ys - cols.dnn,
+                cols.xs + cols.dnn,
+                cols.ys + cols.dnn,
+            )
+        return cols.xs, cols.ys, cols.xs, cols.ys
+
     def _column_leaf(self, page_id: int, count: int, data, offset: int) -> Node:
-        """A v2 leaf: zero decode now, lazy entry objects if ever needed."""
+        """A leaf: zero decode now, lazy entry objects if ever needed."""
         cols = self._codec.decode_soa(data, count, offset=offset)
 
         def load_entries() -> list:
-            leaf_mbr = self._leaf_mbr
+            bounds = zip(*(column.tolist() for column in self._entry_bounds(cols)))
             return [
-                LeafEntry(leaf_mbr(payload), payload)
-                for payload in self._codec.objects_from_columns(cols)
+                LeafEntry(Rect(*rect), payload)
+                for rect, payload in zip(
+                    bounds, self._codec.objects_from_columns(cols)
+                )
             ]
 
         def column_mbr() -> Rect:
-            if self._leaf_shape == "circle":
-                xmin, xmax = cols.xs - cols.dnn, cols.xs + cols.dnn
-                ymin, ymax = cols.ys - cols.dnn, cols.ys + cols.dnn
-            else:
-                xmin = xmax = cols.xs
-                ymin = ymax = cols.ys
+            xmin, ymin, xmax, ymax = self._entry_bounds(cols)
             return Rect(
                 float(np.min(xmin)),
                 float(np.min(ymin)),
@@ -404,29 +276,13 @@ class DiskRTree:
             page_id, _LazyEntries(count, load_entries), column_mbr, cols
         )
 
-    def leaf_columns(self, node_id: int):
-        """Zero-copy payload columns of one v2 leaf, or None for v1 files.
-
-        Uncounted, like :meth:`node_page_bytes`: callers have already
-        paid for the page through ``read_node``.  This is the fast path
-        :mod:`repro.rtree.columns` takes for column-encoded trees."""
-        if self.leaf_format != "columns":
-            return None
-        data = self._pager.peek(node_id)
-        level, count = _NODE_HEADER.unpack_from(data)
-        if level != 0:
-            raise PageFileError(f"node {node_id} is not a leaf (level {level})")
-        return self._codec.decode_soa(data, count, offset=_NODE_HEADER.size)
-
-    def node_page_bytes(self, node_id: int) -> tuple[int, int, int, bytes]:
+    def node_page_bytes(self, node_id: int) -> tuple[int, int, int, memoryview]:
         """Raw page bytes of one node, **without** charging a read.
 
         Returns ``(level, count, entries_offset, data)`` so columnar
-        consumers (:mod:`repro.rtree.columns`) can bulk-decode a page
-        that the caller has already paid for through ``read_node``.
-        For v1 files ``data`` holds packed rows; v2 leaves should be
-        read through :meth:`leaf_columns` instead (branch pages are
-        packed rows in both formats).
+        consumers (:mod:`repro.rtree.columns`) can bulk-decode a branch
+        page that the caller has already paid for through ``read_node``
+        (leaf nodes carry their column views on ``node.columns``).
         """
         data = self._pager.peek(node_id)
         level, count = _NODE_HEADER.unpack_from(data)

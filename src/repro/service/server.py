@@ -82,6 +82,11 @@ from repro.service.protocol import (
 )
 
 
+#: The longest request line the server frames: asyncio's default
+#: ``StreamReader`` limit, passed explicitly so the error can name it.
+MAX_LINE_BYTES = 2**16
+
+
 @dataclass(frozen=True)
 class ServiceConfig:
     """Tunables of one :class:`QueryService`."""
@@ -587,7 +592,9 @@ class QueryService:
         actual (host, port) — pass port 0 for an ephemeral one."""
         for workspace_host in self.hosts.values():
             workspace_host.start()
-        self._server = await asyncio.start_server(self._handle_connection, host, port)
+        self._server = await asyncio.start_server(
+            self._handle_connection, host, port, limit=MAX_LINE_BYTES
+        )
         self.metrics_address = await self.telemetry.start_exporters(host)
         sockname = self._server.sockets[0].getsockname()
         return sockname[0], sockname[1]
@@ -634,7 +641,17 @@ class QueryService:
         tasks: set[asyncio.Task] = set()
         try:
             while True:
-                line = await reader.readline()
+                try:
+                    line = await reader.readline()
+                except ValueError:
+                    # The line overran the reader's limit and asyncio has
+                    # dropped what it buffered, so the rest of the stream
+                    # cannot be framed: answer once, then hang up.
+                    error = BadRequestError(
+                        f"request line exceeds the {MAX_LINE_BYTES}-byte limit"
+                    )
+                    await self._send(writer, write_lock, error_response(None, error))
+                    break
                 if not line:
                     break
                 if not line.strip():
@@ -676,6 +693,12 @@ class QueryService:
                 response["trace_id"] = trace_id
         except Exception as exc:  # noqa: BLE001 — protocol must answer
             response = error_response(request_id, ServiceError(str(exc)))
+        await self._send(writer, write_lock, response)
+
+    @staticmethod
+    async def _send(
+        writer: asyncio.StreamWriter, write_lock: asyncio.Lock, response: dict
+    ) -> None:
         async with write_lock:
             try:
                 writer.write(encode(response))

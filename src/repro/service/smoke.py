@@ -23,6 +23,7 @@ import sys
 import threading
 
 from repro.core import DynamicWorkspace, METHODS, Workspace, make_selector
+from repro.core.types import fingerprint
 from repro.datasets.generators import make_instance
 from repro.service import (
     QueueFullError,
@@ -35,24 +36,13 @@ SMOKE_SEED = 11
 SMOKE_SIZES = dict(n_c=800, n_f=40, n_p=60)
 
 
-def _fingerprint(result) -> tuple:
-    return (
-        result.location.sid,
-        result.location.x,
-        result.location.y,
-        result.dr,
-        result.io_total,
-        dict(result.io_reads),
-    )
-
-
 def check_parity_and_cache(host: str, port: int, expected: dict) -> list[str]:
     failures = []
     with ServiceClient(host, port) as client:
         methods = sorted(METHODS)
         batched = client.select_many(methods)  # pipelined -> micro-batched
         for method, answer in zip(methods, batched):
-            if _fingerprint(answer.result) != expected[method]:
+            if fingerprint(answer.result) != expected[method]:
                 failures.append(f"{method}: wire result differs from select()")
             if answer.cached:
                 failures.append(f"{method}: first request claimed a cache hit")
@@ -62,7 +52,7 @@ def check_parity_and_cache(host: str, port: int, expected: dict) -> list[str]:
             answer = client.select(method)
             if not answer.cached:
                 failures.append(f"{method}: repeat was not served from cache")
-            if _fingerprint(answer.result) != expected[method]:
+            if fingerprint(answer.result) != expected[method]:
                 failures.append(f"{method}: cached result differs from select()")
     return failures
 
@@ -75,7 +65,7 @@ def check_concurrent_clients(host: str, port: int, expected: dict) -> list[str]:
         try:
             with ServiceClient(host, port) as client:
                 answer = client.select(method, no_cache=True)
-            if _fingerprint(answer.result) != expected[method]:
+            if fingerprint(answer.result) != expected[method]:
                 with lock:
                     failures.append(f"{method}: concurrent result differs")
         except Exception as exc:  # noqa: BLE001 — collected, not raised
@@ -132,7 +122,7 @@ def main() -> int:
     instance = make_instance(rng=SMOKE_SEED, **SMOKE_SIZES)
     reference = Workspace(make_instance(rng=SMOKE_SEED, **SMOKE_SIZES))
     expected = {
-        m: _fingerprint(make_selector(reference, m).select()) for m in METHODS
+        m: fingerprint(make_selector(reference, m).select()) for m in METHODS
     }
 
     failures: list[str] = []

@@ -419,9 +419,7 @@ def _tile_dirname(tile_id: int) -> str:
     return f"tile-{tile_id:04d}"
 
 
-def write_partition(
-    partition: ShardPartition, directory: str | Path, leaf_format: str = "rows"
-) -> Path:
+def write_partition(partition: ShardPartition, directory: str | Path) -> Path:
     """Persist a partition: ``shards.json`` + one directory per tile.
 
     Every tile is frozen through the existing
@@ -436,7 +434,7 @@ def write_partition(
     sample = partition.tiles[0]
     for tile in partition.tiles:
         tile_dir = directory / _tile_dirname(tile.tile_id)
-        persist_indexes(tile, tile_dir, leaf_format=leaf_format, full=True)
+        persist_indexes(tile, tile_dir)
         (tile_dir / TILE_MANIFEST).write_text(
             json.dumps(
                 {

@@ -27,6 +27,7 @@ import sys
 import tempfile
 
 from repro.core import METHODS, Workspace
+from repro.core.types import fingerprint
 from repro.experiments.config import ExperimentConfig
 from repro.service import ServiceClient, ServiceConfig, serve_in_thread
 from repro.service.protocol import ShardUnavailableError
@@ -51,18 +52,6 @@ SMOKE_TILES = 4
 SMOKE_SHARDS = 2
 
 
-def _fingerprint(result) -> tuple:
-    return (
-        result.location.sid,
-        result.location.x,
-        result.location.y,
-        result.dr,
-        result.io_total,
-        dict(result.io_reads),
-        result.index_pages,
-    )
-
-
 def check_executor_parity(partition, expected: dict) -> list[str]:
     failures = []
     for method in sorted(METHODS):
@@ -70,7 +59,7 @@ def check_executor_parity(partition, expected: dict) -> list[str]:
             result = ScatterGatherExecutor(partition, n_shards=n_shards).run(
                 method
             )
-            if _fingerprint(result) != expected[method]:
+            if fingerprint(result) != expected[method]:
                 failures.append(
                     f"{method}@k{n_shards}: merged answer differs from the "
                     "serial reference"
@@ -91,7 +80,7 @@ def check_persistence(partition, directory, expected: dict) -> list[str]:
             compute_partial(tiles[t], t, method) for t in sorted(tiles)
         ]
         merged = merge_partials(partials, persisted.potential_sites())
-        if _fingerprint(merged) != expected[method]:
+        if fingerprint(merged) != expected[method]:
             failures.append(
                 f"{method}: reloaded partition does not reproduce the "
                 "reference bytes"
@@ -121,7 +110,7 @@ def check_coordinator(persisted, groups, handles, expected: dict) -> list[str]:
             # Parity + cache through the real TCP fan-out.
             for method in sorted(METHODS):
                 cold = client.select(method)
-                if _fingerprint(cold.result) != expected[method]:
+                if fingerprint(cold.result) != expected[method]:
                     failures.append(
                         f"{method}: coordinator answer differs from reference"
                     )
@@ -130,7 +119,7 @@ def check_coordinator(persisted, groups, handles, expected: dict) -> list[str]:
                 warm = client.select(method)
                 if not warm.cached:
                     failures.append(f"{method}: repeat missed the cache")
-                if _fingerprint(warm.result) != expected[method]:
+                if fingerprint(warm.result) != expected[method]:
                     failures.append(f"{method}: cached answer differs")
 
             # One trace id spans the coordinator and every shard hop.
@@ -154,7 +143,7 @@ def check_coordinator(persisted, groups, handles, expected: dict) -> list[str]:
                 failures.append("disjoint add_client dropped the warm cache")
             client.update("remove_client", cid=added["cid"])
             restored = client.select("MND")
-            if _fingerprint(restored.result) != expected["MND"]:
+            if fingerprint(restored.result) != expected["MND"]:
                 failures.append("remove_client did not restore the answer")
 
             # Kill one shard: typed failure, no partial answer, no hang.
@@ -181,7 +170,7 @@ def check_coordinator(persisted, groups, handles, expected: dict) -> list[str]:
                 workspaces, ServiceConfig(workers=1), port=port0
             )
             rejoined = client.select("SS", no_cache=True)
-            if _fingerprint(rejoined.result) != expected["SS"]:
+            if fingerprint(rejoined.result) != expected["SS"]:
                 failures.append("rejoined shard serves different bytes")
     finally:
         coordinator.stop()
@@ -192,7 +181,7 @@ def main() -> int:
     workspace = Workspace(SMOKE_CONFIG.instance())
     partition = partition_workspace(workspace, SMOKE_TILES)
     expected = {
-        m: _fingerprint(serial_reference(partition, m)) for m in METHODS
+        m: fingerprint(serial_reference(partition, m)) for m in METHODS
     }
     print(
         f"shard smoke: {SMOKE_TILES} tiles "

@@ -1,19 +1,24 @@
 """Binary codecs for records and index entries.
 
 The in-memory simulation enforces page *capacities* from the record
-layouts; this module makes the byte story real: every payload and entry
-kind can be packed to/from the exact byte strings the layouts describe,
-which is what the on-disk persistence of :mod:`repro.rtree.persist`
-writes.  All values are little-endian; ids are unsigned 32-bit,
-coordinates and distances are IEEE-754 doubles — matching the field
-sizes in :mod:`repro.storage.records` and the columnar dtypes in
+layouts; this module makes the byte story real.  All values are
+little-endian; ids are unsigned 32-bit, coordinates and distances are
+IEEE-754 doubles — matching the field sizes in
+:mod:`repro.storage.records` and the columnar dtypes in
 :mod:`repro.kernels.columnar`.
 
-Besides the record-at-a-time ``encode``/``decode`` pair, the site and
-client codecs expose a bulk ``decode_columns`` that hands a whole page
-of records to :mod:`repro.kernels` in one call (a single ``frombuffer``
-under the vector backend), plus ``objects_from_columns`` for callers
-that still need payload objects.
+The site and client codecs translate the leaf payloads of the persisted
+R-trees (:mod:`repro.rtree.persist`) to and from the one on-disk leaf
+encoding, the structure-of-arrays page image of :mod:`repro.storage.soa`
+(20 / 28 bytes per record, like the packed layouts):
+
+* ``columns_from_objects`` → ``encode_soa`` — a whole leaf of payload
+  objects as its page image;
+* ``decode_soa`` → ``objects_from_columns`` — the way back: zero-copy
+  column views of a page, then payload objects for callers that still
+  need them.
+
+Branch entries keep the packed ``encode_branch`` layout on disk.
 
 The ``Site``/``Client`` payload types live in :mod:`repro.core.types`,
 which transitively imports this module; their import sits at the bottom
@@ -24,10 +29,8 @@ fresh ``import repro.storage.codecs`` cycle-safe.
 from __future__ import annotations
 
 import struct
-from typing import Any, Protocol, TypeVar
+from typing import Any, Protocol, Sequence, TypeVar
 
-from repro import kernels
-from repro.geometry.point import Point
 from repro.geometry.rect import Rect
 from repro.kernels.columnar import ClientColumns, SiteColumns
 from repro.storage import soa
@@ -36,56 +39,34 @@ T = TypeVar("T")
 
 
 class PayloadCodec(Protocol[T]):
-    """Fixed-size binary codec for leaf payloads."""
+    """What a persisted R-tree needs from its leaf-payload codec."""
 
-    size: int
+    def columns_from_objects(self, payloads: Sequence[T]) -> Any: ...
 
-    def encode(self, payload: T) -> bytes: ...
+    def encode_soa(self, cols: Any) -> bytes: ...
 
-    def decode(self, data: bytes) -> T: ...
+    def decode_soa(self, data, count: int, offset: int = 0) -> Any: ...
 
-
-class PointCodec:
-    """``(x, y)`` — 16 bytes."""
-
-    _fmt = struct.Struct("<dd")
-    size = _fmt.size
-
-    def encode(self, payload: Point) -> bytes:
-        return self._fmt.pack(payload[0], payload[1])
-
-    def decode(self, data: bytes) -> Point:
-        x, y = self._fmt.unpack(data)
-        return Point(x, y)
+    def objects_from_columns(self, cols: Any) -> list[T]: ...
 
 
 class SiteCodec:
     """``(id, x, y)`` — 20 bytes, the paper's point record."""
 
-    _fmt = struct.Struct("<Idd")
-    size = _fmt.size
-
-    def encode(self, payload: Any) -> bytes:
-        return self._fmt.pack(payload.sid, payload.x, payload.y)
-
-    def decode(self, data: bytes) -> Any:
-        sid, x, y = self._fmt.unpack(data)
-        return Site(sid, x, y)
-
-    def decode_columns(self, data: bytes, count: int, offset: int = 0) -> SiteColumns:
-        """Bulk-decode ``count`` consecutive records into columns."""
-        return kernels.decode_site_columns(data, count, offset=offset)
+    def columns_from_objects(self, payloads: Sequence[Any]) -> SiteColumns:
+        """The columns of a leaf's payload objects."""
+        return SiteColumns.from_sites(payloads)
 
     def encode_soa(self, cols: SiteColumns) -> bytes:
-        """The v2 (structure-of-arrays) image of the same records."""
+        """The structure-of-arrays page image of the records."""
         return soa.encode_site_columns(cols)
 
     def decode_soa(self, data, count: int, offset: int = 0) -> SiteColumns:
-        """Zero-copy column views of a v2 page (see :mod:`repro.storage.soa`)."""
+        """Zero-copy column views of a page (see :mod:`repro.storage.soa`)."""
         return soa.decode_site_columns_soa(data, count, offset=offset)
 
     def objects_from_columns(self, cols: SiteColumns) -> list:
-        """Materialize payload objects from bulk-decoded columns."""
+        """Materialize payload objects from decoded columns."""
         return [
             Site(sid, x, y)
             for sid, x, y in zip(cols.ids.tolist(), cols.xs.tolist(), cols.ys.tolist())
@@ -95,32 +76,20 @@ class SiteCodec:
 class ClientCodec:
     """``(id, x, y, dnn)`` — 28 bytes, the client record."""
 
-    _fmt = struct.Struct("<Iddd")
-    size = _fmt.size
-
-    def encode(self, payload: Any) -> bytes:
-        return self._fmt.pack(payload.cid, payload.x, payload.y, payload.dnn)
-
-    def decode(self, data: bytes) -> Any:
-        cid, x, y, dnn = self._fmt.unpack(data)
-        return Client(cid, x, y, dnn)
-
-    def decode_columns(
-        self, data: bytes, count: int, offset: int = 0
-    ) -> ClientColumns:
-        """Bulk-decode ``count`` consecutive records into columns."""
-        return kernels.decode_client_columns(data, count, offset=offset)
+    def columns_from_objects(self, payloads: Sequence[Any]) -> ClientColumns:
+        """The columns of a leaf's payload objects (weights are not stored)."""
+        return ClientColumns.from_clients(payloads)
 
     def encode_soa(self, cols: ClientColumns) -> bytes:
-        """The v2 (structure-of-arrays) image of the same records."""
+        """The structure-of-arrays page image of the records (no weights)."""
         return soa.encode_client_columns(cols)
 
     def decode_soa(self, data, count: int, offset: int = 0) -> ClientColumns:
-        """Zero-copy column views of a v2 page (unit weights)."""
+        """Zero-copy column views of a page (unit weights)."""
         return soa.decode_client_columns_soa(data, count, offset=offset)
 
     def objects_from_columns(self, cols: ClientColumns) -> list:
-        """Materialize payload objects (unit weights, like ``decode``)."""
+        """Materialize payload objects (unit weights: the page stores none)."""
         return [
             Client(cid, x, y, dnn)
             for cid, x, y, dnn in zip(

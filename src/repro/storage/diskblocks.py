@@ -7,17 +7,12 @@ exact same I/O accounting.  Page 0 holds the file metadata; logical
 block ``b`` lives on page ``b + 1``.
 
 Records are float64 matrices — ``(x, y, dnn, w)`` rows for the client
-file, ``(x, y)`` for the potential file — in one of the two block-page
-encodings of :mod:`repro.storage.soa`:
-
-* **rows** (format version 1): the row-major matrix, decoded as one
-  2-D ``np.frombuffer`` view;
-* **columns** (format version 2): one contiguous f8 column per field,
-  decoded as a zero-copy :class:`~repro.storage.soa.ColumnBlock`.
-
-Both decode shapes satisfy every access the SS/QVC hot paths make
+file, ``(x, y)`` for the potential file — stored as the columnar block
+pages of :mod:`repro.storage.soa`: one contiguous f8 column per field,
+decoded as a zero-copy :class:`~repro.storage.soa.ColumnBlock`.  That
+decode shape satisfies every access the SS/QVC hot paths make
 (``len(block)``, ``block[:, j]``, ``block[a:b]`` row tuples), so the
-methods run unchanged over either.
+methods run unchanged over it.
 
 **Accounting invariant**: ``records_per_block`` is pinned to the
 *logical* page capacity of the in-memory layout (146 clients / 204
@@ -31,29 +26,18 @@ from __future__ import annotations
 
 import struct
 from pathlib import Path
-from typing import Any, Iterator, Optional, Union
+from typing import Iterator, Optional
 
 import numpy as np
 
 from repro.storage import soa
 from repro.storage.buffer import LRUBufferPool
-from repro.storage.diskfile import (
-    COLUMNAR_VERSION,
-    FORMAT_VERSION,
-    DiskPager,
-    PageFile,
-    PageFileError,
-    open_page_file,
-)
+from repro.storage.diskfile import DiskPager, PageFile, PageFileError
 from repro.storage.records import PAGE_SIZE
 from repro.storage.stats import IOStats
 
 #: Metadata page: total records, records per block, columns per record.
 _META = struct.Struct("<QII")
-
-BLOCK_FORMATS = ("rows", "columns")
-_FORMAT_VERSION_OF = {"rows": FORMAT_VERSION, "columns": COLUMNAR_VERSION}
-_ENCODER_OF = {"rows": soa.encode_block_rows, "columns": soa.encode_block_columns}
 
 
 def _physical_page_size(records_per_block: int, ncols: int) -> int:
@@ -62,60 +46,30 @@ def _physical_page_size(records_per_block: int, ncols: int) -> int:
     At least :data:`~repro.storage.records.PAGE_SIZE`; wider when the
     block header pushes a full logical block past 4 KiB (the client
     block: ``146 · 4 · 8 + 4`` bytes).  Keeping the size a multiple of
-    8 keeps every v2 column 8-byte aligned in the file (the 20-byte
+    8 keeps every column 8-byte aligned in the file (the 20-byte
     file header plus the 4-byte block header is 24)."""
     needed = soa.BLOCK_HEADER_SIZE + records_per_block * ncols * 8
     return max(PAGE_SIZE, (needed + 7) // 8 * 8)
 
 
 def save_block_file(
-    path: str | Path,
-    matrix: np.ndarray,
-    records_per_block: int,
-    block_format: str = "rows",
+    path: str | Path, matrix: np.ndarray, records_per_block: int
 ) -> int:
     """Persist a float64 record matrix as a block page file.
 
     Returns the number of pages written (including the metadata page).
     """
-    if block_format not in BLOCK_FORMATS:
-        raise ValueError(
-            f"unknown block format {block_format!r}; expected one of {BLOCK_FORMATS}"
-        )
     if records_per_block <= 0:
         raise ValueError(f"records_per_block must be positive, got {records_per_block}")
     arr = np.ascontiguousarray(matrix, dtype=np.float64)
     if arr.ndim != 2:
         raise ValueError(f"expected a 2-D record matrix, got shape {arr.shape}")
     num_records, ncols = arr.shape
-    encode = _ENCODER_OF[block_format]
     pages = [_META.pack(num_records, records_per_block, ncols)]
     for start in range(0, num_records, records_per_block):
-        pages.append(encode(arr[start : start + records_per_block]))
+        pages.append(soa.encode_block_columns(arr[start : start + records_per_block]))
     page_file = PageFile(path, page_size=_physical_page_size(records_per_block, ncols))
-    page_file.create(pages, 0, _FORMAT_VERSION_OF[block_format])
-    return len(pages)
-
-
-def convert_block_file(src: str | Path, dst: str | Path, block_format: str) -> int:
-    """Rewrite a block page file between the two block encodings."""
-    if block_format not in BLOCK_FORMATS:
-        raise ValueError(
-            f"unknown block format {block_format!r}; expected one of {BLOCK_FORMATS}"
-        )
-    encode = _ENCODER_OF[block_format]
-    with PageFile(src).open() as source:
-        src_columns = source.format_version == COLUMNAR_VERSION
-        pages = [bytes(source.read_page(0)).rstrip(b"\x00")]
-        for page_id in range(1, source.num_pages):
-            data = source.read_page(page_id)
-            if src_columns:
-                block = np.column_stack(soa.decode_block_columns(data).columns)
-            else:
-                block = soa.decode_block_rows(data)
-            pages.append(encode(block))
-        out = PageFile(dst, page_size=source.page_size)
-        out.create(pages, source.root_page, _FORMAT_VERSION_OF[block_format])
+    page_file.create(pages, 0)
     return len(pages)
 
 
@@ -124,9 +78,8 @@ class DiskBlockFile:
 
     Duck-type compatible with :class:`~repro.storage.blockfile.BlockFile`
     for every consumer in :mod:`repro.core`: same properties, same
-    counted ``read_block`` / uncounted ``peek_block`` contract.  With
-    ``mapped=True`` the blocks come back as zero-copy views over one
-    ``mmap`` of the file.
+    counted ``read_block`` / uncounted ``peek_block`` contract.  Blocks
+    come back as zero-copy views over one ``mmap`` of the file.
     """
 
     def __init__(
@@ -135,20 +88,16 @@ class DiskBlockFile:
         path: str | Path,
         stats: IOStats,
         buffer_pool: Optional[LRUBufferPool] = None,
-        mapped: bool = False,
     ):
-        self._file = open_page_file(path, mapped=mapped)
+        self._file = PageFile(path).open()
         self._pager = DiskPager(name, self._file, stats, buffer_pool)
-        self.mapped = mapped
-        self.block_format = (
-            "columns" if self._file.format_version == COLUMNAR_VERSION else "rows"
-        )
         meta = bytes(self._file.read_page(0)[: _META.size])
         self._num_records, self._records_per_block, self._ncols = _META.unpack(meta)
         expected = (
             self._num_records + self._records_per_block - 1
         ) // self._records_per_block
         if self._file.num_pages - 1 != expected:
+            self._file.close()
             raise PageFileError(
                 f"{path}: metadata promises {expected} block(s) for "
                 f"{self._num_records} record(s), file has {self._file.num_pages - 1}"
@@ -176,20 +125,17 @@ class DiskBlockFile:
         return self._ncols
 
     # ------------------------------------------------------------------
-    def _decode(self, data) -> Union[np.ndarray, soa.ColumnBlock]:
-        if self.block_format == "columns":
-            return soa.decode_block_columns(data)
-        return soa.decode_block_rows(data)
-
-    def read_block(self, block_id: int, stats: Optional[IOStats] = None) -> Any:
+    def read_block(
+        self, block_id: int, stats: Optional[IOStats] = None
+    ) -> soa.ColumnBlock:
         """Read one block (one counted I/O, charged to ``stats`` if given)."""
         self._check_block_id(block_id)
-        return self._decode(self._pager.read(block_id + 1, stats=stats))
+        return soa.decode_block_columns(self._pager.read(block_id + 1, stats=stats))
 
-    def peek_block(self, block_id: int) -> Any:
+    def peek_block(self, block_id: int) -> soa.ColumnBlock:
         """Fetch a block *without* I/O accounting (see BlockFile.peek_block)."""
         self._check_block_id(block_id)
-        return self._decode(self._pager.peek(block_id + 1))
+        return soa.decode_block_columns(self._pager.peek(block_id + 1))
 
     def _check_block_id(self, block_id: int) -> None:
         if not 0 <= block_id < self.num_blocks:
@@ -197,12 +143,12 @@ class DiskBlockFile:
                 f"block {block_id} out of range 0..{self.num_blocks - 1}"
             )
 
-    def iter_blocks(self) -> Iterator[Any]:
+    def iter_blocks(self) -> Iterator[soa.ColumnBlock]:
         """Scan the file front to back, one I/O per block."""
         for block_id in range(self.num_blocks):
             yield self.read_block(block_id)
 
-    def iter_records(self) -> Iterator[Any]:
+    def iter_records(self) -> Iterator[tuple[float, ...]]:
         """Scan all records (I/O still counted per block, not per record)."""
         for block in self.iter_blocks():
             yield from block

@@ -6,24 +6,21 @@ indexes serialized through :mod:`repro.rtree.persist` can be closed,
 reopened (by another process, even) and queried, with every page read
 counted exactly as in the in-memory pager.
 
-``MappedPageFile`` serves the same files zero-copy: the file is
-``mmap``-ed once at ``open`` and every ``read_page`` returns a
-``memoryview`` slice of the map — no per-read syscall, no bytes copy.
-Consumers that run ``struct.unpack_from`` or ``np.frombuffer`` over the
-page operate directly on the mapped region.  Both classes present one
-interface, so :class:`DiskPager` (and with it the whole I/O-accounting
-contract) is byte-identical across the two: a page read is charged on a
-buffer-pool miss regardless of how the bytes are produced.
+Reading is zero-copy: ``open`` validates the header and ``mmap``-s the
+whole file once, and every ``read_page`` returns a ``memoryview`` slice
+of the map — no per-read syscall, no bytes copy.  Consumers that run
+``struct.unpack_from`` or ``np.frombuffer`` over the page operate
+directly on the mapped region.  :class:`DiskPager` layers the
+I/O-accounting contract on top: a page read is charged on a buffer-pool
+miss, exactly like the in-memory pager.
 
-Two on-disk format versions share the header layout:
-
-* version 1 — node/block pages hold packed record rows (the codec
-  layouts of :mod:`repro.storage.records`);
-* version 2 — leaf/block pages hold structure-of-arrays column blocks
-  (:mod:`repro.storage.soa`), decodable as zero-copy numpy views.
-
-The header only *declares* the version; what the pages mean is up to
-the writer (:mod:`repro.rtree.persist`, :mod:`repro.storage.diskblocks`).
+The header declares format version :data:`FORMAT_VERSION` (2): leaf
+and block pages hold structure-of-arrays column blocks
+(:mod:`repro.storage.soa`), decodable as zero-copy numpy views, while
+branch pages keep their packed entry layout.  What the pages mean is up
+to the writer (:mod:`repro.rtree.persist`,
+:mod:`repro.storage.diskblocks`).  Files of any other version — the
+retired packed-row version 1 included — are rejected at ``open``.
 """
 
 from __future__ import annotations
@@ -32,7 +29,7 @@ import mmap
 import os
 import struct
 from pathlib import Path
-from typing import Optional, Union
+from typing import Optional
 
 from repro.storage.buffer import LRUBufferPool
 from repro.storage.records import PAGE_SIZE
@@ -42,11 +39,8 @@ from repro.storage.stats import IOStats
 _MAGIC = b"MDLS"
 _HEADER = struct.Struct("<4sIIII")  # magic, version, page_size, num_pages, root
 HEADER_SIZE = _HEADER.size
-#: v1: pages hold packed record rows (array-of-structures).
-FORMAT_VERSION = 1
-#: v2: leaf/block pages hold column blocks (structure-of-arrays).
-COLUMNAR_VERSION = 2
-SUPPORTED_VERSIONS = (FORMAT_VERSION, COLUMNAR_VERSION)
+#: The one on-disk format: leaf/block pages hold column blocks.
+FORMAT_VERSION = 2
 
 
 class PageFileError(RuntimeError):
@@ -54,31 +48,28 @@ class PageFileError(RuntimeError):
 
 
 class PageFile:
-    """A header plus ``num_pages`` fixed-size binary pages."""
+    """A header plus ``num_pages`` fixed-size binary pages.
+
+    ``read_page`` returns a ``memoryview`` slice of one ``mmap`` of the
+    file.  Numpy arrays built over such a slice (``np.frombuffer``)
+    reference the mapped memory directly; the map therefore stays alive
+    until the last such view is garbage collected, even after
+    :meth:`close`.
+    """
 
     def __init__(self, path: str | Path, page_size: int = PAGE_SIZE):
         self.path = Path(path)
         self.page_size = page_size
         self.num_pages = 0
         self.root_page = 0
-        self.format_version = FORMAT_VERSION
-        self._fh: Optional[object] = None
+        self._mm: Optional[mmap.mmap] = None
+        self._view: Optional[memoryview] = None
 
     # ------------------------------------------------------------------
     # Writing
     # ------------------------------------------------------------------
-    def create(
-        self,
-        pages: list[bytes],
-        root_page: int,
-        format_version: int = FORMAT_VERSION,
-    ) -> None:
+    def create(self, pages: list[bytes], root_page: int) -> None:
         """Write a fresh file with the given page images."""
-        if format_version not in SUPPORTED_VERSIONS:
-            raise PageFileError(
-                f"cannot write format version {format_version}; "
-                f"supported: {SUPPORTED_VERSIONS}"
-            )
         for i, page in enumerate(pages):
             if len(page) > self.page_size:
                 raise PageFileError(
@@ -87,107 +78,63 @@ class PageFile:
         with open(self.path, "wb") as f:
             f.write(
                 _HEADER.pack(
-                    _MAGIC, format_version, self.page_size, len(pages), root_page
+                    _MAGIC, FORMAT_VERSION, self.page_size, len(pages), root_page
                 )
             )
             for page in pages:
                 f.write(page.ljust(self.page_size, b"\x00"))
         self.num_pages = len(pages)
         self.root_page = root_page
-        self.format_version = format_version
 
     # ------------------------------------------------------------------
     # Reading
     # ------------------------------------------------------------------
-    def _read_header(self) -> None:
-        """Open the file handle and validate the header + file size."""
+    def open(self) -> "PageFile":
+        """Validate the header and file size, then map the file."""
         if not self.path.exists():
             raise PageFileError(f"{self.path}: no such page file")
-        self._fh = open(self.path, "rb")
-        header = self._fh.read(HEADER_SIZE)
-        if len(header) < HEADER_SIZE:
-            raise PageFileError(f"{self.path}: truncated header")
-        magic, version, page_size, num_pages, root = _HEADER.unpack(header)
-        if magic != _MAGIC:
-            raise PageFileError(f"{self.path}: bad magic {magic!r}")
-        if version not in SUPPORTED_VERSIONS:
-            raise PageFileError(f"{self.path}: unsupported version {version}")
-        expected = HEADER_SIZE + num_pages * page_size
-        actual = os.path.getsize(self.path)
-        if actual < expected:
-            raise PageFileError(
-                f"{self.path}: file is {actual} bytes, header promises {expected}"
-            )
-        if actual > expected:
-            # Trailing garbage means the header and the writer disagree
-            # about the page count — refuse rather than serve a file
-            # whose tail silently never existed.
-            raise PageFileError(
-                f"{self.path}: {actual - expected} trailing byte(s) beyond "
-                f"the {num_pages} page(s) the header promises"
-            )
+        # The map keeps its own reference to the file, so the handle is
+        # closed on every path out of this block, raising ones included.
+        with open(self.path, "rb") as fh:
+            header = fh.read(HEADER_SIZE)
+            if len(header) < HEADER_SIZE:
+                raise PageFileError(f"{self.path}: truncated header")
+            magic, version, page_size, num_pages, root = _HEADER.unpack(header)
+            if magic != _MAGIC:
+                raise PageFileError(f"{self.path}: bad magic {magic!r}")
+            if version != FORMAT_VERSION:
+                raise PageFileError(
+                    f"{self.path}: unsupported format version {version} "
+                    f"(only version {FORMAT_VERSION} is readable)"
+                )
+            expected = HEADER_SIZE + num_pages * page_size
+            actual = os.fstat(fh.fileno()).st_size
+            if actual < expected:
+                raise PageFileError(
+                    f"{self.path}: file is {actual} bytes, header promises {expected}"
+                )
+            if actual > expected:
+                # Trailing garbage means the header and the writer disagree
+                # about the page count — refuse rather than serve a file
+                # whose tail silently never existed.
+                raise PageFileError(
+                    f"{self.path}: {actual - expected} trailing byte(s) beyond "
+                    f"the {num_pages} page(s) the header promises"
+                )
+            self._mm = mmap.mmap(fh.fileno(), 0, access=mmap.ACCESS_READ)
+        self._view = memoryview(self._mm)
         self.page_size = page_size
         self.num_pages = num_pages
         self.root_page = root
-        self.format_version = version
-
-    def open(self) -> "PageFile":
-        """Open an existing file and validate its header."""
-        self._read_header()
-        return self
-
-    def read_page(self, page_id: int) -> bytes:
-        if self._fh is None:
-            raise PageFileError("page file is not open")
-        self._check_page_id(page_id)
-        # pread is atomic (offset in the call, no shared file position),
-        # so concurrent engine workers can read through one handle.
-        return os.pread(
-            self._fh.fileno(), self.page_size, HEADER_SIZE + page_id * self.page_size
-        )
-
-    def _check_page_id(self, page_id: int) -> None:
-        if not 0 <= page_id < self.num_pages:
-            raise PageFileError(f"page {page_id} out of range 0..{self.num_pages - 1}")
-
-    def close(self) -> None:
-        if self._fh is not None:
-            self._fh.close()
-            self._fh = None
-
-    def __enter__(self) -> "PageFile":
-        return self.open()
-
-    def __exit__(self, *exc) -> None:
-        self.close()
-
-
-class MappedPageFile(PageFile):
-    """A page file served zero-copy from one ``mmap`` of the whole file.
-
-    ``read_page`` returns a ``memoryview`` slice of the map: no seek, no
-    ``read`` syscall, no bytes copy.  Numpy arrays built over such a
-    slice (``np.frombuffer``) reference the mapped memory directly; the
-    map therefore stays alive until the last such view is garbage
-    collected, even after :meth:`close`.
-    """
-
-    def __init__(self, path: str | Path, page_size: int = PAGE_SIZE):
-        super().__init__(path, page_size)
-        self._mm: Optional[mmap.mmap] = None
-        self._view: Optional[memoryview] = None
-
-    def open(self) -> "MappedPageFile":
-        self._read_header()
-        assert self._fh is not None
-        self._mm = mmap.mmap(self._fh.fileno(), 0, access=mmap.ACCESS_READ)
-        self._view = memoryview(self._mm)
         return self
 
     def read_page(self, page_id: int) -> memoryview:
         if self._view is None:
             raise PageFileError("page file is not open")
-        self._check_page_id(page_id)
+        if not 0 <= page_id < self.num_pages:
+            raise PageFileError(
+                f"page {page_id} out of range 0..{self.num_pages - 1}"
+            )
         start = HEADER_SIZE + page_id * self.page_size
         return self._view[start : start + self.page_size]
 
@@ -203,15 +150,12 @@ class MappedPageFile(PageFile):
                 # unmapped when the last of them is collected.
                 pass
             self._mm = None
-        super().close()
 
+    def __enter__(self) -> "PageFile":
+        return self.open()
 
-def open_page_file(
-    path: str | Path, mapped: bool = False, page_size: int = PAGE_SIZE
-) -> Union[PageFile, MappedPageFile]:
-    """Open ``path`` through the chosen backend (file handle or mmap)."""
-    cls = MappedPageFile if mapped else PageFile
-    return cls(path, page_size).open()
+    def __exit__(self, *exc) -> None:
+        self.close()
 
 
 class DiskPager:
@@ -234,7 +178,7 @@ class DiskPager:
         self.stats = stats
         self.buffer_pool = buffer_pool
 
-    def read(self, page_id: int, stats: Optional[IOStats] = None) -> bytes:
+    def read(self, page_id: int, stats: Optional[IOStats] = None) -> memoryview:
         """Read a page, charging one I/O on a buffer miss.
 
         ``stats`` redirects the charge to a caller-private accounting
@@ -244,6 +188,6 @@ class DiskPager:
             (stats if stats is not None else self.stats).record_read(self.name)
         return self.file.read_page(page_id)
 
-    def peek(self, page_id: int) -> bytes:
+    def peek(self, page_id: int) -> memoryview:
         """Uncounted read (validation and tooling)."""
         return self.file.read_page(page_id)

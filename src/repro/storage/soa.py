@@ -1,13 +1,11 @@
-"""Structure-of-arrays (columnar) page layouts — format version 2.
+"""Structure-of-arrays (columnar) page layouts — the one persisted format.
 
-Version-1 pages store packed record *rows* (:mod:`repro.storage.codecs`);
-a page must be transposed field-by-field before the batch kernels can
-touch it.  Version-2 pages store the transpose directly: one contiguous
-column block per field, in the exact dtypes of
-:mod:`repro.kernels.columnar`.  Decoding such a page is pure
-``np.frombuffer`` pointer arithmetic — zero copies, zero per-record
-work — which is what makes the mmap-backed fast path of
-:class:`~repro.storage.diskfile.MappedPageFile` end-to-end zero-copy.
+Leaf and block pages store one contiguous column block per field, in
+the exact dtypes of :mod:`repro.kernels.columnar`.  Decoding such a
+page is pure ``np.frombuffer`` pointer arithmetic — zero copies, zero
+per-record work — which, over the ``mmap`` views that
+:class:`~repro.storage.diskfile.PageFile` serves, makes a leaf read
+end-to-end zero-copy.
 
 Layouts (per page, after the owner's 4-byte ``<HH`` header)::
 
@@ -15,16 +13,17 @@ Layouts (per page, after the owner's 4-byte ``<HH`` header)::
     client leaf:  xs f8[n] | ys f8[n] | dnn f8[n] | ids u4[n] (28 n)
     block page:   col_0 f8[n] | col_1 f8[n] | ... | col_{k-1} f8[n]
 
-Bytes per record match the v1 row layouts exactly, so a node or block
-that fits a v1 page always fits its v2 page.  Columns begin at page
-offset 4; with the 20-byte file header and a page size divisible by 8,
-every ``f8`` column lands 8-byte aligned *in the file* (absolute offset
+Bytes per record equal the packed record layouts of
+:mod:`repro.storage.records`, so every node or block the in-memory
+capacities admit fits its page.  Columns begin at page offset 4; with
+the 20-byte file header and a page size divisible by 8, every ``f8``
+column lands 8-byte aligned *in the file* (absolute offset
 ``20 + 4096·k + 4 + 8·n·j``), so mapped views are aligned loads.
 
 Decoded arrays are views over the caller's buffer (page bytes or a
 mapped ``memoryview``) — treat them as read-only.  Weights are not part
-of any on-disk client layout; decoded client columns carry unit
-weights, exactly like ``ClientCodec.decode``.
+of the on-disk client layout; decoded client columns carry unit
+weights.
 """
 
 from __future__ import annotations
@@ -145,22 +144,8 @@ class ColumnBlock:
         return f"ColumnBlock(shape={self.shape})"
 
 
-def encode_block_rows(block: np.ndarray) -> bytes:
-    """A v1 block page: ``<HH`` (count, ncols) + row-major float64."""
-    arr = np.ascontiguousarray(block, dtype=np.float64)
-    count, ncols = arr.shape
-    return _BLOCK_HEADER.pack(count, ncols) + arr.tobytes()
-
-
-def decode_block_rows(data: Buffer, offset: int = 0) -> np.ndarray:
-    """The ``(n, k)`` row-major matrix view of a v1 block page."""
-    count, ncols = _BLOCK_HEADER.unpack_from(data, offset)
-    flat = _f8_column(data, count * ncols, offset + BLOCK_HEADER_SIZE)
-    return flat.reshape(count, ncols)
-
-
 def encode_block_columns(block: np.ndarray) -> bytes:
-    """A v2 block page: ``<HH`` (count, ncols) + one f8 column per field."""
+    """A block page: ``<HH`` (count, ncols) + one f8 column per field."""
     arr = np.asarray(block, dtype=np.float64)
     count, ncols = arr.shape
     parts = [_BLOCK_HEADER.pack(count, ncols)]
@@ -171,7 +156,7 @@ def encode_block_columns(block: np.ndarray) -> bytes:
 
 
 def decode_block_columns(data: Buffer, offset: int = 0) -> ColumnBlock:
-    """Zero-copy per-column views of a v2 block page."""
+    """Zero-copy per-column views of a block page."""
     count, ncols = _BLOCK_HEADER.unpack_from(data, offset)
     start = offset + BLOCK_HEADER_SIZE
     return ColumnBlock(

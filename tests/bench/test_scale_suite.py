@@ -1,11 +1,11 @@
 """The ``scale`` suite: registry wiring, a tiny-rung run with full
-parity enforcement, the committed record's speedup claim, subset-mode
-comparison, and the ``pages`` / ``--rungs`` / ``--subset`` CLI surface.
+parity enforcement, the committed record's coverage, subset-mode
+comparison, and the ``--rungs`` / ``--subset`` CLI surface.
 
 The real ladder (100K/500K/1M clients) takes minutes; the recording
-test here runs one tiny rung through the whole path — v1 + v2 persist,
-three backends, serial and engine-parallel parity checks, record shape
-— in about a second.
+test here runs one tiny rung through the whole path — persist, the
+mmap-served disk workspace, serial and engine-parallel parity checks,
+record shape — in about a second.
 """
 
 from __future__ import annotations
@@ -16,15 +16,13 @@ from pathlib import Path
 import pytest
 
 from repro.bench import (
-    SCALE_BACKENDS,
     SCALE_RUNGS,
-    SCALE_TARGET_SPEEDUP,
     BenchRecord,
     compare_records,
     get_suite,
     run_suite,
 )
-from repro.bench.scale import config_for_rung, run_scale_suite
+from repro.bench.scale import _check_parity, config_for_rung, run_scale_suite
 from repro.cli import main
 
 REPO_ROOT = Path(__file__).resolve().parents[2]
@@ -34,8 +32,8 @@ TINY_RUNG = 400
 
 @pytest.fixture(scope="module")
 def tiny_record() -> BenchRecord:
-    """One full recording pass at a tiny rung (all methods, all three
-    backends, serial + engine parity enforced by the runner itself)."""
+    """One full recording pass at a tiny rung (all methods, serial +
+    engine parity enforced by the runner itself)."""
     return run_scale_suite(repeats=1, rungs=[TINY_RUNG])
 
 
@@ -63,43 +61,25 @@ class TestRegistry:
 
 
 class TestRecording:
-    def test_one_entry_per_method_and_backend(self, tiny_record):
+    def test_one_entry_per_method(self, tiny_record):
         assert tiny_record.suite == "scale"
         label = config_for_rung(TINY_RUNG).label()
         keys = [(e.config, e.method) for e in tiny_record.entries]
-        assert keys == [
-            (f"{label}|{backend}", method)
-            for method in ("SS", "QVC", "NFC", "MND")
-            for backend in SCALE_BACKENDS
-        ]
+        assert keys == [(label, method) for method in ("SS", "QVC", "NFC", "MND")]
         assert all(e.x == float(TINY_RUNG) for e in tiny_record.entries)
 
-    def test_io_metrics_identical_across_backends(self, tiny_record):
-        """The gate's premise: backends change CPU per page, never the
-        page counts."""
-        by_method: dict[str, list] = {}
-        for entry in tiny_record.entries:
-            by_method.setdefault(entry.method, []).append(entry)
-        for method, rows in by_method.items():
-            assert len(rows) == len(SCALE_BACKENDS)
-            io_rows = [
-                {
-                    k: e.metrics[k]
-                    for k in ("io_total", "index_reads", "data_reads", "index_pages")
-                }
-                for e in rows
-            ]
-            assert io_rows[0] == io_rows[1] == io_rows[2], method
-            breakdowns = [e.io_breakdown for e in rows]
-            assert breakdowns[0] == breakdowns[1] == breakdowns[2], method
+    def test_parity_check_rejects_a_divergent_result(self):
+        """The recorder's exactness gate can fail: one page off raises."""
+        from dataclasses import replace
 
-    def test_speedup_only_on_columnar_rows(self, tiny_record):
-        for entry in tiny_record.entries:
-            backend = entry.config.rsplit("|", 1)[1]
-            if backend == "mmap+columnar":
-                assert entry.metrics["speedup"] > 0
-            else:
-                assert "speedup" not in entry.metrics
+        from repro.core import Workspace, make_selector
+
+        workspace = Workspace(config_for_rung(TINY_RUNG).instance())
+        reference = make_selector(workspace, "MND").select()
+        _check_parity("tiny", "MND", "serial", reference, None, reference, None)
+        off_by_one = replace(reference, io_total=reference.io_total + 1)
+        with pytest.raises(AssertionError, match="io_total"):
+            _check_parity("tiny", "MND", "serial", off_by_one, None, reference, None)
 
     def test_entries_carry_consistent_io_split(self, tiny_record):
         for entry in tiny_record.entries:
@@ -133,30 +113,12 @@ class TestCommittedRecord:
         return json.loads(path.read_text())
 
     def test_covers_the_full_ladder(self, committed):
-        keys = {(e["config"], e["method"]) for e in committed["entries"]}
-        assert len(keys) == len(committed["entries"])
-        assert {m for __, m in keys} == {"SS", "QVC", "NFC", "MND"}
-        for n in SCALE_RUNGS:
-            label = config_for_rung(n).label()
-            for backend in SCALE_BACKENDS:
-                assert any(c == f"{label}|{backend}" for c, __ in keys), (
-                    n,
-                    backend,
-                )
-
-    def test_best_speedup_at_largest_rung_meets_target(self, committed):
-        """The acceptance claim: at 1M clients, zero-copy columnar
-        leaves buy at least ``SCALE_TARGET_SPEEDUP`` over the v1 file
-        backend for the best-placed method (the index-join traversals;
-        SS stays scan-kernel-bound and is recorded, not gated)."""
-        largest = float(max(SCALE_RUNGS))
-        speedups = [
-            e["metrics"]["speedup"]
-            for e in committed["entries"]
-            if e["x"] == largest and "speedup" in e["metrics"]
-        ]
-        assert speedups, "columnar rows at the largest rung must record speedup"
-        assert max(speedups) >= SCALE_TARGET_SPEEDUP
+        keys = [(e["config"], e["method"]) for e in committed["entries"]]
+        assert sorted(keys) == sorted(
+            (config_for_rung(n).label(), method)
+            for n in SCALE_RUNGS
+            for method in ("SS", "QVC", "NFC", "MND")
+        )
 
 
 class TestCLI:
@@ -175,7 +137,7 @@ class TestCLI:
         )
         assert code == 0
         record = BenchRecord.read(out)
-        assert [e.method for e in record.entries] == ["NFC"] * 3
+        assert [e.method for e in record.entries] == ["NFC"]
         capsys.readouterr()
 
         # Strict compare against a fuller baseline fails on the missing

@@ -1,12 +1,18 @@
-"""Tests for running the MND method from persisted indexes."""
+"""Tests for running the four methods from persisted indexes."""
+
+import struct
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from repro.core import Workspace
-from repro.core.diskmode import DiskWorkspace, persist_indexes
+from repro.core import Workspace, diskmode
+from repro.core.diskmode import DiskWorkspace, load_persisted, persist_indexes
 from repro.core.mnd import MaximumNFCDistance
+from repro.core.types import fingerprint
 from repro.datasets.generators import make_instance
+from repro.rtree.persist import DiskRTree
+from repro.storage.diskfile import PageFileError
 from repro.storage.stats import IOStats
 
 
@@ -67,21 +73,45 @@ class TestDiskMode:
         assert warm_stats.total_reads <= cold_stats.total_reads
 
     def test_corrupt_metadata_detected(self, mem_ws, tmp_path):
-        from dataclasses import replace
-
         persisted = persist_indexes(mem_ws, tmp_path / "x")
         bad = replace(persisted, n_p=persisted.n_p + 5)
         with pytest.raises(ValueError, match="promises"):
             DiskWorkspace(bad)
 
+    def test_failed_open_closes_what_it_opened(self, mem_ws, tmp_path, monkeypatch):
+        opened = []
+
+        class TrackedTree(DiskRTree):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                opened.append(self)
+
+        monkeypatch.setattr(diskmode, "DiskRTree", TrackedTree)
+        persisted = persist_indexes(mem_ws, tmp_path / "x")
+        with pytest.raises(ValueError, match="promises"):
+            DiskWorkspace(replace(persisted, n_p=persisted.n_p + 5))
+        assert len(opened) == 2  # R_C^m and R_P, both failed the count
+        persisted.r_p_path.write_bytes(b"XXXX" + bytes(60))
+        with pytest.raises(PageFileError, match="magic"):
+            DiskWorkspace(persisted)
+        assert len(opened) == 3  # R_C^m only: R_P never opened
+        assert all(tree._file._mm is None for tree in opened)
+
+    def test_v1_directory_rejected_naming_the_version(self, mem_ws, tmp_path):
+        """A directory of retired version-1 files fails at open."""
+        persisted = persist_indexes(mem_ws, tmp_path / "v1")
+        for path in persisted.directory.glob("*.pages"):
+            data = bytearray(path.read_bytes())
+            struct.pack_into("<I", data, 4, 1)  # the header's version field
+            path.write_bytes(bytes(data))
+        with pytest.raises(PageFileError, match="version 1"):
+            DiskWorkspace(load_persisted(persisted.directory))
+
 
 @pytest.fixture(scope="module")
-def full_dirs(mem_ws, tmp_path_factory):
-    """One v1 and one v2 full persist shared across the parity tests."""
-    base = tmp_path_factory.mktemp("full")
-    v1 = persist_indexes(mem_ws, base / "v1", full=True)
-    v2 = persist_indexes(mem_ws, base / "v2", leaf_format="columns", full=True)
-    return v1, v2
+def full_dir(mem_ws, tmp_path_factory):
+    """One full persist shared across the parity tests."""
+    return persist_indexes(mem_ws, tmp_path_factory.mktemp("full"))
 
 
 def run_method(ws, method):
@@ -94,8 +124,7 @@ def run_method(ws, method):
 
 
 class TestFullPersistence:
-    def test_all_files_exist(self, full_dirs):
-        v1, __ = full_dirs
+    def test_all_files_exist(self, full_dir):
         for attr in (
             "mnd_tree_path",
             "r_p_path",
@@ -105,74 +134,40 @@ class TestFullPersistence:
             "client_file_path",
             "potential_file_path",
         ):
-            path = getattr(v1, attr)
-            assert path is not None and path.exists(), attr
+            assert getattr(full_dir, attr).exists(), attr
 
-    def test_manifest_round_trip(self, full_dirs):
-        from repro.core.diskmode import load_persisted
-
-        v1, __ = full_dirs
-        loaded = load_persisted(v1.directory)
-        assert loaded == v1
+    def test_manifest_round_trip(self, full_dir):
+        assert load_persisted(full_dir.directory) == full_dir
 
     def test_manifest_missing(self, tmp_path):
-        from repro.core.diskmode import load_persisted
-
         with pytest.raises(FileNotFoundError):
             load_persisted(tmp_path)
 
-    def test_leaf_format_recorded(self, full_dirs):
-        v1, v2 = full_dirs
-        assert v1.leaf_format == "rows"
-        assert v2.leaf_format == "columns"
-
-    def test_counts_and_bounds(self, mem_ws, full_dirs):
-        v1, __ = full_dirs
-        with DiskWorkspace(v1) as frozen:
+    def test_counts_and_bounds(self, mem_ws, full_dir):
+        with DiskWorkspace(full_dir) as frozen:
             assert frozen.n_c == mem_ws.n_c
             assert frozen.n_f == mem_ws.n_f
             assert frozen.n_p == mem_ws.n_p
             assert frozen.data_bounds == mem_ws.data_bounds
 
-    def test_mnd_only_persist_rejects_other_methods(self, mem_ws, tmp_path):
-        slim = persist_indexes(mem_ws, tmp_path / "slim", full=False)
-        with DiskWorkspace(slim) as frozen:
-            run_method(frozen, "MND")  # the eager pair is always there
-            for method in ("SS", "QVC", "NFC"):
-                with pytest.raises(ValueError, match="re-persist"):
-                    run_method(frozen, method)
-
 
 class TestAllMethodsParity:
-    """Memory vs file vs mmap vs mmap+columnar, byte-identical everything."""
+    """Memory vs the mmap-served disk workspace, byte-identical everything."""
 
     @pytest.mark.parametrize("method", ["SS", "QVC", "NFC", "MND"])
-    def test_serial_parity(self, mem_ws, full_dirs, method):
-        v1, v2 = full_dirs
+    def test_serial_parity(self, mem_ws, full_dir, method):
         ref, ref_dr = run_method(mem_ws, method)
-        backends = [
-            (v1, False, "file"),
-            (v1, True, "mmap"),
-            (v2, True, "mmap+columnar"),
-        ]
-        for persisted, mapped, label in backends:
-            with DiskWorkspace(persisted, mapped=mapped) as frozen:
-                got, got_dr = run_method(frozen, method)
-            assert got.location.sid == ref.location.sid, label
-            assert got.dr == ref.dr, label
-            assert got.io_total == ref.io_total, label
-            assert dict(got.io_reads) == dict(ref.io_reads), label
-            np.testing.assert_array_equal(got_dr, ref_dr, err_msg=label)
+        with DiskWorkspace(full_dir) as frozen:
+            got, got_dr = run_method(frozen, method)
+        assert fingerprint(got) == fingerprint(ref)
+        np.testing.assert_array_equal(got_dr, ref_dr)
 
     @pytest.mark.parametrize("method", ["SS", "QVC", "NFC", "MND"])
-    def test_engine_parallel_parity(self, mem_ws, full_dirs, method):
+    def test_engine_parallel_parity(self, mem_ws, full_dir, method):
         from repro.exec.engine import QueryEngine
 
-        __, v2 = full_dirs
         ref, __ref_dr = run_method(mem_ws, method)
-        with DiskWorkspace(v2, mapped=True) as frozen:
-            engine = QueryEngine(frozen, workers=2, executor="thread")
-            got = engine.run(method)
-        assert got.location.sid == ref.location.sid
-        assert got.dr == ref.dr
-        assert got.io_total == ref.io_total
+        with DiskWorkspace(full_dir) as frozen:
+            with QueryEngine(frozen, workers=2, executor="thread") as engine:
+                got = engine.run(method)
+        assert fingerprint(got) == fingerprint(ref)

@@ -13,6 +13,7 @@ from __future__ import annotations
 import pytest
 
 from repro.core import METHODS, Workspace, make_selector
+from repro.core.types import fingerprint
 from repro.datasets.generators import make_instance
 from repro.exec import BufferPoolWorkspaceError, QueryEngine, run_batch, run_query
 
@@ -29,54 +30,43 @@ def small_instance_module():
     return make_instance(n_c=800, n_f=40, n_p=60, rng=11)
 
 
-def _fingerprint(result):
-    return (
-        result.method,
-        result.location.sid,
-        result.dr,
-        result.io_total,
-        dict(result.io_reads),
-        result.index_pages,
-    )
-
-
 class TestSerialEquivalence:
     @pytest.mark.parametrize("method", sorted(METHODS))
     def test_one_worker_matches_legacy_select(self, ws, method):
-        legacy = _fingerprint(make_selector(ws, method).select())
+        legacy = fingerprint(make_selector(ws, method).select())
         with QueryEngine(ws, workers=1) as engine:
-            engine_result = _fingerprint(engine.run(method))
+            engine_result = fingerprint(engine.run(method))
         assert engine_result == legacy
 
     def test_run_query_wrapper(self, ws):
-        legacy = _fingerprint(make_selector(ws, "MND").select())
-        assert _fingerprint(run_query(ws, "MND")) == legacy
+        legacy = fingerprint(make_selector(ws, "MND").select())
+        assert fingerprint(run_query(ws, "MND")) == legacy
 
     def test_accepts_prebuilt_selector(self, ws):
         selector = make_selector(ws, "NFC")
         with QueryEngine(ws, workers=2) as engine:
             result = engine.run(selector)
-        assert _fingerprint(result) == _fingerprint(
+        assert fingerprint(result) == fingerprint(
             make_selector(ws, "NFC").select()
         )
 
 
 class TestBatch:
     def test_results_in_input_order_with_private_accounting(self, ws):
-        expected = {m: _fingerprint(make_selector(ws, m).select()) for m in METHODS}
+        expected = {m: fingerprint(make_selector(ws, m).select()) for m in METHODS}
         queries = ["MND", "SS", "MND", "QVC", "NFC"]
         ws.reset_stats()
         results = run_batch(ws, queries, workers=4)
         assert [r.method for r in results] == queries
         for query, result in zip(queries, results):
-            assert _fingerprint(result) == expected[query]
+            assert fingerprint(result) == expected[query]
         # Batch accounting is per-query; the workspace's shared counters
         # never observed the batch at all.
         assert ws.stats.total_reads == 0
 
     def test_batch_of_one(self, ws):
         (result,) = run_batch(ws, ["SS"], workers=2)
-        assert _fingerprint(result) == _fingerprint(make_selector(ws, "SS").select())
+        assert fingerprint(result) == fingerprint(make_selector(ws, "SS").select())
 
 
 class TestTraceTags:
@@ -128,8 +118,8 @@ class TestTraceTags:
 
     def test_tags_do_not_change_answers(self, ws):
         with QueryEngine(ws, workers=1) as engine:
-            plain = _fingerprint(engine.run("MND"))
-            tagged = _fingerprint(engine.run("MND", tags={"trace_id": "x"}))
+            plain = fingerprint(engine.run("MND"))
+            tagged = fingerprint(engine.run("MND", tags={"trace_id": "x"}))
         assert plain == tagged
 
 

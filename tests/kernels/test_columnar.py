@@ -1,10 +1,11 @@
-"""Columnar buffers vs the record-at-a-time storage codecs.
+"""Columnar buffers vs the storage layouts.
 
-The dtypes in :mod:`repro.kernels.columnar` claim to mirror the codec
-layouts byte for byte; these tests pin that claim from both directions:
-``to_bytes`` must equal the codec's record-by-record encoding, and both
-backends' bulk decode must reproduce the codec's record-by-record
-decode bit for bit.
+The branch dtypes in :mod:`repro.kernels.columnar` claim to mirror the
+packed entry layout byte for byte; these tests pin that claim from both
+directions: ``to_bytes`` must equal ``encode_branch`` entry by entry,
+and both backends' bulk decode must reproduce the entries bit for bit.
+Leaf columns are stored as-is (see ``tests/storage/test_soa.py``), at
+the same bytes per record as the packed record layouts.
 """
 
 from __future__ import annotations
@@ -18,8 +19,6 @@ from repro.geometry.rect import Rect
 from repro.kernels.columnar import (
     BRANCH_DTYPE,
     BRANCH_MND_DTYPE,
-    CLIENT_DTYPE,
-    SITE_DTYPE,
     BranchColumns,
     ClientColumns,
     RectColumns,
@@ -33,6 +32,7 @@ from repro.storage.codecs import (
     SiteCodec,
     encode_branch,
 )
+from repro.storage.records import CLIENT_RECORD, POINT_RECORD
 
 SITES = [Site(7, 1.5, -2.25), Site(0, 0.0, 0.0), Site(2**32 - 1, 1e-300, 1e300)]
 CLIENTS = [
@@ -52,8 +52,12 @@ MND_ENTRIES = [
 
 class TestDtypeLayouts:
     def test_itemsizes_match_codec_record_sizes(self):
-        assert SITE_DTYPE.itemsize == SiteCodec.size == 20
-        assert CLIENT_DTYPE.itemsize == ClientCodec.size == 28
+        site_image = SiteCodec().encode_soa(SiteColumns.from_sites(SITES))
+        assert POINT_RECORD.record_size == 20
+        assert len(site_image) == len(SITES) * POINT_RECORD.record_size
+        client_image = ClientCodec().encode_soa(ClientColumns.from_clients(CLIENTS))
+        assert CLIENT_RECORD.record_size == 28
+        assert len(client_image) == len(CLIENTS) * CLIENT_RECORD.record_size
         assert BRANCH_DTYPE.itemsize == BRANCH_SIZE == 36
         assert BRANCH_MND_DTYPE.itemsize == BRANCH_MND_SIZE == 44
 
@@ -64,45 +68,7 @@ def backend(request):
         yield request.param
 
 
-class TestSiteRoundTrip:
-    def test_to_bytes_matches_the_codec(self):
-        cols = SiteColumns.from_sites(SITES)
-        codec = SiteCodec()
-        assert cols.to_bytes() == b"".join(codec.encode(s) for s in SITES)
-
-    def test_bulk_decode_matches_the_codec(self, backend):
-        codec = SiteCodec()
-        header = b"\x01\x02\x03\x04"  # decode must honour the offset
-        data = header + b"".join(codec.encode(s) for s in SITES)
-        cols = kernels.decode_site_columns(data, len(SITES), offset=len(header))
-        assert cols.ids.dtype == np.uint32
-        assert cols.xs.dtype == np.float64
-        assert codec.objects_from_columns(cols) == SITES
-        for site, sid, x, y in zip(SITES, cols.ids, cols.xs, cols.ys):
-            assert (site.sid, site.x, site.y) == (sid, x, y)
-
-
 class TestClientRoundTrip:
-    def test_to_bytes_matches_the_codec(self):
-        cols = ClientColumns.from_clients(CLIENTS)
-        codec = ClientCodec()
-        assert cols.to_bytes() == b"".join(codec.encode(c) for c in CLIENTS)
-
-    def test_bulk_decode_matches_the_codec(self, backend):
-        codec = ClientCodec()
-        data = b"".join(codec.encode(c) for c in CLIENTS)
-        cols = kernels.decode_client_columns(data, len(CLIENTS))
-        decoded = codec.objects_from_columns(cols)
-        for got, want in zip(decoded, CLIENTS):
-            assert (got.cid, got.x, got.y, got.dnn) == (
-                want.cid,
-                want.x,
-                want.y,
-                want.dnn,
-            )
-        # The page layout carries no weight: unit weights, like decode().
-        assert np.array_equal(cols.weights, np.ones(len(CLIENTS)))
-
     def test_from_clients_keeps_in_memory_weights(self):
         weighted = [Client(1, 0.0, 0.0, 1.0, weight=2.5)]
         cols = ClientColumns.from_clients(weighted)

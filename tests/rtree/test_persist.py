@@ -14,49 +14,51 @@ from repro.rtree.nn import nearest_neighbor
 from repro.rtree.persist import DiskRTree, ReadOnlyTreeError, save_rtree
 from repro.rtree.rtree import RTree
 from repro.rtree.window import window_query
-from repro.storage.codecs import ClientCodec, PointCodec, SiteCodec
+from repro.storage.codecs import ClientCodec, SiteCodec
 from repro.storage.diskfile import PageFile, PageFileError
 from repro.storage.stats import IOStats
 
 
-def random_points(n, seed=0):
+def random_sites(n, seed=0):
     rng = random.Random(seed)
-    return [Point(rng.uniform(0, 1000), rng.uniform(0, 1000)) for __ in range(n)]
+    return [Site(i, rng.uniform(0, 1000), rng.uniform(0, 1000)) for i in range(n)]
 
 
-def build_point_tree(points, max_entries=8):
+def build_site_tree(sites, max_entries=8, stats=None):
     tree = RTree(
-        "t", IOStats(), max_leaf_entries=max_entries, max_branch_entries=max_entries
+        "t",
+        stats or IOStats(),
+        max_leaf_entries=max_entries,
+        max_branch_entries=max_entries,
     )
-    bulk_load(tree, [(Rect.from_point(p), p) for p in points])
+    bulk_load(tree, [(Rect(s.x, s.y, s.x, s.y), s) for s in sites])
     return tree
 
 
 class TestRoundTrip:
     def test_leaf_payloads_survive(self, tmp_path):
-        pts = random_points(300)
-        tree = build_point_tree(pts)
+        sites = random_sites(300)
+        tree = build_site_tree(sites)
         path = tmp_path / "tree.pages"
-        save_rtree(tree, path, PointCodec())
-        disk = DiskRTree("d", path, PointCodec(), IOStats())
+        save_rtree(tree, path, SiteCodec())
+        disk = DiskRTree("d", path, SiteCodec(), IOStats())
         assert len(disk) == 300
         assert disk.height == tree.height
-        assert sorted(e.payload for e in disk.iter_leaf_entries()) == sorted(pts)
+        assert sorted(e.payload for e in disk.iter_leaf_entries()) == sorted(sites)
         disk.close()
 
     def test_queries_match_memory_tree(self, tmp_path):
-        pts = random_points(400, seed=1)
-        tree = build_point_tree(pts)
+        tree = build_site_tree(random_sites(400, seed=1))
         path = tmp_path / "tree.pages"
-        save_rtree(tree, path, PointCodec())
-        with DiskRTree("d", path, PointCodec(), IOStats()) as disk:
+        save_rtree(tree, path, SiteCodec())
+        with DiskRTree("d", path, SiteCodec(), IOStats()) as disk:
             w = Rect(100, 100, 400, 400)
             assert sorted(window_query(disk, w)) == sorted(window_query(tree, w))
             q = Point(777, 333)
             assert nearest_neighbor(disk, q) == nearest_neighbor(tree, q)
 
     def test_site_codec_round_trip(self, tmp_path):
-        sites = [Site(i, *p) for i, p in enumerate(random_points(50, seed=2))]
+        sites = random_sites(50, seed=2)
         tree = RTree("t", IOStats(), max_leaf_entries=4, max_branch_entries=4)
         bulk_load(tree, [(Rect(s.x, s.y, s.x, s.y), s) for s in sites])
         path = tmp_path / "sites.pages"
@@ -96,29 +98,28 @@ class TestRoundTrip:
     def test_empty_tree_round_trip(self, tmp_path):
         tree = RTree("t", IOStats(), max_leaf_entries=4, max_branch_entries=4)
         path = tmp_path / "empty.pages"
-        save_rtree(tree, path, PointCodec())
-        with DiskRTree("d", path, PointCodec(), IOStats()) as disk:
+        save_rtree(tree, path, SiteCodec())
+        with DiskRTree("d", path, SiteCodec(), IOStats()) as disk:
             assert len(disk) == 0
             assert list(disk.iter_leaf_entries()) == []
 
 
 class TestIOAccounting:
     def test_disk_reads_are_counted(self, tmp_path):
-        tree = build_point_tree(random_points(500, seed=4))
+        tree = build_site_tree(random_sites(500, seed=4))
         path = tmp_path / "tree.pages"
-        save_rtree(tree, path, PointCodec())
+        save_rtree(tree, path, SiteCodec())
         stats = IOStats()
-        with DiskRTree("d", path, PointCodec(), stats) as disk:
+        with DiskRTree("d", path, SiteCodec(), stats) as disk:
             list(window_query(disk, Rect(0, 0, 1000, 1000)))
             assert stats.reads["d"] == disk.num_nodes
 
     def test_disk_io_count_matches_memory_io_count(self, tmp_path):
         """The same query must cost the same I/Os on disk and in memory."""
         mem_stats = IOStats()
-        tree = RTree("t", mem_stats, max_leaf_entries=8, max_branch_entries=8)
-        bulk_load(tree, [(Rect.from_point(p), p) for p in random_points(500, seed=5)])
+        tree = build_site_tree(random_sites(500, seed=5), stats=mem_stats)
         path = tmp_path / "tree.pages"
-        save_rtree(tree, path, PointCodec())
+        save_rtree(tree, path, SiteCodec())
 
         w = Rect(200, 200, 380, 420)
         mem_stats.reset()
@@ -126,27 +127,27 @@ class TestIOAccounting:
         mem_io = mem_stats.total_reads
 
         disk_stats = IOStats()
-        with DiskRTree("d", path, PointCodec(), disk_stats) as disk:
+        with DiskRTree("d", path, SiteCodec(), disk_stats) as disk:
             list(window_query(disk, w))
         assert disk_stats.total_reads == mem_io
 
 
 class TestReadOnly:
     def test_mutations_rejected(self, tmp_path):
-        tree = build_point_tree(random_points(20, seed=6))
+        tree = build_site_tree(random_sites(20, seed=6))
         path = tmp_path / "tree.pages"
-        save_rtree(tree, path, PointCodec())
-        with DiskRTree("d", path, PointCodec(), IOStats()) as disk:
+        save_rtree(tree, path, SiteCodec())
+        with DiskRTree("d", path, SiteCodec(), IOStats()) as disk:
             with pytest.raises(ReadOnlyTreeError):
-                disk.insert(Rect(0, 0, 1, 1), Point(0, 0))
+                disk.insert(Rect(0, 0, 1, 1), Site(99, 0, 0))
             with pytest.raises(ReadOnlyTreeError):
-                disk.delete(Rect(0, 0, 1, 1), Point(0, 0))
+                disk.delete(Rect(0, 0, 1, 1), Site(99, 0, 0))
 
     def test_mnd_on_plain_tree_rejected(self, tmp_path):
-        tree = build_point_tree(random_points(20, seed=7))
+        tree = build_site_tree(random_sites(20, seed=7))
         path = tmp_path / "tree.pages"
-        save_rtree(tree, path, PointCodec())
-        with DiskRTree("d", path, PointCodec(), IOStats()) as disk:
+        save_rtree(tree, path, SiteCodec())
+        with DiskRTree("d", path, SiteCodec(), IOStats()) as disk:
             with pytest.raises(ReadOnlyTreeError):
                 disk.root_mnd()
 
@@ -163,25 +164,27 @@ class TestFileFormat:
             PageFile(path).open()
 
     def test_truncated_file(self, tmp_path):
-        tree = build_point_tree(random_points(100, seed=8))
+        tree = build_site_tree(random_sites(100, seed=8))
         path = tmp_path / "trunc.pages"
-        save_rtree(tree, path, PointCodec())
+        save_rtree(tree, path, SiteCodec())
         data = path.read_bytes()
         path.write_bytes(data[: len(data) // 2])
         with pytest.raises(PageFileError, match="promises"):
             PageFile(path).open()
 
     def test_unsupported_version(self, tmp_path):
+        # Version 1 (packed-row leaves) is retired like any unknown one.
         path = tmp_path / "version.pages"
-        header = struct.pack("<4sIIII", b"MDLS", 99, 4096, 0, 0)
-        path.write_bytes(header)
-        with pytest.raises(PageFileError, match="version"):
-            PageFile(path).open()
+        for version in (99, 1):
+            header = struct.pack("<4sIIII", b"MDLS", version, 4096, 0, 0)
+            path.write_bytes(header)
+            with pytest.raises(PageFileError, match=f"version {version}"):
+                PageFile(path).open()
 
     def test_out_of_range_page(self, tmp_path):
-        tree = build_point_tree(random_points(10, seed=9))
+        tree = build_site_tree(random_sites(10, seed=9))
         path = tmp_path / "range.pages"
-        save_rtree(tree, path, PointCodec())
+        save_rtree(tree, path, SiteCodec())
         pf = PageFile(path).open()
         with pytest.raises(PageFileError, match="out of range"):
             pf.read_page(999)
@@ -190,9 +193,9 @@ class TestFileFormat:
     def test_node_capacity_respects_page_size(self, tmp_path):
         """Pages written with the layout-derived fanout always fit in
         4 KiB: 113 branch entries x 36 B + header < 4096."""
-        tree = build_point_tree(random_points(3000, seed=10), max_entries=113)
+        tree = build_site_tree(random_sites(3000, seed=10), max_entries=113)
         path = tmp_path / "full.pages"
-        save_rtree(tree, path, PointCodec())
+        save_rtree(tree, path, SiteCodec())
         pf = PageFile(path).open()
         assert pf.page_size == 4096
         pf.close()
@@ -202,7 +205,6 @@ class TestRNNTreeOnDisk:
     def test_rnn_tree_round_trip_with_derived_square_mbrs(self, tmp_path):
         """An RNN-tree reopens from disk with its NFC squares rebuilt
         from the client records (centre = client, half-edge = dnn)."""
-        from repro.geometry.circle import Circle
         from repro.rtree.rnn_tree import build_rnn_tree
 
         rng = random.Random(11)
@@ -219,8 +221,9 @@ class TestRNNTreeOnDisk:
         )
         path = tmp_path / "rnn.pages"
         save_rtree(tree, path, ClientCodec())
-        leaf_mbr = lambda c: Circle(Point(c.x, c.y), c.dnn).mbr()
-        with DiskRTree("d", path, ClientCodec(), IOStats(), leaf_mbr=leaf_mbr) as disk:
+        with DiskRTree(
+            "d", path, ClientCodec(), IOStats(), leaf_shape="circle"
+        ) as disk:
             mem = {(e.payload.cid, e.mbr) for e in tree.iter_leaf_entries()}
             got = {(e.payload.cid, e.mbr) for e in disk.iter_leaf_entries()}
             assert got == mem
@@ -232,7 +235,7 @@ class TestRNNTreeOnDisk:
 
 
 class TestColumnarLeaves:
-    """v2 page files: structure-of-arrays leaves, lazy entries, converter."""
+    """Structure-of-arrays leaves: zero-copy columns, lazy entries."""
 
     def make_site_tree(self, n=300, seed=20):
         rng = random.Random(seed)
@@ -259,36 +262,19 @@ class TestColumnarLeaves:
         bulk_load(tree, [(Rect(c.x, c.y, c.x, c.y), c) for c in clients])
         return tree, clients
 
-    @pytest.mark.parametrize("mapped", [False, True], ids=["file", "mmap"])
-    def test_site_v2_round_trip(self, tmp_path, mapped):
+    def test_site_v2_round_trip(self, tmp_path):
         tree, sites = self.make_site_tree()
         path = tmp_path / "v2.pages"
-        save_rtree(tree, path, SiteCodec(), leaf_format="columns")
-        with DiskRTree("d", path, SiteCodec(), IOStats(), mapped=mapped) as disk:
-            assert disk.leaf_format == "columns"
+        save_rtree(tree, path, SiteCodec())
+        with DiskRTree("d", path, SiteCodec(), IOStats()) as disk:
             assert len(disk) == len(sites)
             got = sorted(e.payload for e in disk.iter_leaf_entries())
             assert got == sorted(sites)
 
-    def test_v2_queries_and_io_match_v1(self, tmp_path):
-        tree, __ = self.make_site_tree(seed=22)
-        v1, v2 = tmp_path / "v1.pages", tmp_path / "v2.pages"
-        save_rtree(tree, v1, SiteCodec())
-        save_rtree(tree, v2, SiteCodec(), leaf_format="columns")
-        w = Rect(200, 150, 600, 700)
-        s1, s2 = IOStats(), IOStats()
-        with DiskRTree("d", v1, SiteCodec(), s1) as d1, DiskRTree(
-            "d", v2, SiteCodec(), s2, mapped=True
-        ) as d2:
-            assert sorted(s.sid for s in window_query(d2, w)) == sorted(
-                s.sid for s in window_query(d1, w)
-            )
-            assert s2.snapshot() == s1.snapshot()
-
     def test_mnd_v2_round_trip(self, tmp_path):
         tree, __ = self.make_client_tree()
         path = tmp_path / "mnd2.pages"
-        save_rtree(tree, path, ClientCodec(), leaf_format="columns")
+        save_rtree(tree, path, ClientCodec())
         with DiskRTree(
             "d", path, ClientCodec(), IOStats(), radius_of=lambda c: c.dnn
         ) as disk:
@@ -298,12 +284,11 @@ class TestColumnarLeaves:
     def test_column_mbrs_bit_identical_point_and_circle(self, tmp_path):
         """A v2 leaf's vectorised MBR equals the sequential Rect union
         of its entry MBRs for both leaf shapes."""
-        from repro.geometry.circle import Circle
         from repro.rtree.rnn_tree import build_rnn_tree
 
         tree, clients = self.make_client_tree(seed=23)
         point_path = tmp_path / "p.pages"
-        save_rtree(tree, point_path, ClientCodec(), leaf_format="columns")
+        save_rtree(tree, point_path, ClientCodec())
         with DiskRTree(
             "d", point_path, ClientCodec(), IOStats(), radius_of=lambda c: c.dnn
         ) as disk:
@@ -323,15 +308,9 @@ class TestColumnarLeaves:
             dnn_of=lambda c: c.dnn,
         )
         circle_path = tmp_path / "c.pages"
-        save_rtree(rnn, circle_path, ClientCodec(), leaf_format="columns")
-        leaf_mbr = lambda c: Circle(Point(c.x, c.y), c.dnn).mbr()
+        save_rtree(rnn, circle_path, ClientCodec())
         with DiskRTree(
-            "d",
-            circle_path,
-            ClientCodec(),
-            IOStats(),
-            leaf_mbr=leaf_mbr,
-            leaf_shape="circle",
+            "d", circle_path, ClientCodec(), IOStats(), leaf_shape="circle"
         ) as disk:
             order = list(rnn.iter_nodes())
             for i, mem_node in enumerate(order):
@@ -342,8 +321,8 @@ class TestColumnarLeaves:
     def test_lazy_entries_defer_materialisation(self, tmp_path):
         tree, __ = self.make_site_tree(n=100, seed=24)
         path = tmp_path / "lazy.pages"
-        save_rtree(tree, path, SiteCodec(), leaf_format="columns")
-        with DiskRTree("d", path, SiteCodec(), IOStats(), mapped=True) as disk:
+        save_rtree(tree, path, SiteCodec())
+        with DiskRTree("d", path, SiteCodec(), IOStats()) as disk:
             order = list(tree.iter_nodes())
             leaf_page = next(
                 i + 1 for i, n in enumerate(order) if n.is_leaf and n.entries
@@ -368,47 +347,27 @@ class TestColumnarLeaves:
             node.mbr()
 
     def test_leaf_columns_api(self, tmp_path):
+        """A leaf read carries its zero-copy payload columns; a branch
+        node carries none."""
         tree, __ = self.make_site_tree(n=80, seed=25)
-        v1, v2 = tmp_path / "v1.pages", tmp_path / "v2.pages"
-        save_rtree(tree, v1, SiteCodec())
-        save_rtree(tree, v2, SiteCodec(), leaf_format="columns")
+        path = tmp_path / "v2.pages"
+        save_rtree(tree, path, SiteCodec())
         order = list(tree.iter_nodes())
         leaf_page = next(i + 1 for i, n in enumerate(order) if n.is_leaf)
-        with DiskRTree("d", v1, SiteCodec(), IOStats()) as d1:
-            assert d1.leaf_columns(leaf_page) is None  # v1: no column blocks
-        with DiskRTree("d", v2, SiteCodec(), IOStats()) as d2:
-            cols = d2.leaf_columns(leaf_page)
-            assert cols is not None
+        with DiskRTree("d", path, SiteCodec(), IOStats()) as disk:
+            cols = disk.node(leaf_page).columns
+            assert not cols.xs.flags.owndata  # a view of the mapped page
             mem_ids = sorted(e.payload.sid for e in order[leaf_page - 1].entries)
             assert sorted(cols.ids.tolist()) == mem_ids
             if tree.height > 1:
                 branch_page = next(
                     i + 1 for i, n in enumerate(order) if not n.is_leaf
                 )
-                with pytest.raises(PageFileError, match="not a leaf"):
-                    d2.leaf_columns(branch_page)
+                assert getattr(disk.node(branch_page), "columns", None) is None
 
-    def test_converter_round_trip_byte_exact(self, tmp_path):
-        from repro.rtree.persist import convert_page_file
-
-        tree, __ = self.make_client_tree(seed=26)
-        v1 = tmp_path / "v1.pages"
-        v2 = tmp_path / "v2.pages"
-        rt = tmp_path / "rt.pages"
-        save_rtree(tree, v1, ClientCodec())
-        convert_page_file(v1, v2, ClientCodec(), "columns")
-        convert_page_file(v2, rt, ClientCodec(), "rows")
-        assert rt.read_bytes() == v1.read_bytes()
-        direct = tmp_path / "direct.pages"
-        save_rtree(tree, direct, ClientCodec(), leaf_format="columns")
-        assert direct.read_bytes() == v2.read_bytes()
-
-    def test_rowonly_codec_rejects_columns(self, tmp_path):
-        tree = build_point_tree(random_points(30, seed=27))
-        with pytest.raises(ValueError, match="no columnar encoding"):
-            save_rtree(tree, tmp_path / "x.pages", PointCodec(), leaf_format="columns")
-
-    def test_unknown_leaf_format_rejected(self, tmp_path):
-        tree = build_point_tree(random_points(10, seed=28))
-        with pytest.raises(ValueError, match="leaf format"):
-            save_rtree(tree, tmp_path / "x.pages", PointCodec(), leaf_format="zigzag")
+    def test_unknown_leaf_shape_rejected(self, tmp_path):
+        tree, __ = self.make_site_tree(n=10, seed=28)
+        path = tmp_path / "x.pages"
+        save_rtree(tree, path, SiteCodec())
+        with pytest.raises(ValueError, match="leaf shape"):
+            DiskRTree("d", path, SiteCodec(), IOStats(), leaf_shape="zigzag")

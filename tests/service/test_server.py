@@ -10,6 +10,8 @@ cached result.
 
 from __future__ import annotations
 
+import json
+import socket
 import threading
 
 import pytest
@@ -17,6 +19,7 @@ import pytest
 from repro.core import METHODS, Workspace, make_selector
 from repro.core.dynamic import DynamicWorkspace
 from repro.core.evaluate import evaluate_location
+from repro.core.types import fingerprint
 from repro.datasets.generators import make_instance
 from repro.service import (
     DeadlineExceededError,
@@ -28,23 +31,11 @@ from repro.service import (
     UnsupportedError,
     serve_in_thread,
 )
+from repro.service.protocol import encode
+from repro.service.server import MAX_LINE_BYTES
 
 SEED = 11
 SIZES = dict(n_c=800, n_f=40, n_p=60)
-
-
-def fingerprint(result) -> tuple:
-    """Everything deterministic about a SelectionResult (timing excluded)."""
-    return (
-        result.method,
-        result.location.sid,
-        result.location.x,
-        result.location.y,
-        result.dr,
-        result.io_total,
-        dict(result.io_reads),
-        result.index_pages,
-    )
 
 
 @pytest.fixture(scope="module")
@@ -160,6 +151,29 @@ class TestTypedRejections:
     def test_unknown_method(self, client):
         with pytest.raises(UnknownMethodError, match="XXX"):
             client.select("XXX", workspace="static")
+
+    def test_oversized_request_line_is_a_typed_bad_request(self, server, client):
+        """A line past the reader's limit gets ``bad_request`` naming the
+        limit, then a clean close; other connections keep being served."""
+        line = encode(
+            {"id": 1, "op": "evaluate", "workspace": "static", "ids": [7] * 40_000}
+        )
+        assert len(line) > MAX_LINE_BYTES  # ~120 KB
+        with socket.create_connection((server.host, server.port), timeout=30) as sock:
+            sock.sendall(line)
+            with sock.makefile("rb") as replies:
+                response = json.loads(replies.readline())
+                try:
+                    tail = replies.readline()
+                except ConnectionResetError:
+                    tail = b""  # the hang-up raced the unread end of the line
+                assert tail == b""  # no second answer: the server hung up
+        assert response["ok"] is False
+        assert response["error"]["code"] == "bad_request"
+        assert f"{MAX_LINE_BYTES}-byte limit" in response["error"]["message"]
+        assert client.health()["status"] == "serving"
+        with ServiceClient(server.host, server.port) as fresh:
+            assert fresh.health()["status"] == "serving"
 
     def test_queue_full_is_explicit(self):
         """A one-slot queue under a pipelined burst rejects loudly."""

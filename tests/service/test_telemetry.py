@@ -16,6 +16,7 @@ import pytest
 
 from repro.core import METHODS, Workspace, make_selector
 from repro.core.dynamic import DynamicWorkspace
+from repro.core.types import fingerprint
 from repro.datasets.generators import make_instance
 from repro.loadgen.config import RetryPolicy
 from repro.loadgen.loop import ServiceTransport, execute_request, plan_trace_id
@@ -33,19 +34,6 @@ from repro.service import (
 
 SEED = 23
 SIZES = dict(n_c=600, n_f=30, n_p=50)
-
-
-def fingerprint(result) -> tuple:
-    return (
-        result.method,
-        result.location.sid,
-        result.location.x,
-        result.location.y,
-        result.dr,
-        result.io_total,
-        dict(result.io_reads),
-        result.index_pages,
-    )
 
 
 @pytest.fixture(scope="module")

@@ -10,6 +10,7 @@ from __future__ import annotations
 import pytest
 
 from repro.core import METHODS, Workspace
+from repro.core.types import fingerprint
 from repro.experiments.config import ExperimentConfig
 from repro.service import ServiceClient, ServiceConfig, serve_in_thread
 from repro.service.client import ClientConnectionError
@@ -31,18 +32,6 @@ from repro.shard.partition import partition_workspace
 CONFIG = ExperimentConfig(n_c=400, n_f=30, n_p=40)
 N_TILES = 4
 N_SHARDS = 2
-
-
-def fingerprint(result):
-    return (
-        result.location.sid,
-        result.location.x,
-        result.location.y,
-        result.dr,
-        result.io_total,
-        dict(result.io_reads),
-        result.index_pages,
-    )
 
 
 def start_fleet(partition, groups):
@@ -270,8 +259,9 @@ def test_original_cid_removal_routes_through_the_directory(client, partition, ex
     # compare answers, not io fingerprints: insertion order may differ).
     client.update("add_client", point=[victim.x, victim.y], weight=victim.weight)
     restored = client.select("MND", no_cache=True)
-    assert restored.result.dr == expected["MND"][3]
-    assert restored.result.location.sid == expected["MND"][0]
+    __method, sid, __x, __y, dr, *__io = expected["MND"]
+    assert restored.result.dr == dr
+    assert restored.result.location.sid == sid
 
 
 def test_connect_retries_reject_negative_and_bound_attempts():

@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 
 from repro.core import Workspace, make_selector
+from repro.core.types import fingerprint
 from repro.experiments.config import ExperimentConfig
 from repro.shard.executor import (
     ScatterGatherExecutor,
@@ -25,20 +26,6 @@ from repro.shard.partition import partition_workspace
 CONFIG = ExperimentConfig(n_c=600, n_f=40, n_p=50)
 METHODS = ("SS", "QVC", "NFC", "MND")
 N_TILES = 4
-
-
-def fingerprint(result):
-    # elapsed_s / cpu_s are wall-clock noise; everything else must be
-    # bit-identical across shard counts.
-    return (
-        result.location.sid,
-        result.location.x,
-        result.location.y,
-        result.dr,
-        result.io_total,
-        dict(result.io_reads),
-        result.index_pages,
-    )
 
 
 @pytest.fixture(scope="module")

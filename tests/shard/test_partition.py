@@ -13,7 +13,8 @@ import math
 
 import pytest
 
-from repro.core import Workspace
+from repro.core import Workspace, make_selector
+from repro.core.types import fingerprint
 from repro.experiments.config import ExperimentConfig
 from repro.shard.partition import (
     PersistedPartition,
@@ -145,6 +146,25 @@ def test_write_then_load_round_trips(workspace, scheme, tmp_path):
         for got, want in zip(loaded.clients, tile.clients):
             assert got.x == want.x and got.y == want.y
             assert got.dnn == want.dnn and got.weight == want.weight
+
+
+@pytest.fixture(scope="module")
+def written(workspace, tmp_path_factory):
+    """A 4-tile partition and its persisted directory, reopened."""
+    partition = partition_workspace(workspace, 4)
+    directory = write_partition(partition, tmp_path_factory.mktemp("partition"))
+    return partition, load_partition(directory)
+
+
+@pytest.mark.parametrize("method", ["SS", "QVC", "NFC", "MND"])
+def test_disk_tiles_answer_like_the_tiles_they_were_persisted_from(written, method):
+    """``load_tile(mode="disk")`` — what ``shard serve --mode disk``
+    serves — reads the persisted pages back to the in-memory answer."""
+    partition, persisted = written
+    for tile in partition.tiles:
+        want = fingerprint(make_selector(tile, method).select())
+        with persisted.load_tile(tile.tile_id, mode="disk") as disk:
+            assert fingerprint(make_selector(disk, method).select()) == want
 
 
 def test_load_partition_rejects_non_partition_directory(tmp_path):

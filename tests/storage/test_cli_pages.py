@@ -1,8 +1,9 @@
-"""End-to-end tests of `mindist pages info|convert`."""
+"""End-to-end tests of `mindist pages info`."""
 
 from __future__ import annotations
 
 import random
+import struct
 
 import numpy as np
 import pytest
@@ -35,28 +36,19 @@ def client_tree_path(tmp_path):
 
 class TestInfo:
     def test_info_on_v1_rtree(self, client_tree_path, capsys):
+        """A retired version-1 file is reported, not misread."""
+        data = bytearray(client_tree_path.read_bytes())
+        struct.pack_into("<I", data, 4, 1)  # the header's version field
+        client_tree_path.write_bytes(bytes(data))
+        assert main(["pages", "info", str(client_tree_path)]) == 2
+        assert "unsupported format version 1" in capsys.readouterr().err
+
+    def test_info_on_v2_rtree(self, client_tree_path, capsys):
         assert main(["pages", "info", str(client_tree_path)]) == 0
         out = capsys.readouterr().out
-        assert "format:       v1 (rows (AoS))" in out
+        assert "format:       v2 (columns (SoA))" in out
         assert "page size:    4096" in out
         assert "num_entries=120" in out
-
-    def test_info_on_converted_v2(self, client_tree_path, tmp_path, capsys):
-        v2 = tmp_path / "v2.pages"
-        assert (
-            main(
-                [
-                    "pages", "convert",
-                    str(client_tree_path), str(v2),
-                    "--codec", "client",
-                    "--to", "columns",
-                ]
-            )
-            == 0
-        )
-        assert "wrote" in capsys.readouterr().out
-        assert main(["pages", "info", str(v2)]) == 0
-        assert "v2 (columns (SoA))" in capsys.readouterr().out
 
     def test_info_on_block_file(self, tmp_path, capsys):
         path = tmp_path / "blocks.pages"
@@ -68,67 +60,4 @@ class TestInfo:
 
     def test_info_missing_file_exits_2(self, tmp_path, capsys):
         assert main(["pages", "info", str(tmp_path / "nope.pages")]) == 2
-        assert "error" in capsys.readouterr().err
-
-
-class TestConvert:
-    def test_round_trip_via_cli_is_byte_exact(
-        self, client_tree_path, tmp_path, capsys
-    ):
-        v2 = tmp_path / "v2.pages"
-        back = tmp_path / "back.pages"
-        for src, dst, to in (
-            (client_tree_path, v2, "columns"),
-            (v2, back, "rows"),
-        ):
-            assert (
-                main(
-                    [
-                        "pages", "convert",
-                        str(src), str(dst),
-                        "--codec", "client",
-                        "--to", to,
-                    ]
-                )
-                == 0
-            )
-        capsys.readouterr()
-        assert back.read_bytes() == client_tree_path.read_bytes()
-
-    def test_block_convert(self, tmp_path, capsys):
-        rng = np.random.default_rng(5)
-        matrix = rng.random((300, 4))
-        v1 = tmp_path / "v1.pages"
-        v2 = tmp_path / "v2.pages"
-        save_block_file(v1, matrix, 146)
-        assert (
-            main(
-                [
-                    "pages", "convert",
-                    str(v1), str(v2),
-                    "--codec", "block",
-                    "--to", "columns",
-                ]
-            )
-            == 0
-        )
-        assert "leaf format columns" in capsys.readouterr().out
-        from repro.storage.diskblocks import DiskBlockFile
-
-        with DiskBlockFile("file.C", v2, IOStats(), mapped=True) as f:
-            np.testing.assert_array_equal(f.peek_block(0)[:, 3], matrix[:146, 3])
-
-    def test_convert_error_exits_2(self, tmp_path, capsys):
-        missing = tmp_path / "nope.pages"
-        assert (
-            main(
-                [
-                    "pages", "convert",
-                    str(missing), str(tmp_path / "out.pages"),
-                    "--codec", "client",
-                    "--to", "columns",
-                ]
-            )
-            == 2
-        )
         assert "error" in capsys.readouterr().err

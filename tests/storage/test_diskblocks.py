@@ -5,11 +5,7 @@ import pytest
 
 from repro.storage.blockfile import BlockFile
 from repro.storage.buffer import LRUBufferPool
-from repro.storage.diskblocks import (
-    DiskBlockFile,
-    convert_block_file,
-    save_block_file,
-)
+from repro.storage.diskblocks import DiskBlockFile, save_block_file
 from repro.storage.diskfile import PageFileError
 from repro.storage.records import CLIENT_RECORD, PAGE_SIZE
 from repro.storage.stats import IOStats
@@ -21,18 +17,16 @@ def matrix():
     return rng.random((500, 4)) * 1000
 
 
-@pytest.fixture(
-    scope="module", params=["rows", "columns"], ids=["v1-rows", "v2-columns"]
-)
-def saved(request, matrix, tmp_path_factory):
-    path = tmp_path_factory.mktemp("blocks") / f"{request.param}.pages"
-    save_block_file(path, matrix, 146, block_format=request.param)
+@pytest.fixture(scope="module")
+def saved(matrix, tmp_path_factory):
+    path = tmp_path_factory.mktemp("blocks") / "blocks.pages"
+    save_block_file(path, matrix, 146)
     return path
 
 
-@pytest.fixture(params=[False, True], ids=["file", "mmap"])
-def opened(request, saved):
-    f = DiskBlockFile("file.C", saved, IOStats(), mapped=request.param)
+@pytest.fixture()
+def opened(saved):
+    f = DiskBlockFile("file.C", saved, IOStats())
     yield f
     f.close()
 
@@ -51,9 +45,9 @@ class TestDiskBlockFile:
             want = matrix[lo : lo + 146]
             assert len(block) == len(want)
             for j in range(4):
-                np.testing.assert_array_equal(
-                    np.asarray(block[:, j]), want[:, j]
-                )
+                column = block[:, j]
+                assert not column.flags.owndata  # a view of the mapped page
+                np.testing.assert_array_equal(column, want[:, j])
 
     def test_row_slices_for_planners(self, opened, matrix):
         block = opened.peek_block(0)
@@ -94,10 +88,6 @@ class TestDiskBlockFile:
 
 
 class TestSaveAndConvert:
-    def test_bad_format_rejected(self, tmp_path, matrix):
-        with pytest.raises(ValueError, match="unknown block format"):
-            save_block_file(tmp_path / "x.pages", matrix, 146, "diagonal")
-
     def test_bad_capacity_rejected(self, tmp_path, matrix):
         with pytest.raises(ValueError, match="must be positive"):
             save_block_file(tmp_path / "x.pages", matrix, 0)
@@ -116,19 +106,6 @@ class TestSaveAndConvert:
         assert f._file.page_size % 8 == 0
         assert f.num_blocks == 4
         f.close()
-
-    def test_convert_round_trip_is_byte_exact(self, tmp_path, matrix):
-        v1 = tmp_path / "v1.pages"
-        v2 = tmp_path / "v2.pages"
-        rt = tmp_path / "rt.pages"
-        save_block_file(v1, matrix, 146, "rows")
-        convert_block_file(v1, v2, "columns")
-        convert_block_file(v2, rt, "rows")
-        assert rt.read_bytes() == v1.read_bytes()
-        # and the direct v2 write equals the converted one
-        direct = tmp_path / "direct.pages"
-        save_block_file(direct, matrix, 146, "columns")
-        assert direct.read_bytes() == v2.read_bytes()
 
     def test_truncated_file_detected(self, tmp_path, matrix):
         path = tmp_path / "t.pages"

@@ -1,27 +1,28 @@
-"""Tests for the on-disk page files: error paths, mmap parity, versions."""
+"""Tests for the on-disk page files: error paths, mmap views, versions."""
+
+import gc
+import struct
+import warnings
 
 import numpy as np
 import pytest
 
 from repro.storage.buffer import LRUBufferPool
 from repro.storage.diskfile import (
-    COLUMNAR_VERSION,
     FORMAT_VERSION,
     HEADER_SIZE,
     DiskPager,
-    MappedPageFile,
     PageFile,
     PageFileError,
-    open_page_file,
 )
 from repro.storage.stats import IOStats
 
 
-def make_file(path, pages=None, root=0, version=FORMAT_VERSION, page_size=256):
+def make_file(path, pages=None, root=0, page_size=256):
     if pages is None:
         pages = [bytes([i]) * 16 for i in range(4)]
     pf = PageFile(path, page_size=page_size)
-    pf.create(pages, root, version)
+    pf.create(pages, root)
     return path
 
 
@@ -42,50 +43,63 @@ class TestPageFileErrors:
         path.write_bytes(path.read_bytes() + b"\x00" * 7)
         with pytest.raises(PageFileError, match="7 trailing byte"):
             PageFile(path).open()
-        with pytest.raises(PageFileError, match="trailing"):
-            MappedPageFile(path).open()
 
     def test_out_of_range_page_id(self, tmp_path):
         path = make_file(tmp_path / "t.pages")
-        for cls in (PageFile, MappedPageFile):
-            with cls(path).open() as pf:
-                with pytest.raises(PageFileError, match="out of range"):
-                    pf.read_page(4)
-                with pytest.raises(PageFileError, match="out of range"):
-                    pf.read_page(-1)
+        with PageFile(path).open() as pf:
+            with pytest.raises(PageFileError, match="out of range"):
+                pf.read_page(4)
+            with pytest.raises(PageFileError, match="out of range"):
+                pf.read_page(-1)
 
     def test_read_before_open(self, tmp_path):
         path = make_file(tmp_path / "t.pages")
-        for cls in (PageFile, MappedPageFile):
-            with pytest.raises(PageFileError, match="not open"):
-                cls(path).read_page(0)
+        with pytest.raises(PageFileError, match="not open"):
+            PageFile(path).read_page(0)
 
     def test_read_after_close(self, tmp_path):
         path = make_file(tmp_path / "t.pages")
-        for cls in (PageFile, MappedPageFile):
-            pf = cls(path).open()
-            pf.close()
-            with pytest.raises(PageFileError, match="not open"):
-                pf.read_page(0)
+        pf = PageFile(path).open()
+        pf.close()
+        with pytest.raises(PageFileError, match="not open"):
+            pf.read_page(0)
 
-    def test_unsupported_write_version(self, tmp_path):
-        with pytest.raises(PageFileError, match="format version"):
-            PageFile(tmp_path / "t.pages").create([b"x"], 0, 99)
+    @pytest.mark.parametrize(
+        "corrupt",
+        [
+            lambda data: b"XXXX" + data[4:],
+            lambda data: data[: HEADER_SIZE - 1],
+            lambda data: data[:4] + struct.pack("<I", 1) + data[8:],
+            lambda data: data + b"\x00",
+        ],
+        ids=["bad-magic", "short-header", "version-1", "size-mismatch"],
+    )
+    def test_rejected_open_leaves_no_file_open(self, tmp_path, corrupt):
+        path = make_file(tmp_path / "t.pages")
+        path.write_bytes(corrupt(path.read_bytes()))
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            with pytest.raises(PageFileError):
+                PageFile(path).open()
+            gc.collect()
+        assert not [w for w in caught if issubclass(w.category, ResourceWarning)]
 
 
 class TestMappedParity:
+    """Mapped reads hand back exactly the page images that were written."""
+
     def test_pages_byte_identical(self, tmp_path):
         pages = [bytes([i]) * 100 for i in range(5)]
         path = make_file(tmp_path / "t.pages", pages, root=2)
-        with PageFile(path).open() as plain, MappedPageFile(path).open() as mapped:
-            assert mapped.num_pages == plain.num_pages == 5
-            assert mapped.root_page == plain.root_page == 2
-            for i in range(5):
-                assert bytes(mapped.read_page(i)) == plain.read_page(i)
+        with PageFile(path).open() as mapped:
+            assert mapped.num_pages == 5
+            assert mapped.root_page == 2
+            for i, page in enumerate(pages):
+                assert bytes(mapped.read_page(i)) == page.ljust(256, b"\x00")
 
     def test_mapped_page_is_zero_copy_view(self, tmp_path):
         path = make_file(tmp_path / "t.pages")
-        with MappedPageFile(path).open() as mapped:
+        with PageFile(path).open() as mapped:
             page = mapped.read_page(1)
             assert isinstance(page, memoryview)
             # numpy builds views straight over the map, no copies
@@ -95,49 +109,35 @@ class TestMappedParity:
 
     def test_close_tolerates_outstanding_views(self, tmp_path):
         path = make_file(tmp_path / "t.pages")
-        mapped = MappedPageFile(path).open()
+        mapped = PageFile(path).open()
         arr = np.frombuffer(mapped.read_page(0), dtype=np.uint8, count=16)
         mapped.close()  # must not raise BufferError
         assert arr[0] == 0  # the view stays readable until collected
 
     def test_format_version_survives_reopen(self, tmp_path):
-        path = make_file(tmp_path / "t.pages", version=COLUMNAR_VERSION)
-        for opener in (PageFile, MappedPageFile):
-            with opener(path).open() as pf:
-                assert pf.format_version == COLUMNAR_VERSION
-
-    def test_factory_picks_backend(self, tmp_path):
         path = make_file(tmp_path / "t.pages")
-        plain = open_page_file(path, mapped=False)
-        mapped = open_page_file(path, mapped=True)
-        try:
-            assert type(plain) is PageFile
-            assert type(mapped) is MappedPageFile
-        finally:
-            plain.close()
-            mapped.close()
+        __, version, *__ = struct.unpack_from("<4sIIII", path.read_bytes())
+        assert version == FORMAT_VERSION == 2
+        with PageFile(path).open() as pf:
+            assert pf.num_pages == 4
 
 
 class TestDiskPagerAccounting:
-    def test_charges_identical_across_backends(self, tmp_path):
+    def test_charges_buffer_misses_only(self, tmp_path):
         path = make_file(tmp_path / "t.pages")
-        reads = [0, 1, 1, 2, 0, 3, 1]
-        snapshots = []
-        for mapped in (False, True):
-            stats = IOStats()
-            pool = LRUBufferPool(2)
-            pager = DiskPager("T", open_page_file(path, mapped=mapped), stats, pool)
-            for page_id in reads:
+        stats = IOStats()
+        with PageFile(path).open() as pf:
+            pager = DiskPager("T", pf, stats, LRUBufferPool(2))
+            for page_id in [0, 1, 1, 2, 0, 3, 1]:
                 pager.read(page_id)
             pager.peek(0)  # never charged
-            snapshots.append(dict(stats.snapshot()))
-            pager.file.close()
-        assert snapshots[0] == snapshots[1]
+        # LRU(2): only the second read of page 1 hits the pool.
+        assert stats.snapshot() == {"T": 6}
 
     def test_private_stats_redirect(self, tmp_path):
         path = make_file(tmp_path / "t.pages")
         shared, private = IOStats(), IOStats()
-        pager = DiskPager("T", open_page_file(path), shared)
+        pager = DiskPager("T", PageFile(path).open(), shared)
         pager.read(0)
         pager.read(1, stats=private)
         assert shared.snapshot() == {"T": 1}

@@ -1,4 +1,4 @@
-"""Tests for the v2 structure-of-arrays page layouts."""
+"""Tests for the structure-of-arrays page layouts."""
 
 import numpy as np
 import pytest
@@ -30,8 +30,10 @@ class TestLeafRoundTrip:
     def test_site_round_trip(self):
         cols = site_columns(37)
         data = soa.encode_site_columns(cols)
-        assert len(data) == 20 * 37  # bytes/record match the v1 row layout
+        assert len(data) == 20 * 37  # bytes/record match the point record
         back = soa.decode_site_columns_soa(data, 37)
+        assert back.ids.dtype == np.uint32
+        assert back.xs.dtype == back.ys.dtype == np.float64
         np.testing.assert_array_equal(back.ids, cols.ids)
         np.testing.assert_array_equal(back.xs, cols.xs)
         np.testing.assert_array_equal(back.ys, cols.ys)
@@ -68,16 +70,6 @@ class TestLeafRoundTrip:
         assert SiteCodec().encode_soa(scols) == soa.encode_site_columns(scols)
         assert ClientCodec().encode_soa(ccols) == soa.encode_client_columns(ccols)
 
-    def test_row_and_soa_images_transpose_exactly(self):
-        """v1 rows -> columns -> v2 image -> columns -> v1 rows is the
-        identity on bytes (the converter's core invariant)."""
-        codec = ClientCodec()
-        cols = client_columns(17, seed=5)
-        rows = cols.to_bytes()
-        decoded = codec.decode_columns(rows, 17)
-        v2 = codec.encode_soa(decoded)
-        assert codec.decode_soa(v2, 17).to_bytes() == rows
-
 
 class TestColumnBlock:
     def setup_method(self):
@@ -109,54 +101,33 @@ class TestColumnBlock:
 
 
 class TestBlockPages:
-    def test_rows_round_trip(self):
-        rng = np.random.default_rng(7)
-        matrix = rng.random((50, 2))
-        back = soa.decode_block_rows(soa.encode_block_rows(matrix))
-        np.testing.assert_array_equal(back, matrix)
-
-    def test_rows_decode_at_offset(self):
-        matrix = np.arange(12.0).reshape(4, 3)
-        data = b"ZZZZZZZZ" + soa.encode_block_rows(matrix)
-        np.testing.assert_array_equal(
-            soa.decode_block_rows(memoryview(data), offset=8), matrix
-        )
-
     def test_columns_decode_at_offset(self):
         matrix = np.arange(12.0).reshape(4, 3)
         data = b"ZZZZ" + soa.encode_block_columns(matrix)
         block = soa.decode_block_columns(memoryview(data), offset=4)
         np.testing.assert_array_equal(np.column_stack(block.columns), matrix)
 
-    def test_encodings_differ_but_values_agree(self):
-        matrix = np.arange(20.0).reshape(5, 4)
-        rows = soa.encode_block_rows(matrix)
-        cols = soa.encode_block_columns(matrix)
-        assert rows != cols  # AoS vs SoA images
-        np.testing.assert_array_equal(
-            np.column_stack(soa.decode_block_columns(cols).columns),
-            soa.decode_block_rows(rows),
-        )
-
 
 class TestCodecDecodeColumnsOffsets:
-    """``decode_columns`` (v1 bulk decode) against raw-buffer views at
-    arbitrary offsets — the exact shape of a disk page with its header."""
+    """The codecs' column decode (``decode_soa``) against raw-buffer views
+    at arbitrary offsets — the exact shape of a disk page with its header."""
 
     @pytest.mark.parametrize("offset", [0, 4, 20])
     def test_site_decode_columns_offset(self, offset):
+        codec = SiteCodec()
         cols = site_columns(13, seed=9)
-        data = bytes(offset) + cols.to_bytes()
+        data = bytes(offset) + codec.encode_soa(cols)
         for buf in (data, memoryview(data)):
-            back = SiteCodec().decode_columns(buf, 13, offset=offset)
+            back = codec.decode_soa(buf, 13, offset=offset)
             np.testing.assert_array_equal(back.ids, cols.ids)
             np.testing.assert_array_equal(back.xs, cols.xs)
 
     @pytest.mark.parametrize("offset", [0, 4, 20])
     def test_client_decode_columns_offset(self, offset):
+        codec = ClientCodec()
         cols = client_columns(13, seed=9)
-        data = bytes(offset) + cols.to_bytes()
+        data = bytes(offset) + codec.encode_soa(cols)
         for buf in (data, memoryview(data)):
-            back = ClientCodec().decode_columns(buf, 13, offset=offset)
+            back = codec.decode_soa(buf, 13, offset=offset)
             np.testing.assert_array_equal(back.dnn, cols.dnn)
             np.testing.assert_array_equal(back.ids, cols.ids)
