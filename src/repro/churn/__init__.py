@@ -7,12 +7,17 @@
   a from-scratch rebuild (bit-exact state, byte-identical answers);
 * :class:`~repro.core.regions.RegionClock` /
   :func:`~repro.core.regions.region_covers_any` — the region-scoped
-  invalidation primitives, re-exported here for convenience;
-* ``python -m repro.churn.smoke`` — the CI gate: a scripted mutation
-  stream with parity asserted after it, plus a live-service proof that
-  spatially disjoint mutations leave the select cache warm.
+  invalidation primitives, re-exported here for convenience.
 
-The matching benchmark suite lives in :mod:`repro.bench.churn`.
+What parity proves is in-place maintenance (:mod:`repro.core.dynamic`):
+a facility mutation gives the affected clients their new ``dnn``
+through one ``RTree.update_entries`` call per built tree, so none of
+their entries is deleted or reinserted.
+
+The CI gate is ``pytest -m smoke tests/churn``: a scripted mutation
+stream with parity asserted after it, plus a live-service proof that
+spatially disjoint mutations leave the select cache warm.  The matching
+benchmark suite lives in :mod:`repro.bench.churn`.
 """
 
 from repro.churn.parity import (

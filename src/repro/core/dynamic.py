@@ -7,17 +7,22 @@ management ... more complicated".  ``DynamicWorkspace`` extends
 :class:`~repro.core.workspace.Workspace` with live updates that keep
 every materialised structure consistent **in place**:
 
-* **client arrival/departure** — the ``dnn`` comes from one grid NN
-  lookup (:class:`~repro.knnjoin.incremental.DnnMaintainer`), the dense
-  arrays gain/lose one row, and the point enters/leaves ``R_C``, the
-  RNN-tree (with its NFC square) and the MND tree (whose augmentation
-  is maintained by the tree's own hooks);
+* **client arrival/departure** — the ``dnn`` comes from one vectorised
+  minimum over the facility columns
+  (:class:`~repro.knnjoin.incremental.DnnMaintainer`), the dense arrays
+  and the cid column gain/lose one row, and the point enters/leaves
+  ``R_C``, the RNN-tree (with its NFC square) and the MND tree (whose
+  augmentation is maintained by the tree's own hooks).  A departing
+  client is found by one vectorised match on the cid column;
 * **facility opening/closing** — the maintainer finds the affected
-  clients with one vectorised pass; exactly those clients' NFCs move:
-  they are deleted and reinserted in the RNN- and MND-trees with their
-  new radii (exact MBR tightening via the trees' refresh hooks), their
-  ``dnn`` column updates in place, and ``R_F`` gains/loses one entry —
-  no structure is rebuilt.
+  clients with one vectorised pass and gives them their new ``dnn``.
+  Those clients keep their leaves: one
+  :meth:`~repro.rtree.rtree.RTree.update_entries` call per built tree
+  moves their NFC squares in the RNN-tree, refreshes the MND values on
+  their paths in the MND tree (the points do not move) and drops the
+  stale leaf decodes of ``R_C``, each ancestor refreshed once, bottom
+  up.  ``R_F`` gains/loses one entry.  Nothing is rebuilt, and no
+  client entry is deleted, reinserted, split or condensed.
 
 Every distance uses the grid join's ``sqrt(dx*dx + dy*dy)`` formula,
 so the maintained state is **bit-identical** to a from-scratch rebuild
@@ -69,6 +74,13 @@ class DynamicWorkspace(Workspace):
         #: Mutation clock with answer-scoped sub-epochs; caches key on
         #: :meth:`RegionClock.version_for` instead of ``data_version``.
         self.region_clock = RegionClock()
+        #: Record ids in row order, beside ``client_xyd`` and
+        #: ``facilities``; every update keeps them in lockstep, so an id
+        #: resolves with one vectorised match instead of a record scan.
+        self.client_cids = np.array([c.cid for c in self.clients], dtype=np.int64)
+        self.facility_sids = np.array(
+            [f.sid for f in self.facilities], dtype=np.int64
+        )
 
     # ------------------------------------------------------------------
     # Incremental maintenance plumbing
@@ -87,6 +99,16 @@ class DynamicWorkspace(Workspace):
             )
             self.__dict__["_dnn_maintainer"] = m
         return m
+
+    def client_by_cid(self, cid: int) -> Optional[Client]:
+        """The live client with id ``cid``, or None."""
+        rows = np.flatnonzero(self.client_cids == cid)
+        return self.clients[int(rows[0])] if len(rows) else None
+
+    def facility_by_sid(self, sid: int) -> Optional[Site]:
+        """The open facility with id ``sid``, or None."""
+        rows = np.flatnonzero(self.facility_sids == sid)
+        return self.facilities[int(rows[0])] if len(rows) else None
 
     def _invalidate(self, *names: str) -> None:
         """Drop lazily-rebuilt structures (flat files / bounds)."""
@@ -171,6 +193,7 @@ class DynamicWorkspace(Workspace):
         p = Point(*point)
         dnn = self.maintainer.add_client(p)
         client = Client(self._take_client_id(), p[0], p[1], dnn, weight)
+        self.client_cids = np.append(self.client_cids, client.cid)
         self.clients.append(client)
         if self.instance.client_weights is None and weight != 1.0:
             # The instance's implicit all-ones weights become explicit the
@@ -200,10 +223,10 @@ class DynamicWorkspace(Workspace):
 
     def remove_client(self, client: Client) -> None:
         """A client departs; all client structures drop it."""
-        try:
-            index = self.clients.index(client)
-        except ValueError:
-            raise ValueError(f"unknown client {client!r}") from None
+        rows = np.flatnonzero(self.client_cids == client.cid)
+        if not len(rows):
+            raise ValueError(f"unknown client {client!r}")
+        index = int(rows[0])
         self.maintainer.remove_client(index)
         del self.clients[index]
         del self.instance.clients[index]
@@ -211,6 +234,7 @@ class DynamicWorkspace(Workspace):
             del self.instance.client_weights[index]
         self.client_xyd = np.delete(self.client_xyd, index, axis=0)
         self.client_w = np.delete(self.client_w, index)
+        self.client_cids = np.delete(self.client_cids, index)
         self._invalidate("client_file")
         self._shrink_bounds(client.x, client.y)
 
@@ -243,6 +267,7 @@ class DynamicWorkspace(Workspace):
         # set before the lists change underneath its lazy constructor.
         maintainer = self.maintainer
         site = Site(self._take_facility_id(), p[0], p[1])
+        self.facility_sids = np.append(self.facility_sids, site.sid)
         self.facilities.append(site)
         self.instance.facilities.append(p)
         self._grow_bounds(p)
@@ -263,6 +288,7 @@ class DynamicWorkspace(Workspace):
         except ValueError:
             raise ValueError(f"unknown facility {site!r}") from None
         maintainer = self.maintainer  # build from pre-mutation state
+        self.facility_sids = np.delete(self.facility_sids, index)
         del self.facilities[index]
         del self.instance.facilities[index]
         if "r_f" in self.__dict__:
@@ -281,42 +307,37 @@ class DynamicWorkspace(Workspace):
         old_dnn: Sequence[float],
         new_dnn: Sequence[float],
     ) -> Optional[Rect]:
-        """Move the given clients' NFCs to their new radii, keeping every
-        radius-dependent structure consistent in place.  Returns the
-        union of the affected old∪new NFC boxes (the mutation region),
-        or None when nothing changed."""
+        """Give the given clients their new ``dnn`` and refresh every
+        radius-dependent structure in place: one ``update_entries`` call
+        per built tree moves the NFC squares of ``R_C^n``, refreshes the
+        MND values above the unmoved points of ``R_C^m`` and drops the
+        stale leaf decodes of ``R_C`` (its leaf columns carry ``dnn``).
+        Returns the union of the affected old∪new NFC boxes (the
+        mutation region), or None when nothing changed."""
         if len(indices) == 0:
             return None
         region: Optional[Rect] = None
-        touched: list[tuple[Rect, Client]] = []
+        squares: list[tuple[Rect, Rect, Client]] = []
+        points: list[tuple[Rect, Rect, Client]] = []
         for i, old, radius in zip(indices, old_dnn, new_dnn):
             client = self.clients[int(i)]
+            client.dnn = float(radius)
             point = Point(client.x, client.y)
-            point_rect = Rect(client.x, client.y, client.x, client.y)
             old_mbr = Circle(point, float(old)).mbr()
-            new_mbr = Circle(point, float(radius)).mbr()
+            new_mbr = Circle(point, client.dnn).mbr()
             both = old_mbr.union(new_mbr)
             region = both if region is None else region.union(both)
-            if "rnn_tree" in self.__dict__:
-                assert self.rnn_tree.delete(old_mbr, client)
-            if "mnd_tree" in self.__dict__:
-                # Delete while the old radius is still in effect so the
-                # condense step recomputes consistent MNDs, then update
-                # and reinsert.
-                assert self.mnd_tree.delete(point_rect, client)
-            client.dnn = float(radius)
-            if "rnn_tree" in self.__dict__:
-                self.rnn_tree.insert(new_mbr, client)
-            if "mnd_tree" in self.__dict__:
-                self.mnd_tree.insert(point_rect, client)
-            touched.append((point_rect, client))
+            squares.append((old_mbr, new_mbr, client))
+            point_rect = Rect(client.x, client.y, client.x, client.y)
+            points.append((point_rect, point_rect, client))
         self.client_xyd[np.asarray(indices, dtype=np.intp), 2] = np.asarray(
             new_dnn, dtype=np.float64
         )
         self._invalidate("client_file")
+        if "rnn_tree" in self.__dict__:
+            self.rnn_tree.update_entries(squares)
+        if "mnd_tree" in self.__dict__:
+            self.mnd_tree.update_entries(points)
         if "r_c" in self.__dict__:
-            # R_C's leaf columns include dnn; the in-place update never
-            # passes through an insert/delete, so dirty those leaves
-            # explicitly.
-            self.r_c.touch_data_entries(touched)
+            self.r_c.update_entries(points)
         return region

@@ -2,15 +2,21 @@
 
 The paper assumes ``dnn(c, F)`` is "incrementally maintained and
 therefore the cost is amortized" (Section VII-A).  ``DnnMaintainer``
-implements that contract:
+implements that contract over column arrays of the clients and the
+facilities:
 
 * inserting a facility can only *shrink* NFDs — one vectorised pass
   updates exactly the clients whose NFC contains the new facility;
 * removing a facility invalidates only the clients it served — those are
   detected by distance equality and recomputed against the remaining
-  facilities via the grid join;
+  facilities with one blocked vectorised minimum;
 * clients arrive and depart too (``add_client``/``remove_client``): an
-  arrival costs one grid NN lookup, a departure one row deletion.
+  arrival costs one vectorised minimum over the facility columns, a
+  departure one row deletion.
+
+No spatial index over the facilities is kept, so a facility mutation
+never rebuilds one.  :class:`~repro.knnjoin.grid.FacilityGrid` serves
+the from-scratch joins (the initial vector and :meth:`verify`).
 
 **Bit-exactness.** Every distance here uses the grid join's formula —
 ``sqrt(dx*dx + dy*dy)`` over IEEE doubles (see
@@ -32,9 +38,13 @@ from typing import Iterable, Optional, Sequence
 import numpy as np
 
 from repro.geometry.point import Point
-from repro.knnjoin.grid import FacilityGrid
+from repro.knnjoin.grid import FacilityGrid, nn_join_grid
 
 _EPS = 1e-9
+
+#: Distance-matrix cells per block of :func:`_nearest_distances`, which
+#: bounds its scratch memory (~8 MiB of float64) at any client count.
+_BLOCK_CELLS = 1 << 20
 
 
 def _distances(cx: np.ndarray, cy: np.ndarray, f: Point) -> np.ndarray:
@@ -42,6 +52,21 @@ def _distances(cx: np.ndarray, cy: np.ndarray, f: Point) -> np.ndarray:
     dx = cx - f[0]
     dy = cy - f[1]
     return np.sqrt(dx * dx + dy * dy)
+
+
+def _nearest_distances(
+    qx: np.ndarray, qy: np.ndarray, fx: np.ndarray, fy: np.ndarray
+) -> np.ndarray:
+    """Each query point's distance to its nearest facility: the minimum
+    squared distance, then one ``sqrt`` (equal to the minimum of the
+    square roots, since ``sqrt`` is monotone)."""
+    out = np.empty(len(qx), dtype=np.float64)
+    rows = max(1, _BLOCK_CELLS // len(fx))
+    for lo in range(0, len(qx), rows):
+        dx = fx[None, :] - qx[lo : lo + rows, None]
+        dy = fy[None, :] - qy[lo : lo + rows, None]
+        out[lo : lo + rows] = np.sqrt((dx * dx + dy * dy).min(axis=1))
+    return out
 
 
 class DnnMaintainer:
@@ -55,28 +80,24 @@ class DnnMaintainer:
     ):
         self._cx = np.fromiter((c[0] for c in clients), dtype=np.float64)
         self._cy = np.fromiter((c[1] for c in clients), dtype=np.float64)
-        self._facilities: list[Point] = [Point(*f) for f in facilities]
-        if not self._facilities:
+        facilities = [Point(*f) for f in facilities]
+        if not facilities:
             raise ValueError("DnnMaintainer requires at least one facility")
-        self._grid = FacilityGrid(self._facilities)
+        self._fx = np.array([f[0] for f in facilities], dtype=np.float64)
+        self._fy = np.array([f[1] for f in facilities], dtype=np.float64)
         if dnn is not None:
             if len(dnn) != len(self._cx):
                 raise ValueError("dnn length does not match the client count")
             self._dnn = np.asarray(dnn, dtype=np.float64).copy()
         else:
-            self._dnn = np.fromiter(
-                (
-                    self._grid.nearest_distance(Point(x, y))
-                    for x, y in zip(self._cx, self._cy)
-                ),
-                dtype=np.float64,
-                count=len(self._cx),
-            )
+            self._dnn = np.array(nn_join_grid(clients, facilities), dtype=np.float64)
 
     # ------------------------------------------------------------------
     @property
     def facilities(self) -> tuple[Point, ...]:
-        return tuple(self._facilities)
+        return tuple(
+            Point(x, y) for x, y in zip(self._fx.tolist(), self._fy.tolist())
+        )
 
     @property
     def distances(self) -> np.ndarray:
@@ -95,12 +116,14 @@ class DnnMaintainer:
     # Client updates
     # ------------------------------------------------------------------
     def add_client(self, p: Point) -> float:
-        """A client arrives: one grid NN lookup, one appended row.
-        Returns the new client's ``dnn``."""
-        p = Point(*p)
-        dnn = self._grid.nearest_distance(p)
-        self._cx = np.append(self._cx, p[0])
-        self._cy = np.append(self._cy, p[1])
+        """A client arrives: one vectorised minimum over the facilities,
+        one appended row.  Returns the new client's ``dnn``."""
+        x, y = float(p[0]), float(p[1])
+        dnn = float(
+            _nearest_distances(np.array([x]), np.array([y]), self._fx, self._fy)[0]
+        )
+        self._cx = np.append(self._cx, x)
+        self._cy = np.append(self._cy, y)
         self._dnn = np.append(self._dnn, dnn)
         return dnn
 
@@ -121,8 +144,8 @@ class DnnMaintainer:
         on the NFC boundary changes nothing, matching the paper's strict
         containment)."""
         f = Point(*f)
-        self._facilities.append(f)
-        self._grid = FacilityGrid(self._facilities)
+        self._fx = np.append(self._fx, f[0])
+        self._fy = np.append(self._fy, f[1])
         dist = _distances(self._cx, self._cy, f)
         affected = np.flatnonzero(dist < self._dnn)
         old = self._dnn[affected].copy()
@@ -136,29 +159,27 @@ class DnnMaintainer:
         """Remove one occurrence of a facility; returns
         ``(indices, old_dnn, new_dnn)`` for the clients it served.
 
-        Raises if it is the last facility or not present.  Served
+        Raises if it is not present or is the last facility.  Served
         clients are detected by exact distance equality (the maintained
         vector uses the same formula, so the realising facility matches
         bit-for-bit) widened by ``_EPS`` for externally-seeded vectors;
         a co-located duplicate facility keeps serving them, which the
-        grid recomputation handles naturally.
+        recomputation over the remaining facilities handles naturally.
         """
         f = Point(*f)
-        try:
-            self._facilities.remove(f)
-        except ValueError:
-            raise ValueError(f"facility {f} is not in the set") from None
-        if not self._facilities:
-            self._facilities.append(f)
+        matches = np.flatnonzero((self._fx == f[0]) & (self._fy == f[1]))
+        if len(matches) == 0:
+            raise ValueError(f"facility {f} is not in the set")
+        if len(self._fx) == 1:
             raise ValueError("cannot remove the last facility")
-        self._grid = FacilityGrid(self._facilities)
+        self._fx = np.delete(self._fx, matches[0])
+        self._fy = np.delete(self._fy, matches[0])
         dist = _distances(self._cx, self._cy, f)
         stale = np.flatnonzero(np.abs(dist - self._dnn) <= _EPS)
         old = self._dnn[stale].copy()
-        for idx in stale:
-            self._dnn[idx] = self._grid.nearest_distance(
-                Point(float(self._cx[idx]), float(self._cy[idx]))
-            )
+        self._dnn[stale] = _nearest_distances(
+            self._cx[stale], self._cy[stale], self._fx, self._fy
+        )
         return stale, old, self._dnn[stale].copy()
 
     def add_facility(self, f: Point) -> int:
@@ -176,7 +197,7 @@ class DnnMaintainer:
     # ------------------------------------------------------------------
     def verify(self) -> bool:
         """Recompute everything from scratch and compare (for tests)."""
-        grid = FacilityGrid(self._facilities)
+        grid = FacilityGrid(self.facilities)
         for i in range(len(self._dnn)):
             expect = grid.nearest_distance(
                 Point(float(self._cx[i]), float(self._cy[i]))

@@ -10,12 +10,12 @@ building from query costs.
 Subclasses customise the directory entries through two hooks —
 :meth:`RTree._entry_for_child` and :meth:`RTree._refresh_entry` — which is
 all the MND variant needs to keep its augmentation consistent during
-inserts, deletes and bulk loading.
+inserts, deletes, in-place entry updates and bulk loading.
 """
 
 from __future__ import annotations
 
-from typing import Any, Iterator, Optional
+from typing import Any, Iterable, Iterator, Optional
 
 from repro.geometry.rect import Rect
 from repro.obs.registry import REGISTRY
@@ -66,9 +66,10 @@ class RTree:
         root.node_id = self.root_id
         self.height = 1
         self.num_entries = 0
-        # Mutation counter: bumped by insert/delete so version-keyed
-        # caches of decoded node contents (DecodedLeafCache) can detect
-        # staleness without the tree knowing who caches what.
+        # Mutation counter: bumped by every insert, delete and
+        # update_entries call so version-keyed caches of decoded node
+        # contents (DecodedLeafCache) can detect staleness without the
+        # tree knowing who caches what.
         self.version = 0
         # Scoped invalidation: a bound DecodedLeafCache receives the
         # exact node ids each mutation dirties (and immediate drops for
@@ -134,8 +135,8 @@ class RTree:
 
         Binding opts the tree into the cache's *tracked* mode: version
         bumps stop clearing the tree's decodes wholesale, because every
-        insert/delete flushes the precise set of nodes whose entry lists
-        (or parent entries) changed, and freed pages drop immediately.
+        mutation flushes the precise set of nodes whose entry lists (or
+        parent entries) changed, and freed pages drop immediately.
         """
         self._leaf_cache = cache
         cache.track(self.name)
@@ -148,36 +149,6 @@ class RTree:
         if self._leaf_cache is not None and self._dirty:
             self._leaf_cache.note_dirty(self.name, self._dirty)
             self._dirty.clear()
-
-    def touch_data_entries(self, items) -> None:
-        """Invalidate the decodes of the leaves holding the given
-        ``(mbr, payload)`` data entries.
-
-        For payloads mutated *in place* (a client's ``dnn`` column moves
-        without its point moving): no insert/delete runs, so no version
-        bump or dirty mark would happen on its own.  One version bump
-        covers the batch.
-        """
-        for mbr, payload in items:
-            leaf_id = self._find_leaf(self.root_id, mbr, payload)
-            if leaf_id is not None:
-                self._mark_dirty(leaf_id)
-        self.version += 1
-        self._flush_dirty()
-
-    def _find_leaf(self, node_id: int, mbr: Rect, payload: Any) -> Optional[int]:
-        node = self.node(node_id)
-        if node.is_leaf:
-            for entry in node.entries:
-                if entry.mbr == mbr and entry.payload == payload:
-                    return node.node_id
-            return None
-        for entry in node.entries:
-            if entry.mbr.contains_rect(mbr):
-                found = self._find_leaf(entry.child_id, mbr, payload)
-                if found is not None:
-                    return found
-        return None
 
     @property
     def num_nodes(self) -> int:
@@ -362,6 +333,70 @@ class RTree:
             for entry in node.entries:
                 self._free_subtree(entry.child_id)
         self._free_node(node_id)
+
+    # ------------------------------------------------------------------
+    # In-place update
+    # ------------------------------------------------------------------
+    def update_entries(self, items: Iterable[tuple[Rect, Rect, Any]]) -> None:
+        """Give data entries new MBRs where they sit.
+
+        Each item is ``(old_mbr, new_mbr, payload)``: the entry found by
+        ``(old_mbr, payload)`` stays in its leaf and takes ``new_mbr``.
+        ``old_mbr == new_mbr`` is allowed, for payloads whose other
+        fields changed.  Then every distinct ancestor entry on the
+        touched paths is refreshed exactly once, deepest level first,
+        through :meth:`_refresh_entry`, so an augmented tree recomputes
+        its values with its own hook.  Nothing is inserted, deleted,
+        split or condensed.  Exactly the nodes on the touched paths are
+        marked dirty, and the version bumps once.
+
+        Raises :class:`KeyError`, before changing anything, when an
+        item matches no entry.
+        """
+        found = []
+        for old, new, payload in items:
+            path = self._find_path(self.root_id, old, payload)
+            if path is None:
+                raise KeyError(f"no data entry {payload!r} with MBR {old}")
+            found.append((path, new))
+        if not found:
+            return
+        # Parent level -> child id -> the parent's entry for that child.
+        stale: dict[int, dict[int, BranchEntry]] = {}
+        for path, new in found:
+            leaf, index = path[-1]
+            leaf.entries[index].mbr = new
+            for node, index in path:
+                self._mark_dirty(node.node_id)
+                if not node.is_leaf:
+                    entry = node.entries[index]
+                    stale.setdefault(node.level, {})[entry.child_id] = entry
+        for level in sorted(stale):
+            for child_id, entry in stale[level].items():
+                self._refresh_entry(entry, self.node(child_id))
+        self.version += 1
+        self._flush_dirty()
+
+    def _find_path(
+        self, node_id: int, mbr: Rect, payload: Any
+    ) -> Optional[list[tuple[Node, int]]]:
+        """The ``(node, entry index)`` steps from ``node_id`` down to the
+        data entry ``(mbr, payload)``, or None when it is absent."""
+        node = self.node(node_id)
+        if node.is_leaf:
+            for index, entry in enumerate(node.entries):
+                if entry.mbr == mbr and entry.payload == payload:
+                    return [(node, index)]
+            return None
+        x0, y0, x1, y1 = mbr
+        for index, entry in enumerate(node.entries):
+            # Rect.contains_rect, inlined: this loop is the search's cost.
+            box = entry.mbr
+            if box[0] <= x0 and box[1] <= y0 and x1 <= box[2] and y1 <= box[3]:
+                rest = self._find_path(entry.child_id, mbr, payload)
+                if rest is not None:
+                    return [(node, index), *rest]
+        return None
 
     # ------------------------------------------------------------------
     # Traversal helpers

@@ -323,6 +323,11 @@ class ServiceClient:
 
 def _unwrap(response: dict, expected_id: Any = None) -> dict:
     if expected_id is not None and response.get("id") != expected_id:
+        if response.get("id") is None and not response.get("ok", False):
+            # The server answered a request whose id it could not read
+            # (an oversized line); on an unpipelined call that answer
+            # can only be ours, so surface its typed error.
+            raise error_from_wire(response.get("error", {}))
         raise ClientConnectionError(
             f"response id {response.get('id')!r} does not match "
             f"request id {expected_id!r} (unpipelined call)"

@@ -400,22 +400,22 @@ class WorkspaceHost:
             client = ws.add_client(point, weight=float(params.get("weight", 1.0)))
             detail: dict[str, Any] = {"cid": client.cid, "dnn": client.dnn}
         elif action == "remove_client":
-            cid = params.get("cid")
-            matches = [c for c in ws.clients if c.cid == cid]
-            if not matches:
+            cid = record_id(params, "cid")
+            client = ws.client_by_cid(cid)
+            if client is None:
                 raise BadRequestError(f"no client with cid {cid!r}")
-            ws.remove_client(matches[0])
+            ws.remove_client(client)
             detail = {"cid": cid}
         elif action == "add_facility":
             point = _point_param(params)
             site = ws.add_facility(point)
             detail = {"sid": site.sid}
         elif action == "remove_facility":
-            sid = params.get("sid")
-            matches = [s for s in ws.facilities if s.sid == sid]
-            if not matches:
+            sid = record_id(params, "sid")
+            site = ws.facility_by_sid(sid)
+            if site is None:
                 raise BadRequestError(f"no facility with sid {sid!r}")
-            ws.remove_facility(matches[0])
+            ws.remove_facility(site)
             detail = {"sid": sid}
         else:
             raise BadRequestError(
@@ -551,6 +551,15 @@ def _point_param(params: dict) -> tuple[float, float]:
     ):
         raise BadRequestError("update needs 'point': [x, y]")
     return (float(point[0]), float(point[1]))
+
+
+def record_id(params: dict, key: str) -> int:
+    """The ``cid``/``sid`` an update names: an ``int`` and not a
+    ``bool`` (JSON ``true`` would otherwise pass as record 1)."""
+    value = params.get(key)
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise BadRequestError(f"update needs {key!r}: an integer id, got {value!r}")
+    return value
 
 
 class QueryService:

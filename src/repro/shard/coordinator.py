@@ -61,7 +61,12 @@ from repro.service.protocol import (
     ok_response,
     selection_to_wire,
 )
-from repro.service.server import QueryService, ServiceConfig, ServiceHandle
+from repro.service.server import (
+    QueryService,
+    ServiceConfig,
+    ServiceHandle,
+    record_id,
+)
 from repro.service.telemetry import ServiceTelemetry
 from repro.shard.executor import assign_tiles
 from repro.shard.merge import (
@@ -502,8 +507,8 @@ class ShardCoordinator(QueryService):
             select_changed = bool(detail.get("select_changed", True))
             evaluate_changed = bool(detail.get("evaluate_changed", True))
         elif action == "remove_client":
-            cid = message.get("cid")
-            tile_id = self._route_cid(cid) if isinstance(cid, int) else None
+            cid = record_id(message, "cid")
+            tile_id = self._route_cid(cid)
             if tile_id is not None:
                 # Routed through the partition plan: the owning tile is
                 # known, and cids are never reused, so a miss there is

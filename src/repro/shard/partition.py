@@ -55,6 +55,8 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional, Sequence
 
+import numpy as np
+
 from repro.core.diskmode import DiskWorkspace, load_persisted, persist_indexes
 from repro.core.dynamic import DynamicWorkspace
 from repro.core.types import Site
@@ -319,6 +321,7 @@ class TileWorkspace(DynamicWorkspace):
             )
         for client, cid in zip(self.clients, cids):
             client.cid = int(cid)
+        self.client_cids = np.array([c.cid for c in self.clients], dtype=np.int64)
         self.tile_id = tile_id
         self.n_tiles = n_tiles
         self.cid_stride_base = cid_stride_base

@@ -13,6 +13,7 @@ from repro.datasets import make_instance
 from repro.geometry.point import Point
 from repro.knnjoin.grid import nn_join_grid
 from repro.knnjoin.incremental import DnnMaintainer
+from repro.rtree.validate import validate_rtree
 
 # Coordinates drawn from a small integer lattice: co-located points and
 # exactly equidistant facility pairs occur constantly, driving the
@@ -54,8 +55,13 @@ def test_workspace_stream_matches_rebuild(stream, seed):
     ws.r_c, ws.rnn_tree, ws.mnd_tree
     applied = _apply_stream(ws, stream)
     assert ws.region_clock.epoch == applied
-    # Bit-exact state, byte-identical SS/evaluate, answer-identical MND.
-    verify_parity(ws, methods=("SS", "MND"), evaluate_ids=[0, 1])
+    # Tight MBRs everywhere and every stored MND equal to its recomputed
+    # value after the in-place updates.
+    for tree in (ws.r_c, ws.rnn_tree, ws.mnd_tree):
+        validate_rtree(tree)
+    # Bit-exact state, byte-identical SS/evaluate, answer-identical
+    # NFC/MND.
+    verify_parity(ws, methods=("SS", "NFC", "MND"), evaluate_ids=[0, 1])
     # The RNN-tree's NFC squares must reflect the maintained radii.
     twin = rebuild_twin(ws)
     assert np.array_equal(

@@ -5,6 +5,7 @@ import random
 import numpy as np
 import pytest
 
+from repro.churn import TREE_DR_RTOL, rebuild_twin, verify_parity
 from repro.core import METHODS, make_selector
 from repro.core import naive
 from repro.core.dynamic import DynamicWorkspace
@@ -113,6 +114,40 @@ class TestFacilityUpdates:
         after = [c.dnn for c in ws.clients]
         assert after == pytest.approx(before, abs=1e-9)
         assert_consistent(ws)
+
+    def test_warm_decodes_track_an_open_then_close(self):
+        """Every leaf decode is warm when a facility opens on the winning
+        site and closes again, and when a serving facility closes; the
+        in-place updates must dirty each decode they stale, or a method
+        sums with old radii.  (The exact dirty set, branch nodes
+        included, is pinned in tests/rtree/test_update.py.)"""
+        ws = fresh_ws(seed=7, n_c=2000, n_f=40, n_p=60)
+
+        def check():
+            twin = rebuild_twin(ws)
+            verify_parity(ws, twin=twin)  # its selects re-warm every decode
+            for method in sorted(METHODS):
+                np.testing.assert_allclose(
+                    make_selector(ws, method).distance_reductions(),
+                    make_selector(twin, method).distance_reductions(),
+                    rtol=TREE_DR_RTOL,
+                    atol=TREE_DR_RTOL,
+                    err_msg=method,
+                )
+
+        for method in sorted(METHODS):
+            make_selector(ws, method).select()
+        winner = make_selector(ws, "MND").select().location
+        before = ws.client_xyd[:, 2].copy()
+        site = ws.add_facility(Point(winner.x, winner.y))
+        assert (ws.client_xyd[:, 2] < before).sum() > 1
+        check()
+        ws.remove_facility(site)
+        assert np.array_equal(ws.client_xyd[:, 2], before)
+        check()
+        ws.remove_facility(ws.facilities[0])
+        assert (ws.client_xyd[:, 2] > before).sum() > 1
+        check()
 
 
 class TestUpdateStorms:

@@ -109,3 +109,23 @@ class TestOpSequences:
             current = float(np.sum(m.distances))
             assert current <= previous + 1e-9
             previous = current
+
+
+class TestBlockedMinimum:
+    def test_many_blocks_match_the_grid_join_bitwise(self, monkeypatch):
+        """A closed site's stale clients are recomputed in row blocks;
+        block boundaries must not change a single bit."""
+        import repro.knnjoin.incremental as incremental
+        from repro.knnjoin.grid import nn_join_grid
+
+        monkeypatch.setattr(incremental, "_BLOCK_CELLS", 7)
+        clients = random_points(300, seed=12)
+        facilities = random_points(6, seed=13)
+        hub = Point(50.0, 50.0)
+        m = DnnMaintainer(clients, facilities + [hub])
+        recomputed = m.remove_facility(hub)
+        assert recomputed > 7  # more than one block of stale rows
+        expect = np.array(nn_join_grid(clients, facilities))
+        assert np.array_equal(np.asarray(m.distances), expect)
+        arrival = Point(33.3, 66.6)
+        assert m.add_client(arrival) == nn_join_grid([arrival], facilities)[0]

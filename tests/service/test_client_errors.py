@@ -14,8 +14,14 @@ import threading
 import pytest
 
 from repro.cli import main
-from repro.service import ClientConnectionError, ServiceClient, ServiceError
-from repro.service.protocol import E_CONNECTION
+from repro.service import (
+    BadRequestError,
+    ClientConnectionError,
+    ServiceClient,
+    ServiceError,
+)
+from repro.service.client import _unwrap
+from repro.service.protocol import E_BAD_REQUEST, E_CONNECTION
 
 
 def free_port() -> int:
@@ -87,3 +93,22 @@ class TestCallCommand:
         err = capsys.readouterr().err
         assert "error [connection]:" in err
         assert "Traceback" not in err
+
+
+class TestUnpipelinedAnswers:
+    """A null-id error answers an unpipelined call; any other id
+    mismatch stays a connection error."""
+
+    ERROR = {"code": E_BAD_REQUEST, "message": "request line too long"}
+
+    def test_null_id_error_raises_the_servers_typed_error(self):
+        with pytest.raises(BadRequestError, match="too long"):
+            _unwrap({"id": None, "ok": False, "error": self.ERROR}, expected_id=1)
+
+    def test_wrong_non_null_id_is_still_a_mismatch(self):
+        with pytest.raises(ClientConnectionError, match="does not match"):
+            _unwrap({"id": 2, "ok": False, "error": self.ERROR}, expected_id=1)
+
+    def test_null_id_success_is_still_a_mismatch(self):
+        with pytest.raises(ClientConnectionError, match="does not match"):
+            _unwrap({"id": None, "ok": True, "result": {}}, expected_id=1)

@@ -22,6 +22,7 @@ from repro.core.evaluate import evaluate_location
 from repro.core.types import fingerprint
 from repro.datasets.generators import make_instance
 from repro.service import (
+    BadRequestError,
     DeadlineExceededError,
     QueueFullError,
     ServiceClient,
@@ -174,6 +175,26 @@ class TestTypedRejections:
         assert client.health()["status"] == "serving"
         with ServiceClient(server.host, server.port) as fresh:
             assert fresh.health()["status"] == "serving"
+        # Through the client: the null-id answer is this unpipelined
+        # call's typed error, not a response-id mismatch.
+        with ServiceClient(server.host, server.port) as oversized:
+            with pytest.raises(BadRequestError, match=f"{MAX_LINE_BYTES}-byte limit"):
+                oversized.call("evaluate", workspace="static", ids=[7] * 40_000)
+
+    @pytest.mark.parametrize(
+        "action, key", [("remove_client", "cid"), ("remove_facility", "sid")]
+    )
+    @pytest.mark.parametrize("bad_id", [True, 1.0, "1"])
+    def test_non_integer_record_id_is_a_typed_bad_request(
+        self, client, action, key, bad_id
+    ):
+        """JSON ``true`` and ``1.0`` compare equal to record 1 in Python;
+        neither may name a record."""
+        before = client.stats()["workspaces"]["dyn"]
+        with pytest.raises(BadRequestError, match="integer id"):
+            client.update(action, workspace="dyn", **{key: bad_id})
+        after = client.stats()["workspaces"]["dyn"]
+        assert (after["n_c"], after["n_f"]) == (before["n_c"], before["n_f"])
 
     def test_queue_full_is_explicit(self):
         """A one-slot queue under a pipelined burst rejects loudly."""

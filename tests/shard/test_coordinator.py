@@ -134,6 +134,16 @@ def test_remove_unknown_client_is_a_bad_request(client):
     assert excinfo.value.code == "bad_request"
 
 
+@pytest.mark.parametrize("bad_cid", [True, 1.0, "1"])
+def test_non_integer_cid_is_a_bad_request(client, bad_cid):
+    """``True == 1`` in Python: a bool must not route to (or remove)
+    client 1."""
+    n_c = client.evaluate([0])[0]["n_c"]
+    with pytest.raises(BadRequestError, match="integer id"):
+        client.update("remove_client", cid=bad_cid)
+    assert client.evaluate([0])[0]["n_c"] == n_c
+
+
 def test_facility_updates_broadcast_to_every_tile(client, expected):
     added = client.update("add_facility", point=[10.0, 10.0])
     assert added["broadcast_tiles"] == N_TILES
