@@ -45,6 +45,7 @@ from typing import Optional
 
 import numpy as np
 
+from repro.core.regions import RegionClock
 from repro.core.types import Site
 from repro.core.workspace import Workspace
 from repro.geometry.rect import Rect
@@ -215,6 +216,8 @@ class DiskWorkspace:
         self.buffer_pool = buffer_pool
         self.io_latency_s = io_latency_s
         self.leaf_cache = DecodedLeafCache()
+        #: Never advances: a read-only view has no mutations to count.
+        self.region_clock = RegionClock()
         # Whatever opened before a failure is closed again on the way out.
         with ExitStack() as opened:
             self.mnd_tree = opened.enter_context(

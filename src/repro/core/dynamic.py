@@ -51,7 +51,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from repro.core.regions import RegionClock, region_covers_any
+from repro.core.regions import region_covers_any
 from repro.core.types import Client, Site
 from repro.core.workspace import Workspace
 from repro.geometry.circle import Circle
@@ -71,9 +71,6 @@ class DynamicWorkspace(Workspace):
 
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
-        #: Mutation clock with answer-scoped sub-epochs; caches key on
-        #: :meth:`RegionClock.version_for` instead of ``data_version``.
-        self.region_clock = RegionClock()
         #: Record ids in row order, beside ``client_xyd`` and
         #: ``facilities``; every update keeps them in lockstep, so an id
         #: resolves with one vectorised match instead of a record scan.
@@ -118,10 +115,8 @@ class DynamicWorkspace(Workspace):
     def _note_mutation(
         self, region: Optional[Rect], *, client_state_changed: bool
     ) -> None:
-        """Publish one mutation: bump ``data_version`` (every mutation,
-        the legacy contract) and advance the region clock's sub-epochs
-        by what the mutation can actually affect."""
-        self.data_version += 1
+        """Publish one mutation: advance the region clock's epoch, and
+        its sub-epochs by what the mutation can actually affect."""
         affects_select = region is not None and region_covers_any(
             region, self.potential_xy
         )

@@ -1,13 +1,12 @@
-"""Region clocks: mutation scoping for version-keyed caches.
+"""Region clocks: the one mutation clock every cached answer keys on.
 
-The service's result cache historically keyed every entry on one
-monotonic ``data_version`` that *every* mutation bumps, so under a
-write-heavy stream the cache is permanently cold even when most
-mutations provably cannot change any answer.  A :class:`RegionClock`
-splits that single counter by *what a mutation can actually affect*:
+Every workspace, and the shard coordinator, owns one
+:class:`RegionClock`.  A static workspace's clock never advances; a
+:class:`~repro.core.dynamic.DynamicWorkspace` advances it once per
+mutation, split by *what the mutation can actually affect*:
 
-* ``epoch`` — bumps on every mutation (the old ``data_version``
-  contract; anything that must observe all mutations keys on this);
+* ``epoch`` — bumps on every mutation; it is the ``data_version`` every
+  service response reports;
 * ``select_epoch`` — bumps only when the mutation's **affected region**
   contains at least one potential location.  ``dr(p)`` is a sum over
   clients whose NFC strictly contains ``p`` (Section III of the paper),
@@ -25,9 +24,12 @@ Facility-set changes with **zero** affected clients bump only
 cached result served across such a mutation describes the run that
 produced it; the *answer* bytes are unchanged.)
 
-The clock also records the last mutation's region so caches can evict
-by intersection (see ``ResultCache.invalidate``) and observers (the
-``mindist top`` view) can show what moved.
+:class:`~repro.service.cache.ResultCache` keys each entry on the
+sub-epoch :meth:`RegionClock.version_for` names for its operation, and
+after a mutation drops exactly the entries whose sub-epoch moved.  The
+clock also records the last mutation's region, which update responses
+report (a shard coordinator folds the tiles' regions into its own
+clock) and observers (``stats``, the ``mindist top`` view) can show.
 """
 
 from __future__ import annotations
@@ -83,6 +85,9 @@ class RegionClock:
         ``region`` is the union of the old and new NFC bounding boxes of
         every client whose state changed (``None`` when no client state
         changed — e.g. opening a facility no client is drawn to).
+        ``epoch`` moves first, so a reader on another thread that sees
+        an unchanged ``epoch`` after reading a sub-epoch read the
+        sub-epoch from before this call.
         """
         self.epoch += 1
         if affects_select:

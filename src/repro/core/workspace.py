@@ -27,6 +27,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
+from repro.core.regions import RegionClock
 from repro.core.types import Client, Site
 from repro.datasets.generators import SpatialInstance
 from repro.geometry.point import Point
@@ -88,12 +89,11 @@ class Workspace:
         self.page_size = page_size
         self.use_bulk_load = use_bulk_load
         self.io_latency_s = io_latency_s
-        #: Monotonic dataset-mutation counter.  A static workspace stays
-        #: at 0 forever; :class:`~repro.core.dynamic.DynamicWorkspace`
-        #: bumps it on every update path, so any result derived from the
-        #: dataset (the query service's versioned result cache, decoded
-        #: leaf arrays) can key on it and never survive a mutation.
-        self.data_version = 0
+        #: The mutation clock every cached answer keys on.  A static
+        #: workspace's clock never advances;
+        #: :class:`~repro.core.dynamic.DynamicWorkspace` advances it on
+        #: every update path.
+        self.region_clock = RegionClock()
         self.stats = IOStats()
         self.tracer: Tracer | NoopTracer = NOOP_TRACER
         if tracer is not None:
@@ -172,19 +172,6 @@ class Workspace:
     def invalidate_leaf_cache(self) -> None:
         """Drop every decoded leaf array (after any data mutation)."""
         self.leaf_cache.clear()
-
-    def bump_data_version(self) -> None:
-        """Record a dataset mutation.
-
-        Bumps :attr:`data_version` and drops the decoded-leaf cache, so
-        both version-keyed result caches and decoded leaves observe the
-        mutation — regardless of which structures the mutation touched
-        (in-place ``client.dnn`` updates, for instance, never pass
-        through an R-tree insert/delete and so never bump a tree
-        version).
-        """
-        self.data_version += 1
-        self.invalidate_leaf_cache()
 
     # ------------------------------------------------------------------
     # Observability

@@ -11,9 +11,13 @@ newline-delimited JSON protocol with
 * **micro-batching** — concurrent selections coalesce into single
   :meth:`~repro.exec.engine.QueryEngine.run_batch` calls, amortising
   the worker pool and the decoded-leaf cache across requests;
-* a **versioned result cache** — keyed by the workspace's
-  ``data_version``, so a ``DynamicWorkspace`` mutation invalidates by
-  construction;
+* a **versioned result cache** — keyed on each workspace's
+  :class:`~repro.core.regions.RegionClock`, so a ``DynamicWorkspace``
+  mutation invalidates exactly the answers it could change, by
+  construction, and every response reports the clock's ``epoch`` as
+  its ``data_version``;
+* **typed rejection** of malformed input, non-finite update numbers
+  included, as ``bad_request``;
 * **live telemetry** — request tracing under client-assigned trace
   ids, rolling-window metrics with an OpenMetrics exposition, a JSON
   access log and the ``mindist top`` live view (see

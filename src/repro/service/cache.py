@@ -2,27 +2,27 @@
 
 Location-selection is a repeated, interactive workload: many concurrent
 requests ask the same question of the same dataset.  The cache stores
-finished ``select`` (and ``evaluate``) results keyed by
+finished ``select``, ``partials`` and ``evaluate`` results keyed by
 
-    (workspace name, workspace ``data_version``, operation, params)
+    (workspace name, clock sub-epoch of the operation, operation, params)
 
-so a repeated request is answered without touching the engine at all —
-and a mutation, which bumps the governing version, makes every cached
-result it could have changed unreachable *by construction*.  There is
-no TTL to tune and no invalidation message to lose: staleness is
-impossible because the version is part of the key.
+where the clock is the workspace's
+:class:`~repro.core.regions.RegionClock` (the shard coordinator keeps
+its own): ``select``/``partials`` answers key on ``select_epoch``
+(bumped only when a mutation's affected region covers a potential
+location) and ``evaluate`` on ``evaluate_epoch`` (bumped when any
+client state changed).  A repeated request is answered without touching
+the engine at all, and a mutation that could change an answer moves its
+sub-epoch, which makes every cached result it could have changed
+unreachable *by construction*.  There is no TTL to tune and no
+invalidation message to lose; a spatially disjoint mutation leaves the
+matching cached answers *live*, not just lazily reclaimed.
 
-For a :class:`~repro.core.dynamic.DynamicWorkspace` the "version" is
-no longer the all-or-nothing ``data_version`` but the region clock's
-per-operation sub-epoch (:class:`~repro.core.regions.RegionClock`):
-``select``/``partials`` answers key on ``select_epoch`` (bumped only
-when a mutation's affected region covers a potential location) and
-``evaluate`` on ``evaluate_epoch`` (bumped when any client state
-changed) — so a spatially disjoint mutation leaves the matching cached
-answers *live*, not just lazily reclaimed.  :meth:`invalidate` takes
-the per-op live versions, eagerly drops only the entries whose epoch
-moved, and reports how many survived, which feeds the per-workspace
-cache-survival gauge in ``describe()``/``mindist top``.
+:meth:`ResultCache.invalidate` sweeps one workspace after a mutation:
+it drops only the entries whose sub-epoch moved and tallies how many
+were dropped and how many survived, which :meth:`ResultCache.survival`
+reports as the per-workspace cache-survival gauge of
+``describe()``/``mindist top``.
 
 Hit/miss/eviction/invalidation counts are reported into the process
 :data:`~repro.obs.registry.REGISTRY` (``service.cache.*``), next to the
@@ -37,6 +37,7 @@ import threading
 from collections import OrderedDict
 from typing import Any, Optional
 
+from repro.core.regions import RegionClock
 from repro.obs.registry import REGISTRY
 
 #: Default maximum number of cached results (LRU beyond this).
@@ -54,7 +55,7 @@ def params_key(params: dict) -> str:
 
 
 class ResultCache:
-    """An LRU cache of finished results, keyed by workspace version."""
+    """An LRU cache of finished results, keyed by region-clock version."""
 
     def __init__(self, capacity: int = DEFAULT_CAPACITY):
         if capacity < 0:
@@ -62,14 +63,16 @@ class ResultCache:
         self.capacity = capacity
         self._entries: OrderedDict[tuple, Any] = OrderedDict()
         self._lock = threading.Lock()
+        #: Per workspace: entries dropped / kept alive by its sweeps.
+        self._swept: dict[str, list[int]] = {}
         self.hits = REGISTRY.counter("service.cache.hits")
         self.misses = REGISTRY.counter("service.cache.misses")
         self.evictions = REGISTRY.counter("service.cache.evictions")
         self.invalidations = REGISTRY.counter("service.cache.invalidations")
 
     @staticmethod
-    def key(workspace: str, version: int, op: str, params: dict) -> tuple:
-        return (workspace, version, op, params_key(params))
+    def key(workspace: str, clock: RegionClock, op: str, params: dict) -> tuple:
+        return (workspace, clock.version_for(op), op, params_key(params))
 
     # ------------------------------------------------------------------
     def get(self, key: tuple) -> Optional[Any]:
@@ -93,42 +96,32 @@ class ResultCache:
                 self._entries.popitem(last=False)
                 self.evictions.inc()
 
-    def invalidate(
-        self,
-        workspace: str,
-        live_version: Optional[int] = None,
-        live_versions: Optional[dict[str, int]] = None,
-    ) -> tuple[int, int]:
-        """Eagerly drop ``workspace``'s dead entries; returns
-        ``(dropped, survived)``.
+    def invalidate(self, workspace: str, clock: RegionClock) -> tuple[int, int]:
+        """Drop ``workspace``'s entries whose sub-epoch on ``clock`` has
+        moved; returns and tallies ``(dropped, survived)``.
 
-        ``live_versions`` maps an operation name to the version still
-        current for that op (the region clock's sub-epochs): an entry
-        survives when its key version equals its op's live version —
-        i.e. when the mutation's region provably could not change its
-        answer.  ``live_version`` is the legacy single-version form
-        (applies to every op).  With neither, everything for the
-        workspace goes.  Version keying already guarantees correctness
-        without this — the eager drop only reclaims memory promptly
-        after mutations; the survivor count is what makes cache warmth
-        under churn observable.
+        Version keying already guarantees correctness without this — the
+        eager drop only reclaims memory promptly after mutations; the
+        tally is what makes cache warmth under churn observable.
         """
-
-        def alive(key: tuple) -> bool:
-            if live_versions is not None:
-                live = live_versions.get(key[2], live_version)
-            else:
-                live = live_version
-            return live is not None and key[1] == live
-
         with self._lock:
             mine = [key for key in self._entries if key[0] == workspace]
-            stale = [key for key in mine if not alive(key)]
+            stale = [key for key in mine if key[1] != clock.version_for(key[2])]
             for key in stale:
                 del self._entries[key]
+            tally = self._swept.setdefault(workspace, [0, 0])
+            tally[0] += len(stale)
+            tally[1] += len(mine) - len(stale)
         if stale:
             self.invalidations.inc(len(stale))
         return len(stale), len(mine) - len(stale)
+
+    def survival(self, workspace: str) -> Optional[float]:
+        """The share of ``workspace``'s swept entries that survived
+        their sweeps, or None before its first sweep."""
+        dropped, survived = self._swept.get(workspace, (0, 0))
+        swept = dropped + survived
+        return survived / swept if swept else None
 
     def clear(self) -> None:
         with self._lock:

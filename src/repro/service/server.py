@@ -19,18 +19,24 @@ server speaking the newline-delimited JSON protocol of
 * ``update`` tickets travel the *same* queue, so a mutation is strictly
   ordered against the selections admitted around it: batch formation
   stops at an update, the preceding batch executes, then the mutation
-  runs alone (bumping ``data_version``), then batching resumes.
+  runs alone (advancing the workspace's region clock), then batching
+  resumes.
 
-Finished results land in the shared version-keyed
-:class:`~repro.service.cache.ResultCache`; a repeated request at an
-unchanged version is answered on the connection handler without ever
-being admitted.  For a :class:`DynamicWorkspace` the governing version
-is not ``data_version`` but the region clock's per-operation sub-epoch
-(:class:`~repro.core.regions.RegionClock`): a mutation whose affected
-region misses every potential location leaves ``select``/``partials``
-answers cached, and a facility mutation that changes no client leaves
-``evaluate`` answers cached too — the cache stays *warm* under
-spatially disjoint churn instead of starting cold after every write.
+Every hosted workspace carries one :class:`~repro.core.regions.RegionClock`
+(a static workspace's never advances).  Finished ``select``,
+``partials`` and ``evaluate`` results land in the shared
+:class:`~repro.service.cache.ResultCache` keyed on the clock's
+per-operation sub-epoch, and one helper,
+:meth:`QueryService._answer`, serves them: a repeated request at an
+unchanged sub-epoch is answered on the connection handler without ever
+being admitted, and every response reports the clock's ``epoch`` as
+its ``data_version``.  A mutation whose affected region misses every
+potential location leaves ``select``/``partials`` answers cached, and a
+facility mutation that changes no client leaves ``evaluate`` answers
+cached too — the cache stays *warm* under spatially disjoint churn
+instead of starting cold after every write.  Updates reject malformed
+or non-finite numbers with a typed ``bad_request`` before touching the
+workspace.
 
 Every request is handled as its own task, so a single connection may
 pipeline many requests (responses re-associate by ``id``) — that is
@@ -48,14 +54,16 @@ the ``trace`` op.  Telemetry never changes what a query computes.
 from __future__ import annotations
 
 import asyncio
+import math
 import threading
 import time
 from dataclasses import dataclass, field
-from typing import Any, Optional
+from typing import Any, Awaitable, Callable, Optional
 
 from repro.core import METHODS, make_selector
 from repro.core.dynamic import DynamicWorkspace
 from repro.core.evaluate import evaluate_location
+from repro.core.regions import RegionClock
 from repro.exec import BufferPoolWorkspaceError, QueryEngine
 from repro.obs.openmetrics import CONTENT_TYPE
 from repro.obs.registry import REGISTRY
@@ -126,6 +134,9 @@ class WorkspaceHost:
     ):
         self.name = name
         self.workspace = workspace
+        #: The workspace's mutation clock: it keys, sweeps and reports
+        #: every cached answer of this workspace.
+        self.clock = workspace.region_clock
         self.config = config
         self.cache = cache
         self.telemetry = telemetry
@@ -150,32 +161,8 @@ class WorkspaceHost:
         self._coalesced = REGISTRY.counter("service.coalesced")
         self._expired = REGISTRY.counter("service.expired")
         self._latency = REGISTRY.histogram("service.select.latency_s")
-        #: Cumulative result-cache entries dropped / kept alive across
-        #: this workspace's mutations — the observable cache warmth.
-        self._cache_dropped = 0
-        self._cache_survived = 0
 
     # ------------------------------------------------------------------
-    @property
-    def data_version(self) -> int:
-        return getattr(self.workspace, "data_version", 0)
-
-    def version_for(self, op: str) -> int:
-        """The cache-key version governing ``op``'s answers.
-
-        Dynamic workspaces expose the region clock's per-op sub-epoch;
-        static workspaces (no clock) fall back to ``data_version``.
-        """
-        clock = getattr(self.workspace, "region_clock", None)
-        if clock is not None:
-            return clock.version_for(op)
-        return self.data_version
-
-    def live_versions(self) -> dict[str, int]:
-        return {
-            op: self.version_for(op) for op in ("select", "partials", "evaluate")
-        }
-
     def start(self) -> None:
         self._task = asyncio.get_running_loop().create_task(
             self._batch_loop(), name=f"svc-batcher-{self.name}"
@@ -259,19 +246,14 @@ class WorkspaceHost:
         live = [t for t in batch if not self._discard_if_dead(t, loop.time())]
         if not live:
             return
-        version = self.data_version
-        key_version = self.version_for("select")
+        version = self.clock.epoch
         # Coalesce duplicates: one engine execution answers every ticket
         # asking the same question of the same snapshot.
-        groups: dict[tuple, list[Ticket]] = {}
+        groups: dict[str, list[Ticket]] = {}
         for ticket in live:
-            key = self.cache.key(
-                self.name, key_version, "select", {"method": ticket.params["method"]}
-            )
-            groups.setdefault(key, []).append(ticket)
+            groups.setdefault(ticket.params["method"], []).append(ticket)
         self._coalesced.inc(len(live) - len(groups))
-        keys = list(groups)
-        methods = [groups[key][0].params["method"] for key in keys]
+        methods = list(groups)
         started = loop.time()
         traced = self.telemetry is not None and self.telemetry.enabled
         tags: Optional[list] = None
@@ -288,10 +270,10 @@ class WorkspaceHost:
             # One tag set per engine query: the first traced ticket of
             # each coalesced group lends its id to the shared span tree.
             tags = []
-            for key in keys:
+            for method in methods:
                 group_traces = [
                     t.meta["trace"]
-                    for t in groups[key]
+                    for t in groups[method]
                     if t.meta.get("trace") is not None
                 ]
                 tags.append(
@@ -317,19 +299,17 @@ class WorkspaceHost:
         self._roots.clear()
         self._batches.inc()
         self._batch_size.observe(len(live))
-        for index, (key, result) in enumerate(zip(keys, results)):
+        for index, (method, result) in enumerate(zip(methods, results)):
             wire = selection_to_wire(result)
             engine_tree = (
                 roots[index].to_dict() if index < len(roots) else None
             )
-            for ticket in groups[key]:
-                if not ticket.params.get("no_cache"):
-                    self.cache.put(key, wire)
+            for ticket in groups[method]:
                 trace = ticket.meta.get("trace")
                 if trace is not None:
                     trace.batch_size = len(live)
                     extra: dict[str, Any] = {
-                        "coalesced_with": len(groups[key]) - 1
+                        "coalesced_with": len(groups[method]) - 1
                     }
                     if engine_tree is not None:
                         extra["engine"] = engine_tree
@@ -359,16 +339,7 @@ class WorkspaceHost:
         try:
             if ticket.op == "update":
                 payload = await asyncio.to_thread(self._apply_update, ticket.params)
-                # Keyed staleness already protects correctness; the
-                # eager drop reclaims the dead epochs' memory now, and
-                # the survivor count makes cache warmth observable.
-                dropped, survived = self.cache.invalidate(
-                    self.name,
-                    live_version=self.data_version,
-                    live_versions=self.live_versions(),
-                )
-                self._cache_dropped += dropped
-                self._cache_survived += survived
+                self.cache.invalidate(self.name, self.clock)
             elif ticket.op == "evaluate":
                 payload = await asyncio.to_thread(self._apply_evaluate, ticket.params)
             elif ticket.op == "partials":
@@ -393,11 +364,10 @@ class WorkspaceHost:
                 "to accept updates"
             )
         action = params.get("action")
-        clock = getattr(ws, "region_clock", None)
-        before = clock.snapshot() if clock is not None else None
+        before = self.clock.snapshot()
         if action == "add_client":
-            point = _point_param(params)
-            client = ws.add_client(point, weight=float(params.get("weight", 1.0)))
+            point = update_point(params)
+            client = ws.add_client(point, weight=update_weight(params))
             detail: dict[str, Any] = {"cid": client.cid, "dnn": client.dnn}
         elif action == "remove_client":
             cid = record_id(params, "cid")
@@ -407,8 +377,7 @@ class WorkspaceHost:
             ws.remove_client(client)
             detail = {"cid": cid}
         elif action == "add_facility":
-            point = _point_param(params)
-            site = ws.add_facility(point)
+            site = ws.add_facility(update_point(params))
             detail = {"sid": site.sid}
         elif action == "remove_facility":
             sid = record_id(params, "sid")
@@ -422,33 +391,30 @@ class WorkspaceHost:
                 f"unknown update action {action!r}; expected add_client, "
                 "remove_client, add_facility or remove_facility"
             )
+        after = self.clock.snapshot()
         detail.update(
             {
                 "action": action,
-                "data_version": self.data_version,
+                "data_version": after["epoch"],
                 "n_c": ws.n_c,
                 "n_f": ws.n_f,
                 "n_p": ws.n_p,
+                # Which answer classes this mutation actually aged — a
+                # shard coordinator folds these into its own clock.
+                "select_changed": after["select_epoch"] != before["select_epoch"],
+                "evaluate_changed": (
+                    after["evaluate_epoch"] != before["evaluate_epoch"]
+                ),
+                "region": after["last_region"],
             }
         )
-        if clock is not None and before is not None:
-            after = clock.snapshot()
-            # Which answer classes this mutation actually aged — a shard
-            # coordinator folds these flags into its own logical epochs.
-            detail["select_changed"] = (
-                after["select_epoch"] != before["select_epoch"]
-            )
-            detail["evaluate_changed"] = (
-                after["evaluate_epoch"] != before["evaluate_epoch"]
-            )
-            detail["region"] = after["last_region"]
-        return {"result": detail, "data_version": self.data_version}
+        return {"result": detail, "data_version": after["epoch"]}
 
     def _apply_evaluate(self, params: dict) -> dict:
         ids = params.get("ids")
         if not isinstance(ids, list) or not all(isinstance(i, int) for i in ids):
             raise BadRequestError("evaluate needs 'ids': a list of candidate ids")
-        version = self.data_version
+        version = self.clock.epoch
         reports = []
         for candidate in ids:
             try:
@@ -476,12 +442,7 @@ class WorkspaceHost:
                     "nfd_sum_after": nfd_before - report.dr,
                 }
             )
-        payload = {"result": reports, "cached": False, "data_version": version}
-        key = self.cache.key(
-            self.name, self.version_for("evaluate"), "evaluate", {"ids": ids}
-        )
-        self.cache.put(key, payload)
-        return payload
+        return {"result": reports, "cached": False, "data_version": version}
 
     def _apply_partials(self, params: dict) -> dict:
         """One method's full ``dr`` vector plus I/O snapshot.
@@ -494,11 +455,11 @@ class WorkspaceHost:
         bit for bit.  Generic — any hosted workspace can answer it.
         """
         method = params["method"]
-        version = self.data_version
+        version = self.clock.epoch
         selector = make_selector(self.workspace, method)
         result = self.engine.run(selector)
         dr = selector.distance_reductions()
-        payload = {
+        return {
             "result": {
                 "method": result.method,
                 "tile_id": getattr(self.workspace, "tile_id", -1),
@@ -513,44 +474,82 @@ class WorkspaceHost:
             "cached": False,
             "data_version": version,
         }
-        key = self.cache.key(
-            self.name, self.version_for("partials"), "partials", {"method": method}
-        )
-        self.cache.put(key, payload)
-        return payload
 
     def describe(self) -> dict:
         ws = self.workspace
-        info = {
+        return {
             "n_c": ws.n_c,
             "n_f": ws.n_f,
             "n_p": ws.n_p,
-            "data_version": self.data_version,
+            "data_version": self.clock.epoch,
             "dynamic": isinstance(ws, DynamicWorkspace),
             "pending": self.queue.pending,
             "queue_depth": self.queue.depth,
             "max_pending": self.queue.max_pending,
             "engine_workers": self.engine.workers,
+            "region_clock": self.clock.snapshot(),
+            "cache_survival": self.cache.survival(self.name),
         }
-        clock = getattr(ws, "region_clock", None)
-        if clock is not None:
-            info["region_clock"] = clock.snapshot()
-        retained = self._cache_dropped + self._cache_survived
-        info["cache_survival"] = (
-            self._cache_survived / retained if retained else None
-        )
-        return info
 
 
-def _point_param(params: dict) -> tuple[float, float]:
+def _finite(value: Any) -> Optional[float]:
+    """``value`` as a float when it is a finite real number (JSON
+    ``true`` is not one), else None."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        return None
+    try:
+        number = float(value)
+    except OverflowError:  # an integer beyond the float range
+        return None
+    return number if math.isfinite(number) else None
+
+
+def update_point(params: dict) -> tuple[float, float]:
+    """The ``point`` an update names: two finite real coordinates."""
     point = params.get("point")
-    if (
-        not isinstance(point, (list, tuple))
-        or len(point) != 2
-        or not all(isinstance(v, (int, float)) for v in point)
-    ):
-        raise BadRequestError("update needs 'point': [x, y]")
-    return (float(point[0]), float(point[1]))
+    xy = (
+        [_finite(v) for v in point]
+        if isinstance(point, (list, tuple)) and len(point) == 2
+        else [None]
+    )
+    if None in xy:
+        raise BadRequestError(
+            f"update needs 'point': [x, y] of finite numbers, got {point!r}"
+        )
+    return xy[0], xy[1]
+
+
+def update_weight(params: dict) -> float:
+    """The ``weight`` an ``add_client`` names: a finite real >= 0
+    (1.0 when absent)."""
+    weight = _finite(params.get("weight", 1.0))
+    if weight is None or weight < 0:
+        raise BadRequestError(
+            "update needs 'weight': a finite number >= 0, "
+            f"got {params.get('weight')!r}"
+        )
+    return weight
+
+
+def requested_method(message: dict, trace) -> str:
+    """The request's ``method`` (MND when absent), upper-cased."""
+    method = message.get("method", "MND")
+    if not isinstance(method, str) or method.upper() not in METHODS:
+        raise UnknownMethodError(
+            f"unknown method {method!r}; expected one of "
+            f"{', '.join(sorted(METHODS))}"
+        )
+    method = method.upper()
+    if trace is not None:
+        trace.method = method
+    return method
+
+
+def _reply(request_id: Any, payload: dict) -> dict:
+    """A computed payload — ``result`` plus envelope fields such as
+    ``cached`` and ``data_version`` — as a response."""
+    envelope = {k: v for k, v in payload.items() if k != "result"}
+    return ok_response(request_id, payload["result"], **envelope)
 
 
 def record_id(params: dict, key: str) -> int:
@@ -765,46 +764,28 @@ class QueryService:
         if op == "trace":
             return ok_response(request_id, self.telemetry.trace_payload(message))
         host = self._resolve_host(message)
-        if op == "select":
-            return await self._handle_select(request_id, host, message, trace)
-        if op == "partials":
-            return await self._handle_partials(request_id, host, message, trace)
+        if op == "update":
+            params = {
+                k: v
+                for k, v in message.items()
+                if k not in ("id", "op", "workspace", "trace_id")
+            }
+            payload = await self._admit_and_wait(host, op, params, message, trace)
+            return _reply(request_id, payload)
         if op == "evaluate":
             params = {"ids": message.get("ids")}
-            started = time.perf_counter()
-            cached = self.cache.get(
-                self.cache.key(
-                    host.name, host.version_for("evaluate"), "evaluate", params
-                )
-            )
-            if trace is not None:
-                trace.add_span(
-                    "cache", time.perf_counter() - started, hit=cached is not None
-                )
-            if cached is not None:
-                if trace is not None:
-                    trace.cached = True
-                response = dict(cached)
-                response["cached"] = True
-                return ok_response(request_id, response["result"], **{
-                    k: v for k, v in response.items() if k != "result"
-                })
-            payload = await self._admit_and_wait(
-                host, "evaluate", params, message, trace
-            )
-            return ok_response(request_id, payload["result"], **{
-                k: v for k, v in payload.items() if k != "result"
-            })
-        # op == "update"
-        params = {
-            k: v
-            for k, v in message.items()
-            if k not in ("id", "op", "workspace", "trace_id")
-        }
-        payload = await self._admit_and_wait(host, "update", params, message, trace)
-        return ok_response(request_id, payload["result"], **{
-            k: v for k, v in payload.items() if k != "result"
-        })
+        else:
+            params = {"method": requested_method(message, trace)}
+        return await self._answer(
+            request_id,
+            message,
+            trace,
+            host.name,
+            host.clock,
+            op,
+            params,
+            lambda: self._admit_and_wait(host, op, params, message, trace),
+        )
 
     def _resolve_host(self, message: dict) -> WorkspaceHost:
         name = message.get("workspace", "default")
@@ -815,80 +796,51 @@ class QueryService:
             )
         return host
 
-    async def _handle_select(
-        self, request_id: Any, host: WorkspaceHost, message: dict, trace=None
+    async def _answer(
+        self,
+        request_id: Any,
+        message: dict,
+        trace,
+        name: str,
+        clock: RegionClock,
+        op: str,
+        params: dict,
+        compute: Callable[[], Awaitable[dict]],
     ) -> dict:
-        method = message.get("method", "MND")
-        if not isinstance(method, str) or method.upper() not in METHODS:
-            raise UnknownMethodError(
-                f"unknown method {method!r}; expected one of "
-                f"{', '.join(sorted(METHODS))}"
-            )
-        method = method.upper()
-        if trace is not None:
-            trace.method = method
-        no_cache = bool(message.get("no_cache", False))
-        if not no_cache:
-            key = self.cache.key(
-                host.name, host.version_for("select"), "select", {"method": method}
-            )
+        """One ``select``/``partials``/``evaluate`` response, cached or
+        computed.
+
+        A hit reports the clock's ``epoch`` now.  A miss returns
+        ``compute``'s payload (``result`` plus envelope fields, its
+        ``data_version`` the epoch the answer was computed at) and
+        stores the result under the clock as that answer saw it.
+        ``no_cache`` skips both the lookup and the store.
+        """
+        use_cache = not message.get("no_cache", False)
+        if use_cache:
             started = time.perf_counter()
-            cached = self.cache.get(key)
+            result = self.cache.get(self.cache.key(name, clock, op, params))
             if trace is not None:
                 trace.add_span(
-                    "cache", time.perf_counter() - started, hit=cached is not None
+                    "cache", time.perf_counter() - started, hit=result is not None
                 )
-            if cached is not None:
+            if result is not None:
                 if trace is not None:
                     trace.cached = True
                 return ok_response(
-                    request_id,
-                    cached,
-                    cached=True,
-                    data_version=host.data_version,
+                    request_id, result, cached=True, data_version=clock.epoch
                 )
-        payload = await self._admit_and_wait(
-            host, "select", {"method": method, "no_cache": no_cache}, message, trace
-        )
-        return ok_response(request_id, payload["result"], **{
-            k: v for k, v in payload.items() if k != "result"
-        })
-
-    async def _handle_partials(
-        self, request_id: Any, host: WorkspaceHost, message: dict, trace=None
-    ) -> dict:
-        method = message.get("method", "MND")
-        if not isinstance(method, str) or method.upper() not in METHODS:
-            raise UnknownMethodError(
-                f"unknown method {method!r}; expected one of "
-                f"{', '.join(sorted(METHODS))}"
-            )
-        method = method.upper()
-        if trace is not None:
-            trace.method = method
-        key = self.cache.key(
-            host.name, host.version_for("partials"), "partials", {"method": method}
-        )
-        started = time.perf_counter()
-        cached = self.cache.get(key)
-        if trace is not None:
-            trace.add_span(
-                "cache", time.perf_counter() - started, hit=cached is not None
-            )
-        if cached is not None:
-            if trace is not None:
-                trace.cached = True
-            response = dict(cached)
-            response["cached"] = True
-            return ok_response(request_id, response["result"], **{
-                k: v for k, v in response.items() if k != "result"
-            })
-        payload = await self._admit_and_wait(
-            host, "partials", {"method": method}, message, trace
-        )
-        return ok_response(request_id, payload["result"], **{
-            k: v for k, v in payload.items() if k != "result"
-        })
+        payload = await compute()
+        if use_cache:
+            # A mutation may have run (or be running, on a worker
+            # thread) since the answer was computed.  Read the key
+            # first, then the epoch, which ``RegionClock.advance`` moves
+            # before any sub-epoch: an unchanged epoch means the key is
+            # the one the answer saw.
+            key = self.cache.key(name, clock, op, params)
+            if clock.epoch == payload["data_version"]:
+                self.cache.put(key, payload["result"])
+        return _reply(request_id, payload)
 
     async def _admit_and_wait(
         self, host: WorkspaceHost, op: str, params: dict, message: dict, trace=None

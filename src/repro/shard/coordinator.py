@@ -20,12 +20,16 @@ count.
   cids), falling back to a tile-order probe only when the topology
   carries no directory; facility changes broadcast to every tile
   sequentially in tile order (facilities are replicated, so sids stay
-  aligned across tiles).  Every successful update bumps the
-  coordinator's *logical* ``data_version``; the shards' region clocks
-  report back ``select_changed``/``evaluate_changed`` flags, which
-  advance the coordinator's own per-operation epochs — the result
-  cache keys on those, so a spatially disjoint mutation on one tile
-  leaves the fleet-wide cached answers warm;
+  aligned across tiles).  Points and weights are checked before any
+  tile sees them.  Every successful update advances the coordinator's
+  own :class:`~repro.core.regions.RegionClock` by the
+  ``select_changed``/``evaluate_changed`` flags and regions the tiles'
+  clocks report (ORed and united across a broadcast); the result cache
+  keys ``select`` and ``evaluate`` answers on it through the same
+  helper a :class:`~repro.service.server.QueryService` uses, so a
+  spatially disjoint mutation on one tile leaves the fleet-wide cached
+  answers warm, and every response's ``data_version`` is the clock's
+  ``epoch``;
 * any transport failure to a shard surfaces as a typed
   ``shard_unavailable`` error — the coordinator never serves a partial
   answer — and the failed link reconnects lazily on the next request,
@@ -44,8 +48,9 @@ import time
 from dataclasses import dataclass
 from typing import Any, Optional, Sequence
 
-from repro.core import METHODS
+from repro.core.regions import RegionClock
 from repro.core.types import Site
+from repro.geometry.rect import Rect
 from repro.obs.openmetrics import CONTENT_TYPE
 from repro.obs.registry import REGISTRY
 from repro.service.cache import ResultCache
@@ -56,7 +61,6 @@ from repro.service.protocol import (
     ClientConnectionError,
     ServiceError,
     ShardUnavailableError,
-    UnknownMethodError,
     UnknownWorkspaceError,
     ok_response,
     selection_to_wire,
@@ -66,6 +70,9 @@ from repro.service.server import (
     ServiceConfig,
     ServiceHandle,
     record_id,
+    requested_method,
+    update_point,
+    update_weight,
 )
 from repro.service.telemetry import ServiceTelemetry
 from repro.shard.executor import assign_tiles
@@ -267,17 +274,10 @@ class ShardCoordinator(QueryService):
             op: REGISTRY.counter(f"service.requests.{op}") for op in OPERATIONS
         }
         self._connections = REGISTRY.gauge("service.connections")
-        #: The logical dataset version: bumped on every successful
-        #: update, so version-keyed cache entries die by construction.
-        self.data_version = 0
-        #: Per-operation logical epochs, advanced by the shard-reported
-        #: ``select_changed``/``evaluate_changed`` flags: a mutation
-        #: that provably changed no answer of a class leaves that
-        #: class's cached fleet-wide results live.
-        self.select_epoch = 0
-        self.evaluate_epoch = 0
-        self._cache_dropped = 0
-        self._cache_survived = 0
+        #: The fleet's mutation clock, advanced by the flags the tiles
+        #: report: a mutation that provably changed no answer of a
+        #: class leaves that class's cached fleet-wide results live.
+        self.region_clock = RegionClock()
         self.links = {
             shard.name: ShardLink(
                 shard,
@@ -379,77 +379,51 @@ class ShardCoordinator(QueryService):
     # select / evaluate
     # ------------------------------------------------------------------
     async def _coord_select(self, request_id, message: dict, trace) -> dict:
-        method = message.get("method", "MND")
-        if not isinstance(method, str) or method.upper() not in METHODS:
-            raise UnknownMethodError(
-                f"unknown method {method!r}; expected one of "
-                f"{', '.join(sorted(METHODS))}"
-            )
-        method = method.upper()
-        if trace is not None:
-            trace.method = method
-        no_cache = bool(message.get("no_cache", False))
-        key = self.cache.key(
-            self.topology.workspace, self.select_epoch, "select", {"method": method}
-        )
-        if not no_cache:
+        method = requested_method(message, trace)
+
+        async def merged() -> dict:
+            version = self.region_clock.epoch
+            trace_id = trace.trace_id if trace is not None else None
             started = time.perf_counter()
-            cached = self.cache.get(key)
+            partials = await self._scatter(
+                lambda tile_id: self._fetch_partial(tile_id, method, trace_id),
+                range(self.topology.n_tiles),
+            )
+            scatter_s = time.perf_counter() - started
+            started = time.perf_counter()
+            result = merge_partials(partials, self.topology.potentials)
+            wire = selection_to_wire(result)
             if trace is not None:
                 trace.add_span(
-                    "cache", time.perf_counter() - started, hit=cached is not None
+                    "scatter",
+                    scatter_s,
+                    tiles=self.topology.n_tiles,
+                    shards=len(self.topology.shards),
                 )
-            if cached is not None:
-                if trace is not None:
-                    trace.cached = True
-                return ok_response(
-                    request_id, cached, cached=True, data_version=self.data_version
-                )
-        version = self.data_version
-        trace_id = trace.trace_id if trace is not None else None
-        started = time.perf_counter()
-        partials = await self._scatter(
-            lambda tile_id: self._fetch_partial(tile_id, method, trace_id),
-            range(self.topology.n_tiles),
-        )
-        scatter_s = time.perf_counter() - started
-        started = time.perf_counter()
-        result = merge_partials(partials, self.topology.potentials)
-        wire = selection_to_wire(result)
-        if trace is not None:
-            trace.add_span(
-                "scatter",
-                scatter_s,
-                tiles=self.topology.n_tiles,
-                shards=len(self.topology.shards),
-            )
-            trace.add_span("merge", time.perf_counter() - started)
-        if not no_cache:
-            self.cache.put(key, wire)
-        return ok_response(
+                trace.add_span("merge", time.perf_counter() - started)
+            return {
+                "result": wire,
+                "cached": False,
+                "data_version": version,
+                "shards": len(self.topology.shards),
+                "tiles": self.topology.n_tiles,
+            }
+
+        return await self._answer(
             request_id,
-            wire,
-            cached=False,
-            data_version=version,
-            shards=len(self.topology.shards),
-            tiles=self.topology.n_tiles,
+            message,
+            trace,
+            self.topology.workspace,
+            self.region_clock,
+            "select",
+            {"method": method},
+            merged,
         )
 
     async def _coord_evaluate(self, request_id, message: dict, trace) -> dict:
         ids = message.get("ids")
         if not isinstance(ids, list) or not all(isinstance(i, int) for i in ids):
             raise BadRequestError("evaluate needs 'ids': a list of candidate ids")
-        version = self.data_version
-        key = self.cache.key(
-            self.topology.workspace, self.evaluate_epoch, "evaluate", {"ids": ids}
-        )
-        cached = self.cache.get(key)
-        if cached is not None:
-            if trace is not None:
-                trace.cached = True
-            return ok_response(
-                request_id, cached, cached=True, data_version=version
-            )
         trace_id = trace.trace_id if trace is not None else None
 
         def _tile_reports(tile_id: int) -> list[dict]:
@@ -462,10 +436,25 @@ class ShardCoordinator(QueryService):
             )
             return response["result"]
 
-        per_tile = await self._scatter(_tile_reports, range(self.topology.n_tiles))
-        merged = merge_evaluate_reports(per_tile)
-        self.cache.put(key, merged)
-        return ok_response(request_id, merged, cached=False, data_version=version)
+        async def merged() -> dict:
+            version = self.region_clock.epoch
+            per_tile = await self._scatter(_tile_reports, range(self.topology.n_tiles))
+            return {
+                "result": merge_evaluate_reports(per_tile),
+                "cached": False,
+                "data_version": version,
+            }
+
+        return await self._answer(
+            request_id,
+            message,
+            trace,
+            self.topology.workspace,
+            self.region_clock,
+            "evaluate",
+            {"ids": ids},
+            merged,
+        )
 
     # ------------------------------------------------------------------
     # update
@@ -486,26 +475,14 @@ class ShardCoordinator(QueryService):
             )
             return response["result"]
 
-        # A shard that predates region clocks reports no flags; assume
-        # the conservative "everything changed".
-        select_changed = True
-        evaluate_changed = True
         if action == "add_client":
-            point = message.get("point")
-            if (
-                not isinstance(point, (list, tuple))
-                or len(point) != 2
-                or not all(isinstance(v, (int, float)) for v in point)
-            ):
-                raise BadRequestError("update needs 'point': [x, y]")
-            tile_id = self.topology.plan.route(float(point[0]), float(point[1]))
-            params: dict[str, Any] = {"point": list(point)}
-            if "weight" in message:
-                params["weight"] = message["weight"]
-            detail = await asyncio.to_thread(_tile_update, tile_id, **params)
+            x, y = update_point(message)
+            tile_id = self.topology.plan.route(x, y)
+            detail = await asyncio.to_thread(
+                _tile_update, tile_id, point=[x, y], weight=update_weight(message)
+            )
             detail["tile_id"] = tile_id
-            select_changed = bool(detail.get("select_changed", True))
-            evaluate_changed = bool(detail.get("evaluate_changed", True))
+            details = [detail]
         elif action == "remove_client":
             cid = record_id(message, "cid")
             tile_id = self._route_cid(cid)
@@ -538,51 +515,46 @@ class ShardCoordinator(QueryService):
                     raise BadRequestError(
                         f"no client with cid {cid!r} on any tile"
                     )
-            select_changed = bool(detail.get("select_changed", True))
-            evaluate_changed = bool(detail.get("evaluate_changed", True))
+            details = [detail]
         elif action in ("add_facility", "remove_facility"):
             # Facilities are replicated: broadcast sequentially in tile
             # order so every tile applies the same mutation in the same
-            # sequence and sids stay aligned fleet-wide.  The flags OR
-            # across tiles: one affected tile ages the fleet answer.
-            params = {
-                k: v
-                for k, v in message.items()
-                if k not in ("id", "op", "workspace", "action", "trace_id")
-            }
-            detail = None
-            select_changed = False
-            evaluate_changed = False
-            for tile_id in range(self.topology.n_tiles):
-                detail = await asyncio.to_thread(_tile_update, tile_id, **params)
-                select_changed |= bool(detail.get("select_changed", True))
-                evaluate_changed |= bool(detail.get("evaluate_changed", True))
-            assert detail is not None
+            # sequence and sids stay aligned fleet-wide.
+            params = (
+                {"point": list(update_point(message))}
+                if action == "add_facility"
+                else {"sid": record_id(message, "sid")}
+            )
+            details = [
+                await asyncio.to_thread(_tile_update, tile_id, **params)
+                for tile_id in range(self.topology.n_tiles)
+            ]
+            detail = details[-1]
             detail["broadcast_tiles"] = self.topology.n_tiles
         else:
             raise BadRequestError(
                 f"unknown update action {action!r}; expected add_client, "
                 "remove_client, add_facility or remove_facility"
             )
-        self.data_version += 1
-        if select_changed:
-            self.select_epoch += 1
-        if evaluate_changed:
-            self.evaluate_epoch += 1
-        dropped, survived = self.cache.invalidate(
-            self.topology.workspace,
-            live_version=self.data_version,
-            live_versions={
-                "select": self.select_epoch,
-                "evaluate": self.evaluate_epoch,
-            },
+        # One affected tile ages the fleet answer: the flags OR and the
+        # regions unite across the tiles that applied the mutation.
+        select_changed = any(d["select_changed"] for d in details)
+        evaluate_changed = any(d["evaluate_changed"] for d in details)
+        regions = [Rect(*d["region"]) for d in details if d["region"] is not None]
+        self.region_clock.advance(
+            Rect.union_all(regions) if regions else None,
+            affects_select=select_changed,
+            affects_evaluate=evaluate_changed,
         )
-        self._cache_dropped += dropped
-        self._cache_survived += survived
-        detail["data_version"] = self.data_version
-        detail["select_changed"] = select_changed
-        detail["evaluate_changed"] = evaluate_changed
-        return ok_response(request_id, detail, data_version=self.data_version)
+        self.cache.invalidate(self.topology.workspace, self.region_clock)
+        after = self.region_clock.snapshot()
+        detail.update(
+            data_version=after["epoch"],
+            select_changed=select_changed,
+            evaluate_changed=evaluate_changed,
+            region=after["last_region"],
+        )
+        return ok_response(request_id, detail, data_version=after["epoch"])
 
     def _route_cid(self, cid: int) -> Optional[int]:
         """The owning tile of ``cid`` per the partition plan, or None
@@ -634,20 +606,18 @@ class ShardCoordinator(QueryService):
             if self._draining
             else ("degraded" if degraded else "serving")
         )
-        base["data_version"] = self.data_version
+        base["data_version"] = self.region_clock.epoch
         base["shards"] = shards
         return base
 
     def _stats(self, message: Optional[dict] = None) -> dict:
         payload = super()._stats(message)
+        clock = self.region_clock
         payload["role"] = "coordinator"
-        payload["data_version"] = self.data_version
-        payload["select_epoch"] = self.select_epoch
-        payload["evaluate_epoch"] = self.evaluate_epoch
-        retained = self._cache_dropped + self._cache_survived
-        payload["cache_survival"] = (
-            self._cache_survived / retained if retained else None
-        )
+        payload["data_version"] = clock.epoch
+        payload["select_epoch"] = clock.select_epoch
+        payload["evaluate_epoch"] = clock.evaluate_epoch
+        payload["cache_survival"] = self.cache.survival(self.topology.workspace)
         payload["shards"] = {
             shard.name: {
                 "address": [shard.host, shard.port],

@@ -1,13 +1,14 @@
-"""``data_version`` and scoped leaf invalidation under mutations.
+"""The region clock's epoch and scoped leaf invalidation under mutations.
 
 Version-keyed caches (the service's result cache) rely on one contract:
-*no* dataset mutation may leave ``data_version`` unchanged, and no query
-after a mutation may be served stale decoded leaf arrays.  Since the
-churn engine landed, a ``DynamicWorkspace`` mutation no longer clears
-the decoded-leaf cache wholesale — the trees report exactly the node
-ids they dirtied (``RTree.bind_leaf_cache``) and everything else stays
-warm — so these tests pin the *observable* contract: versions bump,
-answers match a from-scratch oracle, and untouched decodes survive.
+*no* dataset mutation may leave ``region_clock.epoch`` unchanged, and
+no query after a mutation may be served stale decoded leaf arrays.
+Since the churn engine landed, a ``DynamicWorkspace`` mutation no
+longer clears the decoded-leaf cache wholesale — the trees report
+exactly the node ids they dirtied (``RTree.bind_leaf_cache``) and
+everything else stays warm — so these tests pin the *observable*
+contract: epochs advance, answers match a from-scratch oracle, and
+untouched decodes survive.
 """
 
 from __future__ import annotations
@@ -37,22 +38,13 @@ def oracle_dr(ws, method: str) -> float:
 
 class TestStaticWorkspace:
     def test_starts_at_version_zero(self, small_instance):
-        assert Workspace(small_instance).data_version == 0
-
-    def test_bump_is_monotonic_and_clears_leaves(self, small_instance):
-        ws = Workspace(small_instance)
-        warm_leaf_cache(ws)
-        assert len(ws.leaf_cache) > 0
-        ws.bump_data_version()
-        assert ws.data_version == 1
-        assert len(ws.leaf_cache) == 0
-        ws.bump_data_version()
-        assert ws.data_version == 2
+        clock = Workspace(small_instance).region_clock
+        assert (clock.epoch, clock.select_epoch, clock.evaluate_epoch) == (0, 0, 0)
 
 
 class TestDynamicMutationsBump:
-    def _check(self, ws, before_version):
-        assert ws.data_version > before_version
+    def _check(self, ws, before_epoch):
+        assert ws.region_clock.epoch == before_epoch + 1
         # No stale decode may survive: the post-mutation answer must
         # match a from-scratch workspace over the same (mutated) data
         # (approx: the rebuilt tree's leaf grouping can regroup the
@@ -63,28 +55,28 @@ class TestDynamicMutationsBump:
     def test_add_client(self):
         ws = fresh_ws()
         warm_leaf_cache(ws)
-        before = ws.data_version
+        before = ws.region_clock.epoch
         ws.add_client(Point(123.4, 567.8))
         self._check(ws, before)
 
     def test_remove_client(self):
         ws = fresh_ws()
         warm_leaf_cache(ws)
-        before = ws.data_version
+        before = ws.region_clock.epoch
         ws.remove_client(ws.clients[7])
         self._check(ws, before)
 
     def test_add_facility(self):
         ws = fresh_ws()
         warm_leaf_cache(ws)
-        before = ws.data_version
+        before = ws.region_clock.epoch
         ws.add_facility(Point(200.0, 300.0))
         self._check(ws, before)
 
     def test_remove_facility(self):
         ws = fresh_ws()
         warm_leaf_cache(ws)
-        before = ws.data_version
+        before = ws.region_clock.epoch
         ws.remove_facility(ws.facilities[3])
         self._check(ws, before)
 

@@ -5,7 +5,9 @@ method, the ``p*`` and ``dr`` that come back over the wire — batched,
 cached or cache-cold — must be byte-identical to a serial in-process
 ``select()`` on an identically-seeded workspace, and a workspace
 mutation between two identical requests must provably invalidate the
-cached result.
+cached result.  The tests marked ``smoke`` (CI: ``pytest -m smoke
+tests/service``) cover wire parity, micro-batching, cache hits and
+invalidation, ``queue_full`` admission and a graceful drain.
 """
 
 from __future__ import annotations
@@ -17,6 +19,7 @@ import threading
 import pytest
 
 from repro.core import METHODS, Workspace, make_selector
+from repro.core.diskmode import DiskWorkspace, persist_indexes
 from repro.core.dynamic import DynamicWorkspace
 from repro.core.evaluate import evaluate_location
 from repro.core.types import fingerprint
@@ -37,6 +40,33 @@ from repro.service.server import MAX_LINE_BYTES
 
 SEED = 11
 SIZES = dict(n_c=800, n_f=40, n_p=60)
+
+NAN, INF = float("nan"), float("inf")
+#: Updates whose numbers must be rejected: a NaN or infinite coordinate
+#: or weight turns every ``dr`` into NaN, a weight must be a number
+#: >= 0, and JSON ``true`` is not a number.
+MALFORMED_UPDATES = [
+    pytest.param(
+        "add_client", {"point": [1.0, 2.0], "weight": bad}, id=f"weight-{name}"
+    )
+    for name, bad in [
+        ("nan", NAN),
+        ("inf", INF),
+        ("str", "abc"),
+        ("null", None),
+        ("list", [1]),
+        ("negative", -1.0),
+        ("bool", True),
+    ]
+] + [
+    pytest.param(action, {"point": point}, id=f"{action}-{name}")
+    for action in ("add_client", "add_facility")
+    for name, point in [
+        ("nan", [NAN, 2.0]),
+        ("inf", [1.0, -INF]),
+        ("overflow", [10**400, 2.0]),
+    ]
+]
 
 
 @pytest.fixture(scope="module")
@@ -73,6 +103,7 @@ class TestWireParity:
         assert not answer.cached
         assert fingerprint(answer.result) == expected[method]
 
+    @pytest.mark.smoke
     def test_batched_answers_are_byte_identical(self, client, expected):
         methods = sorted(METHODS)
         answers = client.select_many(methods, workspace="static", no_cache=True)
@@ -81,6 +112,7 @@ class TestWireParity:
         # A pipelined burst within one window coalesces into one batch.
         assert any(a.batch_size and a.batch_size > 1 for a in answers)
 
+    @pytest.mark.smoke
     def test_cached_answers_are_byte_identical(self, client, expected):
         for method in sorted(METHODS):
             client.select(method, workspace="static")  # prime
@@ -88,6 +120,7 @@ class TestWireParity:
             assert answer.cached
             assert fingerprint(answer.result) == expected[method]
 
+    @pytest.mark.smoke
     def test_concurrent_clients_all_get_the_same_answer(self, server, expected):
         failures: list[str] = []
         lock = threading.Lock()
@@ -121,8 +154,26 @@ class TestWireParity:
         assert report["dr"] == local.dr
         assert report["influence_count"] == local.influence_count
 
+    def test_served_disk_workspace_repeats_hit_the_cache_at_epoch_zero(
+        self, tmp_path, expected
+    ):
+        """A read-only disk workspace carries a clock that never moves,
+        so its repeated selects are cache hits at ``data_version`` 0."""
+        instance = make_instance(rng=SEED, **SIZES)
+        persisted = persist_indexes(Workspace(instance), tmp_path)
+        with DiskWorkspace(persisted) as disk:
+            with serve_in_thread({"default": disk}, ServiceConfig(workers=1)) as handle:
+                with ServiceClient(handle.host, handle.port) as c:
+                    cold = c.select("MND")
+                    warm = c.select("MND")
+                    clock = c.stats()["workspaces"]["default"]["region_clock"]
+        assert (cold.cached, warm.cached) == (False, True)
+        assert cold.data_version == warm.data_version == clock["epoch"] == 0
+        assert fingerprint(warm.result) == expected["MND"]
+
 
 class TestCacheInvalidation:
+    @pytest.mark.smoke
     def test_mutation_between_identical_requests_invalidates(self, client):
         """Prime the cache, mutate, and prove the repeat recomputed."""
         before = client.select("MND", workspace="dyn")
@@ -138,6 +189,26 @@ class TestCacheInvalidation:
         assert after.data_version == report["data_version"]
         # And the repeat at the *new* version caches again.
         assert client.select("MND", workspace="dyn").cached
+
+    def test_cached_answers_report_the_current_data_version(self, client):
+        """A far facility moves the clock's epoch but no sub-epoch: the
+        cached select, evaluate and partials answers survive it and
+        report the new ``data_version``, not the one they were
+        computed at."""
+        client.select("MND", workspace="dyn")
+        client.call("evaluate", workspace="dyn", ids=[0])
+        client.partials("MND", workspace="dyn")
+        far = client.update("add_facility", workspace="dyn", point=[1e9, 1e9])
+        assert (far["select_changed"], far["evaluate_changed"]) == (False, False)
+        select = client.select("MND", workspace="dyn")
+        assert select.cached and select.data_version == far["data_version"]
+        for response in (
+            client.call("evaluate", workspace="dyn", ids=[0]),
+            client.partials("MND", workspace="dyn"),
+        ):
+            assert response["cached"] is True
+            assert response["data_version"] == far["data_version"]
+        client.update("remove_facility", workspace="dyn", sid=far["sid"])
 
     def test_update_rejected_on_static_workspaces(self, client):
         with pytest.raises(UnsupportedError, match="static"):
@@ -196,6 +267,18 @@ class TestTypedRejections:
         after = client.stats()["workspaces"]["dyn"]
         assert (after["n_c"], after["n_f"]) == (before["n_c"], before["n_f"])
 
+    @pytest.mark.parametrize("action, params", MALFORMED_UPDATES)
+    def test_non_finite_or_malformed_update_numbers_are_bad_requests(
+        self, client, action, params
+    ):
+        before = client.stats()["workspaces"]["dyn"]
+        with pytest.raises(BadRequestError, match="finite"):
+            client.update(action, workspace="dyn", **params)
+        after = client.stats()["workspaces"]["dyn"]
+        assert after["data_version"] == before["data_version"]
+        assert (after["n_c"], after["n_f"]) == (before["n_c"], before["n_f"])
+
+    @pytest.mark.smoke
     def test_queue_full_is_explicit(self):
         """A one-slot queue under a pipelined burst rejects loudly."""
         ws = DynamicWorkspace(make_instance(rng=SEED, **SIZES))
@@ -229,6 +312,7 @@ class TestIntrospection:
         assert stats["workspaces"]["static"]["n_c"] == SIZES["n_c"]
         assert stats["workspaces"]["static"]["max_pending"] == 64
 
+    @pytest.mark.smoke
     def test_graceful_drain_answers_everything_admitted(self, expected):
         """stop(drain=True) lets in-flight selections finish."""
         ws = Workspace(make_instance(rng=SEED, **SIZES))

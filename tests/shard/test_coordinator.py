@@ -2,7 +2,11 @@
 
 One module-scoped fleet (two shard servers + a coordinator over a
 four-tile partition) backs the happy-path tests; the failure tests boot
-their own fleet so killing a shard cannot poison later tests.
+their own fleet so killing a shard cannot poison later tests.  The
+tests marked ``smoke`` (CI: ``pytest -m smoke tests/shard``) cover
+fan-out parity, the coordinator cache and its clock under disjoint and
+covering updates, update routing, trace grafting and a shard kill and
+rejoin.
 """
 
 from __future__ import annotations
@@ -28,6 +32,7 @@ from repro.shard.coordinator import (
 )
 from repro.shard.executor import assign_tiles, serial_reference
 from repro.shard.partition import partition_workspace
+from tests.service.test_server import MALFORMED_UPDATES
 
 CONFIG = ExperimentConfig(n_c=400, n_f=30, n_p=40)
 N_TILES = 4
@@ -77,12 +82,14 @@ def client(fleet):
         yield c
 
 
+@pytest.mark.smoke
 @pytest.mark.parametrize("method", sorted(METHODS))
 def test_tcp_answers_match_the_serial_reference(client, expected, method):
     response = client.select(method, no_cache=True)
     assert fingerprint(response.result) == expected[method]
 
 
+@pytest.mark.smoke
 def test_repeat_select_hits_the_coordinator_cache(client, expected):
     cold = client.select("MND")
     warm = client.select("MND")
@@ -113,6 +120,7 @@ def test_evaluate_merges_per_tile_reports(client, partition):
     assert all(r["n_c"] == n_c for r in reports)
 
 
+@pytest.mark.smoke
 def test_update_routes_bumps_version_and_invalidates(client, expected):
     before = client.select("MND")
     added = client.update("add_client", point=[250.0, 250.0])
@@ -152,6 +160,7 @@ def test_facility_updates_broadcast_to_every_tile(client, expected):
     assert fingerprint(restored.result) == expected["NFC"]
 
 
+@pytest.mark.smoke
 def test_one_trace_spans_coordinator_and_shards(client):
     client.select("SS", no_cache=True, trace_id="graft-test")
     traces = client.trace(trace_id="graft-test")
@@ -172,6 +181,7 @@ def test_health_and_stats_report_the_fleet(client):
     assert all(s["connected"] for s in stats["shards"].values())
 
 
+@pytest.mark.smoke
 def test_killed_shard_yields_typed_error_then_rejoins(partition):
     groups = assign_tiles(N_TILES, N_SHARDS)
     shard_handles, coordinator = start_fleet(partition, groups)
@@ -286,3 +296,57 @@ def test_connect_retries_reject_negative_and_bound_attempts():
             connect_retries=2, retry_delay_s=0.01,
         )
     assert "3 attempt(s)" in str(excinfo.value)
+
+
+@pytest.mark.parametrize("action, params", MALFORMED_UPDATES)
+def test_non_finite_or_malformed_update_numbers_are_bad_requests(
+    client, action, params
+):
+    """Checked at the coordinator, before any tile is routed to."""
+    version = client.stats()["data_version"]
+    n_c = client.evaluate([0])[0]["n_c"]
+    with pytest.raises(BadRequestError, match="finite"):
+        client.update(action, **params)
+    assert client.stats()["data_version"] == version
+    assert client.evaluate([0])[0]["n_c"] == n_c
+
+
+@pytest.mark.smoke
+def test_disjoint_add_client_keeps_the_fleet_select_cache_warm(client, partition):
+    """A client arriving exactly on a facility has a one-point NFC that
+    covers no potential: the fleet's cached select survives it.  One
+    arriving on a potential covers it and retires the cached select."""
+    facility = partition.tiles[0].facilities[0]
+    potential = partition.potentials[0]
+    client.select("MND")
+    assert client.select("MND").cached
+    before = client.stats()
+    disjoint = client.update("add_client", point=[facility.x, facility.y])
+    assert disjoint["select_changed"] is False
+    warm = client.select("MND")
+    assert warm.cached and warm.data_version == disjoint["data_version"]
+    covering = client.update("add_client", point=[potential.x, potential.y])
+    assert covering["select_changed"] is True
+    assert not client.select("MND").cached
+    after = client.stats()
+    assert after["data_version"] == before["data_version"] + 2
+    assert after["select_epoch"] == before["select_epoch"] + 1
+    assert after["cache_survival"] > 0.0
+    for added in (disjoint, covering):
+        client.update("remove_client", cid=added["cid"])
+
+
+def test_coordinator_clock_scopes_cached_evaluates(client):
+    """A facility no client is drawn to changes no evaluate answer: the
+    fleet's cached evaluate survives it and reports the new
+    ``data_version``.  A client arrival changes ``n_c`` and retires it."""
+    client.evaluate([0])
+    far = client.update("add_facility", point=[1e9, 1e9])
+    assert (far["select_changed"], far["evaluate_changed"]) == (False, False)
+    warm = client.call("evaluate", ids=[0])
+    assert warm["cached"] is True and warm["data_version"] == far["data_version"]
+    added = client.update("add_client", point=[321.0, 654.0])
+    assert added["evaluate_changed"] is True
+    assert client.call("evaluate", ids=[0])["cached"] is False
+    client.update("remove_client", cid=added["cid"])
+    client.update("remove_facility", sid=far["sid"])

@@ -18,10 +18,11 @@ from repro.experiments.config import ExperimentConfig
 from repro.shard.executor import (
     ScatterGatherExecutor,
     assign_tiles,
+    compute_partial,
     serial_reference,
 )
-from repro.shard.merge import merged_distance_reductions
-from repro.shard.partition import partition_workspace
+from repro.shard.merge import merge_partials, merged_distance_reductions
+from repro.shard.partition import load_partition, partition_workspace, write_partition
 
 CONFIG = ExperimentConfig(n_c=600, n_f=40, n_p=50)
 METHODS = ("SS", "QVC", "NFC", "MND")
@@ -50,6 +51,7 @@ def references(workspace, partition):
     return out
 
 
+@pytest.mark.smoke
 @pytest.mark.parametrize("method", METHODS)
 @pytest.mark.parametrize("n_shards", [1, 2, 4])
 def test_every_shard_count_matches_the_serial_reference(
@@ -61,6 +63,29 @@ def test_every_shard_count_matches_the_serial_reference(
     assert sorted(p.tile_id for p in partials) == list(range(N_TILES))
     result = executor.run(method)
     assert fingerprint(result) == fingerprint(expected)
+    assert np.array_equal(merged_distance_reductions(partials), expected_dr)
+
+
+@pytest.fixture(scope="module")
+def reloaded(partition, tmp_path_factory):
+    """The partition written out and reopened as live dynamic tiles —
+    what ``shard serve`` hosts by default."""
+    persisted = load_partition(
+        write_partition(partition, tmp_path_factory.mktemp("partition"))
+    )
+    return persisted, persisted.load_tiles(mode="dynamic")
+
+
+@pytest.mark.smoke
+@pytest.mark.parametrize("method", METHODS)
+def test_reloaded_dynamic_tiles_merge_to_the_serial_reference(
+    reloaded, references, method
+):
+    persisted, tiles = reloaded
+    partials = [compute_partial(tiles[t], t, method) for t in sorted(tiles)]
+    merged = merge_partials(partials, persisted.potential_sites())
+    expected, expected_dr = references[method]
+    assert fingerprint(merged) == fingerprint(expected)
     assert np.array_equal(merged_distance_reductions(partials), expected_dr)
 
 
