@@ -9,8 +9,8 @@ newline-delimited JSON protocol with
 * **admission control** — a bounded per-workspace queue with explicit
   ``queue_full`` rejection, per-request deadlines and graceful drain;
 * **micro-batching** — concurrent selections coalesce into single
-  :meth:`~repro.exec.engine.QueryEngine.run_batch` calls, amortising
-  the worker pool and the decoded-leaf cache across requests;
+  :meth:`~repro.exec.engine.QueryEngine.run_batch` calls that run
+  duplicates once and share the decoded-leaf cache across requests;
 * a **versioned result cache** — keyed on each workspace's
   :class:`~repro.core.regions.RegionClock`, so a ``DynamicWorkspace``
   mutation invalidates exactly the answers it could change, by

@@ -10,12 +10,14 @@ server speaking the newline-delimited JSON protocol of
 * a **micro-batcher** pulls admitted ``select`` tickets off the queue,
   holds the batch open for a short collection window, coalesces
   duplicate requests, and executes the whole batch through one
-  :meth:`~repro.exec.engine.QueryEngine.run_batch` call — so concurrent
-  requests share the engine's worker pool and the workspace's decoded-
-  leaf cache instead of queueing behind one another serially.  Results
-  are byte-identical to serial in-process ``select()`` at any worker
-  count (the engine's determinism contract), which is what makes the
-  result cache sound in the first place;
+  :meth:`~repro.exec.engine.QueryEngine.run_batch` call off the event
+  loop — so concurrent requests share one engine call and the
+  workspace's decoded-leaf cache, and duplicates run once.  By default
+  (``workers=1``) the engine runs each batch's tasks inline on that
+  one thread.  Results are byte-identical to serial in-process
+  ``select()`` at any worker count (the engine's determinism
+  contract), which is what makes the result cache sound in the first
+  place;
 * ``update`` tickets travel the *same* queue, so a mutation is strictly
   ordered against the selections admitted around it: batch formation
   stops at an update, the preceding batch executes, then the mutation
@@ -106,8 +108,11 @@ class ServiceConfig:
     batch_window_s: float = 0.002
     #: Largest micro-batch handed to one ``run_batch`` call.
     max_batch: int = 16
-    #: Engine worker-pool size shared by each workspace's batches.
-    workers: int = 2
+    #: Engine workers per workspace; 1 runs each batch inline on one
+    #: thread.  More threads overlap only GIL-free numpy and simulated
+    #: page latency: a select is mostly short numpy calls under the GIL,
+    #: so a second thread adds hand-offs and slows every method.
+    workers: int = 1
     #: Engine executor kind (``"thread"`` or ``"process"``).
     executor: str = "thread"
     #: Deadline applied to requests that do not carry ``timeout_s``.

@@ -143,7 +143,70 @@ def client_batches(draw):
     return tuple(np.array(col) for col in zip(*rows))
 
 
+@st.composite
+def strip_batches(draw):
+    """(candidate, client) batches on both sides of the strip kernel's
+    size rule, built to reach the strip path's edge cases.
+
+    Clients sit in a few tight clusters with short ``dnn``, so some
+    candidate rows are influenced and most are not.  Single pairs are
+    then rigged into the cases the exactness argument must survive: a
+    ``dnn`` equal to ``np.hypot`` of the client's offset to a candidate
+    or one ulp above it (an exact tie or the nearest influence, also on
+    the strip's x-edge), coincident points and duplicate candidates, a
+    zero or subnormal ``dnn``, and zero weights — all around an origin
+    that may sit at ±1e6.
+    """
+    root = math.isqrt(vector.DENSE_PAIRS - 1)
+    small = draw(st.booleans())
+    sizes = st.integers(1, root) if small else st.integers(root + 1, root + 20)
+    n_p, n_c = draw(sizes), draw(sizes)
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    origin = draw(st.sampled_from([0.0, 1e6, -1e6]))
+    spread = draw(st.sampled_from([1.0, 100.0]))
+    centers = rng.uniform(0.0, 10 * spread, (draw(st.integers(1, 4)), 2))
+    c = centers[rng.integers(len(centers), size=n_c)]
+    c += rng.normal(0.0, spread, (n_c, 2))
+    cx, cy = c[:, 0] + origin, c[:, 1] + origin
+    px, py = rng.uniform(0.0, 10 * spread, (2, n_p)) + origin
+    dnn = rng.exponential(spread / 2, n_c)
+    w = rng.uniform(0.0, 10.0, n_c)
+
+    def pick():
+        return rng.integers(n_p), rng.integers(n_c)
+
+    for __ in range(draw(st.integers(0, 4))):  # ties, and one ulp past them
+        i, j = pick()
+        if draw(st.booleans()):
+            py[i] = cy[j]  # on the strip's x-edge: d == |px - cx|
+        tie = np.hypot(px[i] - cx[j], py[i] - cy[j])
+        dnn[j] = draw(st.sampled_from([tie, np.nextafter(tie, np.inf)]))
+    for __ in range(draw(st.integers(0, 3))):  # coincident points
+        i, j = pick()
+        px[i], py[i] = cx[j], cy[j]
+        dnn[j] = draw(st.sampled_from([0.0, 5e-324, 1e-310, dnn[j]]))
+        k = rng.integers(n_p)
+        px[k], py[k] = px[i], py[i]
+    for __ in range(draw(st.integers(0, 3))):  # zero or subnormal dnn
+        dnn[rng.integers(n_c)] = draw(st.sampled_from([0.0, 5e-324, 1e-310]))
+    w[rng.random(n_c) < draw(st.sampled_from([0.0, 0.3]))] = 0.0
+    return px, py, cx, cy, dnn, w
+
+
 class TestBackendEquivalence:
+    @given(batch=strip_batches())
+    @settings(max_examples=80, deadline=None)
+    def test_strip_path_matches_the_scalar_twin(self, batch):
+        px, py, cx, cy, dnn, w = batch
+        acc = assert_backends_bitwise_equal(
+            "accumulate_reductions", px, py, cx, cy, dnn, w
+        )
+        assert not np.signbit(acc).any()
+        inf = assert_backends_bitwise_equal("influence_matrix", px, py, cx, cy, dnn)
+        assert np.array_equal(
+            inf, vector.pairwise_distances(px, py, cx, cy) < dnn[None, :]
+        )
+
     @given(px=coord_batches, py=coord_batches, c=client_batches())
     @settings(max_examples=60)
     def test_distance_and_reduction_kernels(self, px, py, c):

@@ -312,6 +312,18 @@ class TestIntrospection:
         assert stats["workspaces"]["static"]["n_c"] == SIZES["n_c"]
         assert stats["workspaces"]["static"]["max_pending"] == 64
 
+    def test_default_config_runs_the_engine_inline(self, expected):
+        """A default ``ServiceConfig`` serves through one engine worker:
+        a select is mostly short numpy calls under the GIL, so a second
+        thread only adds hand-offs."""
+        ws = Workspace(make_instance(rng=SEED, **SIZES))
+        with serve_in_thread({"default": ws}, ServiceConfig()) as handle:
+            with ServiceClient(handle.host, handle.port) as c:
+                answer = c.select("MND", no_cache=True)
+                stats = c.stats()
+        assert stats["workspaces"]["default"]["engine_workers"] == 1
+        assert fingerprint(answer.result) == expected["MND"]
+
     @pytest.mark.smoke
     def test_graceful_drain_answers_everything_admitted(self, expected):
         """stop(drain=True) lets in-flight selections finish."""
