@@ -74,10 +74,8 @@ class DynamicWorkspace(Workspace):
         #: Record ids in row order, beside ``client_xyd`` and
         #: ``facilities``; every update keeps them in lockstep, so an id
         #: resolves with one vectorised match instead of a record scan.
-        self.client_cids = np.array([c.cid for c in self.clients], dtype=np.int64)
-        self.facility_sids = np.array(
-            [f.sid for f in self.facilities], dtype=np.int64
-        )
+        self.client_cids = np.arange(len(self.clients), dtype=np.int64)
+        self.facility_sids = np.arange(len(self.facilities), dtype=np.int64)
 
     # ------------------------------------------------------------------
     # Incremental maintenance plumbing
@@ -90,8 +88,8 @@ class DynamicWorkspace(Workspace):
         m = self.__dict__.get("_dnn_maintainer")
         if m is None:
             m = DnnMaintainer(
-                [Point(c.x, c.y) for c in self.clients],
-                [Point(f.x, f.y) for f in self.facilities],
+                self.client_xyd[:, :2],
+                [(f.x, f.y) for f in self.facilities],
                 dnn=self.client_xyd[:, 2],
             )
             self.__dict__["_dnn_maintainer"] = m
@@ -202,7 +200,7 @@ class DynamicWorkspace(Workspace):
             [self.client_xyd, np.array([[p[0], p[1], dnn]], dtype=np.float64)]
         )
         self.client_w = np.append(self.client_w, float(weight))
-        self._invalidate("client_file")
+        self._invalidate("client_file", "_client_rects")
         self._grow_bounds(p)
 
         point_rect = Rect.from_point(p)
@@ -230,7 +228,7 @@ class DynamicWorkspace(Workspace):
         self.client_xyd = np.delete(self.client_xyd, index, axis=0)
         self.client_w = np.delete(self.client_w, index)
         self.client_cids = np.delete(self.client_cids, index)
-        self._invalidate("client_file")
+        self._invalidate("client_file", "_client_rects")
         self._shrink_bounds(client.x, client.y)
 
         point_rect = Rect(client.x, client.y, client.x, client.y)

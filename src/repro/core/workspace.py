@@ -23,6 +23,8 @@ paper's convention of excluding index construction from query cost.
 from __future__ import annotations
 
 from functools import cached_property
+from itertools import repeat
+from operator import attrgetter
 from typing import Optional, Sequence
 
 import numpy as np
@@ -30,13 +32,10 @@ import numpy as np
 from repro.core.regions import RegionClock
 from repro.core.types import Client, Site
 from repro.datasets.generators import SpatialInstance
-from repro.geometry.point import Point
 from repro.geometry.rect import Rect
-from repro.knnjoin.grid import nn_join_grid
-from repro.knnjoin.nested_loop import nn_join_nested_loop
-from repro.knnjoin.rtree_join import nn_join_rtree
+from repro.knnjoin.grid import nn_join_columns
 from repro.obs.trace import NOOP_TRACER, NoopTracer, Tracer
-from repro.rtree.bulk import bulk_load
+from repro.rtree.bulk import load_entries, paused_gc
 from repro.rtree.mnd_tree import MNDTree
 from repro.rtree.rnn_tree import build_rnn_tree
 from repro.rtree.rtree import RTree
@@ -46,11 +45,36 @@ from repro.storage.leafcache import DecodedLeafCache
 from repro.storage.records import CLIENT_RECORD, PAGE_SIZE, POINT_RECORD, RTREE_ENTRY
 from repro.storage.stats import IOStats
 
-_JOIN_METHODS = {
-    "grid": nn_join_grid,
-    "nested_loop": nn_join_nested_loop,
-    "rtree": nn_join_rtree,
-}
+
+def _check_finite(values: np.ndarray, what: str, source: Sequence) -> np.ndarray:
+    """``values`` unchanged, or a ValueError naming the first row of
+    ``source`` that holds a NaN or an infinity."""
+    finite = np.isfinite(values)
+    if values.ndim > 1:
+        finite = finite.all(axis=1)
+    if not finite.all():
+        index = int(np.argmin(finite))
+        raise ValueError(f"{what} {index} is not finite: {source[index]!r}")
+    return values
+
+
+def _coordinates(points: Sequence, what: str) -> tuple[tuple, tuple, np.ndarray]:
+    """A point set's coordinate objects ``(xs, ys)`` and its ``(n, 2)``
+    float64 columns."""
+    xs, ys = zip(*points) if len(points) else ((), ())
+    xy = np.empty((len(xs), 2), dtype=np.float64)
+    xy[:, 0] = np.fromiter(xs, np.float64, len(xs))
+    xy[:, 1] = np.fromiter(ys, np.float64, len(ys))
+    return xs, ys, _check_finite(xy, what, points)
+
+
+def _site_xy(sites: Sequence[Site]) -> np.ndarray:
+    return np.array([(s.x, s.y) for s in sites], dtype=np.float64).reshape(-1, 2)
+
+
+def _point_bounds(xy: np.ndarray) -> np.ndarray:
+    """Degenerate ``(x, y, x, y)`` MBR rows of point coordinates."""
+    return np.column_stack((xy, xy))
 
 
 class Workspace:
@@ -68,7 +92,6 @@ class Workspace:
         page_size: int = PAGE_SIZE,
         buffer_pool_pages: Optional[int] = None,
         use_bulk_load: bool = True,
-        join_method: str = "grid",
         io_latency_s: float = DEFAULT_IO_LATENCY_S,
         precomputed_dnn: Optional[Sequence[float]] = None,
         tracer: Optional[Tracer] = None,
@@ -80,11 +103,6 @@ class Workspace:
             )
         if instance.n_p < 1:
             raise ValueError("no potential locations to select from")
-        if join_method not in _JOIN_METHODS:
-            raise ValueError(
-                f"unknown join method {join_method!r}; "
-                f"expected one of {sorted(_JOIN_METHODS)}"
-            )
         self.instance = instance
         self.page_size = page_size
         self.use_bulk_load = use_bulk_load
@@ -107,41 +125,44 @@ class Workspace:
         # depends on cache state).
         self.leaf_cache = DecodedLeafCache()
 
+        # The (x, y, dnn, w) columns come first, from the instance once;
+        # the join and every index work on them.  The records share the
+        # instance's coordinate objects (and one 1.0 for unit weights)
+        # rather than holding copies.
+        xs, ys, client_xy = _coordinates(instance.clients, "client")
+        fxs, fys, facility_xy = _coordinates(instance.facilities, "facility")
+        pxs, pys, self.potential_xy = _coordinates(instance.potentials, "potential")
+        if instance.client_weights is None:
+            self.client_w = np.ones(len(client_xy), dtype=np.float64)
+            weights = repeat(1.0)
+        else:
+            weights = instance.client_weights
+            self.client_w = _check_finite(
+                np.array(weights, dtype=np.float64), "weight of client", weights
+            )
         # Precompute dnn(c, F) — shared by every method, including SS.
         # Callers maintaining the join incrementally (e.g. greedy
         # multi-facility selection) can hand the vector in directly.
         if precomputed_dnn is not None:
-            if len(precomputed_dnn) != len(instance.clients):
+            if len(precomputed_dnn) != len(client_xy):
                 raise ValueError(
                     "precomputed_dnn length does not match the client count"
                 )
-            dnn = [float(d) for d in precomputed_dnn]
+            dnn = np.array(precomputed_dnn, dtype=np.float64)
         else:
-            dnn = _JOIN_METHODS[join_method](instance.clients, instance.facilities)
-        weights = (
-            instance.client_weights
-            if instance.client_weights is not None
-            else [1.0] * len(instance.clients)
-        )
-        self.clients: list[Client] = [
-            Client(i, p[0], p[1], d, w)
-            for i, (p, d, w) in enumerate(zip(instance.clients, dnn, weights))
-        ]
-        self.facilities: list[Site] = [
-            Site(i, p[0], p[1]) for i, p in enumerate(instance.facilities)
-        ]
-        self.potentials: list[Site] = [
-            Site(i, p[0], p[1]) for i, p in enumerate(instance.potentials)
-        ]
+            dnn = nn_join_columns(
+                client_xy[:, 0], client_xy[:, 1], facility_xy[:, 0], facility_xy[:, 1]
+            )
+        #: Dense ``(x, y, dnn)`` rows for the scan baseline, the oracle
+        #: and every client index.
+        self.client_xyd = np.column_stack((client_xy, dnn))
 
-        # Dense arrays for the vectorised scan baseline and the oracle.
-        self.client_xyd = np.array(
-            [(c.x, c.y, c.dnn) for c in self.clients], dtype=np.float64
-        ).reshape(len(self.clients), 3)
-        self.client_w = np.array([c.weight for c in self.clients], dtype=np.float64)
-        self.potential_xy = np.array(
-            [(s.x, s.y) for s in self.potentials], dtype=np.float64
-        ).reshape(len(self.potentials), 2)
+        with paused_gc():
+            self.clients: list[Client] = list(
+                map(Client, range(len(dnn)), xs, ys, dnn.tolist(), weights)
+            )
+        self.facilities: list[Site] = list(map(Site, range(len(fxs)), fxs, fys))
+        self.potentials: list[Site] = list(map(Site, range(len(pxs)), pxs, pys))
 
     # ------------------------------------------------------------------
     # Convenience accessors
@@ -197,16 +218,26 @@ class Workspace:
         CSV-loaded or user-built instances may hold points outside the
         default domain rectangle; clipping regions (the QVC method) must
         never exclude them, so all clipping uses this effective bound.
+        Each bound is ``Rect.union_point``'s: the domain's, unless a
+        point lies strictly beyond it, and then the first extreme point
+        in client, facility, potential order (``np.argmin`` and
+        ``np.argmax`` return first occurrences, ``±0.0`` comparing
+        equal).
         """
-        bounds = self.instance.domain
-        for points in (
-            self.instance.clients,
-            self.instance.facilities,
-            self.instance.potentials,
-        ):
-            for p in points:
-                bounds = bounds.union_point(p)
-        return bounds
+        instance = self.instance
+        domain = instance.domain
+        points = [*instance.clients, *instance.facilities, *instance.potentials]
+        xy = np.concatenate(
+            (self.client_xyd[:, :2], _site_xy(self.facilities), self.potential_xy)
+        )
+        lo = [points[int(i)][k] for k, i in enumerate(np.argmin(xy, axis=0))]
+        hi = [points[int(i)][k] for k, i in enumerate(np.argmax(xy, axis=0))]
+        return Rect(
+            min(domain.xmin, lo[0]),
+            min(domain.ymin, lo[1]),
+            max(domain.xmax, hi[0]),
+            max(domain.ymax, hi[1]),
+        )
 
     # ------------------------------------------------------------------
     # Flat files (SS, QVC)
@@ -241,21 +272,33 @@ class Workspace:
     # ------------------------------------------------------------------
     # Indexes
     # ------------------------------------------------------------------
-    def _build_point_tree(self, name: str, sites: Sequence, layout) -> RTree:
+    def _point_tree(
+        self,
+        name: str,
+        xy: np.ndarray,
+        payloads: Sequence,
+        rects: Optional[list[Rect]] = None,
+    ) -> RTree:
         tree = RTree(
             name,
             self.stats,
-            leaf_layout=layout,
+            leaf_layout=RTREE_ENTRY,
             buffer_pool=self.buffer_pool,
             page_size=self.page_size,
         )
-        items = [(Rect(s.x, s.y, s.x, s.y), s) for s in sites]
-        if self.use_bulk_load:
-            bulk_load(tree, items)
-        else:
-            for mbr, payload in items:
-                tree.insert(mbr, payload)
-        return tree
+        return load_entries(
+            tree, _point_bounds(xy), payloads, self.use_bulk_load, rects
+        )
+
+    @cached_property
+    def _client_rects(self) -> list[Rect]:
+        """The clients' point MBRs as ``Rect`` objects over the records'
+        own coordinate objects, shared by ``R_C`` and ``R_C^m`` (which
+        then hold one set of MBRs between them)."""
+        xs = list(map(attrgetter("x"), self.clients))
+        ys = list(map(attrgetter("y"), self.clients))
+        with paused_gc():
+            return list(map(Rect, xs, ys, xs, ys))
 
     @cached_property
     def r_c(self) -> RTree:
@@ -265,17 +308,19 @@ class Workspace:
         only its MBR and a child node pointer"); the 36-byte layout
         applies at leaves too.
         """
-        return self._build_point_tree("R_C", self.clients, RTREE_ENTRY)
+        return self._point_tree(
+            "R_C", self.client_xyd[:, :2], self.clients, self._client_rects
+        )
 
     @cached_property
     def r_f(self) -> RTree:
         """``R_F``: R-tree over existing facilities."""
-        return self._build_point_tree("R_F", self.facilities, RTREE_ENTRY)
+        return self._point_tree("R_F", _site_xy(self.facilities), self.facilities)
 
     @cached_property
     def r_p(self) -> RTree:
         """``R_P``: R-tree over potential locations."""
-        return self._build_point_tree("R_P", self.potentials, RTREE_ENTRY)
+        return self._point_tree("R_P", self.potential_xy, self.potentials)
 
     @cached_property
     def rnn_tree(self) -> RTree:
@@ -284,8 +329,7 @@ class Workspace:
             "R_C^n",
             self.stats,
             self.clients,
-            point_of=lambda c: Point(c.x, c.y),
-            dnn_of=lambda c: c.dnn,
+            self.client_xyd,
             buffer_pool=self.buffer_pool,
             page_size=self.page_size,
             use_bulk_load=self.use_bulk_load,
@@ -301,13 +345,10 @@ class Workspace:
             buffer_pool=self.buffer_pool,
             page_size=self.page_size,
         )
-        items = [(Rect(c.x, c.y, c.x, c.y), c) for c in self.clients]
-        if self.use_bulk_load:
-            bulk_load(tree, items)
-        else:
-            for mbr, payload in items:
-                tree.insert(mbr, payload)
-        return tree
+        bounds = _point_bounds(self.client_xyd[:, :2])
+        return load_entries(
+            tree, bounds, self.clients, self.use_bulk_load, self._client_rects
+        )
 
     def __repr__(self) -> str:
         return (

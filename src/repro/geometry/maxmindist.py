@@ -12,7 +12,8 @@ rectangle* obtained by expanding an inner rectangle ``B`` by a radius
 ``r`` (for a client's NFC the inner rectangle is the degenerate rectangle
 at the client; for a child node's MND region it is the child's MBR and
 ``r`` is the child's MND).  The functions below therefore take ``(B, r)``
-pairs.
+pairs; :func:`max_min_dist_runs` evaluates the same closed form on
+columns, one node per run of rows, for bulk loading.
 
 All formulas assume the inner rectangle is contained in the enclosing MBR
 ``M`` — which always holds inside an R-tree, where a node's MBR covers its
@@ -23,6 +24,8 @@ contributes nothing.
 from __future__ import annotations
 
 import math
+
+import numpy as np
 
 from repro.geometry.circle import Circle
 from repro.geometry.point import Point
@@ -46,6 +49,30 @@ def max_min_dist_region_rect(inner: Rect, radius: float, m: Rect) -> float:
         m.ymin - (inner.ymin - radius),
         (inner.ymax + radius) - m.ymax,
     )
+
+
+def max_min_dist_runs(
+    inner: np.ndarray, radii: np.ndarray, starts: np.ndarray, m: np.ndarray
+) -> np.ndarray:
+    """The MND of each run of rounded rectangles against its node MBR.
+
+    Rows ``starts[k]:starts[k + 1]`` of the ``(n, 4)`` ``inner`` column
+    array (with ``radii``) are the children of a node whose MBR is row
+    ``k`` of ``m``.  Each child's four terms are the elementwise
+    expressions of :func:`max_min_dist_region_rect`, so every term is
+    bit-identical; a maximum is exact, and ``max(0.0, ...)`` with a
+    strict ``>`` scan yields ``+0.0`` whenever no term is positive.
+    """
+    counts = np.diff(np.append(starts, len(inner)))
+
+    def node(k: int) -> np.ndarray:
+        return np.repeat(m[:, k], counts)
+
+    value = np.maximum(node(0) - (inner[:, 0] - radii), (inner[:, 2] + radii) - node(2))
+    value = np.maximum(value, node(1) - (inner[:, 1] - radii))
+    value = np.maximum(value, (inner[:, 3] + radii) - node(3))
+    best = np.maximum.reduceat(value, starts)
+    return np.where(best > 0.0, best, 0.0)
 
 
 def max_min_dist_circle_rect(circle: Circle, m: Rect) -> float:

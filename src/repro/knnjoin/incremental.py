@@ -15,8 +15,10 @@ facilities:
   departure one row deletion.
 
 No spatial index over the facilities is kept, so a facility mutation
-never rebuilds one.  :class:`~repro.knnjoin.grid.FacilityGrid` serves
-the from-scratch joins (the initial vector and :meth:`verify`).
+never rebuilds one.  The vectorised grid join
+(:func:`~repro.knnjoin.grid.nn_join_columns`) serves the from-scratch
+joins: the initial vector and :meth:`verify`, which compares bit for
+bit.
 
 **Bit-exactness.** Every distance here uses the grid join's formula —
 ``sqrt(dx*dx + dy*dy)`` over IEEE doubles (see
@@ -25,20 +27,19 @@ differently in the last ulp.  Subtraction, squaring, addition and
 ``sqrt`` are all correctly rounded, and ``sqrt`` is monotone, so the
 minimum over facilities commutes with the square root: the maintained
 ``dnn`` vector is bit-identical to a from-scratch
-:func:`~repro.knnjoin.grid.nn_join_grid` at every step.  The churn
+:func:`~repro.knnjoin.grid.nn_join_columns` at every step.  The churn
 engine's rebuild-parity guarantee (``repro.churn``) rests on exactly
 this property.
 """
 
 from __future__ import annotations
 
-import math
 from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
 from repro.geometry.point import Point
-from repro.knnjoin.grid import FacilityGrid, nn_join_grid
+from repro.knnjoin.grid import nn_join_columns, point_columns
 
 _EPS = 1e-9
 
@@ -74,23 +75,24 @@ class DnnMaintainer:
 
     def __init__(
         self,
-        clients: Sequence[Point],
-        facilities: Iterable[Point],
+        clients: Sequence[Point] | np.ndarray,
+        facilities: Iterable[Point] | np.ndarray,
         dnn: Optional[Sequence[float]] = None,
     ):
-        self._cx = np.fromiter((c[0] for c in clients), dtype=np.float64)
-        self._cy = np.fromiter((c[1] for c in clients), dtype=np.float64)
-        facilities = [Point(*f) for f in facilities]
-        if not facilities:
+        """``clients`` and ``facilities`` are point sequences or ``(n, 2)``
+        coordinate columns; ``dnn`` seeds the vector (the grid join
+        computes it otherwise)."""
+        cxy, fxy = point_columns(clients), point_columns(facilities)
+        if not len(fxy):
             raise ValueError("DnnMaintainer requires at least one facility")
-        self._fx = np.array([f[0] for f in facilities], dtype=np.float64)
-        self._fy = np.array([f[1] for f in facilities], dtype=np.float64)
+        self._cx, self._cy = cxy.T.copy()
+        self._fx, self._fy = fxy.T.copy()
         if dnn is not None:
             if len(dnn) != len(self._cx):
                 raise ValueError("dnn length does not match the client count")
             self._dnn = np.asarray(dnn, dtype=np.float64).copy()
         else:
-            self._dnn = np.array(nn_join_grid(clients, facilities), dtype=np.float64)
+            self._dnn = nn_join_columns(self._cx, self._cy, self._fx, self._fy)
 
     # ------------------------------------------------------------------
     @property
@@ -196,12 +198,7 @@ class DnnMaintainer:
 
     # ------------------------------------------------------------------
     def verify(self) -> bool:
-        """Recompute everything from scratch and compare (for tests)."""
-        grid = FacilityGrid(self.facilities)
-        for i in range(len(self._dnn)):
-            expect = grid.nearest_distance(
-                Point(float(self._cx[i]), float(self._cy[i]))
-            )
-            if not math.isclose(expect, float(self._dnn[i]), abs_tol=1e-9):
-                return False
-        return True
+        """Recompute everything with the from-scratch grid join and
+        compare bit for bit (for tests)."""
+        fresh = nn_join_columns(self._cx, self._cy, self._fx, self._fy)
+        return fresh.tobytes() == self._dnn.tobytes()

@@ -1,9 +1,10 @@
 """R-tree based NN join.
 
 Builds (or reuses) an R-tree over the facilities and answers each
-client's NN with the best-first algorithm.  Slower than the grid join in
-this pure-Python setting but exercises the same index the QVC method
-queries at run time, and serves as an independent oracle in tests.
+client's NN with the best-first algorithm.  Much slower than the
+vectorised grid join, so production never runs it; it exercises the
+same index the QVC method queries at run time and serves as an
+independent oracle in tests.
 """
 
 from __future__ import annotations
@@ -32,7 +33,8 @@ def nn_join_rtree(
         if not len(facilities):
             raise ValueError("nn join requires at least one facility")
         tree = RTree("knnjoin.facilities", IOStats())
-        bulk_load(tree, [(Rect.from_point(Point(*f)), Point(*f)) for f in facilities])
+        points = [Point(*f) for f in facilities]
+        bulk_load(tree, [Rect.from_point(p) for p in points], points)
     out: list[float] = []
     for c in clients:
         result = nearest_neighbor(tree, Point(*c))

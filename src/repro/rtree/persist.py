@@ -21,6 +21,11 @@ decodes as zero-copy numpy views (no per-record work at all), and the
 returned node materialises its entry objects lazily — the join and
 window hot paths only ever touch the columns and the node MBR.
 
+``save_rtree`` gathers each leaf's columns from that leaf's payloads
+alone: a leaf's records sit far apart in memory, and reading their
+fields leaf by leaf keeps them in cache, which measured faster than one
+gather over a whole tree's leaves followed by per-leaf slices.
+
 Branch pages keep the packed entry layout (they are small, and
 traversal needs their entry objects anyway).
 

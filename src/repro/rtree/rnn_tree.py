@@ -14,33 +14,41 @@ the leaves.
 
 from __future__ import annotations
 
-from typing import Any, Callable, Iterable, Optional
+from typing import Any, Optional, Sequence
 
-from repro.geometry.circle import Circle
-from repro.geometry.point import Point
-from repro.rtree.bulk import bulk_load
+import numpy as np
+
+from repro.rtree.bulk import load_entries
 from repro.rtree.rtree import RTree
 from repro.storage.buffer import LRUBufferPool
 from repro.storage.records import PAGE_SIZE, RNN_ENTRY
 from repro.storage.stats import IOStats
 
 
+def nfc_squares(xyd: np.ndarray) -> np.ndarray:
+    """The ``(n, 4)`` NFC square MBRs of ``(x, y, dnn)`` rows:
+    ``x ∓ dnn``, ``y ∓ dnn``, elementwise as ``Circle.mbr`` computes
+    them, so every bound is bit-identical."""
+    x, y, d = xyd[:, 0], xyd[:, 1], xyd[:, 2]
+    return np.column_stack((x - d, y - d, x + d, y + d))
+
+
 def build_rnn_tree(
     name: str,
     stats: IOStats,
-    clients: Iterable[Any],
-    point_of: Callable[[Any], Point],
-    dnn_of: Callable[[Any], float],
+    clients: Sequence[Any],
+    xyd: np.ndarray,
     buffer_pool: Optional[LRUBufferPool] = None,
     page_size: int = PAGE_SIZE,
     use_bulk_load: bool = True,
 ) -> RTree:
     """Build the RNN-tree over the clients' nearest-facility circles.
 
-    ``point_of`` / ``dnn_of`` extract position and precomputed NFD from a
-    client record.  With ``use_bulk_load`` (default) the tree is packed
-    via STR; otherwise it is built by repeated insertion, exercising the
-    dynamic maintenance path.
+    Row ``i`` of the ``(n, 3)`` ``xyd`` array is the position and
+    precomputed NFD of ``clients[i]``, the payload its entry carries.
+    With ``use_bulk_load`` (default) the tree is packed via STR;
+    otherwise it is built by repeated insertion, exercising the dynamic
+    maintenance path.
     """
     tree = RTree(
         name,
@@ -50,10 +58,5 @@ def build_rnn_tree(
         buffer_pool=buffer_pool,
         page_size=page_size,
     )
-    items = [(Circle(Point(*point_of(c)), dnn_of(c)).mbr(), c) for c in clients]
-    if use_bulk_load:
-        bulk_load(tree, items)
-    else:
-        for mbr, client in items:
-            tree.insert(mbr, client)
-    return tree
+    xyd = np.asarray(xyd, dtype=np.float64).reshape(-1, 3)
+    return load_entries(tree, nfc_squares(xyd), clients, bulk=use_bulk_load)

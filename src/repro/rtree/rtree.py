@@ -10,7 +10,9 @@ building from query costs.
 Subclasses customise the directory entries through two hooks —
 :meth:`RTree._entry_for_child` and :meth:`RTree._refresh_entry` — which is
 all the MND variant needs to keep its augmentation consistent during
-inserts, deletes, in-place entry updates and bulk loading.
+inserts, deletes and in-place entry updates; bulk loading, which works
+on columns, asks for a whole level's values through
+:meth:`RTree._bulk_mnds`.
 """
 
 from __future__ import annotations
@@ -180,6 +182,17 @@ class RTree:
     def _refresh_entry(self, entry: BranchEntry, child: Node) -> None:
         """Recompute a parent entry after ``child`` changed."""
         entry.mbr = child.mbr()
+
+    def _bulk_mnds(self, level, bounds, starts, node_bounds, below):
+        """The augmentation values of one bulk-loaded level's nodes.
+
+        :func:`~repro.rtree.bulk.bulk_load` calls this once per level
+        with the level's entry MBR columns in node order, each node's
+        first row (``starts``) and MBR (``node_bounds``); ``below`` is
+        what the entries carry — the payloads at level 0, this hook's
+        previous result above.  Plain trees carry nothing: None.
+        """
+        return None
 
     # ------------------------------------------------------------------
     # Insertion

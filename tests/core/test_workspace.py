@@ -1,11 +1,15 @@
 """Tests for the Workspace."""
 
+import math
+
 import numpy as np
 import pytest
 
 from repro.core.workspace import Workspace
 from repro.datasets.generators import SpatialInstance, make_instance
 from repro.geometry.point import Point
+from repro.knnjoin.nested_loop import nn_join_nested_loop
+from repro.knnjoin.rtree_join import nn_join_rtree
 from repro.rtree.validate import validate_rtree
 
 
@@ -26,10 +30,48 @@ class TestValidation:
         ws = Workspace(inst)
         assert ws.n_c == 0
 
-    def test_unknown_join_method(self):
-        inst = make_instance(10, 2, 2, rng=0)
-        with pytest.raises(ValueError, match="join"):
-            Workspace(inst, join_method="quantum")
+
+class TestNonFiniteInput:
+    """NaN or infinite input is rejected where the columns are built,
+    naming the set and the index."""
+
+    @staticmethod
+    def instance(clients=None, facilities=None, potentials=None, weights=None):
+        return SpatialInstance(
+            "t",
+            clients or [Point(0, 0), Point(1, 1)],
+            facilities or [Point(2, 2), Point(3, 3)],
+            potentials or [Point(4, 4), Point(5, 5)],
+            client_weights=weights,
+        )
+
+    def test_nan_client_coordinate(self):
+        inst = self.instance(clients=[Point(0, 0), Point(math.nan, 1)])
+        with pytest.raises(ValueError, match="client 1 is not finite"):
+            Workspace(inst)
+
+    def test_nan_facility_coordinate(self):
+        inst = self.instance(facilities=[Point(2, math.nan), Point(3, 3)])
+        with pytest.raises(ValueError, match="facility 0 is not finite"):
+            Workspace(inst)
+
+    @pytest.mark.parametrize("value", [math.inf, -math.inf])
+    def test_infinite_coordinate(self, value):
+        inst = self.instance(clients=[Point(0, 0), Point(1, value)])
+        with pytest.raises(ValueError, match="client 1 is not finite"):
+            Workspace(inst)
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_non_finite_potential(self, value):
+        inst = self.instance(potentials=[Point(4, 4), Point(value, 5)])
+        with pytest.raises(ValueError, match="potential 1 is not finite"):
+            Workspace(inst)
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_non_finite_weight(self, value):
+        inst = self.instance(weights=[value, 1.0])
+        with pytest.raises(ValueError, match="weight of client 0 is not finite"):
+            Workspace(inst)
 
 
 class TestPrecomputation:
@@ -49,12 +91,12 @@ class TestPrecomputation:
         assert tuple(ws.client_xyd[idx]) == (c.x, c.y, c.dnn)
 
     def test_join_methods_agree(self):
+        """The workspace's grid join against both oracle joins."""
         inst = make_instance(200, 15, 10, rng=1)
-        a = Workspace(inst, join_method="grid")
-        b = Workspace(inst, join_method="nested_loop")
-        c = Workspace(inst, join_method="rtree")
-        np.testing.assert_allclose(a.client_xyd[:, 2], b.client_xyd[:, 2], atol=1e-9)
-        np.testing.assert_allclose(a.client_xyd[:, 2], c.client_xyd[:, 2], atol=1e-9)
+        dnn = Workspace(inst).client_xyd[:, 2]
+        for oracle in (nn_join_nested_loop, nn_join_rtree):
+            expect = oracle(inst.clients, inst.facilities)
+            np.testing.assert_allclose(dnn, expect, atol=1e-9)
 
 
 class TestLazyStructures:

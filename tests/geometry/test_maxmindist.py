@@ -5,7 +5,9 @@ is validated here against a dense boundary-sampling reference.
 """
 
 import math
+import struct
 
+import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -14,6 +16,7 @@ from repro.geometry.maxmindist import (
     max_min_dist_bruteforce,
     max_min_dist_circle_rect,
     max_min_dist_region_rect,
+    max_min_dist_runs,
     mnd_of_circles,
     mnd_of_regions,
 )
@@ -153,3 +156,27 @@ class TestAggregation:
         m = Rect(0, 0, 1, 1)
         assert mnd_of_circles([], m) == 0.0
         assert mnd_of_regions([], m) == 0.0
+
+
+class TestRunsOnColumns:
+    """``max_min_dist_runs`` equals the scalar closed form, node by node."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.lists(st.tuples(rect_with_inner_point(), radii), min_size=1, max_size=12))
+    def test_matches_scalar_scan_bitwise(self, cases):
+        inner = np.array([(o.x, o.y, o.x, o.y) for (__, o), __ in cases])
+        m = np.array([tuple(m) for (m, __), __ in cases])
+        r = np.array([radius for __, radius in cases])
+        starts = np.arange(len(cases))
+        got = max_min_dist_runs(inner, r, starts, m)
+        for k, ((box, o), radius) in enumerate(cases):
+            expect = max(0.0, max_min_dist_region_rect(Rect.from_point(o), radius, box))
+            assert struct.pack("<d", got[k]) == struct.pack("<d", expect)
+
+    def test_negative_zero_terms_give_positive_zero(self):
+        """A client at x = +0.0 in a node whose x minimum is -0.0, all
+        radii zero: a term is -0.0, the scalar scan keeps +0.0."""
+        inner = np.array([[-0.0, 1.0, -0.0, 1.0], [0.0, 5.0, 0.0, 5.0]])
+        m = np.array([[-0.0, 1.0, 3.0, 9.0]])
+        got = max_min_dist_runs(inner, np.zeros(2), np.array([0]), m)
+        assert math.copysign(1.0, got[0]) == 1.0 and got[0] == 0.0

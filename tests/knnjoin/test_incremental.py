@@ -36,6 +36,12 @@ class TestAddFacility:
             m.add_facility(f)
         assert m.verify()
 
+    def test_verify_is_bitwise(self):
+        """One ulp off in one row is a disagreement."""
+        m = DnnMaintainer(random_points(50, seed=2), random_points(5, seed=3))
+        m._dnn[7] = np.nextafter(m._dnn[7], np.inf)
+        assert not m.verify()
+
     def test_distances_view_is_read_only(self):
         m = DnnMaintainer(random_points(5, seed=5), [Point(0, 0)])
         with pytest.raises(ValueError):

@@ -1,14 +1,16 @@
-"""Tests for the three NN-join implementations."""
+"""Tests for the NN joins: the production grid join and its oracles."""
 
 import math
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.datasets.generators import make_instance
 from repro.geometry.point import Point
-from repro.knnjoin.grid import FacilityGrid, nn_join_grid
+from repro.knnjoin.grid import FacilityGrid, nn_join_columns, nn_join_grid
 from repro.knnjoin.nested_loop import nn_join_nested_loop
 from repro.knnjoin.rtree_join import nn_join_rtree
 
@@ -106,3 +108,78 @@ class TestFacilityGrid:
 
     def test_len(self):
         assert len(FacilityGrid(random_points(9, seed=9))) == 9
+
+
+@st.composite
+def join_cases(draw):
+    """Facility layouts the grid must survive, plus clients inside, on
+    and far outside them, all shifted by a common offset."""
+    offset = draw(st.sampled_from([0.0, 1e6, -1e6]))
+    coord = st.floats(min_value=-50.0, max_value=50.0, allow_nan=False)
+    layout = draw(
+        st.sampled_from(["uniform", "clustered", "coincident", "line", "lattice"])
+    )
+    n_f = draw(st.integers(min_value=1, max_value=40))
+    if layout == "uniform":
+        facilities = [(draw(coord), draw(coord)) for __ in range(n_f)]
+    elif layout == "clustered":
+        centre = (draw(coord), draw(coord))
+        jitter = st.floats(min_value=-1e-3, max_value=1e-3, allow_nan=False)
+        facilities = [
+            (centre[0] + draw(jitter), centre[1] + draw(jitter)) for __ in range(n_f)
+        ]
+    elif layout == "coincident":
+        facilities = [(draw(coord), draw(coord))] * n_f
+    elif layout == "line":  # a degenerate extent: the 1e-9 padding
+        x = draw(coord)
+        facilities = [(x, draw(coord)) for __ in range(n_f)]
+    else:
+        cell = st.integers(min_value=-3, max_value=3)
+        facilities = [(float(draw(cell)), float(draw(cell))) for __ in range(n_f)]
+    far = st.floats(min_value=-1e4, max_value=1e4, allow_nan=False)
+    clients = [(draw(coord), draw(coord)) for __ in range(draw(st.integers(0, 30)))]
+    clients += [(draw(far), draw(far)) for __ in range(draw(st.integers(0, 5)))]
+    clients += draw(st.lists(st.sampled_from(facilities), max_size=5))
+    clients += clients[: draw(st.integers(0, 3))]
+    shift = [Point(x + offset, y + offset) for x, y in facilities]
+    return [Point(x + offset, y + offset) for x, y in clients], shift
+
+
+class TestVectorisedJoin:
+    """The production join returns FacilityGrid.nearest's dnn bit for bit."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(join_cases())
+    def test_matches_pointwise_grid_bitwise(self, case):
+        clients, facilities = case
+        grid = FacilityGrid(facilities)
+        expect = np.array([grid.nearest(c)[0] for c in clients], dtype=np.float64)
+        c = np.array(clients, dtype=np.float64).reshape(-1, 2)
+        f = np.array(facilities, dtype=np.float64)
+        got = nn_join_columns(c[:, 0], c[:, 1], f[:, 0], f[:, 1])
+        assert got.tobytes() == expect.tobytes()
+
+    @pytest.mark.parametrize("distribution", ["uniform", "gaussian"])
+    def test_matches_pointwise_grid_on_many_clients(self, distribution):
+        inst = make_instance(20_000, 500, 1, distribution=distribution, rng=7)
+        grid = FacilityGrid(inst.facilities)
+        expect = np.array([grid.nearest(c)[0] for c in inst.clients])
+        c = np.array(inst.clients)
+        f = np.array(inst.facilities)
+        got = nn_join_columns(c[:, 0], c[:, 1], f[:, 0], f[:, 1])
+        assert got.tobytes() == expect.tobytes()
+
+    def test_no_clients(self):
+        none = np.empty(0)
+        got = nn_join_columns(none, none, np.array([1.0]), np.array([2.0]))
+        assert got.shape == (0,)
+
+    def test_huge_coordinates_clip_before_the_cast(self):
+        """A quotient far beyond int64 clamps instead of overflowing."""
+        facilities = [Point(0.0, 0.0), Point(1.0, 1.0)]
+        clients = [Point(1e150, -1e150), Point(-1e150, 0.5)]
+        grid = FacilityGrid(facilities)
+        c = np.array(clients)
+        f = np.array(facilities)
+        got = nn_join_columns(c[:, 0], c[:, 1], f[:, 0], f[:, 1])
+        assert got.tolist() == [grid.nearest(q)[0] for q in clients]

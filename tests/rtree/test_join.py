@@ -21,7 +21,7 @@ def random_rects(n, seed, size=30.0):
 
 def build(items, name="t"):
     tree = RTree(name, IOStats(), max_leaf_entries=6, max_branch_entries=6)
-    bulk_load(tree, items)
+    bulk_load(tree, [mbr for mbr, __ in items], [p for __, p in items])
     return tree
 
 

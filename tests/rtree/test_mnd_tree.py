@@ -40,12 +40,12 @@ def build_tree(clients, bulk=True, max_entries=6) -> MNDTree:
         max_leaf_entries=max_entries,
         max_branch_entries=max_entries,
     )
-    items = [(Rect.from_point(p), p) for p, __ in clients]
+    points = [p for p, __ in clients]
     if bulk:
-        bulk_load(tree, items)
+        bulk_load(tree, [Rect.from_point(p) for p in points], points)
     else:
-        for mbr, payload in items:
-            tree.insert(mbr, payload)
+        for p in points:
+            tree.insert(Rect.from_point(p), p)
     return tree
 
 

@@ -21,7 +21,7 @@ def build_tree(points, stats=None, max_entries=8):
         max_leaf_entries=max_entries,
         max_branch_entries=max_entries,
     )
-    bulk_load(tree, [(Rect.from_point(p), p) for p in points])
+    bulk_load(tree, [Rect.from_point(p) for p in points], points)
     return tree
 
 

@@ -31,7 +31,7 @@ def build_site_tree(sites, max_entries=8, stats=None):
         max_leaf_entries=max_entries,
         max_branch_entries=max_entries,
     )
-    bulk_load(tree, [(Rect(s.x, s.y, s.x, s.y), s) for s in sites])
+    bulk_load(tree, [Rect(s.x, s.y, s.x, s.y) for s in sites], sites)
     return tree
 
 
@@ -60,7 +60,7 @@ class TestRoundTrip:
     def test_site_codec_round_trip(self, tmp_path):
         sites = random_sites(50, seed=2)
         tree = RTree("t", IOStats(), max_leaf_entries=4, max_branch_entries=4)
-        bulk_load(tree, [(Rect(s.x, s.y, s.x, s.y), s) for s in sites])
+        bulk_load(tree, [Rect(s.x, s.y, s.x, s.y) for s in sites], sites)
         path = tmp_path / "sites.pages"
         save_rtree(tree, path, SiteCodec())
         with DiskRTree("d", path, SiteCodec(), IOStats()) as disk:
@@ -80,7 +80,7 @@ class TestRoundTrip:
             max_leaf_entries=8,
             max_branch_entries=8,
         )
-        bulk_load(tree, [(Rect(c.x, c.y, c.x, c.y), c) for c in clients])
+        bulk_load(tree, [Rect(c.x, c.y, c.x, c.y) for c in clients], clients)
         path = tmp_path / "mnd.pages"
         save_rtree(tree, path, ClientCodec())
         with DiskRTree(
@@ -216,8 +216,7 @@ class TestRNNTreeOnDisk:
             "rnn",
             IOStats(),
             clients,
-            point_of=lambda c: Point(c.x, c.y),
-            dnn_of=lambda c: c.dnn,
+            [(c.x, c.y, c.dnn) for c in clients],
         )
         path = tmp_path / "rnn.pages"
         save_rtree(tree, path, ClientCodec())
@@ -243,7 +242,7 @@ class TestColumnarLeaves:
             Site(i, rng.uniform(0, 1000), rng.uniform(0, 1000)) for i in range(n)
         ]
         tree = RTree("t", IOStats(), max_leaf_entries=16, max_branch_entries=16)
-        bulk_load(tree, [(Rect(s.x, s.y, s.x, s.y), s) for s in sites])
+        bulk_load(tree, [Rect(s.x, s.y, s.x, s.y) for s in sites], sites)
         return tree, sites
 
     def make_client_tree(self, n=250, seed=21):
@@ -259,7 +258,7 @@ class TestColumnarLeaves:
             max_leaf_entries=16,
             max_branch_entries=16,
         )
-        bulk_load(tree, [(Rect(c.x, c.y, c.x, c.y), c) for c in clients])
+        bulk_load(tree, [Rect(c.x, c.y, c.x, c.y) for c in clients], clients)
         return tree, clients
 
     def test_site_v2_round_trip(self, tmp_path):
@@ -304,8 +303,7 @@ class TestColumnarLeaves:
             "rnn",
             IOStats(),
             clients,
-            point_of=lambda c: Point(c.x, c.y),
-            dnn_of=lambda c: c.dnn,
+            [(c.x, c.y, c.dnn) for c in clients],
         )
         circle_path = tmp_path / "c.pages"
         save_rtree(rnn, circle_path, ClientCodec())

@@ -29,8 +29,7 @@ def build(clients, bulk=True, stats=None):
         "rnn",
         stats or IOStats(),
         clients,
-        point_of=lambda c: Point(c.x, c.y),
-        dnn_of=lambda c: c.dnn,
+        [(c.x, c.y, c.dnn) for c in clients],
         use_bulk_load=bulk,
     )
 

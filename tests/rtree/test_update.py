@@ -156,7 +156,7 @@ class TestUpdateEntries:
             max_leaf_entries=4,
             max_branch_entries=4,
         )
-        bulk_load(tree, [(Rect.from_point(p), i) for i, p in enumerate(pts)])
+        bulk_load(tree, [Rect.from_point(p) for p in pts], list(range(len(pts))))
         assert tree.height >= 3
         chosen = random.Random(9).sample(range(len(pts)), 25)
         for i in chosen:

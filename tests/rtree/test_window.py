@@ -12,7 +12,7 @@ from repro.storage.stats import IOStats
 
 def build_tree(points, stats=None):
     tree = RTree("t", stats or IOStats(), max_leaf_entries=8, max_branch_entries=8)
-    bulk_load(tree, [(Rect.from_point(p), p) for p in points])
+    bulk_load(tree, [Rect.from_point(p) for p in points], points)
     return tree
 
 

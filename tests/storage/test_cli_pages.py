@@ -28,7 +28,7 @@ def client_tree_path(tmp_path):
         for i in range(120)
     ]
     tree = RTree("t", IOStats(), max_leaf_entries=16, max_branch_entries=16)
-    bulk_load(tree, [(Rect(c.x, c.y, c.x, c.y), c) for c in clients])
+    bulk_load(tree, [Rect(c.x, c.y, c.x, c.y) for c in clients], clients)
     path = tmp_path / "clients.pages"
     save_rtree(tree, path, ClientCodec())
     return path
