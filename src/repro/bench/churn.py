@@ -44,7 +44,7 @@ from repro.bench.record import (
     environment_fingerprint,
 )
 from repro.experiments.config import ExperimentConfig
-from repro.experiments.smoke import SMOKE_METHODS
+from repro.experiments.runner import DEFAULT_METHODS
 
 #: The maintenance-speedup rung: the scale suite's 100K-client dataset.
 CHURN_RUNG_N_C = 100_000
@@ -334,7 +334,7 @@ def run_churn_suite(
     raises on any violated correctness floor)."""
     if repeats < 1:
         raise ValueError("repeats must be >= 1")
-    chosen = tuple(methods) if methods is not None else SMOKE_METHODS
+    chosen = tuple(methods) if methods is not None else DEFAULT_METHODS
     record = BenchRecord(
         suite="churn",
         repeats=repeats,

@@ -39,7 +39,7 @@ from repro import kernels
 from repro.bench.record import BenchEntry, BenchRecord, environment_fingerprint
 from repro.core import Workspace, make_selector
 from repro.experiments.config import ExperimentConfig
-from repro.experiments.smoke import SMOKE_METHODS
+from repro.experiments.runner import DEFAULT_METHODS
 
 #: The configuration ladder (keyed by |C|; |F| and |P| scale along).
 #: Two rungs: one where whole queries finish in milliseconds vectorized,
@@ -81,7 +81,7 @@ def run_kernels_suite(
         raise ValueError("repeats must be >= 1")
     if workers is not None:
         raise ValueError("suite 'kernels' does not take a worker count")
-    chosen = tuple(methods) if methods is not None else SMOKE_METHODS
+    chosen = tuple(methods) if methods is not None else DEFAULT_METHODS
 
     record = BenchRecord(
         suite="kernels",

@@ -39,7 +39,7 @@ from repro.bench.record import BenchEntry, BenchRecord, environment_fingerprint
 from repro.core import Workspace, make_selector
 from repro.exec import QueryEngine
 from repro.experiments.config import ExperimentConfig
-from repro.experiments.smoke import SMOKE_METHODS
+from repro.experiments.runner import DEFAULT_METHODS
 from repro.obs import InMemorySink, Tracer, phase_breakdown
 
 #: The suite's configuration: deep enough client trees (height 3 at the
@@ -88,7 +88,7 @@ def run_parallel_suite(
     """
     if repeats < 1:
         raise ValueError("repeats must be >= 1")
-    chosen = tuple(methods) if methods is not None else SMOKE_METHODS
+    chosen = tuple(methods) if methods is not None else DEFAULT_METHODS
     ladder = worker_ladder(workers)
     config = PARALLEL_CONFIG
     label = config.label()

@@ -41,7 +41,7 @@ from repro.core import Workspace, make_selector
 from repro.core.diskmode import DiskWorkspace, persist_indexes
 from repro.exec.engine import QueryEngine
 from repro.experiments.config import ExperimentConfig
-from repro.experiments.smoke import SMOKE_METHODS
+from repro.experiments.runner import DEFAULT_METHODS
 from repro.storage.stats import IOStats
 
 #: Client-count rungs of the default ladder (|F| and |P| stay fixed so
@@ -110,7 +110,7 @@ def run_scale_suite(
         raise ValueError("repeats must be >= 1")
     if workers is not None:
         raise ValueError("suite 'scale' does not take a worker count")
-    chosen = tuple(methods) if methods is not None else SMOKE_METHODS
+    chosen = tuple(methods) if methods is not None else DEFAULT_METHODS
     ladder = tuple(rungs) if rungs is not None else SCALE_RUNGS
     if not ladder or any(n <= 0 for n in ladder):
         raise ValueError(f"invalid rung ladder {ladder!r}")

@@ -42,7 +42,7 @@ from repro.bench.record import BenchEntry, BenchRecord, environment_fingerprint
 from repro.core import Workspace, make_selector
 from repro.core.types import fingerprint
 from repro.experiments.config import ExperimentConfig
-from repro.experiments.smoke import SMOKE_METHODS
+from repro.experiments.runner import DEFAULT_METHODS
 
 #: The suite's configuration: ``micro``-sized on purpose — the wire and
 #: cache overheads being measured do not grow with the dataset, and the
@@ -73,7 +73,7 @@ def run_service_suite(
 
     if repeats < 1:
         raise ValueError("repeats must be >= 1")
-    chosen = tuple(methods) if methods is not None else SMOKE_METHODS
+    chosen = tuple(methods) if methods is not None else DEFAULT_METHODS
     config = SERVICE_CONFIG
     label = config.label()
 

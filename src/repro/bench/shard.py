@@ -37,7 +37,7 @@ from repro.bench.record import BenchEntry, BenchRecord, environment_fingerprint
 from repro.core import Workspace
 from repro.core.types import fingerprint
 from repro.experiments.config import ExperimentConfig
-from repro.experiments.smoke import SMOKE_METHODS
+from repro.experiments.runner import DEFAULT_METHODS
 
 #: The suite's configuration: ``micro``-sized on purpose — merge-order
 #: determinism and the per-tile page-read sums gate at any size, and the
@@ -81,7 +81,7 @@ def run_shard_suite(
 
     if repeats < 1:
         raise ValueError("repeats must be >= 1")
-    chosen = tuple(methods) if methods is not None else SMOKE_METHODS
+    chosen = tuple(methods) if methods is not None else DEFAULT_METHODS
     config = SHARD_CONFIG
     label = config.label()
     per_shard_workers = workers if workers is not None else 1

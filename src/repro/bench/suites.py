@@ -3,9 +3,9 @@
 A suite is a fixed list of (x, configuration) pairs plus the methods to
 measure — the unit the regression gate operates on.  The registry holds:
 
-* ``smoke`` — the CI gate: the single configuration of
-  :mod:`repro.experiments.smoke`, where the paper's Fig. 10 ordering
-  (MND I/O < SS I/O) already holds;
+* ``smoke`` — the CI gate: the single :data:`SMOKE_CONFIG`, where the
+  paper's Fig. 10 ordering (MND I/O < SS I/O) already holds
+  (``tests/experiments/test_smoke.py`` asserts it);
 * ``micro`` — a seconds-fast single configuration for tests and quick
   local sanity checks (too small for the paper's ordering regime);
 * ``fig10`` / ``fig11`` / ``fig12`` — scaled-down versions of the
@@ -26,12 +26,12 @@ from typing import Callable, Optional, Sequence, Union
 from repro.bench.record import BenchEntry, BenchRecord, environment_fingerprint
 from repro.core import Workspace
 from repro.experiments.config import PAPER_SWEEPS, ExperimentConfig
-from repro.experiments.runner import run_config
-from repro.experiments.smoke import (
-    SMOKE_CONFIG,
-    SMOKE_METHODS,
-    check_phase_attribution,
-)
+from repro.experiments.metrics import MeasuredRun
+from repro.experiments.runner import DEFAULT_METHODS, run_config
+
+#: Small enough for a CI minute, large enough for MND's pruning to beat
+#: the sequential scan (cf. Fig. 10: the gap widens with |C| and |P|).
+SMOKE_CONFIG = ExperimentConfig(n_c=20_000, n_f=1_000, n_p=1_000)
 
 #: Default number of repeats per (config, method): page reads are
 #: deterministic, so the repeats exist purely to median-smooth wall
@@ -58,7 +58,7 @@ class Suite:
     name: str
     description: str
     configs: tuple[tuple[Optional[float], ExperimentConfig], ...]
-    methods: tuple[str, ...] = SMOKE_METHODS
+    methods: tuple[str, ...] = DEFAULT_METHODS
     runner: Optional[Callable[..., BenchRecord]] = None
 
     def seed(self) -> Optional[int]:
@@ -182,6 +182,23 @@ def get_suite(name: str) -> Suite:
         raise ValueError(
             f"unknown suite {name!r}; available: {', '.join(suite_names())}"
         ) from None
+
+
+def check_phase_attribution(runs: list[MeasuredRun]) -> None:
+    """Assert every profiled run's per-phase reads sum to its I/O total.
+
+    A benchmark whose instrumentation silently under-attributes I/O is
+    worse than no benchmark, so the recorder refuses to report such
+    numbers.
+    """
+    for run in runs:
+        if not run.phases:
+            raise AssertionError(f"{run.method}: no phase breakdown captured")
+        if run.phase_reads() != run.io_total:
+            raise AssertionError(
+                f"{run.method}: phase reads {run.phase_reads()} != "
+                f"I/O total {run.io_total}"
+            )
 
 
 def run_suite(

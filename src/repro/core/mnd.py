@@ -14,7 +14,8 @@ MND stored in its parent entry (the root's MND is derived from its
 resident entries at no I/O cost, since roots have no parent entry).
 Parallel execution splits the join at a node-pair frontier exactly like
 NFC (:mod:`repro.rtree.frontier`), with the carried MND travelling in
-the task tuple.
+the task tuple, and each task evaluates the leaf pairs its descent
+recorded in one kernel call (:class:`~repro.core.leafpairs.LeafPairs`).
 """
 
 from __future__ import annotations
@@ -25,6 +26,7 @@ import numpy as np
 
 from repro import kernels
 from repro.core.base import LocationSelector
+from repro.core.leafpairs import LeafPairs
 from repro.core.plan import StageSpec
 from repro.rtree.columns import branch_columns, leaf_client_columns, leaf_site_columns
 from repro.rtree.frontier import expand_frontier
@@ -129,13 +131,23 @@ class MaximumNFCDistance(LocationSelector):
     def run_join_task(
         self, task: JoinTask, stats: IOStats
     ) -> tuple[np.ndarray, np.ndarray]:
-        """The serial join below one frontier pair, into a private partial."""
+        """The serial join below one frontier pair, into a private partial.
+
+        The descent charges the reads and records the leaf pairs; one
+        pure-CPU ``mnd.leaf_eval`` span then evaluates them all, so the
+        leaf page reads stay attributed to the enclosing descent.
+        """
         ws = self.ws
         p_id, c_id, mnd_c = task
         node_p = ws.r_p.node(p_id)  # pair reads charged by the planner
         node_c = ws.mnd_tree.node(c_id)
+        pairs = LeafPairs()
+        self._join(node_p, node_c, mnd_c, pairs, stats)
         local = np.zeros(ws.n_p, dtype=np.float64)
-        self._join(node_p, node_c, mnd_c, local, stats)
+        if len(pairs):
+            with stats.tracer.span("mnd.leaf_eval") as sp:
+                sp.count("candidates", pairs.candidates)
+                pairs.accumulate(local)
         idx = np.flatnonzero(local)
         return idx, local[idx]
 
@@ -165,10 +177,11 @@ class MaximumNFCDistance(LocationSelector):
         node_p: Node,
         node_c: Node,
         mnd_c: float,
-        dr: np.ndarray,
+        pairs: LeafPairs,
         stats: Optional[IOStats] = None,
     ) -> None:
-        """Algorithm 5: descend where ``minDist < MND`` (Theorem 1)."""
+        """Algorithm 5: descend where ``minDist < MND`` (Theorem 1),
+        recording each leaf pair in ``pairs``."""
         ws = self.ws
         if stats is None:
             stats = ws.stats
@@ -176,25 +189,14 @@ class MaximumNFCDistance(LocationSelector):
         trace.count("join.node_pairs")
         cache = ws.leaf_cache
         if node_p.is_leaf and node_c.is_leaf:
-            # Pure-CPU candidate evaluation; the leaf page reads remain
-            # attributed to the enclosing descent span.
-            with trace.span("mnd.leaf_eval") as sp:
-                sp.count("candidates", len(node_p.entries))
-                # For point entries minDist(e_c, e_p) is the exact
-                # distance, and the leaf-level MND of a client is its
-                # dnn — so the paper's line-11 test collapses to the
-                # exact influence test dist < dnn, i.e. the clipped
-                # weighted reduction kernel over the whole page pair.
-                p_cols = leaf_site_columns(ws.r_p, node_p, cache)
-                c_cols = leaf_client_columns(ws.mnd_tree, node_c, cache)
-                dr[p_cols.ids] += kernels.accumulate_reductions(
-                    p_cols.xs,
-                    p_cols.ys,
-                    c_cols.xs,
-                    c_cols.ys,
-                    c_cols.dnn,
-                    c_cols.weights,
-                )
+            # For point entries minDist(e_c, e_p) is the exact distance,
+            # and the leaf-level MND of a client is its dnn — so the
+            # paper's line-11 test collapses to the exact influence test
+            # dist < dnn, i.e. the clipped weighted reduction kernel over
+            # the whole page pair.
+            p_cols = leaf_site_columns(ws.r_p, node_p, cache)
+            c_cols = leaf_client_columns(ws.mnd_tree, node_c, cache)
+            pairs.add(p_cols.ids, p_cols.xs, p_cols.ys, c_cols)
         elif node_p.is_leaf:
             c_cols = branch_columns(ws.mnd_tree, node_c, cache)
             descend = (
@@ -206,7 +208,7 @@ class MaximumNFCDistance(LocationSelector):
                     node_p,
                     ws.mnd_tree.read_node(e_c.child_id, stats=stats),
                     e_c.mnd,
-                    dr,
+                    pairs,
                     stats,
                 )
         elif node_c.is_leaf:
@@ -219,7 +221,7 @@ class MaximumNFCDistance(LocationSelector):
                     ws.r_p.read_node(node_p.entries[i].child_id, stats=stats),
                     node_c,
                     mnd_c,
-                    dr,
+                    pairs,
                     stats,
                 )
         else:
@@ -236,7 +238,7 @@ class MaximumNFCDistance(LocationSelector):
                     ws.r_p.read_node(node_p.entries[i].child_id, stats=stats),
                     ws.mnd_tree.read_node(node_c.entries[j].child_id, stats=stats),
                     node_c.entries[j].mnd,
-                    dr,
+                    pairs,
                     stats,
                 )
             pruned = descend.size - int(np.count_nonzero(descend))

@@ -16,9 +16,11 @@ For the execution engine the join splits at a node-pair frontier
 (:mod:`repro.rtree.frontier`): the driver expands the top of the
 synchronized traversal — charging child reads exactly where the serial
 recursion would — and each frontier pair becomes an independent task
-running the ordinary recursion below it.  Frontier order equals serial
-DFS order, so the ordered reduction reproduces serial float grouping
-bit for bit.
+running the ordinary recursion below it.  The recursion records the
+leaf pairs it reaches (:class:`~repro.core.leafpairs.LeafPairs`) and the
+task evaluates them in one kernel call, folding the rows in DFS order.
+Frontier order equals serial DFS order, so the ordered reduction
+reproduces serial float grouping bit for bit.
 """
 
 from __future__ import annotations
@@ -29,6 +31,7 @@ import numpy as np
 
 from repro import kernels
 from repro.core.base import LocationSelector
+from repro.core.leafpairs import LeafPairs
 from repro.core.plan import StageSpec
 from repro.rtree.columns import branch_columns, leaf_site_columns, nfc_leaf_columns
 from repro.rtree.frontier import expand_frontier
@@ -135,12 +138,23 @@ class NearestFacilityCircle(LocationSelector):
     def run_join_task(
         self, task: JoinTask, stats: IOStats
     ) -> tuple[np.ndarray, np.ndarray]:
-        """The serial join below one frontier pair, into a private partial."""
+        """The serial join below one frontier pair, into a private partial.
+
+        The descent charges the reads and records the leaf pairs; one
+        ``nfc.leaf_eval`` span then evaluates them all.  Candidate
+        evaluation is pure CPU (every leaf is already in memory), so the
+        span reads no page and the reads stay on the enclosing descent.
+        """
         ws = self.ws
         node_p = ws.r_p.node(task[0])  # pair reads charged by the planner
         node_c = ws.rnn_tree.node(task[1])
+        pairs = LeafPairs()
+        self._join(node_p, node_c, pairs, stats)
         local = np.zeros(ws.n_p, dtype=np.float64)
-        self._join(node_p, node_c, local, stats)
+        if len(pairs):
+            with stats.tracer.span("nfc.leaf_eval") as sp:
+                sp.count("candidates", pairs.candidates)
+                pairs.accumulate(local)
         idx = np.flatnonzero(local)
         return idx, local[idx]
 
@@ -169,10 +183,11 @@ class NearestFacilityCircle(LocationSelector):
         self,
         node_p: Node,
         node_c: Node,
-        dr: np.ndarray,
+        pairs: LeafPairs,
         stats: Optional[IOStats] = None,
     ) -> None:
-        """Algorithm 4: descend into intersecting node pairs."""
+        """Algorithm 4: descend into intersecting node pairs, recording
+        each leaf pair in ``pairs``."""
         ws = self.ws
         if stats is None:
             stats = ws.stats
@@ -180,31 +195,19 @@ class NearestFacilityCircle(LocationSelector):
         trace.count("join.node_pairs")
         cache = ws.leaf_cache
         if node_p.is_leaf and node_c.is_leaf:
-            # Candidate evaluation is pure CPU (both leaves are already
-            # in memory), so it gets its own span; the page reads stay
-            # attributed to the enclosing descent.  The NFC circles come
-            # back reconstructed from their square MBRs (lines 12–13 of
-            # Algorithm 4) with the radius in the ``dnn`` column, so the
-            # strict-containment test is the same clipped-reduction
-            # kernel every other method uses.
-            with trace.span("nfc.leaf_eval") as sp:
-                sp.count("candidates", len(node_p.entries))
-                p_cols = leaf_site_columns(ws.r_p, node_p, cache)
-                c_cols = nfc_leaf_columns(ws.rnn_tree, node_c, cache)
-                dr[p_cols.ids] += kernels.accumulate_reductions(
-                    p_cols.xs,
-                    p_cols.ys,
-                    c_cols.xs,
-                    c_cols.ys,
-                    c_cols.dnn,
-                    c_cols.weights,
-                )
+            # The NFC circles come back reconstructed from their square
+            # MBRs (lines 12–13 of Algorithm 4) with the radius in the
+            # ``dnn`` column, so the strict-containment test is the same
+            # clipped-reduction kernel every other method uses.
+            p_cols = leaf_site_columns(ws.r_p, node_p, cache)
+            c_cols = nfc_leaf_columns(ws.rnn_tree, node_c, cache)
+            pairs.add(p_cols.ids, p_cols.xs, p_cols.ys, c_cols)
         elif node_p.is_leaf:
             c_cols = branch_columns(ws.rnn_tree, node_c, cache)
             descend = kernels.rects_intersect_rect(c_cols.rects, node_p.mbr())
             for j in np.flatnonzero(descend):
                 child = ws.rnn_tree.read_node(node_c.entries[j].child_id, stats=stats)
-                self._join(node_p, child, dr, stats)
+                self._join(node_p, child, pairs, stats)
         elif node_c.is_leaf:
             p_cols = branch_columns(ws.r_p, node_p, cache)
             descend = kernels.rects_intersect_rect(p_cols.rects, node_c.mbr())
@@ -212,7 +215,7 @@ class NearestFacilityCircle(LocationSelector):
                 self._join(
                     ws.r_p.read_node(node_p.entries[i].child_id, stats=stats),
                     node_c,
-                    dr,
+                    pairs,
                     stats,
                 )
         else:
@@ -225,7 +228,7 @@ class NearestFacilityCircle(LocationSelector):
                 self._join(
                     ws.r_p.read_node(node_p.entries[i].child_id, stats=stats),
                     ws.rnn_tree.read_node(node_c.entries[j].child_id, stats=stats),
-                    dr,
+                    pairs,
                     stats,
                 )
             pruned = descend.size - int(np.count_nonzero(descend))

@@ -29,6 +29,15 @@ streams over ``R_F``) and the batched window queries (one task per
 potential block; blocks touch disjoint ``p`` ids, so windows commute
 exactly).  Both the I/O multiset and each ``p``'s accumulation order
 match the serial interleaving, keeping results byte-identical.
+
+Both stages run on node columns.  The quadrant-NN streams
+(:func:`~repro.rtree.nn.best_first`) take their minDists from the
+cached ``R_F`` branch and leaf columns and read the facility
+coordinates from them, so a disk leaf builds no entry objects.  A
+window task carries its group as index arrays into one set of AIR
+columns, records the (candidate rows × client leaf) pairs its descent
+reaches, and evaluates them in one kernel call
+(:class:`~repro.core.leafpairs.LeafPairs`).
 """
 
 from __future__ import annotations
@@ -39,15 +48,16 @@ import numpy as np
 
 from repro import kernels
 from repro.core.base import LocationSelector
+from repro.core.leafpairs import LeafPairs
 from repro.core.plan import StageSpec
 from repro.core.types import Site
 from repro.geometry.halfplane import bisector_halfplane
 from repro.geometry.point import Point
 from repro.geometry.polygon import ConvexPolygon
 from repro.geometry.rect import Rect
-from repro.kernels.columnar import RectColumns
-from repro.rtree.columns import branch_columns, leaf_client_columns
-from repro.rtree.nn import incremental_nearest
+from repro.kernels.columnar import RectColumns, SiteColumns
+from repro.rtree.columns import branch_columns, leaf_client_columns, leaf_site_columns
+from repro.rtree.nn import best_first
 from repro.storage.stats import IOStats
 
 #: Potential locations per AIR task.  Fixed (worker-independent) so the
@@ -79,12 +89,40 @@ class QuasiVoronoiCell(LocationSelector):
         stream stops once every quadrant is served (Section IV: "retrieve
         the NNs until each quadrant has one").
         """
-        found: list[Optional[Site]] = [None, None, None, None]
+        return [
+            None if found is None else Site(*found)
+            for found in self._quadrant_nearest(p, stats)
+        ]
+
+    def _quadrant_nearest(
+        self, p: Point, stats: Optional[IOStats]
+    ) -> list[Optional[tuple[int, float, float]]]:
+        """``(sid, x, y)`` per quadrant, read from the ``R_F`` columns.
+
+        Each leaf the stream reads gets its entries' quadrants at once,
+        by :meth:`Point.quadrant_relative_to`'s rule (x then y compared
+        with ``>=``), so a popped facility costs one list lookup.
+        """
+        tree, cache = self.ws.r_f, self.ws.leaf_cache
+        px, py = p
+        leaves: dict[int, tuple[SiteColumns, list[int]]] = {}
+
+        def entry_rects(node) -> RectColumns:
+            if not node.is_leaf:
+                return branch_columns(tree, node, cache).rects
+            cols = leaf_site_columns(tree, node, cache)
+            right, top = cols.xs >= px, cols.ys >= py
+            quads = np.where(top, np.where(right, 0, 1), np.where(right, 3, 2))
+            leaves[node.node_id] = (cols, quads.tolist())
+            return RectColumns(cols.xs, cols.ys, cols.xs, cols.ys)
+
+        found: list[Optional[tuple[int, float, float]]] = [None, None, None, None]
         missing = 4
-        for __, site in incremental_nearest(self.ws.r_f, p, stats=stats):
-            quad = Point(site.x, site.y).quadrant_relative_to(p)
+        for __, node, i in best_first(tree, p, entry_rects, stats=stats):
+            cols, quads = leaves[node.node_id]
+            quad = quads[i]
             if found[quad] is None:
-                found[quad] = site
+                found[quad] = (int(cols.ids[i]), float(cols.xs[i]), float(cols.ys[i]))
                 missing -= 1
                 if missing == 0:
                     break
@@ -97,10 +135,10 @@ class QuasiVoronoiCell(LocationSelector):
         exactly on ``p``).
         """
         halfplanes = []
-        for site in self.quadrant_nearest_facilities(p, stats=stats):
-            if site is None:
+        for found in self._quadrant_nearest(p, stats):
+            if found is None:
                 continue
-            f = Point(site.x, site.y)
+            f = Point(found[1], found[2])
             if f == p:
                 return None
             halfplanes.append(bisector_halfplane(p, f))
@@ -184,11 +222,25 @@ class QuasiVoronoiCell(LocationSelector):
     def run_window_task(
         self, task: tuple[int, list], stats: IOStats
     ) -> tuple[np.ndarray, np.ndarray]:
-        """The batched window query of one block (Algorithm 3)."""
+        """The batched window query of one block (Algorithm 3).
+
+        The group becomes one set of columns (ids, coordinates, AIRs);
+        the descent carries row indices into them and records the leaf
+        pairs, which are evaluated in one kernel call at the end.
+        """
         __, group = task
+        n = len(group)
+        block = (
+            np.fromiter((g[0] for g in group), np.intp, n),
+            np.fromiter((g[1] for g in group), np.float64, n),
+            np.fromiter((g[2] for g in group), np.float64, n),
+            RectColumns.from_rects(g[3] for g in group),
+        )
+        pairs = LeafPairs()
         local = np.zeros(self.ws.n_p, dtype=np.float64)
         with stats.tracer.span("qvc.window"):
-            self._window_query(self.ws.r_c.root_id, group, local, stats)
+            self._window_query(self.ws.r_c.root_id, np.arange(n), block, pairs, stats)
+            pairs.accumulate(local)
         idx = np.flatnonzero(local)
         return idx, local[idx]
 
@@ -226,31 +278,32 @@ class QuasiVoronoiCell(LocationSelector):
     def _window_query(
         self,
         node_id: int,
-        group: list[tuple[int, float, float, Rect]],
-        dr: np.ndarray,
+        rows: np.ndarray,
+        block: tuple[np.ndarray, np.ndarray, np.ndarray, RectColumns],
+        pairs: LeafPairs,
         stats: Optional[IOStats] = None,
     ) -> None:
-        """Algorithm 3: one traversal of ``R_C`` shared by a whole block."""
+        """Algorithm 3: one traversal of ``R_C`` shared by a whole block.
+
+        ``rows`` index the block's ``(pids, px, py, airs)`` columns:
+        the potentials whose AIR reaches this node, in block order.
+        """
         node = self.ws.r_c.read_node(node_id, stats=stats)
         trace = (stats if stats is not None else self.ws.stats).tracer
         trace.count("window.nodes")
         cache = self.ws.leaf_cache
-        n = len(group)
+        pids, px, py, airs = block
         if node.is_leaf:
-            trace.count("window.leaf_evals", n)
+            trace.count("window.leaf_evals", len(rows))
             c_cols = leaf_client_columns(self.ws.r_c, node, cache)
-            pids = np.fromiter((g[0] for g in group), np.intp, n)
-            px = np.fromiter((g[1] for g in group), np.float64, n)
-            py = np.fromiter((g[2] for g in group), np.float64, n)
-            dr[pids] += kernels.accumulate_reductions(
-                px, py, c_cols.xs, c_cols.ys, c_cols.dnn, c_cols.weights
-            )
+            pairs.add(pids[rows], px[rows], py[rows], c_cols)
             return
-        airs = RectColumns.from_rects(g[3] for g in group)
+        reach = RectColumns(
+            airs.xmin[rows], airs.ymin[rows], airs.xmax[rows], airs.ymax[rows]
+        )
         node_cols = branch_columns(self.ws.r_c, node, cache)
-        overlap = kernels.rect_intersect_matrix(airs, node_cols.rects)
+        overlap = kernels.rect_intersect_matrix(reach, node_cols.rects)
         for j, entry in enumerate(node.entries):
-            rows = np.flatnonzero(overlap[:, j])
-            if len(rows):
-                surviving = [group[i] for i in rows]
-                self._window_query(entry.child_id, surviving, dr, stats)
+            hits = np.flatnonzero(overlap[:, j])
+            if len(hits):
+                self._window_query(entry.child_id, rows[hits], block, pairs, stats)

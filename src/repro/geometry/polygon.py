@@ -16,7 +16,8 @@ from repro.geometry.rect import Rect
 
 
 class ConvexPolygon:
-    """A convex polygon given by its vertices in order.
+    """A convex polygon given by its vertices in order, as ``(x, y)``
+    float pairs.
 
     May be *empty* (no vertices) after clipping with incompatible
     half-planes; degenerate polygons (segments/points) are representable
@@ -25,8 +26,10 @@ class ConvexPolygon:
 
     __slots__ = ("vertices",)
 
-    def __init__(self, vertices: Sequence[Point]):
-        self.vertices: tuple[Point, ...] = tuple(Point(*v) for v in vertices)
+    def __init__(self, vertices: Sequence[tuple[float, float]]):
+        self.vertices: tuple[tuple[float, float], ...] = tuple(
+            (x, y) for x, y in vertices
+        )
 
     @classmethod
     def from_rect(cls, rect: Rect) -> "ConvexPolygon":
@@ -36,39 +39,39 @@ class ConvexPolygon:
         return not self.vertices
 
     def clip(self, hp: HalfPlane) -> "ConvexPolygon":
-        """The polygon intersected with the half-plane ``hp``."""
+        """The polygon intersected with the half-plane ``hp``.
+
+        Runs on plain float pairs with the operations, and their order,
+        of ``hp.signed_violation`` per vertex, so the vertices' bits do
+        not depend on the representation.
+        """
         if not self.vertices:
             return self
-        kept: list[Point] = []
-        n = len(self.vertices)
-        violations = [hp.signed_violation(v) for v in self.vertices]
+        a, b, c = hp
+        vertices = self.vertices
+        violations = [a * x + b * y - c for x, y in vertices]
         # Inside-tolerance scaled to the constraint terms: vertices
         # produced by an earlier clip sit *on* the boundary with rounding
         # noise proportional to |a*x| + |b*y| + |c|, which for
         # domain-sized coordinates dwarfs any fixed absolute epsilon.
-        tolerances = [
-            1e-9 * (abs(hp.a * v[0]) + abs(hp.b * v[1]) + abs(hp.c) + 1.0)
-            for v in self.vertices
+        inside = [
+            v <= 1e-9 * (abs(a * x) + abs(b * y) + abs(c) + 1.0)
+            for v, (x, y) in zip(violations, vertices)
         ]
+        kept: list[tuple[float, float]] = []
+        n = len(vertices)
         for i in range(n):
             j = (i + 1) % n
-            cur, nxt = self.vertices[i], self.vertices[j]
-            cur_v, nxt_v = violations[i], violations[j]
-            cur_in = cur_v <= tolerances[i]
-            nxt_in = nxt_v <= tolerances[j]
-            if cur_in:
-                kept.append(cur)
-            if cur_in != nxt_in:
+            if inside[i]:
+                kept.append(vertices[i])
+            if inside[i] != inside[j]:
                 # The edge crosses the boundary: add the intersection
                 # point, clamped to the segment so a near-parallel edge
                 # cannot extrapolate to a far-away spurious vertex.
-                t = min(1.0, max(0.0, cur_v / (cur_v - nxt_v)))
-                kept.append(
-                    Point(
-                        cur[0] + t * (nxt[0] - cur[0]),
-                        cur[1] + t * (nxt[1] - cur[1]),
-                    )
-                )
+                (x0, y0), (x1, y1) = vertices[i], vertices[j]
+                cur_v = violations[i]
+                t = min(1.0, max(0.0, cur_v / (cur_v - violations[j])))
+                kept.append((x0 + t * (x1 - x0), y0 + t * (y1 - y0)))
         return ConvexPolygon(kept)
 
     def clip_all(self, halfplanes: Sequence[HalfPlane]) -> "ConvexPolygon":

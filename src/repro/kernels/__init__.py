@@ -27,6 +27,12 @@ Every public kernel dispatches through the active backend::
         ref = kernels.accumulate_reductions(px, py, cx, cy, dnn, w)
     assert (acc == ref).all()  # bitwise, not approximately
 
+``accumulate_reductions`` also takes many tiles at once — candidate and
+client columns concatenated, plus ``p_offsets``/``c_offsets`` — and
+returns each candidate row's sum over its own tile, bit for bit what
+one call per tile returns; the join and window tasks make one such
+call each (:mod:`repro.core.leafpairs`).
+
 The exactness contract: switching backends never changes query
 results, dr vectors, traversal order, or I/O accounting — only how
 fast the arithmetic runs.  ``select()`` under either backend charges
@@ -115,9 +121,14 @@ def pairwise_distances(px, py, cx, cy):
     return _impl().pairwise_distances(px, py, cx, cy)
 
 
-def accumulate_reductions(px, py, cx, cy, dnn, weights):
-    """Per-candidate distance-reduction sums for one batch of clients."""
-    return _impl().accumulate_reductions(px, py, cx, cy, dnn, weights)
+def accumulate_reductions(
+    px, py, cx, cy, dnn, weights, p_offsets=None, c_offsets=None
+):
+    """Per-candidate distance-reduction sums for one tile of clients,
+    or for many tiles given their candidate and client offsets."""
+    return _impl().accumulate_reductions(
+        px, py, cx, cy, dnn, weights, p_offsets=p_offsets, c_offsets=c_offsets
+    )
 
 
 def influence_matrix(px, py, cx, cy, dnn):
@@ -143,6 +154,11 @@ def max_dist_points_rect(xs, ys, rect):
 def min_dist_rects_rect(rects, rect):
     """``minDist(rects_i, rect)`` for a batch of rectangles."""
     return _impl().min_dist_rects_rect(rects, rect)
+
+
+def min_dist_rects_point(rects, x, y):
+    """``minDist((x, y), rects_i)``, bitwise ``Rect.min_dist_point``."""
+    return _impl().min_dist_rects_point(rects, x, y)
 
 
 def pairwise_min_dist_rects(a, b):
@@ -176,6 +192,7 @@ __all__ = [
     "influence_matrix",
     "max_dist_points_rect",
     "min_dist_points_rect",
+    "min_dist_rects_point",
     "min_dist_rects_rect",
     "pairwise_distances",
     "pairwise_min_dist_rects",

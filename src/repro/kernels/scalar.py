@@ -13,7 +13,8 @@ Two exactness rules make bitwise parity achievable:
 
 * distances call the ``np.hypot`` ufunc element-wise, never
   ``math.hypot`` (the two differ in the last ulp for ~1 in 130 operand
-  pairs);
+  pairs) — except in :func:`min_dist_rects_point`, whose vector twin
+  calls ``math.hypot`` too, to equal ``Rect.min_dist_point``;
 * per-candidate reduction sums assemble the row of weighted clipped
   reductions first and then ``np.sum`` it, because numpy's pairwise
   summation over a contiguous row is bitwise equal to the vector
@@ -27,6 +28,7 @@ the round-trip property tests pin the two layouts together.
 
 from __future__ import annotations
 
+import math
 import struct
 from typing import Any
 
@@ -101,8 +103,30 @@ def accumulate_reductions(
     cy: np.ndarray,
     dnn: np.ndarray,
     weights: np.ndarray,
+    p_offsets: np.ndarray | None = None,
+    c_offsets: np.ndarray | None = None,
 ) -> np.ndarray:
-    """Per-candidate ``dr`` contributions via nested (p, c) loops."""
+    """Per-candidate ``dr`` contributions via nested (p, c) loops.
+
+    With tile offsets, one tile at a time (see the vector twin)."""
+    if p_offsets is None:
+        return _accumulate_tile(px, py, cx, cy, dnn, weights)
+    out = np.empty(len(px), dtype=np.float64)
+    for t in range(len(p_offsets) - 1):
+        p = slice(p_offsets[t], p_offsets[t + 1])
+        c = slice(c_offsets[t], c_offsets[t + 1])
+        out[p] = _accumulate_tile(px[p], py[p], cx[c], cy[c], dnn[c], weights[c])
+    return out
+
+
+def _accumulate_tile(
+    px: np.ndarray,
+    py: np.ndarray,
+    cx: np.ndarray,
+    cy: np.ndarray,
+    dnn: np.ndarray,
+    weights: np.ndarray,
+) -> np.ndarray:
     n_p, n_c = len(px), len(cx)
     out = np.empty(n_p, dtype=np.float64)
     row = np.empty(n_c, dtype=np.float64)
@@ -185,6 +209,17 @@ def min_dist_rects_rect(rects: RectColumns, rect: Any) -> np.ndarray:
         dx = _gap(rects.xmin[i], rects.xmax[i], rect.xmin, rect.xmax)
         dy = _gap(rects.ymin[i], rects.ymax[i], rect.ymin, rect.ymax)
         out[i] = _combine(dx, dy)
+    return out
+
+
+def min_dist_rects_point(rects: RectColumns, x: float, y: float) -> np.ndarray:
+    """``minDist((x, y), rects_i)`` one rectangle at a time, with
+    ``math.hypot`` as in :meth:`Rect.min_dist_point`."""
+    out = np.empty(len(rects), dtype=np.float64)
+    for i in range(len(rects)):
+        dx = _gap(rects.xmin[i], rects.xmax[i], x, x)
+        dy = _gap(rects.ymin[i], rects.ymax[i], y, y)
+        out[i] = dy if dx == 0.0 else dx if dy == 0.0 else math.hypot(dx, dy)
     return out
 
 

@@ -35,6 +35,7 @@ the callers obtained through the usual charged ``read_*`` paths.
 
 from __future__ import annotations
 
+import math
 from typing import Any
 
 import numpy as np
@@ -155,6 +156,8 @@ def accumulate_reductions(
     cy: np.ndarray,
     dnn: np.ndarray,
     weights: np.ndarray,
+    p_offsets: np.ndarray | None = None,
+    c_offsets: np.ndarray | None = None,
 ) -> np.ndarray:
     """Per-candidate ``dr`` contribution of a batch of clients.
 
@@ -172,7 +175,16 @@ def accumulate_reductions(
     a hit is rebuilt as a dense row (``+0.0`` except at its
     influencing pairs) and summed as before; every other row sums to
     ``+0.0``.
+
+    With ``p_offsets`` and ``c_offsets`` (``T + 1`` non-decreasing
+    offsets from 0 each) the columns hold ``T`` tiles: candidates
+    ``p_offsets[t]:p_offsets[t + 1]`` against clients
+    ``c_offsets[t]:c_offsets[t + 1]``.  Each candidate row sums over
+    its own tile only, bit for bit what one call per tile returns
+    (:func:`_accumulate_tiles`).  A single tile takes the one-tile path.
     """
+    if p_offsets is not None and len(p_offsets) > 2:
+        return _accumulate_tiles(px, py, cx, cy, dnn, weights, p_offsets, c_offsets)
     if len(px) * len(cx) < DENSE_PAIRS:
         d = pairwise_distances(px, py, cx, cy)
         return (np.clip(dnn[None, :] - d, 0.0, None) * weights[None, :]).sum(axis=1)
@@ -183,6 +195,91 @@ def accumulate_reductions(
     dense[np.searchsorted(rows, i), j] = (dnn[j] - d) * weights[j]
     out[rows] = dense.sum(axis=1)
     return out
+
+
+def _accumulate_tiles(
+    px: np.ndarray,
+    py: np.ndarray,
+    cx: np.ndarray,
+    cy: np.ndarray,
+    dnn: np.ndarray,
+    weights: np.ndarray,
+    p_offsets: np.ndarray,
+    c_offsets: np.ndarray,
+) -> np.ndarray:
+    """The many-tile form of :func:`accumulate_reductions`.
+
+    Tiles below :data:`DENSE_PAIRS` pairs evaluate every pair, as a
+    one-tile call does.  The others share one strip search: each
+    candidate is keyed by the integer pair (tile, rank of its x among
+    the sorted distinct candidate x values), and each client's strip
+    bounds ``fl(cx_j ± r_j)`` become ranks the same way, so the keys
+    between them are exactly the candidates of the client's own tile
+    with ``fl(cx_j - r_j) <= px <= fl(cx_j + r_j)`` — the strip a
+    one-tile call searches.  Each hit is then placed in a dense row at
+    its tile's own client count, and rows of one width are summed
+    together with the same contiguous ``axis=1`` sum, so every row's
+    bits are those of the one-tile call (a dense-path row holds
+    ``+0.0`` at every non-influencing pair).
+    """
+    out = np.zeros(len(px))
+    p_offsets = np.asarray(p_offsets)
+    c_offsets = np.asarray(c_offsets)
+    n_tiles = len(p_offsets) - 1
+    heights = np.diff(p_offsets)
+    widths = np.diff(c_offsets)
+    p_tile = np.repeat(np.arange(n_tiles), heights)
+    c_tile = np.repeat(np.arange(n_tiles), widths)
+    dense = heights * widths < DENSE_PAIRS
+    # Dense tiles: candidate row k meets every client of its tile.
+    rows = np.flatnonzero(dense[p_tile])
+    counts = widths[p_tile[rows]]
+    i_dense = np.repeat(rows, counts)
+    j_dense = _ranges(c_offsets[p_tile[rows]], counts)
+    # Strip tiles: one search over (tile, x-rank) keys.
+    rows = np.flatnonzero(~dense[p_tile])
+    clients = np.flatnonzero(~dense[c_tile])
+    xs, rank = np.unique(px[rows], return_inverse=True)
+    span = len(xs) + 1
+    key = p_tile[rows] * span + rank
+    order = rows[np.argsort(key, kind="stable")]
+    reach = dnn[clients] * (1.0 + STRIP_SLACK)
+    base = c_tile[clients] * span
+    below = _count_below(key, n_tiles * span)
+    lo = below(base + np.searchsorted(xs, cx[clients] - reach, side="left"))
+    hi = below(base + np.searchsorted(xs, cx[clients] + reach, side="right"))
+    i = np.concatenate((i_dense, order[_ranges(lo, hi - lo)]))
+    j = np.concatenate((j_dense, np.repeat(clients, hi - lo)))
+    d = np.hypot(px[i] - cx[j], py[i] - cy[j])
+    hit = d < dnn[j]
+    i, j, d = i[hit], j[hit], d[hit]
+    terms = (dnn[j] - d) * weights[j]
+    cols = j - c_offsets[c_tile[j]]
+    row_width = widths[c_tile[j]]
+    for width in np.unique(row_width):
+        sel = row_width == width
+        hit_rows = np.flatnonzero(np.bincount(i[sel], minlength=len(px)))
+        matrix = np.zeros((len(hit_rows), width))
+        matrix[np.searchsorted(hit_rows, i[sel]), cols[sel]] = terms[sel]
+        out[hit_rows] = matrix.sum(axis=1)
+    return out
+
+
+def _ranges(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """``concatenate([arange(s, s + c) for s, c in zip(starts, counts)])``."""
+    firsts = np.cumsum(counts) - counts
+    return np.arange(counts.sum()) + np.repeat(starts - firsts, counts)
+
+
+def _count_below(keys: np.ndarray, size: int):
+    """``q -> #(keys < q)`` for integer queries in ``[0, size]``: a
+    cumulative count table when ``size`` is small next to the keys, else
+    a binary search — the same counts either way."""
+    if size <= 8 * len(keys) + 4096:
+        table = np.concatenate(([0], np.cumsum(np.bincount(keys, minlength=size))))
+        return table.__getitem__
+    ordered = np.sort(keys)
+    return lambda q: np.searchsorted(ordered, q)
 
 
 def influence_matrix(
@@ -250,6 +347,59 @@ def min_dist_rects_rect(rects: RectColumns, rect: Any) -> np.ndarray:
     dx = _axis_gaps(rects.xmin, rects.xmax, rect.xmin, rect.xmax)
     dy = _axis_gaps(rects.ymin, rects.ymax, rect.ymin, rect.ymax)
     return _combine_min_dist(dx, dy)
+
+
+#: Below this many rectangles :func:`min_dist_rects_point` runs the
+#: ``Rect.min_dist_point`` ladder per rectangle in Python: its numpy
+#: form costs ~25 µs a call, more than ~0.5 µs a rectangle in Python
+#: below about 30 rectangles (2-vCPU x86-64, numpy 2.4).  A best-first
+#: stream reads small branch nodes (``R_F``'s root holds 2–18 entries
+#: in the benchmarks) once per query point.
+SMALL_RECTS = 32
+
+
+def min_dist_rects_point(rects: RectColumns, x: float, y: float) -> np.ndarray:
+    """``minDist((x, y), rects_i)``, bitwise :meth:`Rect.min_dist_point`.
+
+    The same comparison ladder as :func:`min_dist_rects_rect`, but the
+    corner case takes ``math.hypot`` as the ``Rect`` method does: it is
+    correctly rounded where ``np.hypot`` is not always, and a best-first
+    stream whose distances moved by an ulp could pop tied entries in
+    another order.  Below :data:`SMALL_RECTS` the ladder runs per
+    rectangle on Python floats, with the same operations.
+    """
+    if len(rects) < SMALL_RECTS:
+        return np.array(
+            [
+                _min_dist_point(*bounds, x, y)
+                for bounds in zip(
+                    rects.xmin.tolist(),
+                    rects.ymin.tolist(),
+                    rects.xmax.tolist(),
+                    rects.ymax.tolist(),
+                )
+            ],
+            dtype=np.float64,
+        )
+    dx = _axis_gaps(rects.xmin, rects.xmax, x, x)
+    dy = _axis_gaps(rects.ymin, rects.ymax, y, y)
+    out = np.where(dx == 0.0, dy, dx)
+    corner = np.flatnonzero((dx != 0.0) & (dy != 0.0))
+    out[corner] = np.fromiter(
+        map(math.hypot, dx[corner].tolist(), dy[corner].tolist()),
+        np.float64,
+        len(corner),
+    )
+    return out
+
+
+def _min_dist_point(
+    xmin: float, ymin: float, xmax: float, ymax: float, x: float, y: float
+) -> float:
+    """``Rect.min_dist_point``'s ladder on one rectangle."""
+    dx = xmin - x if x < xmin else x - xmax if x > xmax else 0.0
+    dy = ymin - y if y < ymin else y - ymax if y > ymax else 0.0
+    return dy if dx == 0.0 else dx if dy == 0.0 else math.hypot(dx, dy)
 
 
 def pairwise_min_dist_rects(a: RectColumns, b: RectColumns) -> np.ndarray:

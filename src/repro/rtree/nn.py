@@ -8,6 +8,21 @@ is served.
 
 All node fetches go through ``tree.read_node`` and are therefore counted
 as I/Os.
+
+:func:`best_first` is the one search loop.  It works on node columns: a
+read node's entry minDists come from one
+:func:`repro.kernels.min_dist_rects_point` call, and the node enters the
+heap once, as a *cursor* over its entries in stable-argsort order.  The
+object-at-a-time search pushed every entry as ``(minDist, seq)`` with
+``seq`` a running push counter, so ties went to the node expanded first
+and, within a node, to the lower entry index.  A cursor keeps only its
+smallest remaining entry in the heap, keyed ``(minDist, n)`` with ``n``
+the node's expansion number: its entries' push numbers lay in one block
+that every later node's block follows, and the stable argsort orders a
+node's ties by index.  Each cursor's head is its smallest remaining
+entry, so the heap's minimum is the object loop's next pop: the pops,
+the node reads and their order are exactly the same, while a node costs
+one heap push instead of one per entry.
 """
 
 from __future__ import annotations
@@ -16,10 +31,84 @@ import heapq
 import itertools
 from typing import Any, Callable, Iterator, Optional
 
+import numpy as np
+
+from repro import kernels
 from repro.geometry.point import Point
 from repro.geometry.rect import Rect
+from repro.kernels.columnar import RectColumns
+from repro.rtree.node import Node
 from repro.rtree.rtree import RTree
 from repro.storage.stats import IOStats
+
+
+def _entry_rects(node: Node) -> RectColumns:
+    """A node's entry MBRs as columns, from its entry objects."""
+    return RectColumns.from_rects(e.mbr for e in node.entries)
+
+
+class _Cursor:
+    """One expanded node's kept entries in ``(minDist, index)`` order."""
+
+    __slots__ = ("node", "leaf", "order", "dists", "pos")
+
+    def __init__(self, node: Node, order: list, dists: list):
+        self.node = node
+        self.leaf = node.is_leaf
+        self.order = order
+        self.dists = dists
+        self.pos = 0
+
+
+def best_first(
+    tree: RTree,
+    query: Point,
+    entry_rects: Callable[[Node], RectColumns] = _entry_rects,
+    keep: Optional[Callable[[Node], np.ndarray]] = None,
+    stats: Optional[IOStats] = None,
+) -> Iterator[tuple[float, Node, int]]:
+    """Yield ``(distance, leaf node, entry index)`` in increasing distance.
+
+    ``entry_rects(node)`` gives a node's entry MBRs as columns (callers
+    with a decoded-node cache pass a cached view); ``keep(node)``, when
+    given, is a boolean mask of the entries that may enter the heap.
+    Ties resolve in push order, as in the object-at-a-time search.
+    ``stats`` redirects the I/O charges (and span counters) to a
+    caller-private accounting, as required by parallel tasks.
+    """
+    if tree.num_entries == 0:
+        return
+    tracer = (stats if stats is not None else tree.stats).tracer
+    qx, qy = query
+    heap: list[tuple[float, int, _Cursor]] = []
+    node_id = tree.root_id
+    for expanded in itertools.count():
+        tracer.count("nn.nodes")
+        node = tree.read_node(node_id, stats=stats)
+        dists = kernels.min_dist_rects_point(entry_rects(node), qx, qy)
+        kept = None if keep is None else np.flatnonzero(keep(node))
+        if kept is not None:
+            dists = dists[kept]
+        if len(dists):
+            rank = np.argsort(dists, kind="stable")
+            order = rank if kept is None else kept[rank]
+            cursor = _Cursor(node, order.tolist(), dists[rank].tolist())
+            heapq.heappush(heap, (cursor.dists[0], expanded, cursor))
+        while True:  # pop entries until the next node to read
+            if not heap:
+                return
+            dist, n, cursor = heap[0]
+            pos = cursor.pos
+            if pos + 1 < len(cursor.order):
+                cursor.pos = pos + 1
+                heapq.heapreplace(heap, (cursor.dists[pos + 1], n, cursor))
+            else:
+                heapq.heappop(heap)
+            if not cursor.leaf:
+                node_id = cursor.node.entries[cursor.order[pos]].child_id
+                break
+            tracer.count("nn.results")
+            yield dist, cursor.node, cursor.order[pos]
 
 
 def incremental_nearest(
@@ -37,34 +126,26 @@ def incremental_nearest(
     ``stats`` redirects the I/O charges (and span counters) to a
     caller-private accounting, as required by parallel tasks.
     """
-    if tree.num_entries == 0:
-        return
-    tracer = (stats if stats is not None else tree.stats).tracer
-    counter = itertools.count()  # tie-breaker: heap items are never compared
-    # Heap items: (min possible distance, seq, is_data, object)
-    heap: list[tuple[float, int, bool, Any]] = [(0.0, next(counter), False, None)]
-    while heap:
-        dist, _, is_data, obj = heapq.heappop(heap)
-        if is_data:
-            tracer.count("nn.results")
-            yield dist, obj
-            continue
-        tracer.count("nn.nodes")
-        node = tree.read_node(tree.root_id if obj is None else obj, stats=stats)
-        if node.is_leaf:
-            for entry in node.entries:
-                if mbr_filter is not None and not mbr_filter(entry.mbr):
-                    continue
-                if payload_filter is not None and not payload_filter(entry.payload):
-                    continue
-                d = entry.mbr.min_dist_point(query)
-                heapq.heappush(heap, (d, next(counter), True, entry.payload))
-        else:
-            for entry in node.entries:
-                if mbr_filter is not None and not mbr_filter(entry.mbr):
-                    continue
-                d = entry.mbr.min_dist_point(query)
-                heapq.heappush(heap, (d, next(counter), False, entry.child_id))
+    keep = None
+    if mbr_filter is not None or payload_filter is not None:
+
+        def keep(node: Node) -> np.ndarray:
+            return np.fromiter(
+                (
+                    (mbr_filter is None or mbr_filter(e.mbr))
+                    and (
+                        not node.is_leaf
+                        or payload_filter is None
+                        or payload_filter(e.payload)
+                    )
+                    for e in node.entries
+                ),
+                bool,
+                len(node.entries),
+            )
+
+    for dist, node, entry in best_first(tree, query, keep=keep, stats=stats):
+        yield dist, node.entries[entry].payload
 
 
 def nearest_neighbor(tree: RTree, query: Point) -> Optional[tuple[float, Any]]:

@@ -6,7 +6,7 @@ import pytest
 
 from repro.bench import SUITES, get_suite, run_suite, suite_names
 from repro.bench.record import DETERMINISTIC_METRICS, SCHEMA_VERSION
-from repro.experiments.smoke import SMOKE_CONFIG
+from repro.bench.suites import SMOKE_CONFIG
 
 
 class TestRegistry:

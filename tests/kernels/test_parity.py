@@ -17,7 +17,7 @@ from repro import kernels
 from repro.core import make_selector
 from repro.core.diskmode import DiskWorkspace, persist_indexes
 from repro.core.mnd import MaximumNFCDistance
-from repro.experiments.smoke import SMOKE_METHODS
+from repro.experiments.runner import DEFAULT_METHODS
 
 
 def run_cold(ws, method):
@@ -41,7 +41,7 @@ def assert_exact_parity(ws, method):
     assert dict(vec.io_reads) == dict(ref.io_reads)
 
 
-@pytest.mark.parametrize("method", SMOKE_METHODS)
+@pytest.mark.parametrize("method", DEFAULT_METHODS)
 def test_select_is_backend_invariant(small_workspace, method):
     assert_exact_parity(small_workspace, method)
 

@@ -10,7 +10,11 @@ Two families of invariants:
   exactly on rectangle edges and zero-area rectangles) the vector and
   scalar implementations return identical arrays, and the geometry
   kernels agree with the scalar :class:`~repro.geometry.rect.Rect`
-  reference methods.
+  reference methods;
+* the many-tile ``accumulate_reductions`` is one call per tile, bit for
+  bit — per candidate row, and after
+  :meth:`~repro.core.leafpairs.LeafPairs.accumulate` folds the rows
+  into a partial in tile order.
 """
 
 from __future__ import annotations
@@ -22,11 +26,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro import kernels
+from repro.core.leafpairs import LeafPairs
 from repro.core.types import Client, Site
 from repro.geometry.point import Point
 from repro.geometry.rect import Rect
 from repro.kernels import scalar, vector
-from repro.kernels.columnar import RectColumns
+from repro.kernels.columnar import ClientColumns, RectColumns
 from repro.storage.codecs import (
     ClientCodec,
     SiteCodec,
@@ -266,6 +272,33 @@ class TestBackendEquivalence:
             if hits[i]:
                 assert mind[i] == 0.0
 
+    @given(
+        n=st.sampled_from([1, 3, vector.SMALL_RECTS - 1, vector.SMALL_RECTS, 200]),
+        seed=st.integers(0, 2**32 - 1),
+        snap=st.sampled_from(["free", "edge", "corner"]),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_rects_vs_one_point_match_the_reference_bitwise(self, n, seed, snap):
+        """``min_dist_rects_point`` is ``Rect.min_dist_point`` bit for bit
+        (``math.hypot``; ``np.hypot`` differs in about 1 in 160 random
+        pairs), on both sides of its small-batch rule, also for points on
+        an edge or a corner of some rectangle, and for point rectangles;
+        twenty query points a batch."""
+        rng = np.random.default_rng(seed)
+        lo = rng.uniform(-100.0, 1100.0, (n, 2))
+        size = rng.exponential(20.0, (n, 2)) * (rng.random((n, 1)) < 0.7)
+        boxes = [Rect(x, y, x + w, y + h) for (x, y), (w, h) in zip(lo, size)]
+        batch = RectColumns.from_rects(boxes)
+        for x, y in rng.uniform(-100.0, 1100.0, (20, 2)).tolist():
+            box = boxes[rng.integers(n)]
+            if snap != "free":
+                x = box.xmax
+            if snap == "corner":
+                y = box.ymin
+            got = assert_backends_bitwise_equal("min_dist_rects_point", batch, x, y)
+            want = [box.min_dist_point(Point(x, y)) for box in boxes]
+            assert [float(d).hex() for d in got] == [float(d).hex() for d in want]
+
     @given(a=rect_batches(max_size=4), b=rect_batches(max_size=4))
     @settings(max_examples=60)
     def test_pairwise_rect_kernels_match_the_reference(self, a, b):
@@ -288,3 +321,128 @@ class TestBackendEquivalence:
         got_s = scalar.circle_columns_from_rects(batch, cids, w)
         for field in ("ids", "xs", "ys", "dnn", "weights"):
             assert np.array_equal(getattr(got_v, field), getattr(got_s, field))
+
+
+# ---------------------------------------------------------------------------
+# Many tiles in one call
+# ---------------------------------------------------------------------------
+
+
+@st.composite
+def tile_lists(draw):
+    """Lists of ``(ids, px, py, clients)`` tiles around one origin.
+
+    Tile sizes include 0 and 1 and cross the one-tile size rule, so a
+    list mixes widths and both evaluation paths.  Candidates are drawn
+    from a small pool of ids and positions: the same id recurs across
+    tiles (its rows fold in tile order), and coincident candidates sit
+    in one tile and across tiles.  Clients cluster on candidates with a
+    wide ``dnn``, so many rows take three or more hits, and pairs are
+    rigged into exact ties and one ulp past them (also on the strip's
+    x-edge), coincident points, zero and subnormal ``dnn``, and zero
+    weights — around an origin that may sit at ±1e6.
+    """
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    origin = draw(st.sampled_from([0.0, 1e6, -1e6]))
+    spread = draw(st.sampled_from([1.0, 100.0]))
+    n_ids = 64
+    spots = rng.uniform(0.0, 10 * spread, (12, 2)) + origin
+    tiles = []
+    for __ in range(draw(st.integers(1, 6))):
+        if draw(st.booleans()):
+            n_p, n_c = draw(st.integers(0, 3)), draw(st.integers(0, 40))
+        else:
+            n_p, n_c = draw(st.integers(40, 60)), draw(st.integers(40, 60))
+        ids = rng.choice(n_ids, size=n_p, replace=False).astype(np.uint32)
+        p = spots[rng.integers(len(spots), size=n_p)]
+        moved = rng.random(n_p) < 0.5
+        p[moved] += rng.normal(0.0, spread, (int(moved.sum()), 2))
+        px, py = p[:, 0].copy(), p[:, 1].copy()
+        c = spots[rng.integers(len(spots), size=n_c)]
+        c += rng.normal(0.0, spread / 2, (n_c, 2))
+        cx, cy = c[:, 0].copy(), c[:, 1].copy()
+        dnn = rng.exponential(spread, n_c)
+        w = rng.uniform(0.0, 10.0, n_c)
+        if n_p and n_c:
+            for __ in range(draw(st.integers(0, 3))):  # ties, one ulp past
+                i, j = rng.integers(n_p), rng.integers(n_c)
+                if draw(st.booleans()):
+                    py[i] = cy[j]  # on the strip's x-edge
+                tie = np.hypot(px[i] - cx[j], py[i] - cy[j])
+                dnn[j] = draw(st.sampled_from([tie, np.nextafter(tie, np.inf)]))
+            for __ in range(draw(st.integers(0, 2))):  # coincident points
+                i, j = rng.integers(n_p), rng.integers(n_c)
+                px[i], py[i] = cx[j], cy[j]
+                dnn[j] = draw(st.sampled_from([0.0, 5e-324, dnn[j]]))
+        if n_c:
+            for __ in range(draw(st.integers(0, 2))):  # zero or subnormal dnn
+                dnn[rng.integers(n_c)] = draw(st.sampled_from([0.0, 5e-324, 1e-310]))
+            w[rng.random(n_c) < draw(st.sampled_from([0.0, 0.3]))] = 0.0
+        clients = ClientColumns(np.arange(n_c, dtype=np.uint32), cx, cy, dnn, w)
+        tiles.append((ids, px, py, clients))
+    return n_ids, tiles
+
+
+def _many_tile_args(tiles):
+    p_offsets = np.cumsum([0] + [len(t[0]) for t in tiles])
+    c_offsets = np.cumsum([0] + [len(t[3]) for t in tiles])
+    cols = [
+        np.concatenate([getattr(t[3], field) for t in tiles])
+        for field in ("xs", "ys", "dnn", "weights")
+    ]
+    px = np.concatenate([t[1] for t in tiles])
+    py = np.concatenate([t[2] for t in tiles])
+    return (px, py, *cols), p_offsets, c_offsets
+
+
+def _one_tile(backend, tile):
+    __, px, py, c = tile
+    return backend.accumulate_reductions(px, py, c.xs, c.ys, c.dnn, c.weights)
+
+
+def _bits(values: np.ndarray) -> np.ndarray:
+    return np.asarray(values, dtype=np.float64).view(np.int64)
+
+
+class TestManyTiles:
+    @given(drawn=tile_lists())
+    @settings(max_examples=60, deadline=None)
+    def test_rows_match_one_call_per_tile(self, drawn):
+        __, tiles = drawn
+        args, p_offsets, c_offsets = _many_tile_args(tiles)
+        per_tile = np.concatenate([_one_tile(vector, t) for t in tiles])
+        for backend in (vector, scalar):
+            got = backend.accumulate_reductions(
+                *args, p_offsets=p_offsets, c_offsets=c_offsets
+            )
+            assert np.array_equal(_bits(got), _bits(per_tile)), backend.__name__
+        per_tile_scalar = np.concatenate([_one_tile(scalar, t) for t in tiles])
+        assert np.array_equal(_bits(per_tile), _bits(per_tile_scalar))
+        assert not np.signbit(per_tile).any()
+
+    @given(drawn=tile_lists())
+    @settings(max_examples=60, deadline=None)
+    def test_fold_matches_one_call_per_tile(self, drawn):
+        n_ids, tiles = drawn
+        expected = np.zeros(n_ids)
+        for tile in tiles:
+            expected[tile[0]] += _one_tile(vector, tile)
+        for backend in kernels.available_backends():
+            pairs = LeafPairs()
+            for tile in tiles:
+                pairs.add(*tile)
+            local = np.zeros(n_ids)
+            with kernels.use_backend(backend):
+                pairs.accumulate(local)
+            assert np.array_equal(_bits(local), _bits(expected)), backend
+            assert pairs.candidates == sum(len(t[0]) for t in tiles)
+
+    def test_key_counts_agree_on_both_paths(self):
+        """The many-tile strip search counts keys below each bound from a
+        table while it is small, else by binary search: same counts."""
+        rng = np.random.default_rng(5)
+        keys = rng.integers(0, 5000, 300)
+        queries = rng.integers(0, 5001, 400)
+        expected = (keys[None, :] < queries[:, None]).sum(axis=1)
+        for size in (5000, 10**6):  # table, then binary search
+            assert np.array_equal(vector._count_below(keys, size)(queries), expected)
