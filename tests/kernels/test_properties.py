@@ -332,15 +332,16 @@ class TestBackendEquivalence:
 def tile_lists(draw):
     """Lists of ``(ids, px, py, clients)`` tiles around one origin.
 
-    Tile sizes include 0 and 1 and cross the one-tile size rule, so a
-    list mixes widths and both evaluation paths.  Candidates are drawn
-    from a small pool of ids and positions: the same id recurs across
-    tiles (its rows fold in tile order), and coincident candidates sit
-    in one tile and across tiles.  Clients cluster on candidates with a
-    wide ``dnn``, so many rows take three or more hits, and pairs are
-    rigged into exact ties and one ulp past them (also on the strip's
-    x-edge), coincident points, zero and subnormal ``dnn``, and zero
-    weights — around an origin that may sit at ±1e6.
+    Tile sizes include 0 and 1 and cross both size rules (``DENSE_ROWS``
+    and ``DENSE_PAIRS``), so a list mixes widths and evaluation paths.
+    Candidates are drawn from a small pool of ids and positions: the
+    same id recurs across tiles (its rows fold in tile order), and
+    coincident candidates sit in one tile and across tiles.  Clients
+    cluster on candidates with a wide ``dnn``, so many rows take three
+    or more hits, and pairs are rigged into exact ties and one ulp past
+    them (also on the strip's x-edge), coincident points, zero and
+    subnormal ``dnn``, and zero weights — around an origin that may sit
+    at ±1e6.
     """
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     origin = draw(st.sampled_from([0.0, 1e6, -1e6]))
@@ -349,8 +350,8 @@ def tile_lists(draw):
     spots = rng.uniform(0.0, 10 * spread, (12, 2)) + origin
     tiles = []
     for __ in range(draw(st.integers(1, 6))):
-        if draw(st.booleans()):
-            n_p, n_c = draw(st.integers(0, 3)), draw(st.integers(0, 40))
+        if draw(st.booleans()):  # around DENSE_ROWS
+            n_p, n_c = draw(st.integers(0, 7)), draw(st.integers(0, 40))
         else:
             n_p, n_c = draw(st.integers(40, 60)), draw(st.integers(40, 60))
         ids = rng.choice(n_ids, size=n_p, replace=False).astype(np.uint32)
