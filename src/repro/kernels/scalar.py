@@ -12,9 +12,9 @@ I/O counts before recording a speedup.
 Two exactness rules make bitwise parity achievable:
 
 * distances call the ``np.hypot`` ufunc element-wise, never
-  ``math.hypot`` (the two differ in the last ulp for ~1 in 130 operand
-  pairs) — except in :func:`min_dist_rects_point`, whose vector twin
-  calls ``math.hypot`` too, to equal ``Rect.min_dist_point``;
+  ``math.hypot`` (the two differ in the last ulp for about 1 in 160
+  operand pairs) — except in :func:`min_dist_rects_point`, whose vector
+  twin calls ``math.hypot`` too, to equal ``Rect.min_dist_point``;
 * per-candidate reduction sums assemble the row of weighted clipped
   reductions first and then ``np.sum`` it, because numpy's pairwise
   summation over a contiguous row is bitwise equal to the vector

@@ -437,13 +437,3 @@ class TestManyTiles:
                 pairs.accumulate(local)
             assert np.array_equal(_bits(local), _bits(expected)), backend
             assert pairs.candidates == sum(len(t[0]) for t in tiles)
-
-    def test_key_counts_agree_on_both_paths(self):
-        """The many-tile strip search counts keys below each bound from a
-        table while it is small, else by binary search: same counts."""
-        rng = np.random.default_rng(5)
-        keys = rng.integers(0, 5000, 300)
-        queries = rng.integers(0, 5001, 400)
-        expected = (keys[None, :] < queries[:, None]).sum(axis=1)
-        for size in (5000, 10**6):  # table, then binary search
-            assert np.array_equal(vector._count_below(keys, size)(queries), expected)
