@@ -26,6 +26,9 @@ every file is served as zero-copy views of one ``mmap``
 does no decode work at all — the page already is the column block the
 batch kernels consume — and answers and I/O accounting are identical
 to the in-memory workspace (``repro.bench.scale`` enforces both).
+Each tree and block file decodes a page at most once while it is open
+and charges every read as before; :meth:`DiskWorkspace.invalidate_leaf_cache`
+drops those decodes along with the leaf cache.
 
 Typical flow::
 
@@ -317,7 +320,10 @@ class DiskWorkspace:
             self.buffer_pool.clear()
 
     def invalidate_leaf_cache(self) -> None:
+        """Drop every decode: the leaf cache and each open file's pages."""
         self.leaf_cache.clear()
+        for opened in self._opened():
+            opened.drop_decoded()
 
     def attach_tracer(self, tracer: Tracer) -> None:
         self.tracer = tracer
@@ -328,13 +334,19 @@ class DiskWorkspace:
         self.stats.bind_tracer(None)
 
     def close(self) -> None:
-        self.mnd_tree.close()
-        self.r_p.close()
-        # Only structures that were actually opened.
+        # The leaf cache holds column views of the maps.
+        self.leaf_cache.clear()
+        for opened in self._opened():
+            opened.close()
+
+    def _opened(self):
+        """Every page file opened so far (the lazy ones only once used)."""
+        yield self.mnd_tree
+        yield self.r_p
         for attr in ("r_c", "r_f", "rnn_tree", "client_file", "potential_file"):
             opened = self.__dict__.get(attr)
             if opened is not None:
-                opened.close()
+                yield opened
 
     def __enter__(self) -> "DiskWorkspace":
         return self

@@ -13,13 +13,16 @@ cross-checked against its scalar twin); this changes constants, not the
 I/O pattern or the asymptotic CPU cost, both of which the paper
 analyses.
 
-The scan decomposes naturally for the execution engine: one task per
-``(P-block, C-block)`` pair.  The driver charges each potential block
-once at planning time (the serial loop holds it in memory across the
-inner scan); each task re-fetches it for free via ``peek_block`` and
-charges only its own client-block read.  Per-``p`` accumulation order
-across tasks equals the serial inner-loop order, so the reduced ``dr``
-is bit-identical to the serial scan.
+The scan decomposes for the execution engine as Algorithm 1 loops: one
+task per potential block.  The driver charges each potential block once
+at planning time (the serial loop holds it in memory across the inner
+scan); each task re-fetches it for free via ``peek_block``, reads and
+is charged for every client block in order, and makes one
+shared-candidates kernel call over the whole client file.  The kernel
+folds each candidate's per-block sums in block order from ``+0.0``, bit
+for bit one call per (P-block, C-block) pair added into ``dr`` in the
+serial inner-loop order, so the reduced ``dr`` is bit-identical to the
+block-pair scan.
 """
 
 from __future__ import annotations
@@ -60,34 +63,42 @@ class SequentialScan(LocationSelector):
         ]
 
     def _plan_scan(self, stats: IOStats, carry: object = None) -> list[tuple]:
-        """One task per (P-block, C-block) pair; charges the P reads."""
+        """One task per potential block; charges the P reads."""
         ws = self.ws
-        tasks: list[tuple[int, int, int]] = []
-        n_c_blocks = ws.client_file.num_blocks
+        tasks: list[tuple[int, int]] = []
         offset = 0
         for p_id in range(ws.potential_file.num_blocks):
             p_block = ws.potential_file.read_block(p_id, stats=stats)
             stats.tracer.count("potential_blocks")
-            for c_id in range(n_c_blocks):
-                tasks.append((p_id, offset, c_id))
+            tasks.append((p_id, offset))
             offset += len(p_block)
         return tasks
 
     def run_scan_task(
-        self, task: tuple[int, int, int], stats: IOStats
+        self, task: tuple[int, int], stats: IOStats
     ) -> tuple[int, np.ndarray]:
-        """One (P-block, C-block) pairwise evaluation (Algorithm 1 core)."""
-        p_id, offset, c_id = task
+        """One potential block against the whole client file (Algorithm 1's
+        inner loop): every client block read in order, then one kernel call
+        whose tile sums fold in block order."""
+        p_id, offset = task
         ws = self.ws
         p_block = ws.potential_file.peek_block(p_id)  # charged at planning
-        px = p_block[:, 0]
-        py = p_block[:, 1]
+        client_file = ws.client_file
         with stats.tracer.span("ss.client_pass") as sp:
-            c_block = ws.client_file.read_block(c_id, stats=stats)
-            sp.count("client_blocks")
-            # (block of P) x (block of C) weighted clipped reductions.
+            blocks = [
+                client_file.read_block(c_id, stats=stats)
+                for c_id in range(client_file.num_blocks)
+            ]
+            sp.count("client_blocks", len(blocks))
+            if not blocks:
+                return offset, np.zeros(len(p_block))
+            c_offsets = np.cumsum([0] + [len(block) for block in blocks])
+            cx, cy, dnn, w = (
+                np.concatenate([block[:, k] for block in blocks]) for k in range(4)
+            )
+            # (block of P) x (every block of C) weighted clipped reductions.
             acc = kernels.accumulate_reductions(
-                px, py, c_block[:, 0], c_block[:, 1], c_block[:, 2], c_block[:, 3]
+                p_block[:, 0], p_block[:, 1], cx, cy, dnn, w, c_offsets=c_offsets
             )
         return offset, acc
 
@@ -105,8 +116,9 @@ class SequentialScan(LocationSelector):
         stats = ws.stats
         dr = np.zeros(ws.n_p, dtype=np.float64)
         # Phases: reads of file.P land on "ss.scan" (charged while
-        # planning); each (P-block, C-block) evaluation opens its own
-        # "ss.client_pass" child span carrying the file.C read.
+        # planning); each potential block's pass over the client file
+        # opens its own "ss.client_pass" child span carrying the file.C
+        # reads.
         with stats.tracer.span("ss.scan"):
             tasks = self._plan_scan(stats)
             outs = [self.run_scan_task(task, stats) for task in tasks]

@@ -31,7 +31,11 @@ Every public kernel dispatches through the active backend::
 client columns concatenated, plus ``p_offsets``/``c_offsets`` — and
 returns each candidate row's sum over its own tile, bit for bit what
 one call per tile returns; the join and window tasks make one such
-call each (:mod:`repro.core.leafpairs`).
+call each (:mod:`repro.core.leafpairs`).  With ``c_offsets`` alone,
+every candidate meets every client tile and gets its tile sums added
+in tile order from ``+0.0``, bit for bit one call per tile folded into
+zeros; SS makes one such call per potential block over the whole
+client file (:mod:`repro.core.ss`).
 
 The exactness contract: switching backends never changes query
 results, dr vectors, traversal order, or I/O accounting — only how
@@ -125,7 +129,9 @@ def accumulate_reductions(
     px, py, cx, cy, dnn, weights, p_offsets=None, c_offsets=None
 ):
     """Per-candidate distance-reduction sums for one tile of clients,
-    or for many tiles given their candidate and client offsets."""
+    for many tiles given their candidate and client offsets, or for
+    many client tiles shared by every candidate given client offsets
+    alone (the tile sums added in tile order)."""
     return _impl().accumulate_reductions(
         px, py, cx, cy, dnn, weights, p_offsets=p_offsets, c_offsets=c_offsets
     )

@@ -108,9 +108,17 @@ def accumulate_reductions(
 ) -> np.ndarray:
     """Per-candidate ``dr`` contributions via nested (p, c) loops.
 
-    With tile offsets, one tile at a time (see the vector twin)."""
-    if p_offsets is None:
+    With tile offsets, one tile at a time (see the vector twin); with
+    client offsets alone, every candidate meets every tile and the tile
+    sums are added in tile order."""
+    if p_offsets is None and c_offsets is None:
         return _accumulate_tile(px, py, cx, cy, dnn, weights)
+    if p_offsets is None:
+        out = np.zeros(len(px), dtype=np.float64)
+        for t in range(len(c_offsets) - 1):
+            c = slice(c_offsets[t], c_offsets[t + 1])
+            out += _accumulate_tile(px, py, cx[c], cy[c], dnn[c], weights[c])
+        return out
     out = np.empty(len(px), dtype=np.float64)
     for t in range(len(p_offsets) - 1):
         p = slice(p_offsets[t], p_offsets[t + 1])

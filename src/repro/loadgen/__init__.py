@@ -20,8 +20,10 @@ deterministic, realistically *skewed* traffic and measures whether
   queue-full / deadline-miss / protocol-error rates, cache hit rate,
   :class:`SLOPolicy` checks and the markdown SLO report;
 * :mod:`repro.loadgen.runner` — the thread-pooled drivers and the
-  before/after scrape of the service's own ``stats`` counters;
-* :mod:`repro.loadgen.smoke` — the CI smoke check.
+  before/after scrape of the service's own ``stats`` counters.
+
+The CI smoke check is ``tests/loadgen/test_smoke.py``
+(``pytest -m smoke tests/loadgen``).
 
 Quick usage::
 

@@ -11,19 +11,20 @@ per tree, so the key space cannot collide).
 
 Decoding takes one of two routes:
 
-* disk trees (:class:`~repro.rtree.persist.DiskRTree`) hand out leaves
-  that carry their zero-copy column views (``node.columns``) — the page
-  *is* the columns — and expose ``node_page_bytes``, so a branch page
-  bulk-decodes straight from its packed bytes via :mod:`repro.kernels`;
+* disk trees (:class:`~repro.rtree.persist.DiskRTree`) hand out nodes
+  that carry their columns (``node.columns``): a leaf's zero-copy
+  column views — the page *is* the columns — and a branch's
+  ``BranchColumns``, bulk-decoded from its packed bytes once per open
+  file.  The cache then holds the node's own column objects, not a
+  second copy;
 * in-memory trees decode from the node's entry objects.
 
 Both routes produce identical column values for the same logical
 records.  Crucially, **nothing here touches I/O accounting**: callers
 hand over nodes they already obtained through a charged ``read_node``
-(or an explicitly uncharged ``node``/``peek``), and ``node_page_bytes``
-peeks the page without charging — caching columns never changes
-``io_total``, which is what keeps the vector/scalar backends and any
-worker count byte-identical in the benches.
+(or an explicitly uncharged ``node``/``peek``) — caching columns never
+changes ``io_total``, which is what keeps the vector/scalar backends
+and any worker count byte-identical in the benches.
 """
 
 from __future__ import annotations
@@ -104,13 +105,9 @@ def branch_columns(tree: Any, node: Any, cache: Any) -> BranchColumns:
     """Columns of one internal node: MBRs, child ids, MNDs when present."""
 
     def decode() -> BranchColumns:
-        reader = getattr(tree, "node_page_bytes", None)
-        if reader is not None:
-            __, count, offset, data = reader(node.node_id)
-            return kernels.decode_branch_columns(
-                data, count, with_mnd=bool(getattr(tree, "has_mnd", False)),
-                offset=offset,
-            )
+        cols = getattr(node, "columns", None)
+        if cols is not None:
+            return cols
         return BranchColumns.from_entries(node.entries)
 
     return cache.get(tree.name, tree.version, node.node_id, decode)

@@ -27,7 +27,11 @@ fields leaf by leaf keeps them in cache, which measured faster than one
 gather over a whole tree's leaves followed by per-leaf slices.
 
 Branch pages keep the packed entry layout (they are small, and
-traversal needs their entry objects anyway).
+traversal needs their entry objects anyway); a branch node carries both
+its entry objects and the ``BranchColumns`` decoded from the page.
+
+Each page is decoded at most once per open file.  Every read is still
+charged, and then served the node decoded at the page's first read.
 
 File layout per node page::
 
@@ -40,6 +44,7 @@ File layout per node page::
 from __future__ import annotations
 
 import struct
+import threading
 from pathlib import Path
 from typing import Any, Callable, Optional
 
@@ -108,11 +113,17 @@ def save_rtree(tree: RTree, path: str | Path, codec: PayloadCodec) -> int:
     return len(pages)
 
 
+#: Serialises entry materialisation: a decoded node is shared by every
+#: reader of the tree, engine threads included.
+_MATERIALISE = threading.Lock()
+
+
 class _LazyEntries:
     """A leaf entry list materialised on first element access.
 
     ``len()`` (the hot-path counters) and truthiness never materialise;
-    iterating or indexing builds the entry objects once per node object.
+    iterating or indexing builds the entry objects once per node object,
+    under a lock so concurrent readers of a shared node get one list.
     """
 
     __slots__ = ("_count", "_load", "_items")
@@ -123,9 +134,13 @@ class _LazyEntries:
         self._items: Optional[list] = None
 
     def _force(self) -> list:
-        if self._items is None:
-            self._items = self._load()
-        return self._items
+        items = self._items
+        if items is None:
+            with _MATERIALISE:
+                if self._items is None:
+                    self._items = self._load()
+                items = self._items
+        return items
 
     def __len__(self) -> int:
         return self._count
@@ -154,19 +169,35 @@ class ColumnLeafNode(Node):
     exact, so it is bit-identical to the entry-by-entry union).
 
     ``columns`` carries the decoded payload column views so consumers
-    that already hold the node never re-peek and re-slice the page."""
+    that already hold the node never re-peek and re-slice the page.  The
+    MBR is computed on first use and kept, like the rest of the decode."""
 
-    __slots__ = ("_mbr_fn", "columns")
+    __slots__ = ("_mbr_fn", "_mbr", "columns")
 
     def __init__(self, node_id: int, entries: _LazyEntries, mbr_fn, columns=None):
         super().__init__(node_id, 0, entries)
         self._mbr_fn = mbr_fn
+        self._mbr: Optional[Rect] = None
         self.columns = columns
 
     def mbr(self) -> Rect:
         if not self.entries:
             raise ValueError(f"node {self.node_id} has no entries")
-        return self._mbr_fn()
+        if self._mbr is None:
+            self._mbr = self._mbr_fn()
+        return self._mbr
+
+
+class ColumnBranchNode(Node):
+    """A branch node with its entries and its decoded ``BranchColumns``,
+    which :func:`repro.rtree.columns.branch_columns` hands to the
+    kernels as the leaves' ``columns`` are."""
+
+    __slots__ = ("columns",)
+
+    def __init__(self, node_id: int, level: int, entries: list, columns):
+        super().__init__(node_id, level, entries)
+        self.columns = columns
 
 
 class DiskRTree:
@@ -178,6 +209,13 @@ class DiskRTree:
     :func:`~repro.rtree.nn.nearest_neighbor`,
     :func:`~repro.rtree.join.intersection_join` and the method joins of
     :mod:`repro.core` all work unchanged on disk-backed indexes.
+
+    Each page is decoded at most once per open file: ``read_node``
+    charges every read as before, then returns the node decoded at the
+    page's first read (or first ``node`` peek).  The decoded nodes are
+    shared by every reader, engine threads included, and are read-only.
+    :meth:`drop_decoded` forgets them, and :meth:`close` drops them
+    before unmapping the file.
     """
 
     def __init__(
@@ -213,6 +251,7 @@ class DiskRTree:
         # Read-only trees never mutate, so decoded-leaf caches keyed on
         # (name, version) stay valid for the file's lifetime.
         self.version = 0
+        self._decoded: dict[int, Node] = {}
 
     # ------------------------------------------------------------------
     # Decoding
@@ -238,7 +277,7 @@ class DiskRTree:
                 mnds,
             )
         ]
-        return Node(page_id, level, entries)
+        return ColumnBranchNode(page_id, level, entries, cols)
 
     def _entry_bounds(self, cols) -> tuple:
         """``(xmin, ymin, xmax, ymax)`` arrays of a leaf's entry MBRs.
@@ -281,23 +320,11 @@ class DiskRTree:
             page_id, _LazyEntries(count, load_entries), column_mbr, cols
         )
 
-    def node_page_bytes(self, node_id: int) -> tuple[int, int, int, memoryview]:
-        """Raw page bytes of one node, **without** charging a read.
-
-        Returns ``(level, count, entries_offset, data)`` so columnar
-        consumers (:mod:`repro.rtree.columns`) can bulk-decode a branch
-        page that the caller has already paid for through ``read_node``
-        (leaf nodes carry their column views on ``node.columns``).
-        """
-        data = self._pager.peek(node_id)
-        level, count = _NODE_HEADER.unpack_from(data)
-        return level, count, _NODE_HEADER.size, data
-
     # ------------------------------------------------------------------
     # RTree-compatible query interface
     # ------------------------------------------------------------------
     def read_node(self, node_id: int, stats: Optional[IOStats] = None) -> Node:
-        node = self._decode(node_id, self._pager.read(node_id, stats=stats))
+        node = self._decoded_node(node_id, self._pager.read(node_id, stats=stats))
         self._reg_node_reads.inc()
         tracer = (stats if stats is not None else self._pager.stats)._tracer
         if tracer is not None:
@@ -305,7 +332,19 @@ class DiskRTree:
         return node
 
     def node(self, node_id: int) -> Node:
-        return self._decode(node_id, self._pager.peek(node_id))
+        return self._decoded_node(node_id, self._pager.peek(node_id))
+
+    def _decoded_node(self, node_id: int, data) -> Node:
+        """The node decoded at the page's first read; the first decode
+        wins if two threads decode one page at once."""
+        node = self._decoded.get(node_id)
+        if node is None:
+            node = self._decoded.setdefault(node_id, self._decode(node_id, data))
+        return node
+
+    def drop_decoded(self) -> None:
+        """Forget every decoded node; the next read of a page decodes it."""
+        self._decoded.clear()
 
     @property
     def root(self) -> Node:
@@ -375,6 +414,7 @@ class DiskRTree:
         raise ReadOnlyTreeError(f"{self.name} is a read-only disk tree")
 
     def close(self) -> None:
+        self._decoded.clear()  # its leaves are views of the map
         self._file.close()
 
     def __enter__(self) -> "DiskRTree":

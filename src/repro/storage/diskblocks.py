@@ -79,7 +79,10 @@ class DiskBlockFile:
     Duck-type compatible with :class:`~repro.storage.blockfile.BlockFile`
     for every consumer in :mod:`repro.core`: same properties, same
     counted ``read_block`` / uncounted ``peek_block`` contract.  Blocks
-    come back as zero-copy views over one ``mmap`` of the file.
+    come back as zero-copy views over one ``mmap`` of the file, each
+    decoded at most once per open file and shared by every reader
+    (:meth:`drop_decoded` forgets them; :meth:`close` drops them before
+    unmapping).
     """
 
     def __init__(
@@ -91,6 +94,7 @@ class DiskBlockFile:
     ):
         self._file = PageFile(path).open()
         self._pager = DiskPager(name, self._file, stats, buffer_pool)
+        self._decoded: dict[int, soa.ColumnBlock] = {}
         meta = bytes(self._file.read_page(0)[: _META.size])
         self._num_records, self._records_per_block, self._ncols = _META.unpack(meta)
         expected = (
@@ -130,12 +134,25 @@ class DiskBlockFile:
     ) -> soa.ColumnBlock:
         """Read one block (one counted I/O, charged to ``stats`` if given)."""
         self._check_block_id(block_id)
-        return soa.decode_block_columns(self._pager.read(block_id + 1, stats=stats))
+        data = self._pager.read(block_id + 1, stats=stats)
+        return self._decoded_block(block_id, data)
 
     def peek_block(self, block_id: int) -> soa.ColumnBlock:
         """Fetch a block *without* I/O accounting (see BlockFile.peek_block)."""
         self._check_block_id(block_id)
-        return soa.decode_block_columns(self._pager.peek(block_id + 1))
+        return self._decoded_block(block_id, self._pager.peek(block_id + 1))
+
+    def _decoded_block(self, block_id: int, data) -> soa.ColumnBlock:
+        """The block decoded at its first read; the first decode wins if
+        two threads decode one block at once."""
+        block = self._decoded.get(block_id)
+        if block is None:
+            block = self._decoded.setdefault(block_id, soa.decode_block_columns(data))
+        return block
+
+    def drop_decoded(self) -> None:
+        """Forget every decoded block; the next read of a block decodes it."""
+        self._decoded.clear()
 
     def _check_block_id(self, block_id: int) -> None:
         if not 0 <= block_id < self.num_blocks:
@@ -154,6 +171,7 @@ class DiskBlockFile:
             yield from block
 
     def close(self) -> None:
+        self._decoded.clear()  # its blocks are views of the map
         self._file.close()
 
     def __enter__(self) -> "DiskBlockFile":

@@ -151,6 +151,30 @@ class TestFullPersistence:
             assert frozen.data_bounds == mem_ws.data_bounds
 
 
+class TestDecodedPages:
+    def test_invalidate_drops_every_decode(self, full_dir):
+        with DiskWorkspace(full_dir) as frozen:
+            run_method(frozen, "SS")
+            run_method(frozen, "NFC")
+            node = frozen.rnn_tree.read_node(frozen.rnn_tree.root_id)
+            block = frozen.client_file.read_block(0)
+            assert frozen.rnn_tree.read_node(frozen.rnn_tree.root_id) is node
+            assert frozen.client_file.read_block(0) is block
+            frozen.invalidate_leaf_cache()
+            assert len(frozen.leaf_cache) == 0
+            assert frozen.rnn_tree.read_node(frozen.rnn_tree.root_id) is not node
+            assert frozen.client_file.read_block(0) is not block
+
+    def test_close_releases_every_map(self, full_dir):
+        frozen = DiskWorkspace(full_dir)
+        for method in ("SS", "QVC", "NFC", "MND"):
+            run_method(frozen, method)
+        maps = [opened._file._mm for opened in frozen._opened()]
+        assert len(maps) == 7
+        frozen.close()
+        assert all(mapped.closed for mapped in maps)
+
+
 class TestAllMethodsParity:
     """Memory vs the mmap-served disk workspace, byte-identical everything."""
 

@@ -2,6 +2,7 @@
 
 import math
 
+import numpy as np
 import pytest
 
 from repro.core.ss import SequentialScan
@@ -45,3 +46,23 @@ class TestSSIOModel:
             ws = Workspace(make_instance(1000, n_f, 200, rng=5))
             io.append(SequentialScan(ws).select().io_total)
         assert io[0] == io[1]
+
+    def test_empty_client_file(self, tmp_path):
+        """No clients: every dr is +0.0 and only the potential file is read,
+        in memory and from persisted pages."""
+        from repro.core.diskmode import DiskWorkspace, persist_indexes
+        from repro.datasets.generators import SpatialInstance
+
+        inst = make_instance(50, 5, 300, rng=6)
+        empty = SpatialInstance(
+            "empty", [], inst.facilities, inst.potentials, domain=inst.domain
+        )
+        ws = Workspace(empty)
+        with DiskWorkspace(persist_indexes(ws, tmp_path)) as disk:
+            for served in (ws, disk):
+                selector = SequentialScan(served)
+                result = selector.select()
+                dr = selector.distance_reductions()
+                assert result.io_reads == {"file.P": math.ceil(300 / 204)}
+                assert len(dr) == 300 and not dr.any()
+                assert not np.signbit(dr).any()

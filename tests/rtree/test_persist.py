@@ -2,6 +2,8 @@
 
 import random
 import struct
+import sys
+import threading
 
 import pytest
 
@@ -346,7 +348,7 @@ class TestColumnarLeaves:
 
     def test_leaf_columns_api(self, tmp_path):
         """A leaf read carries its zero-copy payload columns; a branch
-        node carries none."""
+        node carries the columns of its packed entries."""
         tree, __ = self.make_site_tree(n=80, seed=25)
         path = tmp_path / "v2.pages"
         save_rtree(tree, path, SiteCodec())
@@ -361,7 +363,14 @@ class TestColumnarLeaves:
                 branch_page = next(
                     i + 1 for i, n in enumerate(order) if not n.is_leaf
                 )
-                assert getattr(disk.node(branch_page), "columns", None) is None
+                branch = disk.node(branch_page)
+                assert branch.columns.children.tolist() == [
+                    e.child_id for e in branch.entries
+                ]
+                for field in ("xmin", "ymin", "xmax", "ymax"):
+                    assert getattr(branch.columns.rects, field).tolist() == [
+                        getattr(e.mbr, field) for e in branch.entries
+                    ]
 
     def test_unknown_leaf_shape_rejected(self, tmp_path):
         tree, __ = self.make_site_tree(n=10, seed=28)
@@ -369,3 +378,117 @@ class TestColumnarLeaves:
         save_rtree(tree, path, SiteCodec())
         with pytest.raises(ValueError, match="leaf shape"):
             DiskRTree("d", path, SiteCodec(), IOStats(), leaf_shape="zigzag")
+
+
+class TestDecodeOnce:
+    """Each page decodes at most once per open file; reads still charge."""
+
+    @pytest.fixture()
+    def disk(self, tmp_path):
+        tree = build_site_tree(random_sites(400, seed=41), max_entries=16)
+        path = tmp_path / "tree.pages"
+        save_rtree(tree, path, SiteCodec())
+        disk = DiskRTree("d", path, SiteCodec(), IOStats())
+        yield disk
+        disk.close()
+
+    @staticmethod
+    def count_decodes(disk, monkeypatch) -> list:
+        decoded = []
+        decode = disk._decode
+
+        def counting(page_id, data):
+            decoded.append(page_id)
+            return decode(page_id, data)
+
+        monkeypatch.setattr(disk, "_decode", counting)
+        return decoded
+
+    def test_repeated_read_charges_and_decodes_nothing(self, disk, monkeypatch):
+        decoded = self.count_decodes(disk, monkeypatch)
+        leaf = next(p for p in range(1, disk.num_nodes + 1) if disk.node(p).is_leaf)
+        branch = disk.root_id
+        assert not disk.node(branch).is_leaf
+        decoded.clear()
+        stats = IOStats()
+        first = {p: disk.read_node(p, stats=stats) for p in (leaf, branch)}
+        again = {p: disk.read_node(p, stats=stats) for p in (leaf, branch)}
+        assert decoded == []
+        assert stats.reads == {"d": 4}
+        for page in first:
+            assert again[page] is first[page]
+        assert first[branch].columns.children.tolist() == [
+            e.child_id for e in first[branch].entries
+        ]
+
+    def test_drop_decoded_makes_the_next_read_decode(self, disk, monkeypatch):
+        decoded = self.count_decodes(disk, monkeypatch)
+        node = disk.read_node(disk.root_id)
+        disk.drop_decoded()
+        assert disk.read_node(disk.root_id) is not node
+        assert decoded == [disk.root_id, disk.root_id]
+
+    def test_close_releases_the_map(self, tmp_path):
+        tree = build_site_tree(random_sites(300, seed=42), max_entries=16)
+        path = tmp_path / "tree.pages"
+        save_rtree(tree, path, SiteCodec())
+        disk = DiskRTree("d", path, SiteCodec(), IOStats())
+        for page in range(1, disk.num_nodes + 1):
+            disk.read_node(page)
+        mapped = disk._file._mm
+        disk.close()
+        assert mapped.closed  # no decoded page still holds a view
+
+    def test_threads_share_one_decode(self, tmp_path):
+        tree = build_site_tree(random_sites(2000, seed=43), max_entries=16)
+        path = tmp_path / "tree.pages"
+        save_rtree(tree, path, SiteCodec())
+        with DiskRTree("ref", path, SiteCodec(), IOStats()) as ref:
+            pages = range(1, ref.num_nodes + 1)
+            leaves = [p for p in pages if ref.node(p).is_leaf]
+            want = {p: ref.node(p).columns.xs.tolist() for p in leaves}
+            entries = {p: [e.payload for e in ref.node(p).entries] for p in want}
+        disk = DiskRTree("d", path, SiteCodec(), IOStats())
+        rounds, n_threads = 20, 8
+        results = [None] * n_threads
+
+        def reader(k: int) -> None:
+            stats, seen = IOStats(), []
+            for r in range(rounds):
+                for p in pages if (k + r) % 2 else reversed(pages):
+                    node = disk.read_node(p, stats=stats)
+                    if node.is_leaf:
+                        seen.append((p, node.columns.xs.tolist(), list(node.entries)))
+            results[k] = (stats.reads.get("d", 0), seen)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [
+                threading.Thread(target=reader, args=(k,)) for k in range(n_threads)
+            ]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+                assert not thread.is_alive()
+        finally:
+            sys.setswitchinterval(interval)
+        try:
+            for reads, seen in results:
+                assert reads == rounds * len(pages)
+                assert len(seen) == rounds * len(want)
+                for page, xs, items in seen:
+                    assert xs == want[page]
+                    assert [e.payload for e in items] == entries[page]
+            # One decode per page, and one entry list per leaf, shared by all.
+            for page in want:
+                node = disk.node(page)
+                assert all(
+                    items[0] is node.entries[0]
+                    for __, seen in results
+                    for p, __, items in seen
+                    if p == page
+                )
+        finally:
+            disk.close()

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.storage import soa
 from repro.storage.blockfile import BlockFile
 from repro.storage.buffer import LRUBufferPool
 from repro.storage.diskblocks import DiskBlockFile, save_block_file
@@ -128,3 +129,49 @@ class TestSaveAndConvert:
         path.write_bytes(bytes(data))
         with pytest.raises(PageFileError, match="metadata promises"):
             DiskBlockFile("file.C", path, IOStats())
+
+
+class TestDecodeOnce:
+    """Each block decodes at most once per open file; reads still charge."""
+
+    @pytest.fixture()
+    def decodes(self, monkeypatch):
+        decoded = []
+        decode = soa.decode_block_columns
+
+        def counting(data, offset=0):
+            decoded.append(1)
+            return decode(data, offset)
+
+        monkeypatch.setattr(soa, "decode_block_columns", counting)
+        return decoded
+
+    def test_repeated_read_charges_and_decodes_nothing(self, saved, decodes):
+        stats = IOStats()
+        with DiskBlockFile("file.C", saved, stats) as f:
+            first = f.read_block(1)
+            decodes.clear()
+            assert f.peek_block(1) is first
+            private = IOStats()
+            assert f.read_block(1) is first
+            assert f.read_block(1, stats=private) is first
+            assert decodes == []
+            assert stats.reads == {"file.C": 2}
+            assert private.reads == {"file.C": 1}
+
+    def test_drop_decoded_makes_the_next_read_decode(self, saved, decodes):
+        with DiskBlockFile("file.C", saved, IOStats()) as f:
+            first = f.read_block(0)
+            f.drop_decoded()
+            again = f.read_block(0)
+            assert again is not first
+            assert len(decodes) == 2
+            np.testing.assert_array_equal(again[:, 2], first[:, 2])
+
+    def test_close_releases_the_map(self, saved):
+        f = DiskBlockFile("file.C", saved, IOStats())
+        for b in range(f.num_blocks):
+            f.read_block(b)
+        mapped = f._file._mm
+        f.close()
+        assert mapped.closed  # no decoded block still holds a view
