@@ -13,6 +13,13 @@ the workspace holds.  The contract this file enforces:
   criterion for shipping always-on instrumentation.
 * **Profiled** — for scale, the same query under a real tracer; useful
   to eyeball what turning profiling *on* costs (not asserted tightly).
+* **Live telemetry** — a served cache-hit select with the service's
+  telemetry on vs off, printed against a 10% budget and never failed
+  on (EXPERIMENTS.md E12).  CI's bench gate runs it as an advisory
+  step::
+
+      PYTHONPATH=src:. python -m pytest \
+          benchmarks/test_obs_overhead.py::test_cached_select_telemetry_overhead -q -s
 """
 
 import time
@@ -20,9 +27,17 @@ import time
 import pytest
 
 from repro.core import make_selector
+from repro.core.dynamic import DynamicWorkspace
 from repro.core.workspace import Workspace
+from repro.datasets.generators import make_instance
 from repro.experiments.config import ExperimentConfig
 from repro.obs import NOOP_TRACER, InMemorySink, Tracer
+from repro.service import (
+    ServiceClient,
+    ServiceConfig,
+    TelemetryConfig,
+    serve_in_thread,
+)
 
 
 def _empty():
@@ -122,3 +137,38 @@ def test_profiled_query_cost_for_reference(mnd_workspace):
     # Tracing is allowed to cost real time, but not an order of
     # magnitude (that would make `mindist profile` useless).
     assert traced_s < noop_s * 10
+
+
+#: Cache-hit selects timed per telemetry setting.
+ROUNDS = 400
+
+
+def _cached_select_s(telemetry: TelemetryConfig) -> float:
+    """Mean latency of a cache-hit select over one warm connection."""
+    ws = DynamicWorkspace(make_instance(rng=11, n_c=800, n_f=40, n_p=60))
+    config = ServiceConfig(workers=2, batch_window_s=0.001, telemetry=telemetry)
+    with serve_in_thread({"default": ws}, config) as handle:
+        with ServiceClient(handle.host, handle.port) as client:
+            client.select("MND")  # prime the cache
+            for _ in range(20):  # warm the connection
+                client.select("MND")
+            started = time.perf_counter()
+            for _ in range(ROUNDS):
+                client.select("MND")
+            return (time.perf_counter() - started) / ROUNDS
+
+
+def test_cached_select_telemetry_overhead():
+    """What live telemetry costs the cheapest served request.
+
+    Advisory: the ratio is printed against the 10% budget, never
+    asserted — one machine's TCP round trips are too noisy to gate a
+    sub-millisecond latency on."""
+    off = _cached_select_s(TelemetryConfig(enabled=False))
+    on = _cached_select_s(TelemetryConfig(enabled=True))
+    ratio = on / off if off > 0 else float("inf")
+    verdict = "WARNING: exceeds" if ratio > 1.10 else "within"
+    print(
+        f"\ncached select  off: {off * 1e6:.1f} us  on: {on * 1e6:.1f} us  "
+        f"ratio: {ratio:.3f} ({100 * (ratio - 1):+.1f}%, {verdict} the 10% budget)"
+    )

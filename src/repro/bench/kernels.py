@@ -1,15 +1,17 @@
 """The ``kernels`` benchmark suite: columnar speedup with exactness enforced.
 
-A ladder of configurations, every method, two kernel backends.  As with
-the ``parallel`` suite, two things are measured and one is *enforced*:
+A ladder of configurations, every method, the kernels against their
+reference.  As with the ``parallel`` suite, two things are measured and
+one is *enforced*:
 
-* **measured** — wall time per (config, method) under the default
-  vectorized backend (median of ``repeats``), and one run under the
-  scalar loop-per-record backend.  The ratio is recorded as the
-  advisory ``speedup`` metric — the honest answer to "what did the
+* **measured** — wall time per (config, method) on the vectorized
+  kernels (median of ``repeats``), and one run with the scalar
+  loop-per-record reference swapped in
+  (:func:`repro.kernels.scalar.installed`).  The ratio is recorded as
+  the advisory ``speedup`` metric — the honest answer to "what did the
   columnar fast path buy on this machine";
-* **enforced** — exactness: for every ladder point the two backends
-  must return the identical selected location, aggregate ``dr``, full
+* **enforced** — exactness: for every ladder point the two runs must
+  return the identical selected location, aggregate ``dr``, full
   ``dr`` vector (bit for bit), ``io_total`` and per-structure read
   split.  The recorder raises on any deviation, so the vector kernels
   can never drift from the reference semantics and still produce a
@@ -17,15 +19,15 @@ the ``parallel`` suite, two things are measured and one is *enforced*:
 
 The gate then pins ``io_total`` / ``index_reads`` / ``data_reads`` /
 ``index_pages`` of every point to the committed ``BENCH_kernels.json``
-exactly (backends share one I/O story by construction, so a single
-gated row covers both); ``elapsed_s``, ``scalar_elapsed_s`` and
-``speedup`` stay advisory.
+exactly (the kernels never touch I/O accounting, so a single gated row
+covers both runs); ``elapsed_s``, ``scalar_elapsed_s`` and ``speedup``
+stay advisory.
 
 The suite runs with **zero simulated page latency**: the columnar
 kernels accelerate CPU work, so the CPU-bound regime is the one where
 the speedup is visible and the paper's I/O counts are unaffected either
-way.  The decoded-leaf cache is cleared before every run so each
-backend pays its own decode cost.
+way.  The decoded-leaf cache is cleared before every run so each run
+pays its own decode cost.
 """
 
 from __future__ import annotations
@@ -35,11 +37,11 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from repro import kernels
 from repro.bench.record import BenchEntry, BenchRecord, environment_fingerprint
 from repro.core import Workspace, make_selector
 from repro.experiments.config import ExperimentConfig
 from repro.experiments.runner import DEFAULT_METHODS
+from repro.kernels import scalar
 
 #: The configuration ladder (keyed by |C|; |F| and |P| scale along).
 #: Two rungs: one where whole queries finish in milliseconds vectorized,
@@ -97,18 +99,17 @@ def run_kernels_suite(
             samples: list[float] = []
             result = None
             dr_vector = None
-            with kernels.use_backend("vector"):
-                for __ in range(repeats):
-                    r, dr_vector = _run_once(workspace, name)
-                    if result is not None and r.io_total != result.io_total:
-                        raise AssertionError(
-                            f"{name}: page reads differ across repeats "
-                            f"({result.io_total} vs {r.io_total})"
-                        )
-                    result = r
-                    samples.append(r.elapsed_s)
+            for __ in range(repeats):
+                r, dr_vector = _run_once(workspace, name)
+                if result is not None and r.io_total != result.io_total:
+                    raise AssertionError(
+                        f"{name}: page reads differ across repeats "
+                        f"({result.io_total} vs {r.io_total})"
+                    )
+                result = r
+                samples.append(r.elapsed_s)
             assert result is not None and dr_vector is not None
-            with kernels.use_backend("scalar"):
+            with scalar.installed():
                 scalar_result, scalar_dr_vector = _run_once(workspace, name)
 
             mismatches = [

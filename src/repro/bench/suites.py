@@ -101,7 +101,7 @@ def _builtin_suites() -> dict[str, Suite]:
         ),
         "kernels": Suite(
             name="kernels",
-            description="columnar kernel speedup vs the scalar backend, "
+            description="columnar kernel speedup vs the scalar reference, "
             "bitwise result parity enforced",
             configs=tuple(
                 (float(config.n_c), config) for config in KERNELS_CONFIGS

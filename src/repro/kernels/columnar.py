@@ -22,8 +22,9 @@ through ``encode_branch``.  Column buffers are what
 evaluate many times, never touching per-record Python objects on the
 hot path.
 
-This module is deliberately dependency-free (numpy only): both kernel
-backends and the storage codecs may import it without cycles.
+This module is deliberately dependency-free (numpy only): the kernels,
+their scalar reference and the storage codecs may import it without
+cycles.
 """
 
 from __future__ import annotations

@@ -1,13 +1,14 @@
-"""Scalar kernel backend: loop-per-record twin of :mod:`repro.kernels.vector`.
+"""Reference kernels: the loop-per-record twin of :mod:`repro.kernels.vector`.
 
-This backend exists to keep the vectorized fast path honest.  Every
-function decodes or evaluates one record at a time — ``struct.unpack``
-per record, nested Python loops per (candidate, client) pair — the way
-the pre-columnar code did, and must return **bit-identical** arrays to
-the vector backend.  Property tests drive both backends over random
-inputs and compare exactly; the ``kernels`` bench suite re-runs whole
-queries under this backend and asserts the same ``p*``, dr vectors and
-I/O counts before recording a speedup.
+This module is the oracle that keeps the vectorized kernels honest;
+no query runs on it outside :func:`installed`.  Every function decodes
+or evaluates one record at a time — ``struct.unpack`` per record,
+nested Python loops per (candidate, client) pair — the way the
+pre-columnar code did, and must return **bit-identical** arrays to its
+vector twin.  Property tests drive both over random inputs and compare
+exactly; the parity tests and the ``kernels`` bench suite re-run whole
+queries inside :func:`installed` and assert the same ``p*``, dr vectors
+and I/O counts.
 
 Two exactness rules make bitwise parity achievable:
 
@@ -18,7 +19,7 @@ Two exactness rules make bitwise parity achievable:
 * per-candidate reduction sums assemble the row of weighted clipped
   reductions first and then ``np.sum`` it, because numpy's pairwise
   summation over a contiguous row is bitwise equal to the vector
-  backend's ``axis=1`` sum — a running ``+=`` accumulator would not be.
+  kernel's ``axis=1`` sum — a running ``+=`` accumulator would not be.
 
 The struct formats are declared locally (matching the dtypes in
 :mod:`repro.kernels.columnar` byte for byte) rather than imported from
@@ -30,10 +31,12 @@ from __future__ import annotations
 
 import math
 import struct
-from typing import Any
+from contextlib import contextmanager
+from typing import Any, Iterator
 
 import numpy as np
 
+from repro import kernels
 from repro.kernels.columnar import BranchColumns, ClientColumns, RectColumns
 
 _BRANCH = struct.Struct("<ddddI")
@@ -82,18 +85,6 @@ def circle_columns_from_rects(
 # ---------------------------------------------------------------------------
 # Pair-at-a-time geometry
 # ---------------------------------------------------------------------------
-
-
-def pairwise_distances(
-    px: np.ndarray, py: np.ndarray, cx: np.ndarray, cy: np.ndarray
-) -> np.ndarray:
-    """``dist(p_i, c_j)`` per pair, one ``np.hypot`` call at a time."""
-    out = np.empty((len(px), len(cx)), dtype=np.float64)
-    for i in range(len(px)):
-        x, y = px[i], py[i]
-        for j in range(len(cx)):
-            out[i, j] = np.hypot(x - cx[j], y - cy[j])
-    return out
 
 
 def accumulate_reductions(
@@ -163,16 +154,6 @@ def influence_matrix(
     return out
 
 
-def circles_contain_point(
-    cx: np.ndarray, cy: np.ndarray, radii: np.ndarray, x: float, y: float
-) -> np.ndarray:
-    """Strict containment of ``(x, y)``, one circle at a time."""
-    out = np.empty(len(cx), dtype=bool)
-    for j in range(len(cx)):
-        out[j] = np.hypot(x - cx[j], y - cy[j]) < radii[j]
-    return out
-
-
 def _gap(lo: float, hi: float, qlo: float, qhi: float) -> float:
     """One axis of ``Rect.min_dist_rect``'s comparison ladder."""
     if qhi < lo:
@@ -188,26 +169,6 @@ def _combine(dx: float, dy: float) -> float:
     if dy == 0.0:
         return dx
     return np.hypot(dx, dy)
-
-
-def min_dist_points_rect(xs: np.ndarray, ys: np.ndarray, rect: Any) -> np.ndarray:
-    """``minDist(p_i, rect)`` one point at a time."""
-    out = np.empty(len(xs), dtype=np.float64)
-    for i in range(len(xs)):
-        dx = _gap(rect.xmin, rect.xmax, xs[i], xs[i])
-        dy = _gap(rect.ymin, rect.ymax, ys[i], ys[i])
-        out[i] = _combine(dx, dy)
-    return out
-
-
-def max_dist_points_rect(xs: np.ndarray, ys: np.ndarray, rect: Any) -> np.ndarray:
-    """``maxDist(p_i, rect)`` one point at a time."""
-    out = np.empty(len(xs), dtype=np.float64)
-    for i in range(len(xs)):
-        dx = max(abs(xs[i] - rect.xmin), abs(xs[i] - rect.xmax))
-        dy = max(abs(ys[i] - rect.ymin), abs(ys[i] - rect.ymax))
-        out[i] = np.hypot(dx, dy)
-    return out
 
 
 def min_dist_rects_rect(rects: RectColumns, rect: Any) -> np.ndarray:
@@ -267,3 +228,34 @@ def rect_intersect_matrix(a: RectColumns, b: RectColumns) -> np.ndarray:
                 or a.ymax[i] < b.ymin[j]
             )
     return out
+
+
+# ---------------------------------------------------------------------------
+# The swap
+# ---------------------------------------------------------------------------
+
+
+@contextmanager
+def installed() -> Iterator[None]:
+    """Run the block on these reference kernels.
+
+    Binds each kernel name of ``repro.kernels.__all__`` that this module
+    defines onto the package, and restores the originals on exit, also
+    after an exception.  It reaches every call because callers read
+    ``kernels.<fn>`` at call time.  Like any module attribute the swap
+    is process-wide and not synchronised against other threads, and it
+    does not reach process-pool workers forked before the block began.
+    """
+    names = [
+        name
+        for name in kernels.__all__
+        if getattr(globals().get(name), "__module__", None) == __name__
+    ]
+    saved = {name: getattr(kernels, name) for name in names}
+    try:
+        for name in names:
+            setattr(kernels, name, globals()[name])
+        yield
+    finally:
+        for name, fn in saved.items():
+            setattr(kernels, name, fn)

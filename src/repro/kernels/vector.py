@@ -1,10 +1,11 @@
-"""Vectorized kernel backend: branch-page decoding + batch geometry.
+"""Vectorized kernels: branch-page decoding + batch geometry.
 
-This is the default backend behind the :mod:`repro.kernels` dispatch
-layer.  Every function here has a loop-per-record twin in
-:mod:`repro.kernels.scalar` that must return **bit-identical** arrays
-(enforced by hypothesis property tests and at bench-record time), so
-the formulas below are chosen for exactness, not just speed:
+These are the kernels every query runs: :mod:`repro.kernels` exports
+this module's public functions as they are.  Each has a loop-per-record
+twin in :mod:`repro.kernels.scalar`, the reference, that must return
+**bit-identical** arrays (enforced by hypothesis property tests and at
+bench-record time), so the formulas below are chosen for exactness,
+not just speed:
 
 * branch-page decoding is a single ``np.frombuffer`` view over the
   packed entry layout (:data:`~repro.kernels.columnar.BRANCH_DTYPE`
@@ -12,9 +13,9 @@ the formulas below are chosen for exactness, not just speed:
   same IEEE-754 bytes ``struct.unpack`` would produce, without the
   ``n`` tuple allocations (leaf pages are stored as columns already,
   see :mod:`repro.storage.soa`);
-* distances use ``np.hypot`` in both backends.  ``math.hypot`` is *not*
-  interchangeable — it disagrees with ``np.hypot`` in the last ulp for
-  about 1 in 160 random operand pairs — so the scalar backend calls
+* distances use ``np.hypot`` here and in the reference.  ``math.hypot``
+  is *not* interchangeable — it disagrees with ``np.hypot`` in the last
+  ulp for about 1 in 160 random operand pairs — so the reference calls
   the numpy ufunc element-wise rather than the stdlib function;
 * rectangle ``minDist`` replicates the exact branch structure of
   :meth:`repro.geometry.rect.Rect.min_dist_rect` (return the other
@@ -546,13 +547,6 @@ def influence_matrix(
     return out
 
 
-def circles_contain_point(
-    cx: np.ndarray, cy: np.ndarray, radii: np.ndarray, x: float, y: float
-) -> np.ndarray:
-    """Which circles strictly contain the point ``(x, y)``."""
-    return np.hypot(x - cx, y - cy) < radii
-
-
 def _axis_gaps(
     lo: np.ndarray | float, hi: np.ndarray | float, qlo: Any, qhi: Any
 ) -> np.ndarray:
@@ -572,20 +566,6 @@ def _axis_gaps(
 def _combine_min_dist(dx: np.ndarray, dy: np.ndarray) -> np.ndarray:
     """``Rect.min_dist_*``'s final branch: other-axis gap, else hypot."""
     return np.where(dx == 0.0, dy, np.where(dy == 0.0, dx, np.hypot(dx, dy)))
-
-
-def min_dist_points_rect(xs: np.ndarray, ys: np.ndarray, rect: Any) -> np.ndarray:
-    """``minDist(p_i, rect)`` for a batch of points against one rectangle."""
-    dx = _axis_gaps(rect.xmin, rect.xmax, xs, xs)
-    dy = _axis_gaps(rect.ymin, rect.ymax, ys, ys)
-    return _combine_min_dist(dx, dy)
-
-
-def max_dist_points_rect(xs: np.ndarray, ys: np.ndarray, rect: Any) -> np.ndarray:
-    """``maxDist(p_i, rect)`` for a batch of points against one rectangle."""
-    dx = np.maximum(np.abs(xs - rect.xmin), np.abs(xs - rect.xmax))
-    dy = np.maximum(np.abs(ys - rect.ymin), np.abs(ys - rect.ymax))
-    return np.hypot(dx, dy)
 
 
 def min_dist_rects_rect(rects: RectColumns, rect: Any) -> np.ndarray:

@@ -23,8 +23,8 @@ Both routes produce identical column values for the same logical
 records.  Crucially, **nothing here touches I/O accounting**: callers
 hand over nodes they already obtained through a charged ``read_node``
 (or an explicitly uncharged ``node``/``peek``) — caching columns never
-changes ``io_total``, which is what keeps the vector/scalar backends
-and any worker count byte-identical in the benches.
+changes ``io_total``, which is what keeps the vector kernels, their
+scalar reference and any worker count byte-identical in the benches.
 """
 
 from __future__ import annotations

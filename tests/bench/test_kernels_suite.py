@@ -3,7 +3,7 @@ committed record's speedup claim.
 
 The full suite runs every method at two configuration rungs plus a
 scalar twin per point; the recording test here runs one method with one
-repeat — enough to exercise the whole path (backend switching, parity
+repeat — enough to exercise the whole path (the reference swap, parity
 enforcement, record shape) without slowing the test-suite down.
 """
 

@@ -3,12 +3,15 @@
 The branch dtypes in :mod:`repro.kernels.columnar` claim to mirror the
 packed entry layout byte for byte; these tests pin that claim from both
 directions: ``to_bytes`` must equal ``encode_branch`` entry by entry,
-and both backends' bulk decode must reproduce the entries bit for bit.
+and bulk decode, on the vector kernel and on its scalar reference, must
+reproduce the entries bit for bit.
 Leaf columns are stored as-is (see ``tests/storage/test_soa.py``), at
 the same bytes per record as the packed record layouts.
 """
 
 from __future__ import annotations
+
+from contextlib import nullcontext
 
 import numpy as np
 import pytest
@@ -16,6 +19,7 @@ import pytest
 from repro import kernels
 from repro.core.types import Client, Site
 from repro.geometry.rect import Rect
+from repro.kernels import scalar
 from repro.kernels.columnar import (
     BRANCH_DTYPE,
     BRANCH_MND_DTYPE,
@@ -63,8 +67,9 @@ class TestDtypeLayouts:
 
 
 @pytest.fixture(params=["vector", "scalar"])
-def backend(request):
-    with kernels.use_backend(request.param):
+def implementation(request):
+    """The block runs on the vector kernels, or on the reference."""
+    with scalar.installed() if request.param == "scalar" else nullcontext():
         yield request.param
 
 
@@ -84,7 +89,7 @@ class TestBranchRoundTrip:
         )
 
     @pytest.mark.parametrize("entries", [ENTRIES, MND_ENTRIES])
-    def test_bulk_decode_round_trips(self, backend, entries):
+    def test_bulk_decode_round_trips(self, implementation, entries):
         with_mnd = entries[0].mnd is not None
         data = b"".join(encode_branch(e.mbr, e.child_id, e.mnd) for e in entries)
         cols = kernels.decode_branch_columns(data, len(entries), with_mnd=with_mnd)
@@ -118,7 +123,7 @@ class TestRectColumns:
 
 
 class TestCircleReconstruction:
-    def test_circles_from_square_mbrs(self, backend):
+    def test_circles_from_square_mbrs(self, implementation):
         # An NFC's square MBR: centre (3, 4), radius 2.
         rects = RectColumns.from_rects([Rect(1.0, 2.0, 5.0, 6.0)])
         ids = np.array([42], dtype=np.uint32)

@@ -1,11 +1,14 @@
-"""End-to-end backend parity: whole queries, not just kernels.
+"""End-to-end parity with the reference kernels: whole queries, not
+just kernels.
 
-The exactness contract of :mod:`repro.kernels` is that switching
-backends never changes anything observable about a query: the selected
-location, the full ``dr`` vector (bit for bit), the total page reads
-and the per-structure read split.  These tests run every method through
-``select()`` under both backends on a shared workspace and compare all
-of it, including the disk-resident MND pipeline.
+The exactness contract of :mod:`repro.kernels` is that running a query
+on the scalar reference (:func:`repro.kernels.scalar.installed`)
+changes nothing observable about it: the selected location, the full
+``dr`` vector (bit for bit), the total page reads and the
+per-structure read split.  These tests run every method through
+``select()`` on the vector kernels and on the reference on a shared
+workspace and compare all of it, including the disk-resident MND
+pipeline.
 """
 
 from __future__ import annotations
@@ -13,11 +16,11 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro import kernels
 from repro.core import make_selector
 from repro.core.diskmode import DiskWorkspace, persist_indexes
 from repro.core.mnd import MaximumNFCDistance
 from repro.experiments.runner import DEFAULT_METHODS
+from repro.kernels import scalar
 
 
 def run_cold(ws, method):
@@ -30,9 +33,8 @@ def run_cold(ws, method):
 
 
 def assert_exact_parity(ws, method):
-    with kernels.use_backend("vector"):
-        vec, vec_dr, __ = run_cold(ws, method)
-    with kernels.use_backend("scalar"):
+    vec, vec_dr, __ = run_cold(ws, method)
+    with scalar.installed():
         ref, ref_dr, __ = run_cold(ws, method)
     assert vec.location.sid == ref.location.sid
     assert vec.dr == ref.dr  # bitwise, not approximately
@@ -48,10 +50,9 @@ def test_select_is_backend_invariant(small_workspace, method):
 
 def test_influence_sets_are_backend_invariant(small_workspace):
     ws = small_workspace
-    with kernels.use_backend("vector"):
-        ws.invalidate_leaf_cache()
-        vec = MaximumNFCDistance(ws).influence_sets()
-    with kernels.use_backend("scalar"):
+    ws.invalidate_leaf_cache()
+    vec = MaximumNFCDistance(ws).influence_sets()
+    with scalar.installed():
         ws.invalidate_leaf_cache()
         ref = MaximumNFCDistance(ws).influence_sets()
     assert vec == ref
@@ -64,14 +65,13 @@ def test_disk_mnd_is_backend_invariant(small_workspace, tmp_path):
 
 
 def test_backends_share_one_decode_cache_story(small_workspace):
-    """A warm cache populated by one backend must serve the other
-    exactly: cached columns are backend-independent values."""
+    """A warm cache populated by the vector kernels must serve the
+    reference exactly: cached columns are the same values either way."""
     ws = small_workspace
-    with kernels.use_backend("vector"):
-        ws.invalidate_leaf_cache()
-        ws.reset_stats()
-        vec = make_selector(ws, "MND").select()
-    with kernels.use_backend("scalar"):
+    ws.invalidate_leaf_cache()
+    ws.reset_stats()
+    vec = make_selector(ws, "MND").select()
+    with scalar.installed():
         ws.reset_stats()  # cache deliberately kept warm
         ref = make_selector(ws, "MND").select()
     assert ref.dr == vec.dr

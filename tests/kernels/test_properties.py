@@ -5,12 +5,11 @@ Two families of invariants:
 * the binary codecs are lossless — a record survives its page image
   and an entry its packed layout, for every kind over arbitrary finite
   floats and 32-bit ids;
-* the two kernel backends are interchangeable **bit for bit** — for
-  every batch kernel and arbitrary inputs (including points sitting
-  exactly on rectangle edges and zero-area rectangles) the vector and
-  scalar implementations return identical arrays, and the geometry
-  kernels agree with the scalar :class:`~repro.geometry.rect.Rect`
-  reference methods;
+* the vector kernels and their scalar reference agree **bit for bit**
+  — for every batch kernel and arbitrary inputs (including points
+  sitting exactly on rectangle edges and zero-area rectangles) the two
+  implementations return identical arrays, and the geometry kernels
+  agree with the :class:`~repro.geometry.rect.Rect` methods;
 * the many-tile ``accumulate_reductions`` is one call per tile, bit for
   bit — per candidate row, and after
   :meth:`~repro.core.leafpairs.LeafPairs.accumulate` folds the rows
@@ -23,6 +22,7 @@ Two families of invariants:
 from __future__ import annotations
 
 import math
+from contextlib import nullcontext
 from unittest import mock
 
 import numpy as np
@@ -30,7 +30,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro import kernels
 from repro.core.leafpairs import LeafPairs
 from repro.core.types import Client, Site
 from repro.geometry.point import Point
@@ -68,32 +67,13 @@ def any_rects(draw):
     return draw(st.one_of(rects(), degenerate_rects()))
 
 
-@st.composite
-def point_batches(draw, rect):
-    """A batch of points biased toward the edges/corners of ``rect``.
-
-    Plain random coordinates almost never land exactly on a rectangle
-    boundary, which is precisely where the min/max-dist branch structure
-    matters; so each point is drawn either freely or snapped to one of
-    the rectangle's edge coordinates.
-    """
-    edge_x = st.sampled_from([rect.xmin, rect.xmax])
-    edge_y = st.sampled_from([rect.ymin, rect.ymax])
-    x = st.one_of(coords, edge_x)
-    y = st.one_of(coords, edge_y)
-    pts = draw(st.lists(st.tuples(x, y), min_size=1, max_size=8))
-    xs = np.array([p[0] for p in pts])
-    ys = np.array([p[1] for p in pts])
-    return xs, ys
-
-
 def rect_batches(max_size=6):
     return st.lists(any_rects(), min_size=1, max_size=max_size).map(
         RectColumns.from_rects
     )
 
 
-def assert_backends_bitwise_equal(kernel, *args):
+def assert_matches_the_reference(kernel, *args):
     got_vector = getattr(vector, kernel)(*args)
     got_scalar = getattr(scalar, kernel)(*args)
     assert got_vector.dtype == got_scalar.dtype
@@ -208,11 +188,11 @@ class TestBackendEquivalence:
     @settings(max_examples=80, deadline=None)
     def test_strip_path_matches_the_scalar_twin(self, batch):
         px, py, cx, cy, dnn, w = batch
-        acc = assert_backends_bitwise_equal(
+        acc = assert_matches_the_reference(
             "accumulate_reductions", px, py, cx, cy, dnn, w
         )
         assert not np.signbit(acc).any()
-        inf = assert_backends_bitwise_equal("influence_matrix", px, py, cx, cy, dnn)
+        inf = assert_matches_the_reference("influence_matrix", px, py, cx, cy, dnn)
         assert np.array_equal(
             inf, vector.pairwise_distances(px, py, cx, cy) < dnn[None, :]
         )
@@ -223,11 +203,11 @@ class TestBackendEquivalence:
         n = min(len(px), len(py))
         px, py = px[:n], py[:n]
         cx, cy, dnn, w = c
-        d = assert_backends_bitwise_equal("pairwise_distances", px, py, cx, cy)
-        acc = assert_backends_bitwise_equal(
+        d = vector.pairwise_distances(px, py, cx, cy)
+        acc = assert_matches_the_reference(
             "accumulate_reductions", px, py, cx, cy, dnn, w
         )
-        inf = assert_backends_bitwise_equal("influence_matrix", px, py, cx, cy, dnn)
+        inf = assert_matches_the_reference("influence_matrix", px, py, cx, cy, dnn)
         # Cross-kernel consistency: influence is exactly d < dnn, and a
         # client reduces a candidate iff it influences it.
         assert np.array_equal(inf, d < dnn[None, :])
@@ -235,38 +215,11 @@ class TestBackendEquivalence:
         positive = (np.clip(dnn[None, :] - d, 0.0, None) * w[None, :]) > 0
         assert np.array_equal(positive, inf & (w[None, :] > 0))
 
-    @given(c=client_batches(), x=coords, y=coords)
-    @settings(max_examples=60)
-    def test_circle_containment(self, c, x, y):
-        cx, cy, dnn, __ = c
-        got = assert_backends_bitwise_equal(
-            "circles_contain_point", cx, cy, dnn, x, y
-        )
-        for j in range(len(cx)):
-            assert got[j] == (math.hypot(x - cx[j], y - cy[j]) < dnn[j])
-
-    @given(rect=any_rects(), data=st.data())
-    @settings(max_examples=60)
-    def test_point_rect_kernels_match_the_reference(self, rect, data):
-        xs, ys = data.draw(point_batches(rect))
-        mind = assert_backends_bitwise_equal("min_dist_points_rect", xs, ys, rect)
-        maxd = assert_backends_bitwise_equal("max_dist_points_rect", xs, ys, rect)
-        for i in range(len(xs)):
-            p = Point(xs[i], ys[i])
-            # np.hypot and math.hypot can differ in the final ulp, so
-            # the reference comparison is approximate; the backends
-            # themselves are compared bitwise above.
-            assert mind[i] == pytest.approx(rect.min_dist_point(p), rel=1e-12)
-            assert maxd[i] == pytest.approx(rect.max_dist_point(p), rel=1e-12)
-            assert mind[i] <= maxd[i]
-            if rect.contains_point(p):
-                assert mind[i] == 0.0
-
     @given(batch=rect_batches(), rect=any_rects())
     @settings(max_examples=60)
     def test_rects_vs_one_rect_match_the_reference(self, batch, rect):
-        mind = assert_backends_bitwise_equal("min_dist_rects_rect", batch, rect)
-        hits = assert_backends_bitwise_equal("rects_intersect_rect", batch, rect)
+        mind = assert_matches_the_reference("min_dist_rects_rect", batch, rect)
+        hits = assert_matches_the_reference("rects_intersect_rect", batch, rect)
         for i in range(len(batch)):
             other = Rect(
                 batch.xmin[i], batch.ymin[i], batch.xmax[i], batch.ymax[i]
@@ -299,15 +252,15 @@ class TestBackendEquivalence:
                 x = box.xmax
             if snap == "corner":
                 y = box.ymin
-            got = assert_backends_bitwise_equal("min_dist_rects_point", batch, x, y)
+            got = assert_matches_the_reference("min_dist_rects_point", batch, x, y)
             want = [box.min_dist_point(Point(x, y)) for box in boxes]
             assert [float(d).hex() for d in got] == [float(d).hex() for d in want]
 
     @given(a=rect_batches(max_size=4), b=rect_batches(max_size=4))
     @settings(max_examples=60)
     def test_pairwise_rect_kernels_match_the_reference(self, a, b):
-        mind = assert_backends_bitwise_equal("pairwise_min_dist_rects", a, b)
-        hits = assert_backends_bitwise_equal("rect_intersect_matrix", a, b)
+        mind = assert_matches_the_reference("pairwise_min_dist_rects", a, b)
+        hits = assert_matches_the_reference("rect_intersect_matrix", a, b)
         for i in range(len(a)):
             ra = Rect(a.xmin[i], a.ymin[i], a.xmax[i], a.ymax[i])
             for j in range(len(b)):
@@ -400,9 +353,9 @@ def _many_tile_args(tiles):
     return (px, py, *cols), p_offsets, c_offsets
 
 
-def _one_tile(backend, tile):
+def _one_tile(module, tile):
     __, px, py, c = tile
-    return backend.accumulate_reductions(px, py, c.xs, c.ys, c.dnn, c.weights)
+    return module.accumulate_reductions(px, py, c.xs, c.ys, c.dnn, c.weights)
 
 
 def _bits(values: np.ndarray) -> np.ndarray:
@@ -416,11 +369,11 @@ class TestManyTiles:
         __, tiles = drawn
         args, p_offsets, c_offsets = _many_tile_args(tiles)
         per_tile = np.concatenate([_one_tile(vector, t) for t in tiles])
-        for backend in (vector, scalar):
-            got = backend.accumulate_reductions(
+        for module in (vector, scalar):
+            got = module.accumulate_reductions(
                 *args, p_offsets=p_offsets, c_offsets=c_offsets
             )
-            assert np.array_equal(_bits(got), _bits(per_tile)), backend.__name__
+            assert np.array_equal(_bits(got), _bits(per_tile)), module.__name__
         per_tile_scalar = np.concatenate([_one_tile(scalar, t) for t in tiles])
         assert np.array_equal(_bits(per_tile), _bits(per_tile_scalar))
         assert not np.signbit(per_tile).any()
@@ -432,14 +385,14 @@ class TestManyTiles:
         expected = np.zeros(n_ids)
         for tile in tiles:
             expected[tile[0]] += _one_tile(vector, tile)
-        for backend in kernels.available_backends():
+        for kernel_set in (nullcontext, scalar.installed):
             pairs = LeafPairs()
             for tile in tiles:
                 pairs.add(*tile)
             local = np.zeros(n_ids)
-            with kernels.use_backend(backend):
+            with kernel_set():
                 pairs.accumulate(local)
-            assert np.array_equal(_bits(local), _bits(expected)), backend
+            assert np.array_equal(_bits(local), _bits(expected)), kernel_set
             assert pairs.candidates == sum(len(t[0]) for t in tiles)
 
 
@@ -529,11 +482,11 @@ class TestSharedCandidates:
             c = slice(c_offsets[t], c_offsets[t + 1])
             expected += vector.accumulate_reductions(px, py, cx[c], cy[c], dnn[c], w[c])
         with mock.patch.object(vector, "SHARED_CHUNK", chunk or vector.SHARED_CHUNK):
-            for backend in (vector, scalar):
-                got = backend.accumulate_reductions(
+            for module in (vector, scalar):
+                got = module.accumulate_reductions(
                     px, py, cx, cy, dnn, w, c_offsets=c_offsets
                 )
-                assert np.array_equal(_bits(got), _bits(expected)), backend.__name__
+                assert np.array_equal(_bits(got), _bits(expected)), module.__name__
         assert not np.signbit(expected).any()
 
     @given(drawn=shared_calls())

@@ -5,12 +5,17 @@ The acceptance bar (mirroring the wire-parity suite): a client-assigned
 admission / batch / engine-execution / cache-lookup spans — the engine
 span tree grafted in, its spans tagged with the same id — and turning
 telemetry on must leave every answer byte-identical to a serial
-in-process ``select()``.
+in-process ``select()``.  The exports must hold up too: lint-clean
+OpenMetrics from the ``metrics`` op and the plain-HTTP ``/metrics``
+listener, one JSON line per request in the access log, and a final
+registry snapshot when the server stops.  The tests marked ``smoke``
+run in CI's smoke job.
 """
 
 from __future__ import annotations
 
 import json
+import urllib.request
 
 import pytest
 
@@ -57,7 +62,7 @@ def server(access_log_path):
         ServiceConfig(
             workers=2,
             batch_window_s=0.02,
-            telemetry=TelemetryConfig(access_log=str(access_log_path)),
+            telemetry=TelemetryConfig(access_log=str(access_log_path), metrics_port=0),
         ),
     )
     with handle:
@@ -70,44 +75,50 @@ def client(server):
         yield c
 
 
+def walk(span):
+    yield span
+    for child in span.get("children", []):
+        yield from walk(child)
+
+
 class TestTracePropagation:
+    @pytest.mark.smoke
     def test_client_trace_id_recoverable_with_all_spans(self, client):
-        answer = client.select(
-            "MND", workspace="static", no_cache=True, trace_id="e2e-mnd-1"
-        )
-        assert answer.trace_id == "e2e-mnd-1"
-        (trace,) = client.trace(trace_id="e2e-mnd-1")
-        assert trace["outcome"] == "ok"
-        assert trace["op"] == "select"
-        assert trace["method"] == "MND"
-        names = [span["name"] for span in trace["spans"]]
-        assert names == ["admission", "batch", "execute"]
-        execute = trace["spans"][-1]
-        assert execute["elapsed_s"] >= 0
+        for method in sorted(METHODS):
+            trace_id = f"e2e-{method.lower()}-1"
+            answer = client.select(
+                method, workspace="static", no_cache=True, trace_id=trace_id
+            )
+            assert answer.trace_id == trace_id
+            (trace,) = client.trace(trace_id=trace_id)
+            assert trace["outcome"] == "ok"
+            assert trace["op"] == "select"
+            assert trace["method"] == method
+            names = [span["name"] for span in trace["spans"]]
+            assert names == ["admission", "batch", "execute"], method
+            execute = trace["spans"][-1]
+            assert execute["elapsed_s"] >= 0
 
+    @pytest.mark.smoke
     def test_engine_span_tree_is_tagged_with_the_trace_id(self, client):
-        client.select("NFC", workspace="static", no_cache=True, trace_id="e2e-msd-1")
-        (trace,) = client.trace(trace_id="e2e-msd-1")
-        engine = next(
-            span["engine"] for span in trace["spans"] if span["name"] == "execute"
-        )
-        assert engine["name"] == "query.NFC"
-        assert engine["attrs"]["trace_id"] == "e2e-msd-1"
-
-        # The per-task execution spans (deeper in the tree) carry the
-        # same correlation tag.
-        def walk(span):
-            yield span
-            for child in span.get("children", []):
-                yield from walk(child)
-
-        tagged_tasks = [
-            span
-            for span in walk(engine)
-            if span is not engine
-            and span.get("attrs", {}).get("trace_id") == "e2e-msd-1"
-        ]
-        assert tagged_tasks
+        """The engine root and every task span adopted from the pool
+        carry the request's tag.  SS plans one task per potential block,
+        and this instance's 50 potentials fill one: the engine runs a
+        lone task inline on the driver, so SS's tree holds no adopted
+        task span to tag."""
+        for method in sorted(METHODS):
+            trace_id = f"e2e-tag-{method.lower()}"
+            client.select(method, workspace="static", no_cache=True, trace_id=trace_id)
+            (trace,) = client.trace(trace_id=trace_id)
+            engine = next(
+                span["engine"] for span in trace["spans"] if span["name"] == "execute"
+            )
+            assert engine["name"] == f"query.{method}"
+            assert engine["attrs"]["trace_id"] == trace_id
+            tasks = [span for span in walk(engine) if span["name"].endswith(".task")]
+            assert bool(tasks) == (method != "SS"), method
+            for span in tasks:
+                assert span.get("attrs", {}).get("trace_id") == trace_id, method
 
     def test_auto_minted_ids_always_present(self, client):
         answer = client.select("MND", workspace="static")
@@ -115,6 +126,7 @@ class TestTracePropagation:
         assert answer.trace_id.startswith("c-")
         assert client.trace(trace_id=answer.trace_id)
 
+    @pytest.mark.smoke
     def test_cached_select_records_a_cache_hit_span(self, client):
         client.select("MND", workspace="static")  # prime
         answer = client.select("MND", workspace="static", trace_id="e2e-cached")
@@ -160,12 +172,26 @@ class TestLoadgenTraceIds:
 
 
 class TestMetricsOp:
+    @pytest.mark.smoke
     def test_exposition_is_conformant_and_labeled(self, client):
         client.select("MND", workspace="static")
         body = client.metrics()
         assert lint_openmetrics(body) == []
         assert "# TYPE service_request_count counter" in body
         assert 'op="select"' in body and 'workspace="static"' in body
+        assert "service_admitted_total" in body
+
+    @pytest.mark.smoke
+    def test_http_listener_serves_lint_clean_openmetrics(self, server, client):
+        client.select("MND", workspace="static")
+        host, port = server.service.metrics_address
+        url = f"http://{host}:{port}/metrics"
+        with urllib.request.urlopen(url, timeout=10) as response:
+            scraped = response.read().decode("utf-8")
+            content_type = response.headers.get("Content-Type", "")
+        assert "openmetrics-text" in content_type
+        assert lint_openmetrics(scraped) == []
+        assert "# TYPE service_request_count counter" in scraped
 
     def test_content_type_declared(self, client):
         response = client.call("metrics")
@@ -206,6 +232,7 @@ class TestRenderTop:
 
 
 class TestAccessLog:
+    @pytest.mark.smoke
     def test_requests_logged_as_standalone_json(self, server, client, access_log_path):
         client.select("MND", workspace="static", trace_id="e2e-logged")
         records = [
@@ -216,6 +243,28 @@ class TestAccessLog:
         mine = [r for r in records if r.get("trace_id") == "e2e-logged"]
         assert mine and mine[0]["op"] == "select"
         assert mine[0]["outcome"] == "ok"
+        assert mine[0]["latency_s"] >= 0
+        assert mine[0]["ts"] > 0
+
+
+class TestSnapshotSink:
+    @pytest.mark.smoke
+    def test_stop_writes_a_final_snapshot(self, tmp_path):
+        snapshots = tmp_path / "snapshots.jsonl"
+        handle = serve_in_thread(
+            {"static": Workspace(make_instance(rng=SEED, **SIZES))},
+            ServiceConfig(
+                telemetry=TelemetryConfig(
+                    snapshot_path=snapshots,
+                    snapshot_interval_s=3600.0,  # only the final snapshot
+                ),
+            ),
+        )
+        with handle:
+            with ServiceClient(handle.host, handle.port) as c:
+                c.select("MND", workspace="static")
+        last = json.loads(snapshots.read_text().strip().splitlines()[-1])
+        assert "metrics" in last and "windows" in last
 
 
 class TestTelemetryOffParity:
@@ -235,6 +284,7 @@ class TestTelemetryOffParity:
                     assert fingerprint(answer.result) == expected[method]
                     assert answer.trace_id is None
 
+    @pytest.mark.smoke
     def test_answers_identical_with_telemetry_enabled(self, client, expected):
         for method in sorted(METHODS):
             answer = client.select(method, workspace="static", no_cache=True)
