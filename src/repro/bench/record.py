@@ -75,8 +75,9 @@ def default_metric_policies() -> dict[str, str]:
     return policies
 
 
-def git_sha(short: bool = True) -> str:
-    """The current git commit, or ``"unknown"`` outside a checkout."""
+def git_sha(short: bool = True, directory: Optional[str | Path] = None) -> str:
+    """The commit checked out at ``directory`` (default: this package's
+    own checkout), or ``"unknown"`` outside a checkout."""
     cmd = ["git", "rev-parse"] + (["--short", "HEAD"] if short else ["HEAD"])
     try:
         out = subprocess.run(
@@ -84,7 +85,7 @@ def git_sha(short: bool = True) -> str:
             capture_output=True,
             text=True,
             timeout=10,
-            cwd=Path(__file__).resolve().parent,
+            cwd=Path(__file__).resolve().parent if directory is None else directory,
         )
     except (OSError, subprocess.TimeoutExpired):
         return "unknown"

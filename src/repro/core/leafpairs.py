@@ -10,9 +10,11 @@ a task instead of once a tile.
 
 The fold keeps every bit: the kernel returns each candidate row's sum
 over its own tile, bit for bit what one call per tile returns, and
-:meth:`LeafPairs.accumulate` adds the rows into the task partial tile
-by tile in descent order — the additions, and their order, of one call
-per tile.
+:meth:`LeafPairs.accumulate` adds the rows into the task partial with
+one ``np.add.at`` over the tiles' ids in descent order.  ``add.at``
+applies its updates one at a time in index order, and a tile's
+candidate ids are distinct, so every ``local[p]`` receives the
+additions, in the order, of one ``local[ids] += rows`` per tile.
 """
 
 from __future__ import annotations
@@ -71,5 +73,4 @@ class LeafPairs:
             p_offsets=p_offsets,
             c_offsets=c_offsets,
         )
-        for t, ids in enumerate(self.ids):
-            local[ids] += sums[p_offsets[t] : p_offsets[t + 1]]
+        np.add.at(local, np.concatenate(self.ids), sums)

@@ -23,21 +23,22 @@ Edge cases the pseudocode leaves implicit:
   be strictly closer to ``p`` than to that facility), so ``p`` is
   skipped with ``dr(p) = 0``.
 
-For the execution engine the method splits into two stages: AIR
-construction (chunks of potential locations; independent best-first NN
-streams over ``R_F``) and the batched window queries (one task per
-potential block; blocks touch disjoint ``p`` ids, so windows commute
-exactly).  Both the I/O multiset and each ``p``'s accumulation order
-match the serial interleaving, keeping results byte-identical.
+For the execution engine the method splits into two stages of one task
+per potential block each: AIR construction and the batched window
+query.  Blocks touch disjoint ``p`` ids, so windows commute exactly;
+both the I/O multiset and each ``p``'s accumulation order match the
+serial interleaving, keeping results byte-identical.
 
-Both stages run on node columns.  The quadrant-NN streams
-(:func:`~repro.rtree.nn.best_first`) take their minDists from the
-cached ``R_F`` branch and leaf columns and read the facility
-coordinates from them, so a disk leaf builds no entry objects.  A
-window task carries its group as index arrays into one set of AIR
-columns, records the (candidate rows × client leaf) pairs its descent
-reaches, and evaluates them in one kernel call
-(:class:`~repro.core.leafpairs.LeafPairs`).
+Both stages run on columns.  An AIR task finds its block's quadrant NNs
+with one lockstep pass over ``R_F``
+(:func:`~repro.rtree.nn.quadrant_nearest_block`: every potential's
+best-first stream, the same nodes read in the same order, charged
+potential by potential), then clips all the cells at once
+(:func:`~repro.geometry.polygon.clip_all_columns`, bit for bit
+:meth:`ConvexPolygon.clip_all`).  It hands the window task AIR columns.  A
+window task carries row indices into them down ``R_C``, records the
+(candidate rows × client leaf) pairs its descent reaches, and evaluates
+them in one kernel call (:class:`~repro.core.leafpairs.LeafPairs`).
 """
 
 from __future__ import annotations
@@ -51,18 +52,17 @@ from repro.core.base import LocationSelector
 from repro.core.leafpairs import LeafPairs
 from repro.core.plan import StageSpec
 from repro.core.types import Site
-from repro.geometry.halfplane import bisector_halfplane
 from repro.geometry.point import Point
-from repro.geometry.polygon import ConvexPolygon
+from repro.geometry.polygon import clip_all_columns, mbr_columns
 from repro.geometry.rect import Rect
-from repro.kernels.columnar import RectColumns, SiteColumns
-from repro.rtree.columns import branch_columns, leaf_client_columns, leaf_site_columns
-from repro.rtree.nn import best_first
+from repro.kernels.columnar import RectColumns
+from repro.rtree.columns import branch_columns, leaf_client_columns
+from repro.rtree.nn import quadrant_nearest_block
 from repro.storage.stats import IOStats
 
-#: Potential locations per AIR task.  Fixed (worker-independent) so the
-#: task list — and with it the merged trace shape — is deterministic.
-AIR_CHUNK = 16
+#: One block's AIRs as columns: potential ids, coordinates, and the
+#: AIR bounds ``xmin, ymin, xmax, ymax``.
+AirColumns = tuple[np.ndarray, ...]
 
 
 class QuasiVoronoiCell(LocationSelector):
@@ -87,67 +87,86 @@ class QuasiVoronoiCell(LocationSelector):
         A single best-first stream serves all four quadrants: facilities
         arrive in distance order and fill their quadrant's slot; the
         stream stops once every quadrant is served (Section IV: "retrieve
-        the NNs until each quadrant has one").
+        the NNs until each quadrant has one").  This is the one-potential
+        call of the block pass.
         """
+        sids, xs, ys = quadrant_nearest_block(
+            self.ws.r_f,
+            np.array([p[0]], dtype=np.float64),
+            np.array([p[1]], dtype=np.float64),
+            self.ws.leaf_cache,
+            stats,
+        )
         return [
-            None if found is None else Site(*found)
-            for found in self._quadrant_nearest(p, stats)
+            None
+            if sids[0, q] < 0
+            else Site(int(sids[0, q]), float(xs[0, q]), float(ys[0, q]))
+            for q in range(4)
         ]
-
-    def _quadrant_nearest(
-        self, p: Point, stats: Optional[IOStats]
-    ) -> list[Optional[tuple[int, float, float]]]:
-        """``(sid, x, y)`` per quadrant, read from the ``R_F`` columns.
-
-        Each leaf the stream reads gets its entries' quadrants at once,
-        by :meth:`Point.quadrant_relative_to`'s rule (x then y compared
-        with ``>=``), so a popped facility costs one list lookup.
-        """
-        tree, cache = self.ws.r_f, self.ws.leaf_cache
-        px, py = p
-        leaves: dict[int, tuple[SiteColumns, list[int]]] = {}
-
-        def entry_rects(node) -> RectColumns:
-            if not node.is_leaf:
-                return branch_columns(tree, node, cache).rects
-            cols = leaf_site_columns(tree, node, cache)
-            right, top = cols.xs >= px, cols.ys >= py
-            quads = np.where(top, np.where(right, 0, 1), np.where(right, 3, 2))
-            leaves[node.node_id] = (cols, quads.tolist())
-            return RectColumns(cols.xs, cols.ys, cols.xs, cols.ys)
-
-        found: list[Optional[tuple[int, float, float]]] = [None, None, None, None]
-        missing = 4
-        for __, node, i in best_first(tree, p, entry_rects, stats=stats):
-            cols, quads = leaves[node.node_id]
-            quad = quads[i]
-            if found[quad] is None:
-                found[quad] = (int(cols.ids[i]), float(cols.xs[i]), float(cols.ys[i]))
-                missing -= 1
-                if missing == 0:
-                    break
-        return found
 
     def air(self, p: Point, stats: Optional[IOStats] = None) -> Optional[Rect]:
         """``AIR(p)``: the MBR of the quasi-Voronoi cell of ``p``.
 
         Returns None when ``IS(p)`` is provably empty (a facility sits
-        exactly on ``p``).
+        exactly on ``p``).  This is the one-potential call of the block
+        pass.
         """
-        halfplanes = []
-        for found in self._quadrant_nearest(p, stats):
-            if found is None:
-                continue
-            f = Point(found[1], found[2])
-            if f == p:
-                return None
-            halfplanes.append(bisector_halfplane(p, f))
+        kept, bounds = self.airs(
+            np.array([p[0]], dtype=np.float64),
+            np.array([p[1]], dtype=np.float64),
+            stats,
+        )
+        return Rect(*(float(b[0]) for b in bounds)) if len(kept) else None
+
+    def airs(
+        self, px: np.ndarray, py: np.ndarray, stats: Optional[IOStats] = None
+    ) -> tuple[np.ndarray, AirColumns]:
+        """The AIRs of a block of potentials: the rows kept, and their
+        AIR bounds as columns.
+
+        A row is dropped when a facility sits exactly on it; such a
+        facility is its quadrant-0 NN (quadrants compare x and y with
+        ``>=``, and nothing is nearer).  Each kept cell starts as the
+        data bounds' corners and is clipped by its bisectors in quadrant
+        order, as :meth:`ConvexPolygon.clip_all` takes them, stopping
+        once it is empty; an empty (numerically degenerate) cell gives
+        the point rectangle of ``p``.
+        """
+        sids, fx, fy = quadrant_nearest_block(
+            self.ws.r_f, px, py, self.ws.leaf_cache, stats
+        )
+        on_p = (sids[:, 0] >= 0) & (fx[:, 0] == px) & (fy[:, 0] == py)
+        kept = np.flatnonzero(~on_p)
+        px, py, sids, fx, fy = px[kept], py[kept], sids[kept], fx[kept], fy[kept]
         # Clip against the effective data bounds, not the nominal domain:
         # clients outside the declared domain must stay coverable.
-        cell = ConvexPolygon.from_rect(self.ws.data_bounds).clip_all(halfplanes)
-        if cell.is_empty():  # numerically degenerate cell
-            return Rect.from_point(p)
-        return cell.mbr()
+        b = self.ws.data_bounds
+        planes = []
+        for q in range(4):  # the bisectors of p and its quadrant NNs
+            rows = np.flatnonzero(sids[:, q] >= 0)
+            x, y, qx, qy = px[rows], py[rows], fx[rows, q], fy[rows, q]
+            planes.append(
+                (
+                    rows,
+                    2.0 * (qx - x),
+                    2.0 * (qy - y),
+                    qx * qx + qy * qy - x * x - y * y,
+                )
+            )
+        xs, ys, counts = clip_all_columns(
+            np.tile([b.xmin, b.xmax, b.xmax, b.xmin], (len(kept), 1)),
+            np.tile([b.ymin, b.ymin, b.ymax, b.ymax], (len(kept), 1)),
+            np.full(len(kept), 4, dtype=np.intp),
+            planes,
+        )
+        empty = counts == 0
+        xmin, ymin, xmax, ymax = mbr_columns(xs, ys, counts)
+        return kept, (
+            np.where(empty, px, xmin),
+            np.where(empty, py, ymin),
+            np.where(empty, px, xmax),
+            np.where(empty, py, ymax),
+        )
 
     # ------------------------------------------------------------------
     # Parallel execution protocol
@@ -169,77 +188,66 @@ class QuasiVoronoiCell(LocationSelector):
         ]
 
     def _plan_air(self, stats: IOStats, carry: object = None) -> list[tuple]:
-        """Chunked AIR tasks; charges the potential-file block reads."""
+        """One AIR task per potential block; charges the potential-file
+        block reads."""
         ws = self.ws
-        tasks: list[tuple[int, list[tuple[int, float, float]]]] = []
+        tasks: list[tuple[int, int]] = []
         offset = 0
         for block_id in range(ws.potential_file.num_blocks):
             p_block = ws.potential_file.read_block(block_id, stats=stats)
-            for start in range(0, len(p_block), AIR_CHUNK):
-                rows = [
-                    (offset + start + i, float(px), float(py))
-                    for i, (px, py) in enumerate(p_block[start : start + AIR_CHUNK])
-                ]
-                tasks.append((block_id, rows))
+            tasks.append((block_id, offset))
             offset += len(p_block)
         return tasks
 
     def run_air_task(
-        self, task: tuple[int, list[tuple[int, float, float]]], stats: IOStats
-    ) -> tuple[int, list[tuple[int, float, float, Rect]]]:
-        """AIR construction for one chunk of potential locations."""
-        block_id, rows = task
-        group: list[tuple[int, float, float, Rect]] = []
+        self, task: tuple[int, int], stats: IOStats
+    ) -> tuple[int, AirColumns]:
+        """AIR construction for one potential block: one quadrant-NN pass
+        over ``R_F``, then every cell clipped as columns."""
+        block_id, offset = task
+        p_block = self.ws.potential_file.peek_block(block_id)  # charged at planning
+        px = np.array(p_block[:, 0], dtype=np.float64)
+        py = np.array(p_block[:, 1], dtype=np.float64)
         with stats.tracer.span("qvc.air") as sp:
-            for pid, px, py in rows:
-                air = self.air(Point(px, py), stats=stats)
-                if air is not None:
-                    group.append((pid, px, py, air))
-                else:
-                    sp.count("empty_cells")
-            sp.count("cells", len(group))
-        return block_id, group
+            kept, bounds = self.airs(px, py, stats)
+            if len(kept) < len(px):
+                sp.count("empty_cells", len(px) - len(kept))
+            sp.count("cells", len(kept))
+        return block_id, (offset + kept, px[kept], py[kept], *bounds)
 
     def _reduce_air(
-        self, outs: list[tuple[int, list]], dr: np.ndarray
-    ) -> dict[int, list]:
-        """Reassemble per-block AIR groups (tasks arrive in chunk order)."""
-        groups: dict[int, list[tuple[int, float, float, Rect]]] = {}
-        for block_id, group in outs:
-            groups.setdefault(block_id, []).extend(group)
-        return groups
+        self, outs: list[tuple[int, AirColumns]], dr: np.ndarray
+    ) -> dict[int, AirColumns]:
+        """Each block's AIR columns, keyed by block id."""
+        return dict(outs)
 
     def _plan_windows(
-        self, stats: IOStats, carry: dict[int, list]
-    ) -> list[tuple[int, list]]:
-        """One window-query task per non-empty potential block."""
+        self, stats: IOStats, carry: dict[int, AirColumns]
+    ) -> list[tuple[int, AirColumns]]:
+        """One window-query task per potential block with a cell."""
         return [
             (block_id, carry[block_id])
             for block_id in sorted(carry)
-            if carry[block_id]
+            if len(carry[block_id][0])
         ]
 
     def run_window_task(
-        self, task: tuple[int, list], stats: IOStats
+        self, task: tuple[int, AirColumns], stats: IOStats
     ) -> tuple[np.ndarray, np.ndarray]:
         """The batched window query of one block (Algorithm 3).
 
-        The group becomes one set of columns (ids, coordinates, AIRs);
-        the descent carries row indices into them and records the leaf
-        pairs, which are evaluated in one kernel call at the end.
+        The descent carries row indices into the block's AIR columns and
+        records the leaf pairs, which are evaluated in one kernel call
+        at the end.
         """
-        __, group = task
-        n = len(group)
-        block = (
-            np.fromiter((g[0] for g in group), np.intp, n),
-            np.fromiter((g[1] for g in group), np.float64, n),
-            np.fromiter((g[2] for g in group), np.float64, n),
-            RectColumns.from_rects(g[3] for g in group),
-        )
+        __, (pids, px, py, xmin, ymin, xmax, ymax) = task
+        block = (pids, px, py, RectColumns(xmin, ymin, xmax, ymax))
         pairs = LeafPairs()
         local = np.zeros(self.ws.n_p, dtype=np.float64)
         with stats.tracer.span("qvc.window"):
-            self._window_query(self.ws.r_c.root_id, np.arange(n), block, pairs, stats)
+            self._window_query(
+                self.ws.r_c.root_id, np.arange(len(pids)), block, pairs, stats
+            )
             pairs.accumulate(local)
         idx = np.flatnonzero(local)
         return idx, local[idx]
@@ -303,7 +311,14 @@ class QuasiVoronoiCell(LocationSelector):
         )
         node_cols = branch_columns(self.ws.r_c, node, cache)
         overlap = kernels.rect_intersect_matrix(reach, node_cols.rects)
-        for j, entry in enumerate(node.entries):
-            hits = np.flatnonzero(overlap[:, j])
-            if len(hits):
-                self._window_query(entry.child_id, rows[hits], block, pairs, stats)
+        # Entry-major: the children in entry order, each with its rows
+        # ascending — the DFS order of one scan per entry.
+        entries, hits = np.nonzero(overlap.T)
+        if not len(entries):
+            return
+        starts = np.flatnonzero(np.diff(entries, prepend=-1))
+        children = node_cols.children[entries[starts]].tolist()
+        bounds = starts.tolist() + [len(entries)]
+        rows = rows[hits]
+        for child, lo, hi in zip(children, bounds, bounds[1:]):
+            self._window_query(child, rows[lo:hi], block, pairs, stats)

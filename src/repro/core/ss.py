@@ -18,7 +18,8 @@ task per potential block.  The driver charges each potential block once
 at planning time (the serial loop holds it in memory across the inner
 scan); each task re-fetches it for free via ``peek_block``, reads and
 is charged for every client block in order, and makes one
-shared-candidates kernel call over the whole client file.  The kernel
+shared-candidates kernel call over the whole client file, whose columns
+the file gathers once and keeps (``BlockFile.columns``).  The kernel
 folds each candidate's per-block sums in block order from ``+0.0``, bit
 for bit one call per (P-block, C-block) pair added into ``dr`` in the
 serial inner-loop order, so the reduced ``dr`` is bit-identical to the
@@ -85,17 +86,14 @@ class SequentialScan(LocationSelector):
         p_block = ws.potential_file.peek_block(p_id)  # charged at planning
         client_file = ws.client_file
         with stats.tracer.span("ss.client_pass") as sp:
-            blocks = [
+            for c_id in range(client_file.num_blocks):
                 client_file.read_block(c_id, stats=stats)
-                for c_id in range(client_file.num_blocks)
-            ]
-            sp.count("client_blocks", len(blocks))
-            if not blocks:
+            sp.count("client_blocks", client_file.num_blocks)
+            if not client_file.num_blocks:
                 return offset, np.zeros(len(p_block))
-            c_offsets = np.cumsum([0] + [len(block) for block in blocks])
-            cx, cy, dnn, w = (
-                np.concatenate([block[:, k] for block in blocks]) for k in range(4)
-            )
+            # The blocks just charged, as the columns the file gathered
+            # once (the file is read-only while it lives).
+            c_offsets, (cx, cy, dnn, w) = client_file.columns()
             # (block of P) x (every block of C) weighted clipped reductions.
             acc = kernels.accumulate_reductions(
                 p_block[:, 0], p_block[:, 1], cx, cy, dnn, w, c_offsets=c_offsets

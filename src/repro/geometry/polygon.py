@@ -4,11 +4,19 @@ The QVC method needs one polygon operation: start from the data-space
 rectangle and clip it successively with the bisector half-planes.  The
 result is always convex, so a simple Sutherland–Hodgman clip against each
 half-plane suffices.
+
+:class:`ConvexPolygon` clips one polygon on Python floats.
+:func:`clip_all_columns` clips many at once, one half-plane each, with the
+same operations in the same order, so its vertices are
+:meth:`ConvexPolygon.clip`'s bit for bit; :func:`mbr_columns` takes
+their MBRs as :meth:`Rect.from_points` does.
 """
 
 from __future__ import annotations
 
 from typing import Sequence
+
+import numpy as np
 
 from repro.geometry.halfplane import HalfPlane
 from repro.geometry.point import Point
@@ -128,3 +136,109 @@ class ConvexPolygon:
             bx, by = self.vertices[(i + 1) % n]
             acc += ax * by - bx * ay
         return abs(acc) / 2.0
+
+
+def _clip_columns(
+    xs: np.ndarray,
+    ys: np.ndarray,
+    counts: np.ndarray,
+    a: np.ndarray,
+    b: np.ndarray,
+    c: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Clip polygon ``i`` by the half-plane ``a_i*x + b_i*y <= c_i``.
+
+    Polygon ``i``'s vertices, at least one, sit in the first
+    ``counts[i]`` columns of row ``i`` of ``xs``/``ys``.  Returns the
+    clipped polygons in the same form, as wide as the most vertices any
+    of them keeps; a count of 0 is an empty polygon.  Each row is
+    :meth:`ConvexPolygon.clip` bit for bit: the violation, the scaled
+    tolerance, the clamped ``t`` and the interpolation, with the same
+    operations in the same order (a zero denominator, where the loop
+    raises, gives ``t`` = 0 or 1).
+    """
+    col = np.arange(xs.shape[1])
+    valid = col < counts[:, None]
+    ax, by = a[:, None] * xs, b[:, None] * ys
+    cc = c[:, None]
+    violation = ax + by - cc
+    inside = valid & (violation <= 1e-9 * (np.abs(ax) + np.abs(by) + np.abs(cc) + 1.0))
+    row = np.arange(len(xs))[:, None]
+    nxt = np.where(col + 1 < counts[:, None], col + 1, 0)
+    cross = valid & (inside != inside[row, nxt])
+    with np.errstate(divide="ignore", invalid="ignore"):
+        t = violation / (violation - violation[row, nxt])
+    t = np.where(t > 0.0, t, 0.0)  # max(0.0, t)
+    t = np.where(t < 1.0, t, 1.0)  # min(1.0, t)
+    cx = xs + t * (xs[row, nxt] - xs)
+    cy = ys + t * (ys[row, nxt] - ys)
+    # Vertex i emits itself if inside, then the crossing if its edge
+    # crosses: place each output at its running position in the row.
+    emitted = inside.astype(np.intp) + cross
+    ends = np.cumsum(emitted, axis=1)
+    out_counts = ends[:, -1]
+    out_x = np.zeros((len(xs), out_counts.max()))
+    out_y = np.zeros_like(out_x)
+    r, i = np.nonzero(inside)
+    at = ends[r, i] - emitted[r, i]
+    out_x[r, at], out_y[r, at] = xs[r, i], ys[r, i]
+    r, i = np.nonzero(cross)
+    at = ends[r, i] - 1
+    out_x[r, at], out_y[r, at] = cx[r, i], cy[r, i]
+    return out_x, out_y, out_counts
+
+
+def clip_all_columns(
+    xs: np.ndarray,
+    ys: np.ndarray,
+    counts: np.ndarray,
+    halfplanes: Sequence[tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]],
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Clip polygons by successive half-planes, as
+    :meth:`ConvexPolygon.clip_all` does one polygon.
+
+    Each item of ``halfplanes`` is ``(rows, a, b, c)``: the half-planes
+    ``a*x + b*y <= c`` of the polygons ``rows``, applied in turn.  A
+    polygon that is already empty is skipped, as ``clip_all`` stops at
+    an empty polygon.  Returns the polygons in :func:`_clip_columns`'
+    form, widened when a clip adds vertices.
+    """
+    xs, ys, counts = xs.copy(), ys.copy(), counts.copy()
+    for rows, a, b, c in halfplanes:
+        live = counts[rows] > 0
+        rows = rows[live]
+        if not len(rows):
+            continue
+        cx, cy, counts[rows] = _clip_columns(
+            xs[rows], ys[rows], counts[rows], a[live], b[live], c[live]
+        )
+        if cx.shape[1] > xs.shape[1]:
+            pad = ((0, 0), (0, cx.shape[1] - xs.shape[1]))
+            xs, ys = np.pad(xs, pad), np.pad(ys, pad)
+        xs[rows, : cx.shape[1]] = cx
+        ys[rows, : cy.shape[1]] = cy
+    return xs, ys, counts
+
+
+def mbr_columns(
+    xs: np.ndarray, ys: np.ndarray, counts: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Each non-empty polygon's MBR as :meth:`Rect.from_points` takes it.
+
+    ``Rect.from_points`` keeps the first of equal extremes, which
+    decides between ``-0.0`` and ``0.0``; so does this.  Rows with a
+    count of 0 get meaningless values.
+    """
+    valid = np.arange(xs.shape[1]) < counts[:, None]
+
+    def first(values: np.ndarray, fill: float, reduce) -> np.ndarray:
+        best = reduce(np.where(valid, values, fill), axis=1)
+        at = np.argmax(valid & (values == best[:, None]), axis=1)
+        return values[np.arange(len(values)), at]
+
+    return (
+        first(xs, np.inf, np.min),
+        first(ys, np.inf, np.min),
+        first(xs, -np.inf, np.max),
+        first(ys, -np.inf, np.max),
+    )

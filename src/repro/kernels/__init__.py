@@ -66,6 +66,7 @@ from repro.kernels.vector import (
     influence_matrix,
     min_dist_rects_point,
     min_dist_rects_rect,
+    paired_min_dist_point,
     pairwise_min_dist_rects,
     rect_intersect_matrix,
     rects_intersect_rect,
@@ -84,6 +85,7 @@ __all__ = [
     "influence_matrix",
     "min_dist_rects_point",
     "min_dist_rects_rect",
+    "paired_min_dist_point",
     "pairwise_min_dist_rects",
     "rect_intersect_matrix",
     "rects_intersect_rect",

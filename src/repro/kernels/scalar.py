@@ -192,6 +192,20 @@ def min_dist_rects_point(rects: RectColumns, x: float, y: float) -> np.ndarray:
     return out
 
 
+def paired_min_dist_point(
+    rects: RectColumns, xs: np.ndarray, ys: np.ndarray
+) -> np.ndarray:
+    """``minDist((xs_i, ys_i), rects_i)`` one row at a time, with
+    ``math.hypot`` as in :meth:`Rect.min_dist_point`."""
+    out = np.empty(len(rects), dtype=np.float64)
+    for i in range(len(rects)):
+        x, y = float(xs[i]), float(ys[i])
+        dx = _gap(rects.xmin[i], rects.xmax[i], x, x)
+        dy = _gap(rects.ymin[i], rects.ymax[i], y, y)
+        out[i] = dy if dx == 0.0 else dx if dy == 0.0 else math.hypot(dx, dy)
+    return out
+
+
 def pairwise_min_dist_rects(a: RectColumns, b: RectColumns) -> np.ndarray:
     """``minDist(a_i, b_j)`` one pair at a time."""
     out = np.empty((len(a), len(b)), dtype=np.float64)

@@ -607,8 +607,32 @@ def min_dist_rects_point(rects: RectColumns, x: float, y: float) -> np.ndarray:
             ],
             dtype=np.float64,
         )
-    dx = _axis_gaps(rects.xmin, rects.xmax, x, x)
-    dy = _axis_gaps(rects.ymin, rects.ymax, y, y)
+    return _point_ladder(
+        _axis_gaps(rects.xmin, rects.xmax, x, x),
+        _axis_gaps(rects.ymin, rects.ymax, y, y),
+    )
+
+
+def paired_min_dist_point(
+    rects: RectColumns, xs: np.ndarray, ys: np.ndarray
+) -> np.ndarray:
+    """``minDist((xs_i, ys_i), rects_i)`` for paired rows, bitwise
+    :meth:`Rect.min_dist_point` per row.
+
+    The batched quadrant-NN pass (:func:`repro.rtree.nn.quadrant_nearest_block`)
+    evaluates many query points against many nodes in one call, one
+    row per (query, entry) pair; the ladder and ``math.hypot`` are
+    :func:`min_dist_rects_point`'s.
+    """
+    return _point_ladder(
+        _axis_gaps(rects.xmin, rects.xmax, xs, xs),
+        _axis_gaps(rects.ymin, rects.ymax, ys, ys),
+    )
+
+
+def _point_ladder(dx: np.ndarray, dy: np.ndarray) -> np.ndarray:
+    """``Rect.min_dist_point``'s last step: the other axis' gap, else
+    ``math.hypot`` (correctly rounded, unlike ``np.hypot``)."""
     out = np.where(dx == 0.0, dy, dx)
     corner = np.flatnonzero((dx != 0.0) & (dy != 0.0))
     out[corner] = np.fromiter(

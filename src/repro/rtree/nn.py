@@ -1,16 +1,17 @@
 """Best-first nearest-neighbour search (Hjaltason & Samet, SSD 1995).
 
 The QVC method needs the NN facility in *each quadrant* around a
-potential location (Section IV); ``nearest_in_quadrant`` runs the same
-best-first search restricted to one quadrant's quarter-plane.  Results
-are retrieved incrementally, so callers stop as soon as every quadrant
-is served.
+potential location (Section IV).  :func:`quadrant_nearest_block` finds
+them for a whole block of potentials in one lockstep pass;
+``nearest_in_quadrant`` runs the general stream restricted to one
+quadrant's quarter-plane.  Results are retrieved incrementally, so
+callers stop as soon as every quadrant is served.
 
-All node fetches go through ``tree.read_node`` and are therefore counted
-as I/Os.
+All node fetches that a search makes are charged through
+``tree.read_node`` and are therefore counted as I/Os.
 
-:func:`best_first` is the one search loop.  It works on node columns: a
-read node's entry minDists come from one
+:func:`best_first` is the one incremental search loop.  It works on
+node columns: a read node's entry minDists come from one
 :func:`repro.kernels.min_dist_rects_point` call, and the node enters the
 heap once, as a *cursor* over its entries in stable-argsort order.  The
 object-at-a-time search pushed every entry as ``(minDist, seq)`` with
@@ -23,6 +24,19 @@ node's ties by index.  Each cursor's head is its smallest remaining
 entry, so the heap's minimum is the object loop's next pop: the pops,
 the node reads and their order are exactly the same, while a node costs
 one heap push instead of one per entry.
+
+:func:`quadrant_nearest_block` runs one such stream per query point,
+all in lockstep: each round, every live stream expands one node, and
+the nodes of a round are evaluated in one ragged numpy pass.  A
+stream's heap holds only branch cursors.  A read leaf instead offers,
+per quadrant, its first entry in ``(minDist, entry index)`` order, and
+a quadrant's candidate is *settled* — the object loop pops it — once
+its ``(minDist, expansion number)`` comes before the stream's next
+node.  A stream stops when its four quadrants are settled or its heap
+is empty, which is where the object loop stops, so it reads the same
+nodes; the pass charges them afterwards, stream by stream in query
+order, which is the order of one stream per query run one after the
+other.
 """
 
 from __future__ import annotations
@@ -37,6 +51,7 @@ from repro import kernels
 from repro.geometry.point import Point
 from repro.geometry.rect import Rect
 from repro.kernels.columnar import RectColumns
+from repro.rtree.columns import branch_columns, leaf_site_columns
 from repro.rtree.node import Node
 from repro.rtree.rtree import RTree
 from repro.storage.stats import IOStats
@@ -60,21 +75,32 @@ class _Cursor:
         self.pos = 0
 
 
+def _pop(heap: list) -> tuple[float, _Cursor, int]:
+    """Pop the heap's smallest entry: ``(minDist, cursor, entry index)``.
+    Its cursor re-enters keyed by its next entry, or leaves when spent."""
+    dist, n, cursor = heap[0]
+    pos = cursor.pos
+    if pos + 1 < len(cursor.order):
+        cursor.pos = pos + 1
+        heapq.heapreplace(heap, (cursor.dists[pos + 1], n, cursor))
+    else:
+        heapq.heappop(heap)
+    return dist, cursor, cursor.order[pos]
+
+
 def best_first(
     tree: RTree,
     query: Point,
-    entry_rects: Callable[[Node], RectColumns] = _entry_rects,
     keep: Optional[Callable[[Node], np.ndarray]] = None,
     stats: Optional[IOStats] = None,
 ) -> Iterator[tuple[float, Node, int]]:
     """Yield ``(distance, leaf node, entry index)`` in increasing distance.
 
-    ``entry_rects(node)`` gives a node's entry MBRs as columns (callers
-    with a decoded-node cache pass a cached view); ``keep(node)``, when
-    given, is a boolean mask of the entries that may enter the heap.
-    Ties resolve in push order, as in the object-at-a-time search.
-    ``stats`` redirects the I/O charges (and span counters) to a
-    caller-private accounting, as required by parallel tasks.
+    ``keep(node)``, when given, is a boolean mask of the entries that
+    may enter the heap.  Ties resolve in push order, as in the
+    object-at-a-time search.  ``stats`` redirects the I/O charges (and
+    span counters) to a caller-private accounting, as required by
+    parallel tasks.
     """
     if tree.num_entries == 0:
         return
@@ -85,7 +111,7 @@ def best_first(
     for expanded in itertools.count():
         tracer.count("nn.nodes")
         node = tree.read_node(node_id, stats=stats)
-        dists = kernels.min_dist_rects_point(entry_rects(node), qx, qy)
+        dists = kernels.min_dist_rects_point(_entry_rects(node), qx, qy)
         kept = None if keep is None else np.flatnonzero(keep(node))
         if kept is not None:
             dists = dists[kept]
@@ -97,18 +123,215 @@ def best_first(
         while True:  # pop entries until the next node to read
             if not heap:
                 return
-            dist, n, cursor = heap[0]
-            pos = cursor.pos
-            if pos + 1 < len(cursor.order):
-                cursor.pos = pos + 1
-                heapq.heapreplace(heap, (cursor.dists[pos + 1], n, cursor))
-            else:
-                heapq.heappop(heap)
+            dist, cursor, entry = _pop(heap)
             if not cursor.leaf:
-                node_id = cursor.node.entries[cursor.order[pos]].child_id
+                node_id = cursor.node.entries[entry].child_id
                 break
             tracer.count("nn.results")
-            yield dist, cursor.node, cursor.order[pos]
+            yield dist, cursor.node, entry
+
+
+# ---------------------------------------------------------------------------
+# The lockstep quadrant pass
+# ---------------------------------------------------------------------------
+
+#: Screening slack for a leaf's quadrant minimum.  Squared distances are
+#: screened first, and the rows whose ``dx*dx + dy*dy`` lies within this
+#: factor (plus :data:`_SCREEN_FLOOR`) of their group's minimum get the
+#: exact minDist.  An exact distance is within an ulp of the true one
+#: and the squared screen within a few ulps of its square, so every row
+#: that ties the exact minimum passes a slack of ``2**-40``; the floor
+#: covers squares that underflow.
+_SCREEN_SLACK = 1.0 + 2.0**-40
+_SCREEN_FLOOR = 2.0**-990
+
+
+def _rows(sizes: np.ndarray, which: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The ragged (stream, entry) rows of a round: stream ``k`` expands
+    node ``which[k]`` of a concatenation of nodes with ``sizes`` entries.
+    Returns each row's entry in the concatenation and its stream."""
+    counts = sizes[which]
+    starts = (np.cumsum(sizes) - sizes)[which]
+    firsts = np.cumsum(counts) - counts
+    entry = np.arange(counts.sum()) + np.repeat(starts - firsts, counts)
+    return entry, np.repeat(np.arange(len(which)), counts)
+
+
+def quadrant_nearest_block(
+    tree: Any,
+    qx: np.ndarray,
+    qy: np.ndarray,
+    cache: Any,
+    stats: Optional[IOStats] = None,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Each query point's nearest site per quadrant, in one lockstep pass.
+
+    ``tree`` holds site payloads (``R_F``); quadrants follow
+    :meth:`repro.geometry.point.Point.quadrant_relative_to`.  Returns
+    ``(sids, xs, ys)``, each of shape ``(len(qx), 4)``; a sid of -1
+    marks an empty quadrant.  For every query the answer, the nodes
+    read and their order are those of one best-first stream stopped
+    once every quadrant is served (the object-at-a-time loop in
+    ``tests/rtree/test_nn.py``).  The pass evaluates on uncharged
+    ``tree.node`` fetches, then charges the reads to ``stats`` query by
+    query.
+    """
+    block = _QuadrantPass(tree, cache, qx, qy)
+    if len(qx) and tree.num_entries:
+        block.run()
+    tracer = (stats if stats is not None else tree.stats).tracer
+    for stream in block.reads:
+        for node_id in stream:
+            tracer.count("nn.nodes")
+            tree.read_node(node_id, stats=stats)
+    return block.sids, block.xs, block.ys
+
+
+class _QuadrantPass:
+    """The streams of one block of query points, run in lockstep.
+
+    Per (query, quadrant) it keeps the candidate site, its minDist
+    ``cand_d`` and expansion number ``cand_n`` (-1: none yet), and
+    whether the object loop has popped it (``settled``: final).
+    """
+
+    def __init__(self, tree: Any, cache: Any, qx: np.ndarray, qy: np.ndarray):
+        n = len(qx)
+        self.tree, self.cache, self.qx, self.qy = tree, cache, qx, qy
+        self.sids = np.full((n, 4), -1, dtype=np.int64)
+        self.xs = np.zeros((n, 4))
+        self.ys = np.zeros((n, 4))
+        self.cand_d = np.full((n, 4), np.inf)
+        self.cand_n = np.full((n, 4), -1, dtype=np.int64)
+        self.settled = np.zeros((n, 4), dtype=bool)
+        self.heaps: list[list] = [[] for __ in range(n)]
+        self.reads: list[list[int]] = [[] for __ in range(n)]
+
+    def run(self) -> None:
+        live = np.arange(len(self.qx))
+        nodes = [self.tree.root_id] * len(live)
+        for expansion in itertools.count():
+            for s, node_id in zip(live.tolist(), nodes):
+                self.reads[s].append(node_id)
+            self._expand(live, nodes, expansion)
+            live = self._settle(live)
+            if not len(live):
+                return
+            nodes = [self._next_node(self.heaps[s]) for s in live.tolist()]
+
+    def _expand(self, live: np.ndarray, nodes: list[int], expansion: int) -> None:
+        """Evaluate one round's nodes in one pass per node kind: push each
+        branch's cursor, and offer each leaf's quadrant firsts."""
+        tree = self.tree
+        slots: dict[int, int] = {}
+        leaves: list = []
+        branches: list = []
+        which = []
+        for node_id in nodes:
+            slot = slots.get(node_id)
+            if slot is None:
+                node = tree.node(node_id)
+                if node.is_leaf:
+                    slot = len(leaves)
+                    leaves.append(leaf_site_columns(tree, node, self.cache))
+                else:
+                    slot = ~len(branches)
+                    branches.append(node)
+                slots[node_id] = slot
+            which.append(slot)
+        which = np.array(which, dtype=np.intp)
+        at_leaf = np.flatnonzero(which >= 0)
+        if len(at_leaf):
+            self._offer_leaves(leaves, which[at_leaf], live[at_leaf], expansion)
+        at_branch = np.flatnonzero(which < 0)
+        if len(at_branch):
+            self._push_branches(
+                branches, ~which[at_branch], live[at_branch], expansion
+            )
+
+    def _offer_leaves(
+        self, cols: list, which: np.ndarray, owners: np.ndarray, expansion: int
+    ) -> None:
+        sizes = np.array([len(c) for c in cols], dtype=np.intp)
+        entry, stream = _rows(sizes, which)
+        fx = np.concatenate([c.xs for c in cols])[entry]
+        fy = np.concatenate([c.ys for c in cols])[entry]
+        px, py = self.qx[owners][stream], self.qy[owners][stream]
+        right, top = fx >= px, fy >= py
+        group = 4 * stream + np.where(top, np.where(right, 0, 1), np.where(right, 3, 2))
+        # Screen on squared distances, then rank the near-minimal rows exactly.
+        dx, dy = fx - px, fy - py
+        d2 = dx * dx + dy * dy
+        low = np.full(4 * len(which), np.inf)
+        np.minimum.at(low, group, d2)
+        near = np.flatnonzero(d2 <= low[group] * _SCREEN_SLACK + _SCREEN_FLOOR)
+        exact = kernels.paired_min_dist_point(
+            RectColumns(fx[near], fy[near], fx[near], fy[near]), px[near], py[near]
+        )
+        # Each group's first row in (minDist, entry index) order; rows of
+        # one group follow their entry index.
+        rank = np.lexsort((near, exact, group[near]))
+        g = group[near][rank]
+        first = np.ones(len(g), dtype=bool)
+        first[1:] = g[1:] != g[:-1]
+        rows, dist, g = near[rank][first], exact[rank][first], g[first]
+        s, q = owners[g // 4], g % 4
+        # A later node's entry wins only on a strictly smaller minDist (its
+        # expansion number is larger), and a settled quadrant is final.
+        better = ~self.settled[s, q] & (dist < self.cand_d[s, q])
+        s, q, rows = s[better], q[better], rows[better]
+        self.cand_d[s, q] = dist[better]
+        self.cand_n[s, q] = expansion
+        self.sids[s, q] = np.concatenate([c.ids for c in cols])[entry[rows]]
+        self.xs[s, q] = fx[rows]
+        self.ys[s, q] = fy[rows]
+
+    def _push_branches(
+        self, nodes: list, which: np.ndarray, owners: np.ndarray, expansion: int
+    ) -> None:
+        rects = [branch_columns(self.tree, node, self.cache).rects for node in nodes]
+        sizes = np.array([len(r) for r in rects], dtype=np.intp)
+        entry, stream = _rows(sizes, which)
+        dist = kernels.paired_min_dist_point(
+            RectColumns(
+                *(
+                    np.concatenate([getattr(r, side) for r in rects])[entry]
+                    for side in ("xmin", "ymin", "xmax", "ymax")
+                )
+            ),
+            self.qx[owners][stream],
+            self.qy[owners][stream],
+        )
+        rank = np.lexsort((entry, dist, stream))
+        index = (entry - (np.cumsum(sizes) - sizes)[which][stream])[rank].tolist()
+        dists = dist[rank].tolist()
+        start = 0
+        for k, s, end in zip(
+            which.tolist(), owners.tolist(), np.cumsum(sizes[which]).tolist()
+        ):
+            if end > start:
+                cursor = _Cursor(nodes[k], index[start:end], dists[start:end])
+                heapq.heappush(self.heaps[s], (cursor.dists[0], expansion, cursor))
+            start = end
+
+    def _settle(self, live: np.ndarray) -> np.ndarray:
+        """Settle each candidate that pops before its stream's next node;
+        return the streams that read another node."""
+        tops = [self.heaps[s][0] if self.heaps[s] else None for s in live.tolist()]
+        top_d = np.array([np.inf if t is None else t[0] for t in tops])
+        top_n = np.array([-1 if t is None else t[1] for t in tops], dtype=np.int64)
+        d, e = self.cand_d[live], self.cand_n[live]
+        self.settled[live] |= (e >= 0) & (
+            (d < top_d[:, None]) | ((d == top_d[:, None]) & (e < top_n[:, None]))
+        )
+        done = (top_n < 0) | self.settled[live].all(axis=1)  # empty heap, or served
+        return live[~done]
+
+    @staticmethod
+    def _next_node(heap: list) -> int:
+        """Pop the stream's next node, as ``best_first`` pops a branch entry."""
+        __, cursor, entry = _pop(heap)
+        return cursor.node.entries[entry].child_id
 
 
 def incremental_nearest(

@@ -11,6 +11,9 @@ from __future__ import annotations
 
 from typing import Any, Iterator, Optional, Sequence
 
+import numpy as np
+
+from repro.storage import soa
 from repro.storage.buffer import LRUBufferPool
 from repro.storage.pager import Pager
 from repro.storage.records import PAGE_SIZE, RecordLayout
@@ -37,6 +40,7 @@ class BlockFile:
         for start in range(0, len(records), capacity):
             self._pager.allocate(records[start : start + capacity])
         self._num_records = len(records)
+        self._columns: Optional[tuple[np.ndarray, tuple[np.ndarray, ...]]] = None
 
     # ------------------------------------------------------------------
     @property
@@ -76,6 +80,20 @@ class BlockFile:
         block in memory across the inner scan).
         """
         return self._pager.peek(block_id)
+
+    def columns(self) -> tuple[np.ndarray, tuple[np.ndarray, ...]]:
+        """The whole file as columns, with each block's first row
+        (:func:`~repro.storage.soa.gather_block_columns`).
+
+        Gathered from uncharged peeks on first use and kept, since the
+        file is read-only; callers charge the block reads they stand
+        for.  Needs blocks of rows (numpy matrices).
+        """
+        if self._columns is None:
+            self._columns = soa.gather_block_columns(
+                [self.peek_block(b) for b in range(self.num_blocks)]
+            )
+        return self._columns
 
     def iter_blocks(self) -> Iterator[list[Any]]:
         """Scan the file front to back, one I/O per block."""

@@ -80,9 +80,9 @@ class DiskBlockFile:
     for every consumer in :mod:`repro.core`: same properties, same
     counted ``read_block`` / uncounted ``peek_block`` contract.  Blocks
     come back as zero-copy views over one ``mmap`` of the file, each
-    decoded at most once per open file and shared by every reader
-    (:meth:`drop_decoded` forgets them; :meth:`close` drops them before
-    unmapping).
+    decoded at most once per open file and shared by every reader, as
+    are the whole-file :meth:`columns` (:meth:`drop_decoded` forgets
+    both; :meth:`close` drops them before unmapping).
     """
 
     def __init__(
@@ -95,6 +95,7 @@ class DiskBlockFile:
         self._file = PageFile(path).open()
         self._pager = DiskPager(name, self._file, stats, buffer_pool)
         self._decoded: dict[int, soa.ColumnBlock] = {}
+        self._columns: Optional[tuple[np.ndarray, tuple[np.ndarray, ...]]] = None
         meta = bytes(self._file.read_page(0)[: _META.size])
         self._num_records, self._records_per_block, self._ncols = _META.unpack(meta)
         expected = (
@@ -150,9 +151,20 @@ class DiskBlockFile:
             block = self._decoded.setdefault(block_id, soa.decode_block_columns(data))
         return block
 
+    def columns(self) -> tuple[np.ndarray, tuple[np.ndarray, ...]]:
+        """The whole file as columns (see ``BlockFile.columns``), gathered
+        on first use and kept until :meth:`drop_decoded`."""
+        if self._columns is None:
+            self._columns = soa.gather_block_columns(
+                [self.peek_block(b) for b in range(self.num_blocks)]
+            )
+        return self._columns
+
     def drop_decoded(self) -> None:
-        """Forget every decoded block; the next read of a block decodes it."""
+        """Forget every decoded block and the gathered columns; the next
+        read of a block decodes it."""
         self._decoded.clear()
+        self._columns = None
 
     def _check_block_id(self, block_id: int) -> None:
         if not 0 <= block_id < self.num_blocks:
@@ -171,7 +183,7 @@ class DiskBlockFile:
             yield from block
 
     def close(self) -> None:
-        self._decoded.clear()  # its blocks are views of the map
+        self.drop_decoded()  # its blocks are views of the map
         self._file.close()
 
     def __enter__(self) -> "DiskBlockFile":

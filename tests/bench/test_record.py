@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import json
+import shutil
+import subprocess
 
 import pytest
 
@@ -98,9 +100,47 @@ class TestFingerprint:
         for key in ("git_sha", "date_utc", "python", "platform"):
             assert env[key]
 
-    def test_git_sha_in_repo(self):
-        # The test process runs inside the repo checkout, so a real
-        # (non-"unknown") short SHA must come back.
-        sha = git_sha()
-        assert sha != "unknown"
+    def test_git_sha_in_repo(self, tmp_path):
+        """A throwaway repository with one commit gives its SHA back, so
+        the check holds in an export of this tree without ``.git``."""
+        git = _git_or_skip()
+
+        def run(*args: str) -> str:
+            return subprocess.run(
+                [git, *GIT_IDENTITY, *args],
+                cwd=tmp_path,
+                check=True,
+                capture_output=True,
+                text=True,
+            ).stdout.strip()
+
+        run("init", "-q")
+        (tmp_path / "tracked.txt").write_text("one\n")
+        run("add", "tracked.txt")
+        run("commit", "-q", "-m", "one")
+        sha = git_sha(directory=tmp_path)
+        assert sha == run("rev-parse", "--short", "HEAD")
         assert 6 <= len(sha) <= 40
+        assert git_sha(short=False, directory=tmp_path) == run("rev-parse", "HEAD")
+
+    def test_git_sha_outside_a_repository(self, tmp_path):
+        _git_or_skip()
+        assert git_sha(directory=tmp_path) == "unknown"
+
+
+#: A committer for the throwaway repository, whatever the host's config.
+GIT_IDENTITY = (
+    "-c",
+    "user.name=bench",
+    "-c",
+    "user.email=bench@example.invalid",
+    "-c",
+    "commit.gpgsign=false",
+)
+
+
+def _git_or_skip() -> str:
+    git = shutil.which("git")
+    if git is None:
+        pytest.skip("no git executable")
+    return git

@@ -66,3 +66,74 @@ class TestSSIOModel:
                 assert result.io_reads == {"file.P": math.ceil(300 / 204)}
                 assert len(dr) == 300 and not dr.any()
                 assert not np.signbit(dr).any()
+
+
+class TestGatheredClientColumns:
+    """A select's tasks share the client file's columns, gathered once per
+    file object; every block read is still charged, in order."""
+
+    @staticmethod
+    def count_gathers(monkeypatch):
+        from repro.storage import soa
+
+        calls = []
+        gather = soa.gather_block_columns
+
+        def counted(blocks):
+            calls.append(len(blocks))
+            return gather(blocks)
+
+        monkeypatch.setattr(soa, "gather_block_columns", counted)
+        return calls
+
+    def test_second_select_charges_the_same_reads_and_gathers_nothing(
+        self, tmp_path, monkeypatch
+    ):
+        from repro.core.diskmode import DiskWorkspace, persist_indexes
+        from repro.core.types import fingerprint
+
+        ws = Workspace(make_instance(2000, 30, 450, rng=7))
+        with DiskWorkspace(persist_indexes(ws, tmp_path)) as disk:
+            for served in (ws, disk):
+                calls = self.count_gathers(monkeypatch)
+                first = SequentialScan(served).select()
+                assert calls == [math.ceil(2000 / 146)]
+                log = []
+                read = served.client_file.read_block
+                monkeypatch.setattr(
+                    served.client_file,
+                    "read_block",
+                    lambda b, stats=None: log.append(b) or read(b, stats=stats),
+                )
+                second = SequentialScan(served).select()
+                assert calls == [math.ceil(2000 / 146)]
+                assert second.io_reads == first.io_reads
+                assert fingerprint(second) == fingerprint(first)
+                blocks = list(range(served.client_file.num_blocks))
+                assert log == blocks * math.ceil(450 / 204)
+
+    def test_dropped_decodes_drop_the_columns(self, tmp_path, monkeypatch):
+        from repro.core.diskmode import DiskWorkspace, persist_indexes
+
+        ws = Workspace(make_instance(600, 10, 50, rng=8))
+        with DiskWorkspace(persist_indexes(ws, tmp_path)) as disk:
+            calls = self.count_gathers(monkeypatch)
+            SequentialScan(disk).select()
+            SequentialScan(disk).select()
+            assert len(calls) == 1
+            disk.invalidate_leaf_cache()
+            SequentialScan(disk).select()
+            assert len(calls) == 2
+
+    def test_select_after_add_client_sees_the_new_client(self):
+        from repro.core import naive
+        from repro.core.dynamic import DynamicWorkspace
+
+        ws = DynamicWorkspace(make_instance(600, 10, 40, rng=9))
+        before = SequentialScan(ws).distance_reductions()
+        p = ws.potentials[0]
+        ws.add_client((p.x, p.y + 1e-3), weight=5.0)
+        after = SequentialScan(ws).distance_reductions()
+        assert len(ws.client_file.columns()[1][0]) == 601
+        assert after[0] > before[0]
+        np.testing.assert_allclose(after, naive.distance_reductions(ws), rtol=1e-12)

@@ -256,6 +256,34 @@ class TestBackendEquivalence:
             want = [box.min_dist_point(Point(x, y)) for box in boxes]
             assert [float(d).hex() for d in got] == [float(d).hex() for d in want]
 
+    @given(
+        n=st.sampled_from([1, 3, 50, 400]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_paired_rects_and_points_match_the_reference_bitwise(self, n, seed):
+        """``paired_min_dist_point`` is ``Rect.min_dist_point`` bit for
+        bit on every row, including points on an edge or a corner of
+        their rectangle, inside it, and point rectangles."""
+        rng = np.random.default_rng(seed)
+        lo = rng.uniform(-100.0, 1100.0, (n, 2))
+        size = rng.exponential(20.0, (n, 2)) * (rng.random((n, 1)) < 0.7)
+        boxes = [Rect(x, y, x + w, y + h) for (x, y), (w, h) in zip(lo, size)]
+        xs, ys = rng.uniform(-100.0, 1100.0, (2, n))
+        snap = rng.integers(0, 4, n)  # free, edge, corner, inside
+        for i, box in enumerate(boxes):
+            if snap[i] in (1, 2):
+                xs[i] = box.xmax
+            if snap[i] == 2:
+                ys[i] = box.ymin
+            if snap[i] == 3:
+                xs[i], ys[i] = box.xmin, box.ymax
+        got = assert_matches_the_reference(
+            "paired_min_dist_point", RectColumns.from_rects(boxes), xs, ys
+        )
+        want = [box.min_dist_point(Point(x, y)) for box, x, y in zip(boxes, xs, ys)]
+        assert [float(d).hex() for d in got] == [float(d).hex() for d in want]
+
     @given(a=rect_batches(max_size=4), b=rect_batches(max_size=4))
     @settings(max_examples=60)
     def test_pairwise_rect_kernels_match_the_reference(self, a, b):

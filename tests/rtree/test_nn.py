@@ -1,8 +1,9 @@
 """Tests for best-first NN search and the quadrant-constrained variant.
 
 ``TestColumnStreamOracle`` keeps the object-at-a-time best-first loop
-and QVC's point-based AIR construction that the column stream replaced,
-and checks the stream against them bit for bit on tie-heavy trees.
+and QVC's point-based AIR construction that the column stream and the
+lockstep block pass replaced, and checks both against them bit for bit
+on tie-heavy trees.
 """
 
 import heapq
@@ -10,6 +11,7 @@ import itertools
 import math
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -28,6 +30,7 @@ from repro.rtree.nn import (
     incremental_nearest,
     nearest_in_quadrant,
     nearest_neighbor,
+    quadrant_nearest_block,
 )
 from repro.rtree.persist import DiskRTree, save_rtree
 from repro.rtree.rtree import RTree
@@ -238,9 +241,9 @@ def oracle_clip(vertices, hp):
     return kept
 
 
-def oracle_air(ws, p):
-    """QVC's AIR(p) as it was: the object stream's quadrant NNs, then the
-    bisectors clipped against the data bounds with ``Point`` vertices."""
+def oracle_quadrants(ws, p):
+    """The object stream's first site per quadrant, stopped once all
+    four are served."""
     found = [None, None, None, None]
     missing = 4
     for __, site in oracle_nearest(ws.r_f, p):
@@ -250,6 +253,14 @@ def oracle_air(ws, p):
             missing -= 1
             if missing == 0:
                 break
+    return found
+
+
+def oracle_air(ws, p, found=None):
+    """QVC's AIR(p) as it was: the object stream's quadrant NNs, then the
+    bisectors clipped against the data bounds with ``Point`` vertices."""
+    if found is None:
+        found = oracle_quadrants(ws, p)
     halfplanes = []
     for site in found:
         if site is None:
@@ -419,6 +430,53 @@ class TestColumnStreamOracle:
             assert log == want_reads, p
             empty += got is None
         assert empty  # some queries sat on a facility
+
+    @pytest.mark.parametrize("block", [1, 5, None])
+    @pytest.mark.parametrize("kind", ["memory", "disk", "churned"])
+    def test_block_pass_matches_the_point_oracle(
+        self, kind, block, tmp_path, monkeypatch
+    ):
+        """Blocks of 1, 5 and all the queries: each query's quadrant
+        sites, AIR bits and empty-cell skip, and the ``R_F`` reads of
+        the whole block in order, as the object stream run query by
+        query gives them."""
+        ws = air_workspaces(tmp_path)[kind]
+        assert ws.r_f.height >= 3
+        qvc = QuasiVoronoiCell(ws)
+        log = recorded_reads(ws.r_f, monkeypatch)
+        queries = air_queries(ws)
+        size = block or len(queries)
+        skipped = 0
+        for start in range(0, len(queries), size):
+            chunk = queries[start : start + size]
+            log.clear()
+            found = [oracle_quadrants(ws, p) for p in chunk]
+            want_reads = log[:]
+            want_airs = [oracle_air(ws, p, f) for p, f in zip(chunk, found)]
+            px = np.array([p.x for p in chunk])
+            py = np.array([p.y for p in chunk])
+
+            log.clear()
+            sids, xs, ys = quadrant_nearest_block(ws.r_f, px, py, ws.leaf_cache)
+            assert log == want_reads
+            got = [
+                [
+                    Site(int(sid), x, y) if sid >= 0 else None
+                    for sid, x, y in zip(sids[i], xs[i], ys[i])
+                ]
+                for i in range(len(chunk))
+            ]
+            assert got == found
+
+            log.clear()
+            kept, bounds = qvc.airs(px, py)
+            assert log == want_reads
+            airs = [None] * len(chunk)
+            for row, i in enumerate(kept.tolist()):
+                airs[i] = Rect(*(float(b[row]) for b in bounds))
+            assert [bits(a) for a in airs] == [bits(a) for a in want_airs]
+            skipped += len(chunk) - len(kept)
+        assert skipped  # some queries sat on a facility
 
     def test_quadrant_facilities_match_the_object_stream(self, tmp_path):
         ws = air_workspaces(tmp_path)["disk"]

@@ -39,6 +39,8 @@ from repro.service import (
 
 SEED = 23
 SIZES = dict(n_c=600, n_f=30, n_p=50)
+#: Potentials for three 204-point blocks: SS and QVC plan three tasks.
+WIDE = dict(n_c=600, n_f=30, n_p=450)
 
 
 @pytest.fixture(scope="module")
@@ -58,6 +60,7 @@ def server(access_log_path):
         {
             "static": Workspace(make_instance(rng=SEED, **SIZES)),
             "dyn": DynamicWorkspace(make_instance(rng=SEED, **SIZES)),
+            "wide": Workspace(make_instance(rng=SEED, **WIDE)),
         },
         ServiceConfig(
             workers=2,
@@ -81,6 +84,23 @@ def walk(span):
         yield from walk(child)
 
 
+def tagged_engine_tasks(client, method: str, workspace: str) -> list:
+    """Run one uncached select and return its engine tree's task spans,
+    checking that the root and every task span carry its trace id."""
+    trace_id = f"e2e-tag-{workspace}-{method.lower()}"
+    client.select(method, workspace=workspace, no_cache=True, trace_id=trace_id)
+    (trace,) = client.trace(trace_id=trace_id)
+    engine = next(
+        span["engine"] for span in trace["spans"] if span["name"] == "execute"
+    )
+    assert engine["name"] == f"query.{method}"
+    assert engine["attrs"]["trace_id"] == trace_id
+    tasks = [span for span in walk(engine) if span["name"].endswith(".task")]
+    for span in tasks:
+        assert span.get("attrs", {}).get("trace_id") == trace_id, method
+    return tasks
+
+
 class TestTracePropagation:
     @pytest.mark.smoke
     def test_client_trace_id_recoverable_with_all_spans(self, client):
@@ -102,23 +122,20 @@ class TestTracePropagation:
     @pytest.mark.smoke
     def test_engine_span_tree_is_tagged_with_the_trace_id(self, client):
         """The engine root and every task span adopted from the pool
-        carry the request's tag.  SS plans one task per potential block,
-        and this instance's 50 potentials fill one: the engine runs a
-        lone task inline on the driver, so SS's tree holds no adopted
-        task span to tag."""
+        carry the request's tag.  SS and QVC plan their tasks one per
+        potential block, and this instance's 50 potentials fill one: the
+        engine runs each lone task inline on the driver, so their trees
+        hold no adopted task span to tag."""
         for method in sorted(METHODS):
-            trace_id = f"e2e-tag-{method.lower()}"
-            client.select(method, workspace="static", no_cache=True, trace_id=trace_id)
-            (trace,) = client.trace(trace_id=trace_id)
-            engine = next(
-                span["engine"] for span in trace["spans"] if span["name"] == "execute"
-            )
-            assert engine["name"] == f"query.{method}"
-            assert engine["attrs"]["trace_id"] == trace_id
-            tasks = [span for span in walk(engine) if span["name"].endswith(".task")]
-            assert bool(tasks) == (method != "SS"), method
-            for span in tasks:
-                assert span.get("attrs", {}).get("trace_id") == trace_id, method
+            tasks = tagged_engine_tasks(client, method, "static")
+            assert bool(tasks) == (method not in ("SS", "QVC")), method
+
+    @pytest.mark.smoke
+    def test_task_spans_of_a_multi_block_instance_carry_the_trace_id(self, client):
+        """With potentials for three blocks, every method plans several
+        tasks, and each adopted task span carries the request's tag."""
+        for method in sorted(METHODS):
+            assert tagged_engine_tasks(client, method, "wide"), method
 
     def test_auto_minted_ids_always_present(self, client):
         answer = client.select("MND", workspace="static")
