@@ -20,17 +20,10 @@ spatially disjoint mutations leave the select cache warm.  The matching
 benchmark suite lives in :mod:`repro.bench.churn`.
 """
 
-from repro.churn.parity import (
-    EXACT_METHODS,
-    TREE_DR_RTOL,
-    rebuild_twin,
-    verify_parity,
-)
+from repro.churn.parity import rebuild_twin, verify_parity
 from repro.core.regions import RegionClock, region_covers_any
 
 __all__ = [
-    "EXACT_METHODS",
-    "TREE_DR_RTOL",
     "RegionClock",
     "rebuild_twin",
     "region_covers_any",

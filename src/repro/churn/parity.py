@@ -12,17 +12,14 @@ three layers, strongest first:
    same ``sqrt(dx*dx + dy*dy)`` formula, so this is an equality of
    IEEE doubles, not an approximation.  ``data_bounds`` must match
    exactly too (QVC clips cells against it);
-2. **byte-identical answers where the computation is shape-free** —
-   ``evaluate`` reports and the SS method's selection are computed by
-   dense vectorised passes over the state checked in (1), so they must
-   equal the rebuild's bitwise;
-3. **answer-identical selections for the tree methods** — NFC, MND and
-   QVC accumulate per-leaf partial sums, and an incrementally grown
-   Guttman tree legitimately groups leaves differently from the
-   rebuild's bulk-loaded one, regrouping the floating-point additions.
-   The chosen location must be *identical* (same sid, same
-   coordinates); the reported ``dr`` may differ by a few ulps, bounded
-   by :data:`TREE_DR_RTOL`.
+2. **byte-identical evaluate reports** — dense vectorised passes over
+   the state checked in (1), so they must equal the rebuild's bitwise;
+3. **byte-identical selections** — an incrementally grown Guttman tree
+   groups leaves differently from the rebuild's bulk-loaded one, but
+   every method's ``dr(p)`` is the correctly rounded sum of its terms
+   (:func:`repro.kernels.exact_sums`), which no grouping moves.  So the
+   chosen location and the whole ``dr`` vector of every method must
+   equal the rebuild's bit for bit.
 
 Any violation raises :class:`AssertionError` with the failing layer
 named — the bench recorder and the smoke runner call this after every
@@ -32,7 +29,6 @@ plausible-looking record.
 
 from __future__ import annotations
 
-import math
 from typing import Optional, Sequence
 
 import numpy as np
@@ -40,14 +36,6 @@ import numpy as np
 from repro.core import METHODS, Workspace, make_selector
 from repro.core.dynamic import DynamicWorkspace
 from repro.core.evaluate import evaluate_location
-
-#: Relative tolerance for the tree methods' ``dr`` (layer 3): partial
-#: sums regrouped across differently-shaped trees wobble in the last
-#: few ulps, orders of magnitude inside this bound.
-TREE_DR_RTOL = 1e-9
-
-#: Methods whose answers must equal the rebuild's byte for byte.
-EXACT_METHODS = ("SS",)
 
 
 def rebuild_twin(ws: DynamicWorkspace) -> Workspace:
@@ -137,30 +125,26 @@ def verify_parity(
             f"evaluate({candidate}) differs from the rebuild",
         )
 
-    # Layers 2 + 3: selections.
+    # Layer 3: selections.
     report: dict = {"methods": {}}
     for name in chosen:
-        mine = make_selector(ws, name).select()
-        theirs = make_selector(twin, name).select()
+        mine_selector = make_selector(ws, name)
+        theirs_selector = make_selector(twin, name)
+        mine = mine_selector.select()
+        theirs = theirs_selector.select()
         _check(
             (mine.location.sid, mine.location.x, mine.location.y)
             == (theirs.location.sid, theirs.location.x, theirs.location.y),
             f"{name}: selected location {mine.location} != rebuild's "
             f"{theirs.location}",
         )
-        if name in EXACT_METHODS:
-            _check(
-                mine.dr == theirs.dr,
-                f"{name}: dr {mine.dr!r} != rebuild's {theirs.dr!r} "
-                "(must be byte-identical)",
-            )
-        else:
-            _check(
-                math.isclose(
-                    mine.dr, theirs.dr, rel_tol=TREE_DR_RTOL, abs_tol=TREE_DR_RTOL
-                ),
-                f"{name}: dr {mine.dr!r} vs rebuild's {theirs.dr!r} "
-                f"exceeds the {TREE_DR_RTOL:g} partial-sum tolerance",
-            )
+        _check(
+            np.array_equal(
+                mine_selector.distance_reductions(),
+                theirs_selector.distance_reductions(),
+            ),
+            f"{name}: dr vector differs from the rebuild's (best dr "
+            f"{mine.dr!r} against {theirs.dr!r}; must be byte-identical)",
+        )
         report["methods"][name] = {"dr": mine.dr, "rebuilt_dr": theirs.dr}
     return report

@@ -36,9 +36,8 @@ class LocationSelector(ABC):
     name: ClassVar[str] = "?"
 
     #: How many tasks the parallel plan aims to split a traversal into.
-    #: Changing it regroups the ordered float reduction (still
-    #: deterministic per value, and I/O totals are unaffected), so the
-    #: engine keeps it fixed across worker counts.
+    #: It changes neither ``dr`` (each potential's terms are summed
+    #: exactly, see :mod:`repro.core.plan`) nor the I/O totals.
     task_target: int = DEFAULT_TASK_TARGET
 
     def __init__(self, workspace: Workspace):

@@ -13,6 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from repro import kernels
 from repro.core.types import Site
 from repro.core.workspace import Workspace
 
@@ -24,13 +25,19 @@ class LocationReport:
     location: Site
     #: Client indices that would switch to the new facility.
     influenced_clients: tuple[int, ...]
-    #: Total distance reduction ``dr(p)``.
+    #: Total distance reduction ``dr(p)``: the correctly rounded sum of
+    #: the weighted terms over ``IS(p)``, the select's ``dr[p]``.
     dr: float
-    #: Average client-to-nearest-facility distance before / after.
+    #: Average client-to-nearest-facility distance before / after
+    #: (unweighted).
     avg_nfd_before: float
     avg_nfd_after: float
-    #: Largest single-client improvement.
+    #: Largest single-client improvement (unweighted).
     max_client_gain: float
+    #: The sums the averages divide by ``n_c``: additive, so per-tile
+    #: reports fold exactly (:func:`repro.shard.merge.merge_evaluate_reports`).
+    nfd_sum_before: float = 0.0
+    nfd_sum_after: float = 0.0
 
     @property
     def influence_count(self) -> int:
@@ -76,17 +83,21 @@ def evaluate_location(ws: Workspace, location: Site | int) -> LocationReport:
     dnn = ws.client_xyd[:, 2]
     dist = np.hypot(cx - site.x, cy - site.y)
     gain = np.clip(dnn - dist, 0.0, None)
-    influenced = np.nonzero(dist < dnn)[0]
+    influenced = np.flatnonzero(dist < dnn)
+    terms = (dnn[influenced] - dist[influenced]) * ws.client_w[influenced]
+    dr = kernels.exact_sums(np.zeros(len(terms), dtype=np.intp), terms, 1)
 
     before = float(dnn.sum())
     after = before - float(gain.sum())
     return LocationReport(
         location=site,
         influenced_clients=tuple(int(i) for i in influenced),
-        dr=float(gain.sum()),
+        dr=float(dr[0]),
         avg_nfd_before=before / ws.n_c,
         avg_nfd_after=after / ws.n_c,
         max_client_gain=float(gain.max()) if len(gain) else 0.0,
+        nfd_sum_before=before,
+        nfd_sum_after=after,
     )
 
 

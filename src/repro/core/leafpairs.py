@@ -1,37 +1,46 @@
-"""The leaf pairs of one task, evaluated in one kernel call.
+"""The leaf pairs of one task, evaluated after its descent.
 
 NFC, MND and QVC's window stage reach their (candidate leaf × client
 leaf) pairs — *tiles* — by a depth-first descent that charges every
 page read as it goes.  Evaluating a tile reads no page, so the descent
-only records each tile, and the task evaluates them all at the end with
-one many-tile :func:`repro.kernels.accumulate_reductions` call: reads
-and their order are unchanged, and the per-call overhead is paid once
-a task instead of once a tile.
+only records each tile, and the task evaluates them all at the end:
+reads and their order are unchanged, and the per-call overhead is paid
+once a group instead of once a tile.
 
-The fold keeps every bit: the kernel returns each candidate row's sum
-over its own tile, bit for bit what one call per tile returns, and
-:meth:`LeafPairs.accumulate` adds the rows into the task partial with
-one ``np.add.at`` over the tiles' ids in descent order.  ``add.at``
-applies its updates one at a time in index order, and a tile's
-candidate ids are distinct, so every ``local[p]`` receives the
-additions, in the order, of one ``local[ids] += rows`` per tile.
+A task returns the ``dr`` terms of the influencing pairs it finds,
+each with its potential id, and the method's reduce rounds every
+potential's terms once (:func:`repro.kernels.exact_sums`).  Tile order
+and grouping therefore change no bit, and the tiles are grouped for
+speed alone:
+
+* a join (NFC, MND) records which ``R_P`` leaf each tile came from, and
+  :meth:`LeafPairs.leaf_terms` makes one shared-form
+  :func:`repro.kernels.accumulate_reductions` call per candidate leaf,
+  in first-appearance order, over the clients of all of that leaf's
+  tiles — a join task's tiles nearly always share one leaf;
+* QVC's window gives each client leaf its own subset of the block's
+  candidates, so :meth:`LeafPairs.terms` makes one tiled-form call.
 """
 
 from __future__ import annotations
 
+from typing import Optional
+
 import numpy as np
 
 from repro import kernels
+from repro.core.plan import NO_TERMS
 from repro.kernels.columnar import ClientColumns
 
 
 class LeafPairs:
-    """Tiles recorded in descent order: candidate ids and coordinates,
-    and the client leaf's columns."""
+    """Tiles recorded in descent order: the candidate leaf's node id,
+    candidate ids and coordinates, and the client leaf's columns."""
 
-    __slots__ = ("ids", "px", "py", "clients", "candidates")
+    __slots__ = ("leaves", "ids", "px", "py", "clients", "candidates")
 
     def __init__(self) -> None:
+        self.leaves: list[Optional[int]] = []
         self.ids: list[np.ndarray] = []
         self.px: list[np.ndarray] = []
         self.py: list[np.ndarray] = []
@@ -43,34 +52,57 @@ class LeafPairs:
         return len(self.clients)
 
     def add(
-        self, ids: np.ndarray, px: np.ndarray, py: np.ndarray, clients: ClientColumns
+        self,
+        ids: np.ndarray,
+        px: np.ndarray,
+        py: np.ndarray,
+        clients: ClientColumns,
+        leaf: Optional[int] = None,
     ) -> None:
+        """Record one tile; ``leaf`` is the ``R_P`` node id of a join's
+        candidate leaf, whose tiles :meth:`leaf_terms` evaluates together."""
+        self.leaves.append(leaf)
         self.ids.append(ids)
         self.px.append(px)
         self.py.append(py)
         self.clients.append(clients)
         self.candidates += len(ids)
 
-    def accumulate(self, local: np.ndarray) -> None:
-        """Add every tile's row sums into ``local``, in descent order."""
+    def terms(self) -> tuple[np.ndarray, np.ndarray]:
+        """``(potential ids, terms)`` of every tile, in one tiled call."""
         if not self.clients:
-            return
-        if len(self) == 1:  # the one-tile call, without the set-up
-            c = self.clients[0]
-            local[self.ids[0]] += kernels.accumulate_reductions(
-                self.px[0], self.py[0], c.xs, c.ys, c.dnn, c.weights
-            )
-            return
-        p_offsets = np.cumsum([0] + [len(ids) for ids in self.ids])
-        c_offsets = np.cumsum([0] + [len(c) for c in self.clients])
-        sums = kernels.accumulate_reductions(
+            return NO_TERMS
+        rows, terms = kernels.accumulate_reductions(
             np.concatenate(self.px),
             np.concatenate(self.py),
-            np.concatenate([c.xs for c in self.clients]),
-            np.concatenate([c.ys for c in self.clients]),
-            np.concatenate([c.dnn for c in self.clients]),
-            np.concatenate([c.weights for c in self.clients]),
-            p_offsets=p_offsets,
-            c_offsets=c_offsets,
+            *_client_columns(self.clients),
+            p_offsets=np.cumsum([0] + [len(ids) for ids in self.ids]),
+            c_offsets=np.cumsum([0] + [len(c) for c in self.clients]),
         )
-        np.add.at(local, np.concatenate(self.ids), sums)
+        return np.concatenate(self.ids)[rows], terms
+
+    def leaf_terms(self) -> tuple[np.ndarray, np.ndarray]:
+        """``(potential ids, terms)`` of every tile, in one shared call
+        per candidate leaf over the clients of all of its tiles."""
+        groups: dict[Optional[int], list[int]] = {}
+        for tile, leaf in enumerate(self.leaves):
+            groups.setdefault(leaf, []).append(tile)
+        ids, terms = [NO_TERMS[0]], [NO_TERMS[1]]
+        for tiles in groups.values():
+            first = tiles[0]
+            rows, found = kernels.accumulate_reductions(
+                self.px[first],
+                self.py[first],
+                *_client_columns([self.clients[t] for t in tiles]),
+            )
+            ids.append(self.ids[first][rows])
+            terms.append(found)
+        return np.concatenate(ids), np.concatenate(terms)
+
+
+def _client_columns(clients: list[ClientColumns]) -> list[np.ndarray]:
+    """``xs, ys, dnn, weights`` of client leaves, concatenated."""
+    return [
+        np.concatenate([getattr(c, field) for c in clients])
+        for field in ("xs", "ys", "dnn", "weights")
+    ]

@@ -15,7 +15,8 @@ resident entries at no I/O cost, since roots have no parent entry).
 Parallel execution splits the join at a node-pair frontier exactly like
 NFC (:mod:`repro.rtree.frontier`), with the carried MND travelling in
 the task tuple, and each task evaluates the leaf pairs its descent
-recorded in one kernel call (:class:`~repro.core.leafpairs.LeafPairs`).
+recorded with one kernel call per candidate leaf
+(:class:`~repro.core.leafpairs.LeafPairs`).
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ import numpy as np
 from repro import kernels
 from repro.core.base import LocationSelector
 from repro.core.leafpairs import LeafPairs
-from repro.core.plan import StageSpec
+from repro.core.plan import NO_TERMS, StageSpec, reduce_terms
 from repro.rtree.columns import branch_columns, leaf_client_columns, leaf_site_columns
 from repro.rtree.frontier import expand_frontier
 from repro.rtree.node import Node
@@ -58,7 +59,7 @@ class MaximumNFCDistance(LocationSelector):
                 name="mnd.join",
                 plan=self._plan_join,
                 kernel="run_join_task",
-                reduce=self._reduce_join,
+                reduce=reduce_terms,
             )
         ]
 
@@ -131,7 +132,8 @@ class MaximumNFCDistance(LocationSelector):
     def run_join_task(
         self, task: JoinTask, stats: IOStats
     ) -> tuple[np.ndarray, np.ndarray]:
-        """The serial join below one frontier pair, into a private partial.
+        """The serial join below one frontier pair: the ``(potential ids,
+        terms)`` of the leaf pairs it reaches.
 
         The descent charges the reads and records the leaf pairs; one
         pure-CPU ``mnd.leaf_eval`` span then evaluates them all, so the
@@ -143,24 +145,15 @@ class MaximumNFCDistance(LocationSelector):
         node_c = ws.mnd_tree.node(c_id)
         pairs = LeafPairs()
         self._join(node_p, node_c, mnd_c, pairs, stats)
-        local = np.zeros(ws.n_p, dtype=np.float64)
-        if len(pairs):
-            with stats.tracer.span("mnd.leaf_eval") as sp:
-                sp.count("candidates", pairs.candidates)
-                pairs.accumulate(local)
-        idx = np.flatnonzero(local)
-        return idx, local[idx]
-
-    def _reduce_join(
-        self, outs: list[tuple[np.ndarray, np.ndarray]], dr: np.ndarray
-    ) -> Optional[object]:
-        for idx, vals in outs:
-            dr[idx] += vals
-        return None
+        if not len(pairs):
+            return NO_TERMS
+        with stats.tracer.span("mnd.leaf_eval") as sp:
+            sp.count("candidates", pairs.candidates)
+            return pairs.leaf_terms()
 
     # ------------------------------------------------------------------
     def _compute_distance_reductions(self) -> np.ndarray:
-        """The serial path: frontier + inline kernels (same grouping)."""
+        """The serial path: frontier + inline kernels."""
         ws = self.ws
         stats = ws.stats
         dr = np.zeros(ws.n_p, dtype=np.float64)
@@ -169,7 +162,7 @@ class MaximumNFCDistance(LocationSelector):
         with stats.tracer.span("mnd.join"):
             tasks = self._plan_join(stats)
             outs = [self.run_join_task(task, stats) for task in tasks]
-            self._reduce_join(outs, dr)
+            reduce_terms(outs, dr)
         return dr
 
     def _join(
@@ -196,7 +189,7 @@ class MaximumNFCDistance(LocationSelector):
             # the whole page pair.
             p_cols = leaf_site_columns(ws.r_p, node_p, cache)
             c_cols = leaf_client_columns(ws.mnd_tree, node_c, cache)
-            pairs.add(p_cols.ids, p_cols.xs, p_cols.ys, c_cols)
+            pairs.add(p_cols.ids, p_cols.xs, p_cols.ys, c_cols, leaf=node_p.node_id)
         elif node_p.is_leaf:
             c_cols = branch_columns(ws.mnd_tree, node_c, cache)
             descend = (

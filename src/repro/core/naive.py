@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro import kernels
 from repro.core.types import Site
 from repro.core.workspace import Workspace
 from repro.geometry.point import Point
@@ -17,16 +18,19 @@ from repro.geometry.point import Point
 
 def distance_reductions(ws: Workspace) -> np.ndarray:
     """``dr(p)`` for every potential location, straight from Definition 2:
-    ``dr(p) = sum over c in IS(p) of (dnn(c,F) - dist(c,p))``."""
+    ``dr(p) = sum over c in IS(p) of (dnn(c,F) - dist(c,p))``, weighted,
+    each sum correctly rounded (:func:`repro.kernels.exact_sums`)."""
     cx = ws.client_xyd[:, 0]
     cy = ws.client_xyd[:, 1]
     dnn = ws.client_xyd[:, 2]
     w = ws.client_w
-    out = np.zeros(ws.n_p, dtype=np.float64)
+    ids, terms = [np.zeros(0, dtype=np.intp)], [np.zeros(0)]
     for i, (px, py) in enumerate(ws.potential_xy):
         d = np.hypot(cx - px, cy - py)
-        out[i] = (np.clip(dnn - d, 0.0, None) * w).sum()
-    return out
+        hit = np.flatnonzero(d < dnn)
+        ids.append(np.full(len(hit), i))
+        terms.append((dnn[hit] - d[hit]) * w[hit])
+    return kernels.exact_sums(np.concatenate(ids), np.concatenate(terms), ws.n_p)
 
 
 def influence_set(ws: Workspace, p: Site) -> list[int]:

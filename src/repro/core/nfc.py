@@ -5,9 +5,12 @@ A client ``c`` belongs to ``IS(p)`` iff ``p`` lies strictly inside
 The method therefore spatial-joins the potential-location tree ``R_P``
 with the RNN-tree ``R_C^n`` that indexes the (square) MBRs of all NFCs:
 a synchronized depth-first traversal descends into every node pair whose
-MBRs intersect, and at the leaves reconstructs each NFC from its square
-MBR — the centre is the client, half the edge length is ``dnn(c, F)`` —
-to test ``dist(c, p) < dnn(c, F)`` and accumulate the reduction.
+MBRs intersect, and at the leaves tests ``dist(c, p) < dnn(c, F)`` and
+accumulates the reduction.  The pseudocode rebuilds each NFC from its
+square MBR there (lines 12–13 of Algorithm 4); this implementation
+reads the leaf's exact client record instead, which both leaf forms
+hold, so NFC's terms are every other method's bit for bit (DESIGN.md
+§8).
 
 The price of this efficiency is the *extra index*: ``R_C^n`` must be
 maintained alongside ``R_C``, the drawback that motivates the MND method.
@@ -17,10 +20,10 @@ For the execution engine the join splits at a node-pair frontier
 synchronized traversal — charging child reads exactly where the serial
 recursion would — and each frontier pair becomes an independent task
 running the ordinary recursion below it.  The recursion records the
-leaf pairs it reaches (:class:`~repro.core.leafpairs.LeafPairs`) and the
-task evaluates them in one kernel call, folding the rows in DFS order.
-Frontier order equals serial DFS order, so the ordered reduction
-reproduces serial float grouping bit for bit.
+leaf pairs it reaches (:class:`~repro.core.leafpairs.LeafPairs`), and
+the task evaluates them with one kernel call per candidate leaf and
+returns their ``dr`` terms; the reduce rounds each potential's terms
+once (:func:`~repro.core.plan.reduce_terms`).
 """
 
 from __future__ import annotations
@@ -32,8 +35,8 @@ import numpy as np
 from repro import kernels
 from repro.core.base import LocationSelector
 from repro.core.leafpairs import LeafPairs
-from repro.core.plan import StageSpec
-from repro.rtree.columns import branch_columns, leaf_site_columns, nfc_leaf_columns
+from repro.core.plan import NO_TERMS, StageSpec, reduce_terms
+from repro.rtree.columns import branch_columns, leaf_client_columns, leaf_site_columns
 from repro.rtree.frontier import expand_frontier
 from repro.rtree.node import Node
 from repro.storage.stats import IOStats
@@ -70,7 +73,7 @@ class NearestFacilityCircle(LocationSelector):
                 name="nfc.join",
                 plan=self._plan_join,
                 kernel="run_join_task",
-                reduce=self._reduce_join,
+                reduce=reduce_terms,
             )
         ]
 
@@ -138,7 +141,8 @@ class NearestFacilityCircle(LocationSelector):
     def run_join_task(
         self, task: JoinTask, stats: IOStats
     ) -> tuple[np.ndarray, np.ndarray]:
-        """The serial join below one frontier pair, into a private partial.
+        """The serial join below one frontier pair: the ``(potential ids,
+        terms)`` of the leaf pairs it reaches.
 
         The descent charges the reads and records the leaf pairs; one
         ``nfc.leaf_eval`` span then evaluates them all.  Candidate
@@ -150,24 +154,15 @@ class NearestFacilityCircle(LocationSelector):
         node_c = ws.rnn_tree.node(task[1])
         pairs = LeafPairs()
         self._join(node_p, node_c, pairs, stats)
-        local = np.zeros(ws.n_p, dtype=np.float64)
-        if len(pairs):
-            with stats.tracer.span("nfc.leaf_eval") as sp:
-                sp.count("candidates", pairs.candidates)
-                pairs.accumulate(local)
-        idx = np.flatnonzero(local)
-        return idx, local[idx]
-
-    def _reduce_join(
-        self, outs: list[tuple[np.ndarray, np.ndarray]], dr: np.ndarray
-    ) -> Optional[object]:
-        for idx, vals in outs:
-            dr[idx] += vals
-        return None
+        if not len(pairs):
+            return NO_TERMS
+        with stats.tracer.span("nfc.leaf_eval") as sp:
+            sp.count("candidates", pairs.candidates)
+            return pairs.leaf_terms()
 
     # ------------------------------------------------------------------
     def _compute_distance_reductions(self) -> np.ndarray:
-        """The serial path: frontier + inline kernels (same grouping)."""
+        """The serial path: frontier + inline kernels."""
         ws = self.ws
         stats = ws.stats
         dr = np.zeros(ws.n_p, dtype=np.float64)
@@ -176,7 +171,7 @@ class NearestFacilityCircle(LocationSelector):
         with stats.tracer.span("nfc.join"):
             tasks = self._plan_join(stats)
             outs = [self.run_join_task(task, stats) for task in tasks]
-            self._reduce_join(outs, dr)
+            reduce_terms(outs, dr)
         return dr
 
     def _join(
@@ -195,13 +190,14 @@ class NearestFacilityCircle(LocationSelector):
         trace.count("join.node_pairs")
         cache = ws.leaf_cache
         if node_p.is_leaf and node_c.is_leaf:
-            # The NFC circles come back reconstructed from their square
-            # MBRs (lines 12–13 of Algorithm 4) with the radius in the
-            # ``dnn`` column, so the strict-containment test is the same
-            # clipped-reduction kernel every other method uses.
+            # The leaf's exact client records (x, y, dnn), not circles
+            # rebuilt from their square MBRs as lines 12–13 of Algorithm
+            # 4 do (DESIGN.md §8): the strict-containment test is then
+            # the influence test every other method runs, on the same
+            # floats.
             p_cols = leaf_site_columns(ws.r_p, node_p, cache)
-            c_cols = nfc_leaf_columns(ws.rnn_tree, node_c, cache)
-            pairs.add(p_cols.ids, p_cols.xs, p_cols.ys, c_cols)
+            c_cols = leaf_client_columns(ws.rnn_tree, node_c, cache)
+            pairs.add(p_cols.ids, p_cols.xs, p_cols.ys, c_cols, leaf=node_p.node_id)
         elif node_p.is_leaf:
             c_cols = branch_columns(ws.rnn_tree, node_c, cache)
             descend = kernels.rects_intersect_rect(c_cols.rects, node_p.mbr())

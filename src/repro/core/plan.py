@@ -15,10 +15,12 @@ The contract that keeps results byte-identical at any worker count:
   workspace and the task-target, never on workers or timing;
 * **kernels are pure** w.r.t. shared state — they write only their own
   partials and charge only their own stats;
-* **reduction is ordered** — partials merge in task order, and because
-  each partial starts from zero while serial accumulation visits the
-  same contributions in the same grouping, IEEE-754 addition produces
-  bit-identical ``dr`` values;
+* **dr is exact** — a task returns the ``dr`` terms of the influencing
+  pairs it found, with their potential ids, and :func:`reduce_terms`
+  rounds each potential's terms once, to their correctly rounded sum
+  (:func:`repro.kernels.exact_sums`).  That sum depends on the terms
+  alone, so no split of the traversal into tasks, order of their
+  outputs or worker count moves a bit;
 * **I/O is placement-invariant** — a page is charged by whoever the
   *serial* code had read it: moving work between driver and tasks never
   creates or removes a charge, so merged totals equal serial totals
@@ -34,9 +36,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Callable, Optional
 
+import numpy as np
+
+from repro import kernels
 from repro.rtree.frontier import DEFAULT_TASK_TARGET
 
-__all__ = ["DEFAULT_TASK_TARGET", "StageSpec"]
+__all__ = ["DEFAULT_TASK_TARGET", "NO_TERMS", "StageSpec", "reduce_terms"]
 
 
 @dataclass(frozen=True)
@@ -54,3 +59,15 @@ class StageSpec:
     plan: Callable[[Any, Any], list]
     kernel: str
     reduce: Optional[Callable[[list, Any], Any]] = None
+
+
+#: The ``(potential ids, terms)`` of a task without an influencing pair.
+NO_TERMS = (np.zeros(0, dtype=np.intp), np.zeros(0))
+
+
+def reduce_terms(outs: list[tuple[np.ndarray, np.ndarray]], dr: np.ndarray) -> None:
+    """Add each potential's correctly rounded sum of the tasks'
+    ``(potential ids, terms)`` outputs into ``dr`` (zeros on entry)."""
+    if outs:
+        ids, terms = (np.concatenate(parts) for parts in zip(*outs))
+        dr += kernels.exact_sums(ids, terms, len(dr))

@@ -25,8 +25,9 @@ Edge cases the pseudocode leaves implicit:
 
 For the execution engine the method splits into two stages of one task
 per potential block each: AIR construction and the batched window
-query.  Blocks touch disjoint ``p`` ids, so windows commute exactly;
-both the I/O multiset and each ``p``'s accumulation order match the
+query.  A window task returns the ``dr`` terms of the pairs it found,
+and the reduce rounds each potential's terms once
+(:func:`~repro.core.plan.reduce_terms`); the I/O multiset matches the
 serial interleaving, keeping results byte-identical.
 
 Both stages run on columns.  An AIR task finds its block's quadrant NNs
@@ -50,7 +51,7 @@ import numpy as np
 from repro import kernels
 from repro.core.base import LocationSelector
 from repro.core.leafpairs import LeafPairs
-from repro.core.plan import StageSpec
+from repro.core.plan import StageSpec, reduce_terms
 from repro.core.types import Site
 from repro.geometry.point import Point
 from repro.geometry.polygon import clip_all_columns, mbr_columns
@@ -183,7 +184,7 @@ class QuasiVoronoiCell(LocationSelector):
                 name="qvc.window",
                 plan=self._plan_windows,
                 kernel="run_window_task",
-                reduce=self._reduce_windows,
+                reduce=reduce_terms,
             ),
         ]
 
@@ -238,26 +239,16 @@ class QuasiVoronoiCell(LocationSelector):
 
         The descent carries row indices into the block's AIR columns and
         records the leaf pairs, which are evaluated in one kernel call
-        at the end.
+        at the end; returns their ``(potential ids, terms)``.
         """
         __, (pids, px, py, xmin, ymin, xmax, ymax) = task
         block = (pids, px, py, RectColumns(xmin, ymin, xmax, ymax))
         pairs = LeafPairs()
-        local = np.zeros(self.ws.n_p, dtype=np.float64)
         with stats.tracer.span("qvc.window"):
             self._window_query(
                 self.ws.r_c.root_id, np.arange(len(pids)), block, pairs, stats
             )
-            pairs.accumulate(local)
-        idx = np.flatnonzero(local)
-        return idx, local[idx]
-
-    def _reduce_windows(
-        self, outs: list[tuple[np.ndarray, np.ndarray]], dr: np.ndarray
-    ) -> Optional[object]:
-        for idx, vals in outs:
-            dr[idx] += vals
-        return None
+            return pairs.terms()
 
     # ------------------------------------------------------------------
     def _compute_distance_reductions(self) -> np.ndarray:
@@ -280,7 +271,7 @@ class QuasiVoronoiCell(LocationSelector):
             groups = self._reduce_air(air_outs, dr)
             window_tasks = self._plan_windows(stats, groups)
             window_outs = [self.run_window_task(task, stats) for task in window_tasks]
-            self._reduce_windows(window_outs, dr)
+            reduce_terms(window_outs, dr)
         return dr
 
     def _window_query(

@@ -17,24 +17,21 @@ The scan decomposes for the execution engine as Algorithm 1 loops: one
 task per potential block.  The driver charges each potential block once
 at planning time (the serial loop holds it in memory across the inner
 scan); each task re-fetches it for free via ``peek_block``, reads and
-is charged for every client block in order, and makes one
-shared-candidates kernel call over the whole client file, whose columns
-the file gathers once and keeps (``BlockFile.columns``).  The kernel
-folds each candidate's per-block sums in block order from ``+0.0``, bit
-for bit one call per (P-block, C-block) pair added into ``dr`` in the
-serial inner-loop order, so the reduced ``dr`` is bit-identical to the
-block-pair scan.
+is charged for every client block in order, and makes one shared-form
+kernel call over the whole client file, whose columns the file gathers
+once and keeps (``BlockFile.columns``).  The call returns the block's
+influence terms, and the reduce rounds each potential's terms once
+(:func:`~repro.core.plan.reduce_terms`), so ``dr`` does not depend on
+the page size's blocking of either file.
 """
 
 from __future__ import annotations
-
-from typing import Optional
 
 import numpy as np
 
 from repro import kernels
 from repro.core.base import LocationSelector
-from repro.core.plan import StageSpec
+from repro.core.plan import NO_TERMS, StageSpec, reduce_terms
 from repro.storage.stats import IOStats
 
 
@@ -59,7 +56,7 @@ class SequentialScan(LocationSelector):
                 name="ss.scan",
                 plan=self._plan_scan,
                 kernel="run_scan_task",
-                reduce=self._reduce_scan,
+                reduce=reduce_terms,
             )
         ]
 
@@ -77,10 +74,10 @@ class SequentialScan(LocationSelector):
 
     def run_scan_task(
         self, task: tuple[int, int], stats: IOStats
-    ) -> tuple[int, np.ndarray]:
+    ) -> tuple[np.ndarray, np.ndarray]:
         """One potential block against the whole client file (Algorithm 1's
-        inner loop): every client block read in order, then one kernel call
-        whose tile sums fold in block order."""
+        inner loop): every client block read in order, then one kernel
+        call; returns the block's ``(potential ids, terms)``."""
         p_id, offset = task
         ws = self.ws
         p_block = ws.potential_file.peek_block(p_id)  # charged at planning
@@ -90,22 +87,14 @@ class SequentialScan(LocationSelector):
                 client_file.read_block(c_id, stats=stats)
             sp.count("client_blocks", client_file.num_blocks)
             if not client_file.num_blocks:
-                return offset, np.zeros(len(p_block))
+                return NO_TERMS
             # The blocks just charged, as the columns the file gathered
             # once (the file is read-only while it lives).
-            c_offsets, (cx, cy, dnn, w) = client_file.columns()
-            # (block of P) x (every block of C) weighted clipped reductions.
-            acc = kernels.accumulate_reductions(
-                p_block[:, 0], p_block[:, 1], cx, cy, dnn, w, c_offsets=c_offsets
+            __, (cx, cy, dnn, w) = client_file.columns()
+            rows, terms = kernels.accumulate_reductions(
+                p_block[:, 0], p_block[:, 1], cx, cy, dnn, w
             )
-        return offset, acc
-
-    def _reduce_scan(
-        self, outs: list[tuple[int, np.ndarray]], dr: np.ndarray
-    ) -> Optional[object]:
-        for offset, acc in outs:
-            dr[offset : offset + len(acc)] += acc
-        return None
+        return offset + rows, terms
 
     # ------------------------------------------------------------------
     def _compute_distance_reductions(self) -> np.ndarray:
@@ -120,5 +109,5 @@ class SequentialScan(LocationSelector):
         with stats.tracer.span("ss.scan"):
             tasks = self._plan_scan(stats)
             outs = [self.run_scan_task(task, stats) for task in tasks]
-            self._reduce_scan(outs, dr)
+            reduce_terms(outs, dr)
         return dr

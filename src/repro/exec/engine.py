@@ -15,9 +15,9 @@ accounting that is **deterministic by construction**:
 * the driver folds the per-task partials back **in task order** (a
   stable reduction).  Page counts are integers, so the folded totals
   equal the serial totals at any worker count; the ``dr`` partials are
-  per-task zero-initialised float arrays folded in the same fixed
-  order, so every ``dr[p]`` reproduces the exact same float grouping
-  regardless of scheduling.
+  each task's influence terms, and every ``dr[p]`` is the correctly
+  rounded sum of its terms (:func:`repro.core.plan.reduce_terms`),
+  which no grouping or scheduling can move.
 
 The engine refuses workspaces with a buffer pool: LRU hit/miss state
 makes page charges depend on task interleaving, which is exactly the

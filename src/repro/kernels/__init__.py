@@ -14,6 +14,8 @@ both costs without moving a single page read:
   kernels over whole pages at once.  Leaf pages need no decode kernel:
   they are persisted as the column blocks themselves
   (:mod:`repro.storage.soa`);
+* :mod:`repro.kernels.exact` — ``exact_sums``, each potential's
+  correctly rounded sum of the ``dr`` terms the kernels emit;
 * :mod:`repro.kernels.scalar` — the loop-per-record reference (the
   oracle).  Property tests assert **bit-identical** outputs per
   kernel, and :func:`repro.kernels.scalar.installed` runs whole queries
@@ -27,25 +29,29 @@ oracle swap (and a tracing wrapper) reach every call::
     from repro import kernels
     from repro.kernels import scalar
 
-    acc = kernels.accumulate_reductions(px, py, cx, cy, dnn, w)
+    rows, terms = kernels.accumulate_reductions(px, py, cx, cy, dnn, w)
     with scalar.installed():
         ref = kernels.accumulate_reductions(px, py, cx, cy, dnn, w)
-    assert (acc == ref).all()  # bitwise, not approximately
+    # the same (row, term) multiset, bit for bit, in another order
 
-``accumulate_reductions`` also takes many tiles at once — candidate and
-client columns concatenated, plus ``p_offsets``/``c_offsets`` — and
-returns each candidate row's sum over its own tile, bit for bit what
-one call per tile returns; the join and window tasks make one such
-call each (:mod:`repro.core.leafpairs`).  With ``c_offsets`` alone,
-every candidate meets every client tile and gets its tile sums added
-in tile order from ``+0.0``, bit for bit one call per tile folded into
-zeros; SS makes one such call per potential block over the whole
-client file (:mod:`repro.core.ss`).
+``accumulate_reductions`` returns the *terms* of the influencing pairs
+it finds, ``(dnn_j - d_ij) * w_j`` with each pair's candidate row, and
+:func:`~repro.kernels.exact.exact_sums` (``kernels.exact_sums``) rounds
+each potential's terms once, to their correctly rounded sum.  So a
+``dr`` bit depends on the terms alone, never on their order or
+grouping, and the kernel has two forms only for speed: *shared*, where
+every candidate meets every client (SS's potential block against the
+client file; NFC's and MND's candidate leaf against the clients of all
+its tiles), and *tiled*, with ``p_offsets``/``c_offsets``, where each
+client tile meets its own candidates (QVC's window,
+:mod:`repro.core.leafpairs`).  ``exact_sums`` is not a kernel: it has
+no scalar twin, since both kernel sets emit terms and share it, and it
+stays out of ``__all__``.
 
 The exactness contract: the oracle returns the same query results, dr
 vectors, traversal order and I/O accounting — only the arithmetic runs
 slower.  This package imports nothing from the rest of :mod:`repro`
-(numpy only), so storage, r-tree and method layers can all build on it
+(numpy and the standard library only), so storage, r-tree and method layers can all build on it
 without import cycles.
 """
 
@@ -59,6 +65,7 @@ from repro.kernels.columnar import (
     RectColumns,
     SiteColumns,
 )
+from repro.kernels.exact import exact_sums
 from repro.kernels.vector import (
     accumulate_reductions,
     circle_columns_from_rects,

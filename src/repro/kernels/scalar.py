@@ -16,10 +16,10 @@ Two exactness rules make bitwise parity achievable:
   ``math.hypot`` (the two differ in the last ulp for about 1 in 160
   operand pairs) — except in :func:`min_dist_rects_point`, whose vector
   twin calls ``math.hypot`` too, to equal ``Rect.min_dist_point``;
-* per-candidate reduction sums assemble the row of weighted clipped
-  reductions first and then ``np.sum`` it, because numpy's pairwise
-  summation over a contiguous row is bitwise equal to the vector
-  kernel's ``axis=1`` sum — a running ``+=`` accumulator would not be.
+* :func:`accumulate_reductions` emits the same ``(row, term)`` pairs as
+  its twin, in pair order, and both sets share one sum,
+  :func:`repro.kernels.exact.exact_sums`, which depends on the terms
+  alone.
 
 The struct formats are declared locally (matching the dtypes in
 :mod:`repro.kernels.columnar` byte for byte) rather than imported from
@@ -96,46 +96,24 @@ def accumulate_reductions(
     weights: np.ndarray,
     p_offsets: np.ndarray | None = None,
     c_offsets: np.ndarray | None = None,
-) -> np.ndarray:
-    """Per-candidate ``dr`` contributions via nested (p, c) loops.
+) -> tuple[np.ndarray, np.ndarray]:
+    """The ``dr`` terms, one (candidate, client) pair at a time.
 
-    With tile offsets, one tile at a time (see the vector twin); with
-    client offsets alone, every candidate meets every tile and the tile
-    sums are added in tile order."""
-    if p_offsets is None and c_offsets is None:
-        return _accumulate_tile(px, py, cx, cy, dnn, weights)
+    Candidate ``i`` meets every client, or with tile offsets every
+    client of its own tile (see the vector twin); each pair with
+    ``d < dnn`` emits its row and term."""
     if p_offsets is None:
-        out = np.zeros(len(px), dtype=np.float64)
-        for t in range(len(c_offsets) - 1):
-            c = slice(c_offsets[t], c_offsets[t + 1])
-            out += _accumulate_tile(px, py, cx[c], cy[c], dnn[c], weights[c])
-        return out
-    out = np.empty(len(px), dtype=np.float64)
+        p_offsets, c_offsets = [0, len(px)], [0, len(cx)]
+    rows: list[int] = []
+    terms: list[float] = []
     for t in range(len(p_offsets) - 1):
-        p = slice(p_offsets[t], p_offsets[t + 1])
-        c = slice(c_offsets[t], c_offsets[t + 1])
-        out[p] = _accumulate_tile(px[p], py[p], cx[c], cy[c], dnn[c], weights[c])
-    return out
-
-
-def _accumulate_tile(
-    px: np.ndarray,
-    py: np.ndarray,
-    cx: np.ndarray,
-    cy: np.ndarray,
-    dnn: np.ndarray,
-    weights: np.ndarray,
-) -> np.ndarray:
-    n_p, n_c = len(px), len(cx)
-    out = np.empty(n_p, dtype=np.float64)
-    row = np.empty(n_c, dtype=np.float64)
-    for i in range(n_p):
-        x, y = px[i], py[i]
-        for j in range(n_c):
-            red = dnn[j] - np.hypot(x - cx[j], y - cy[j])
-            row[j] = red * weights[j] if red > 0.0 else 0.0
-        out[i] = np.sum(row)
-    return out
+        for i in range(p_offsets[t], p_offsets[t + 1]):
+            for j in range(c_offsets[t], c_offsets[t + 1]):
+                d = np.hypot(px[i] - cx[j], py[i] - cy[j])
+                if d < dnn[j]:
+                    rows.append(i)
+                    terms.append((dnn[j] - d) * weights[j])
+    return np.array(rows, dtype=np.intp), np.array(terms, dtype=np.float64)
 
 
 def influence_matrix(

@@ -21,15 +21,15 @@ not just speed:
   :meth:`repro.geometry.rect.Rect.min_dist_rect` (return the other
   axis' gap when one axis overlaps; ``hypot`` only when both gaps are
   positive), so corner-vs-edge cases keep the same float results;
-* ``IS(p)`` membership and ``dr`` accumulation evaluate only the pairs
+* ``IS(p)`` membership and the ``dr`` terms evaluate only the pairs
   that can influence: a client reaches no candidate farther than its
   ``dnn`` along x or y, so above :data:`DENSE_PAIRS` pairs the
   candidates are sorted by x (within y-bands when the clients are
   many) and each client's x-strip is searched
   (:func:`_influencing_pairs`); cost follows the strip, not the page
-  pair.  The reduction still sums each row that has an influencing
-  client as a dense C-contiguous row along ``axis=1`` — bitwise equal
-  to summing the row on its own, which is what the scalar twin does.
+  pair.  :func:`accumulate_reductions` returns the terms of the pairs
+  it finds, and :func:`repro.kernels.exact.exact_sums` rounds each
+  potential's terms once, so no sum here has a grouping to keep.
 
 None of these kernels touch I/O accounting: they consume arrays that
 the callers obtained through the usual charged ``read_*`` paths.
@@ -77,10 +77,11 @@ def circle_columns_from_rects(
     """Reconstruct NFC circles (center + radius) from their square MBRs.
 
     The NFC tree stores each circle as its bounding square; center and
-    radius fall out of the square's x-extent exactly as in the
-    object-at-a-time reconstruction: ``cx = (xmin + xmax) / 2``,
-    ``r = (xmax - xmin) / 2``.  The radius lands in the ``dnn`` column
-    so the circles feed :func:`accumulate_reductions` unchanged.
+    radius fall out of the square's x-extent: ``cx = (xmin + xmax) / 2``,
+    ``r = (xmax - xmin) / 2`` (Algorithm 4, lines 12–13).  NFC reads
+    its leaves' exact client columns instead (DESIGN.md §8), since
+    ``(xmin + xmax) / 2`` is not always ``x``; the kernel stays for
+    callers of the pseudocode's reconstruction.
     """
     return ClientColumns(
         ids=ids,
@@ -105,22 +106,23 @@ def pairwise_distances(
 
 #: Below this many (candidate, client) pairs the dense formula is
 #: cheaper than sorting the candidates and gathering the strips.
-#: Measured on a 2-vCPU x86-64 container (numpy 2.4) over NFC/MND leaf
-#: pairs trimmed to a target size: the dense kernel costs ~20-28 ns a
-#: pair, the strip path a near-flat 30-50 µs, and the strip path won
-#: 28% of calls at 1,200 pairs, 74% at 1,600 and 91% at 2,000.  QVC's
-#: window leaves (~120 pairs) stay dense; SS blocks (~29K pairs) and
-#: NFC/MND leaf pairs (~5-6K) take the strip.
+#: Measured on a 2-vCPU x86-64 container (numpy 2.4): the dense kernel
+#: costs ~20-28 ns a pair, the strip path a near-flat 30-50 µs.  On
+#: the captured shared-form calls of NFC and MND selects at 4K and 8K
+#: clients, the few calls below 2,000 pairs ran 2–5× faster dense
+#: (NFC's five at 4K: 0.09 against 0.43 ms, medians of 15 rounds); no
+#: SS or MND call of a ``scan-100k``-shaped select is that small.
 DENSE_PAIRS = 2000
 
 #: Relative widening of each client's x-strip beyond its ``dnn``.
 STRIP_SLACK = 2.0**-40
 
-#: In a many-tile call, tiles of at most this many candidates evaluate
+#: In a tiled call, tiles of at most this many candidates evaluate
 #: every pair; the rest share one strip search, whose set-up the call
-#: pays once.  Measured on captured QVC window tasks (2-vCPU x86-64,
-#: numpy 2.4): with ``DENSE_PAIRS`` as the rule instead, tasks of 6–12
-#: candidates a tile ran 20–80% slower and tasks of 1–2 no faster.
+#: pays once.  Measured on the captured QVC window calls of a
+#: ``scan-100k``-shaped select (2-vCPU x86-64, numpy 2.4; medians of 15
+#: rounds), where all 1,455 tiles hold at most 4 candidates: 6.5 ms,
+#: against 10.0 ms with every tile in the strip search.
 DENSE_ROWS = 4
 
 
@@ -137,8 +139,11 @@ BAND_ROWS = 16
 #: search alone): 100 candidates in 6 bands lost below 1,600 clients
 #: and won at 1,600 (0.91 against 1.00 ms) and 3,200 (0.96 against
 #: 1.58); 204 candidates in 12 bands lost at 3,264 clients (1.37
-#: against 0.95 ms) and won at 6,528 (0.88 against 1.04).  One-tile
-#: NFC/MND leaf pairs (~79 × 79) stay at one band.
+#: against 0.95 ms) and won at 6,528 (0.88 against 1.04).  NFC's and
+#: MND's candidate-leaf calls on a ``scan-100k``-shaped select (45–55
+#: clients a candidate, clustered round the leaf) take bands too, and
+#: ran 5–9% slower in them than in one band (16.3 against 15.5 ms and
+#: 18.5 against 16.9 ms a select, medians of 15 rounds).
 BAND_CLIENTS = 16
 
 
@@ -212,12 +217,12 @@ def _strip_pairs(
     candidates; a candidate repeated over many tiles keeps one rank.
     The keys below each bound key are counted from a cumulative table
     over the whole key range, (groups) × (distinct x + 1) entries.  On
-    every many-tile call of a select of each method on the benchmark's
+    every tiled call of a select of each method on the benchmark's
     workloads (``scan-100k``, ``churn-100k``, ``wire-small`` and the
-    ``kernels`` suite's 4K and 8K rungs; 2-vCPU x86-64, numpy 2.4) such
-    a table held at most 13,680 entries and counted faster than a binary
-    search over the sorted keys on every call (1.5–7× summed over a
-    select's calls).
+    ``kernels`` suite's 4K and 8K rungs; 2-vCPU x86-64, numpy 2.4; E18,
+    when NFC and MND made tiled calls too) such a table held at most
+    13,680 entries and counted faster than a binary search over the
+    sorted keys on every call (1.5–7× summed over a select's calls).
     """
     if n_groups == 1 and count is None:
         by_x = np.argsort(px)
@@ -257,7 +262,8 @@ def _influencing_pairs(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """``(i, j, d_ij)`` for every pair with ``d_ij = dist(p_i, c_j) < dnn_j``.
 
-    The candidates are split into :func:`_y_bands` bands of equal count
+    Below :data:`DENSE_PAIRS` pairs every pair is evaluated.  Above,
+    the candidates are split into :func:`_y_bands` bands of equal count
     by y.  Only pairs in client ``j``'s strip ``|px - cx_j| <= r_j``,
     with ``r_j = fl(dnn_j * (1 + STRIP_SLACK))``, within the bands that
     hold a y in ``[fl(cy_j - r_j), fl(cy_j + r_j)]`` are evaluated (and
@@ -273,9 +279,10 @@ def _influencing_pairs(
     against a less accurate ``hypot``.
     """
     n_p, n_c = len(px), len(cx)
-    if n_p == 0 or n_c == 0:
-        empty = np.zeros(0, dtype=np.intp)
-        return empty, empty, np.zeros(0)
+    if n_p * n_c < DENSE_PAIRS:
+        d = pairwise_distances(px, py, cx, cy)
+        i, j = np.nonzero(d < dnn[None, :])
+        return i, j, d[i, j]
     reach = dnn * (1.0 + STRIP_SLACK)
     bands = _y_bands(n_p, n_c)
     if bands == 1:
@@ -305,72 +312,68 @@ def accumulate_reductions(
     weights: np.ndarray,
     p_offsets: np.ndarray | None = None,
     c_offsets: np.ndarray | None = None,
-) -> np.ndarray:
-    """Per-candidate ``dr`` contribution of a batch of clients.
+) -> tuple[np.ndarray, np.ndarray]:
+    """The ``dr`` terms of a batch of candidates and clients.
 
-    Returns ``sum_j max(0, dnn_j - dist(p_i, c_j)) * w_j`` for each
-    candidate ``p_i`` — the paper's distance-reduction sum restricted
-    to one (page of candidates × page of clients) tile.
+    Returns ``(rows, terms)``: one entry for every influencing pair,
+    ``d_ij = dist(p_i, c_j) < dnn_j``, with its candidate row ``i`` and
+    its term ``(dnn_j - d_ij) * w_j``, in no particular order.  Each
+    ``d_ij`` is :func:`pairwise_distances`' ``np.hypot`` of the pair.
+    A candidate's ``dr`` is the correctly rounded sum of its terms
+    (:func:`~repro.kernels.exact.exact_sums`), so neither the order of
+    the pairs nor how a query groups its calls changes a bit.
 
-    Below :data:`DENSE_PAIRS` pairs this is the dense formula.  Above
-    it, only the influencing pairs from :func:`_influencing_pairs` are
-    evaluated, bit-identically: for weights with a clear sign bit a
-    non-influencing pair's dense term ``clip(dnn_j - d_ij, 0) * w_j``
-    is exactly ``+0.0``, and an influencing pair's is
-    ``(dnn_j - d_ij) * w_j`` from the same ``d_ij``.  A row's
-    pairwise ``axis=1`` sum depends only on that row, so each row with
-    a hit is rebuilt as a dense row (``+0.0`` except at its
-    influencing pairs) and summed as before; every other row sums to
-    ``+0.0``.
-
-    With ``p_offsets`` and ``c_offsets`` (``T + 1`` non-decreasing
-    offsets from 0 each) the columns hold ``T`` tiles: candidates
-    ``p_offsets[t]:p_offsets[t + 1]`` against clients
-    ``c_offsets[t]:c_offsets[t + 1]``.  Each candidate row sums over
-    its own tile only, bit for bit what one call per tile returns
-    (:func:`_accumulate_tiles`).
+    Without offsets every candidate meets every client (the *shared*
+    form), :data:`SHARED_CHUNK` clients at a time.  With ``p_offsets``
+    and ``c_offsets`` (``T + 1`` non-decreasing offsets from 0 each)
+    the columns hold ``T`` tiles, and candidates
+    ``p_offsets[t]:p_offsets[t + 1]`` meet only clients
+    ``c_offsets[t]:c_offsets[t + 1]`` (the *tiled* form,
+    :func:`_tile_pairs`).
     """
-    if p_offsets is not None:
-        return _accumulate_tiles(px, py, cx, cy, dnn, weights, p_offsets, c_offsets)
-    if c_offsets is not None:
-        return _accumulate_shared(px, py, cx, cy, dnn, weights, c_offsets)
-    if len(px) * len(cx) < DENSE_PAIRS:
-        d = pairwise_distances(px, py, cx, cy)
-        return (np.clip(dnn[None, :] - d, 0.0, None) * weights[None, :]).sum(axis=1)
-    i, j, d = _influencing_pairs(px, py, cx, cy, dnn)
-    out = np.zeros(len(px))
-    rows = np.flatnonzero(np.bincount(i, minlength=len(px)))
-    dense = np.zeros((len(rows), len(cx)))
-    dense[np.searchsorted(rows, i), j] = (dnn[j] - d) * weights[j]
-    out[rows] = dense.sum(axis=1)
-    return out
+    if p_offsets is None:
+        found = []
+        for k in range(0, max(len(cx), 1), SHARED_CHUNK):
+            c = slice(k, k + SHARED_CHUNK)
+            i, j, d = _influencing_pairs(px, py, cx[c], cy[c], dnn[c])
+            found.append((i, j + k, d))
+        i, j, d = (np.concatenate(parts) for parts in zip(*found))
+    else:
+        i, j = _tile_pairs(
+            px, cx, dnn, np.asarray(p_offsets), np.asarray(c_offsets)
+        )
+        d = np.hypot(px[i] - cx[j], py[i] - cy[j])
+        hit = d < dnn[j]
+        i, j, d = i[hit], j[hit], d[hit]
+    return i, (dnn[j] - d) * weights[j]
 
 
-def _accumulate_tiles(
+#: Clients per chunk of a shared-form call.  Chunks bound the
+#: temporaries of one call and keep them in cache.  Measured on the
+#: captured SS calls of a 100K select (two potential blocks; 2-vCPU
+#: x86-64, numpy 2.4; kernel time, then peak traced memory of a whole
+#: select): 4K-client chunks ran 42 ms (3.6 MiB), 8K 34–39 ms
+#: (4.1 MiB), 16K 36–41 ms (5.2 MiB), 32K 35 ms (7.2 MiB) and the whole
+#: file at once 50 ms (15.6 MiB).  At 20K clients 8K chunks ran
+#: 8.3–9.0 ms against 11.9–12.9 ms for 16K.
+SHARED_CHUNK = 8192
+
+
+def _tile_pairs(
     px: np.ndarray,
-    py: np.ndarray,
     cx: np.ndarray,
-    cy: np.ndarray,
     dnn: np.ndarray,
-    weights: np.ndarray,
     p_offsets: np.ndarray,
     c_offsets: np.ndarray,
-) -> np.ndarray:
-    """The many-tile form of :func:`accumulate_reductions`.
+) -> tuple[np.ndarray, np.ndarray]:
+    """The tiled form's candidate pairs ``(i, j)``: every pair of a tile
+    that may influence, each with ``i`` and ``j`` in the same tile.
 
-    Tiles of at most :data:`DENSE_ROWS` candidates evaluate every
-    pair, as a one-tile dense call does.  The others share one
-    :func:`_strip_pairs` search with the strip tiles as its groups, so
-    each client searches its own tile's x-strip, and nothing from
-    another tile.  Each hit is then placed in a dense row at its tile's
-    own client count, and rows of one width are summed together with
-    the same contiguous ``axis=1`` sum, so every row's bits are those
-    of the one-tile call (a dense-path row holds ``+0.0`` at every
-    non-influencing pair).
+    Tiles of at most :data:`DENSE_ROWS` candidates give every pair.
+    The others share one :func:`_strip_pairs` search with the tiles as
+    its groups, so each client searches its own tile's x-strip, and
+    nothing from another tile.
     """
-    out = np.zeros(len(px))
-    p_offsets = np.asarray(p_offsets)
-    c_offsets = np.asarray(c_offsets)
     n_tiles = len(p_offsets) - 1
     heights = np.diff(p_offsets)
     widths = np.diff(c_offsets)
@@ -394,133 +397,10 @@ def _accumulate_tiles(
         dnn[clients] * (1.0 + STRIP_SLACK),
         strip_no[c_tile[clients]],
     )
-    i = np.concatenate((i_dense, rows[i_strip]))
-    j = np.concatenate((j_dense, clients[j_strip]))
-    d = np.hypot(px[i] - cx[j], py[i] - cy[j])
-    hit = d < dnn[j]
-    i, j, d = i[hit], j[hit], d[hit]
-    terms = (dnn[j] - d) * weights[j]
-    cols = j - c_offsets[c_tile[j]]
-    row_width = widths[c_tile[j]]
-    for width in np.unique(row_width):
-        sel = row_width == width
-        hit_rows = np.flatnonzero(np.bincount(i[sel], minlength=len(px)))
-        matrix = np.zeros((len(hit_rows), width))
-        matrix[np.searchsorted(hit_rows, i[sel]), cols[sel]] = terms[sel]
-        out[hit_rows] = matrix.sum(axis=1)
-    return out
-
-
-#: Clients per chunk of a shared-candidates call.  Chunks bound the
-#: temporaries of one call and keep them in cache.  Measured on the
-#: captured SS calls of a 100K select (two potential blocks; 2-vCPU
-#: x86-64, numpy 2.4; kernel time, then peak traced memory of a whole
-#: select): 4K-client chunks ran 42 ms (3.6 MiB), 8K 34–39 ms
-#: (4.1 MiB), 16K 36–41 ms (5.2 MiB), 32K 35 ms (7.2 MiB) and the whole
-#: file at once 50 ms (15.6 MiB).  At 20K clients 8K chunks ran
-#: 8.3–9.0 ms against 11.9–12.9 ms for 16K.
-SHARED_CHUNK = 8192
-
-
-def _accumulate_shared(
-    px: np.ndarray,
-    py: np.ndarray,
-    cx: np.ndarray,
-    cy: np.ndarray,
-    dnn: np.ndarray,
-    weights: np.ndarray,
-    c_offsets: np.ndarray,
-) -> np.ndarray:
-    """The shared-candidates form of :func:`accumulate_reductions`.
-
-    Every candidate meets every client tile, and its tile sums are
-    folded in tile order from ``+0.0``: bit for bit
-    ``out = zeros(n); for t: out += <one-tile call on tile t>``.  The
-    tiles go in chunks of whole tiles, at most :data:`SHARED_CHUNK`
-    clients each unless one tile is wider, and each chunk's fold starts
-    from the previous chunk's result (:func:`_fold_tiles`).
-    """
-    out = np.zeros(len(px))
-    c_offsets = np.asarray(c_offsets)
-    t, n_tiles = 0, len(c_offsets) - 1
-    while t < n_tiles:
-        stop = np.searchsorted(c_offsets, c_offsets[t] + SHARED_CHUNK, "right") - 1
-        stop = max(stop, t + 1)
-        c = slice(c_offsets[t], c_offsets[stop])
-        _fold_tiles(
-            out,
-            px,
-            py,
-            cx[c],
-            cy[c],
-            dnn[c],
-            weights[c],
-            c_offsets[t : stop + 1] - c_offsets[t],
-        )
-        t = stop
-    return out
-
-
-def _fold_tiles(
-    out: np.ndarray,
-    px: np.ndarray,
-    py: np.ndarray,
-    cx: np.ndarray,
-    cy: np.ndarray,
-    dnn: np.ndarray,
-    weights: np.ndarray,
-    c_offsets: np.ndarray,
-) -> None:
-    """Add every candidate's tile sums into ``out``, in tile order.
-
-    One :func:`_influencing_pairs` search covers all the clients, and
-    the hits of each (candidate, tile) group are summed as the one-tile
-    call's pairwise row sum would: a row is ``+0.0`` except at its
-    hits, every term is ``>= +0.0``, and adding ``+0.0`` is exact.  So
-    one hit sums to its term, and two hits ``a``, ``b`` to ``fl(a + b)``
-    in either order; a group of three or more is rebuilt as a dense row
-    at its tile's own width and summed with the same ``axis=1`` sum.
-    The group sums are then added to ``out`` per candidate in tile
-    order, with ``np.cumsum`` along rows that start with ``out`` and are
-    padded with ``+0.0`` (an accumulation is sequential;
-    ``np.add.reduceat`` would sum pairwise).  A tile without a hit adds
-    ``+0.0``, so skipping it changes no bit.
-    """
-    widths = np.diff(c_offsets)
-    n_tiles = len(widths)
-    i, j, d = _influencing_pairs(px, py, cx, cy, dnn)
-    if not len(i):
-        return
-    # Hits keyed by (candidate, tile), in candidate then tile order.
-    key = i * n_tiles + np.repeat(np.arange(n_tiles), widths)[j]
-    order = np.argsort(key, kind="stable")
-    key, j = key[order], j[order]
-    terms = (dnn[j] - d[order]) * weights[j]
-    starts = np.flatnonzero(np.diff(key, prepend=-1))
-    sizes = np.diff(starts, append=len(key))
-    sums = terms[starts]
-    sums[sizes == 2] += terms[starts[sizes == 2] + 1]
-    group = np.repeat(np.arange(len(starts)), sizes)
-    many = sizes[group] >= 3
-    if many.any():
-        tile = key[many] % n_tiles
-        owners, cols, hits = group[many], j[many] - c_offsets[tile], terms[many]
-        width = widths[tile]
-        for w in np.unique(width):
-            sel = width == w
-            rows = np.unique(owners[sel])
-            matrix = np.zeros((len(rows), w))
-            matrix[np.searchsorted(rows, owners[sel]), cols[sel]] = hits[sel]
-            sums[rows] = matrix.sum(axis=1)
-    # Add each candidate's group sums to out in tile order.
-    owner = key[starts] // n_tiles
-    firsts = np.flatnonzero(np.diff(owner, prepend=-1))
-    row = np.repeat(np.arange(len(firsts)), np.diff(firsts, append=len(owner)))
-    col = np.arange(len(owner)) - firsts[row]
-    padded = np.zeros((len(firsts), col.max() + 2))
-    padded[:, 0] = out[owner[firsts]]
-    padded[row, col + 1] = sums
-    out[owner[firsts]] = np.cumsum(padded, axis=1)[:, -1]
+    return (
+        np.concatenate((i_dense, rows[i_strip])),
+        np.concatenate((j_dense, clients[j_strip])),
+    )
 
 
 def _ranges(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:

@@ -31,15 +31,7 @@ from __future__ import annotations
 
 from typing import Any
 
-import numpy as np
-
-from repro import kernels
-from repro.kernels.columnar import (
-    BranchColumns,
-    ClientColumns,
-    RectColumns,
-    SiteColumns,
-)
+from repro.kernels.columnar import BranchColumns, ClientColumns, SiteColumns
 
 
 def leaf_site_columns(tree: Any, node: Any, cache: Any) -> SiteColumns:
@@ -55,7 +47,8 @@ def leaf_site_columns(tree: Any, node: Any, cache: Any) -> SiteColumns:
 
 
 def leaf_client_columns(tree: Any, node: Any, cache: Any) -> ClientColumns:
-    """Columns of the client records in one leaf of ``R_C`` / ``R_C^m``.
+    """Columns of the client records in one leaf of ``R_C``, ``R_C^m`` or
+    ``R_C^n`` (whose entries are the clients' NFC squares).
 
     Disk pages carry no weight field and decode with unit weights,
     exactly like their object decode through ``ClientCodec``.
@@ -66,37 +59,6 @@ def leaf_client_columns(tree: Any, node: Any, cache: Any) -> ClientColumns:
         if cols is not None:
             return cols
         return ClientColumns.from_clients([e.payload for e in node.entries])
-
-    return cache.get(tree.name, tree.version, node.node_id, decode)
-
-
-def nfc_leaf_columns(tree: Any, node: Any, cache: Any) -> ClientColumns:
-    """NFC circles of one RNN-tree leaf: centers, radii (as ``dnn``), weights.
-
-    Reconstructed from the entries' square MBRs — lines 12–13 of the
-    paper's Algorithm 4 — not from the client records, so the float
-    values match the geometric reconstruction the join has always used.
-    The disk route builds those same square rects from the
-    ``xs``/``ys``/``dnn`` columns before the circle reconstruction, so
-    its floats are bit-identical to the entry-object route.
-    """
-
-    def decode() -> ClientColumns:
-        cols = getattr(node, "columns", None)
-        if cols is not None:
-            rects = RectColumns(
-                xmin=cols.xs - cols.dnn,
-                ymin=cols.ys - cols.dnn,
-                xmax=cols.xs + cols.dnn,
-                ymax=cols.ys + cols.dnn,
-            )
-            return kernels.circle_columns_from_rects(rects, cols.ids, cols.weights)
-        entries = node.entries
-        n = len(entries)
-        rects = RectColumns.from_rects(e.mbr for e in entries)
-        ids = np.fromiter((e.payload.cid for e in entries), np.uint32, n)
-        weights = np.fromiter((e.payload.weight for e in entries), np.float64, n)
-        return kernels.circle_columns_from_rects(rects, ids, weights)
 
     return cache.get(tree.name, tree.version, node.node_id, decode)
 

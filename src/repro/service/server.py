@@ -104,7 +104,9 @@ class ServiceConfig:
     #: Admission bound per workspace (queued + in-flight requests).
     max_pending: int = 64
     #: How long the batcher holds a micro-batch open after its first
-    #: ticket arrives.  Zero still batches whatever is already queued.
+    #: ticket arrives, when another request of the workspace is
+    #: admitted; a lone select runs at once.  Zero still batches
+    #: whatever is already queued.
     batch_window_s: float = 0.002
     #: Largest micro-batch handed to one ``run_batch`` call.
     max_batch: int = 16
@@ -212,7 +214,11 @@ class WorkspaceHost:
                 await self._run_single(ticket)
                 continue
             batch = [ticket]
-            window_end = loop.time() + self.config.batch_window_s
+            # Let the lines already read be admitted, then hold the
+            # window open only while another ticket is waiting for it.
+            await asyncio.sleep(0)
+            window = self.config.batch_window_s if self.queue.pending > 1 else 0.0
+            window_end = loop.time() + window
             while len(batch) < self.config.max_batch:
                 nxt = await self.queue.get_nowait_or_wait(window_end - loop.time())
                 if nxt is None:
@@ -426,12 +432,9 @@ class WorkspaceHost:
                 report = evaluate_location(self.workspace, candidate)
             except ValueError as exc:
                 raise BadRequestError(str(exc)) from None
-            # Additive companions of the averages, so a shard
+            # The additive companions of the averages, so a shard
             # coordinator can fold per-tile reports exactly (sums in
             # tile order, averages recomputed from the folded sums).
-            # evaluate_location derives its averages from exactly these
-            # sums, so recomputing them here is bit-faithful.
-            nfd_before = float(self.workspace.client_xyd[:, 2].sum())
             reports.append(
                 {
                     "sid": report.location.sid,
@@ -443,8 +446,8 @@ class WorkspaceHost:
                     "avg_nfd_after": report.avg_nfd_after,
                     "max_client_gain": report.max_client_gain,
                     "n_c": self.workspace.n_c,
-                    "nfd_sum_before": nfd_before,
-                    "nfd_sum_after": nfd_before - report.dr,
+                    "nfd_sum_before": report.nfd_sum_before,
+                    "nfd_sum_after": report.nfd_sum_after,
                 }
             )
         return {"result": reports, "cached": False, "data_version": version}

@@ -5,12 +5,25 @@ from __future__ import annotations
 import random
 
 import pytest
+from hypothesis import settings
 from hypothesis import strategies as st
 
 from repro.core.workspace import Workspace
 from repro.datasets.generators import SpatialInstance, make_instance
 from repro.geometry.point import Point
 from repro.geometry.rect import Rect
+
+# ---------------------------------------------------------------------------
+# Hypothesis profiles
+# ---------------------------------------------------------------------------
+
+#: Tier-1 runs every property test at hypothesis' default bound (100
+#: draws where a test sets none); CI's smoke job runs the generated-
+#: instance contract (``tests/core/test_generated.py``) deep, with
+#: ``--hypothesis-profile=deep``.
+settings.register_profile("tier1", max_examples=100)
+settings.register_profile("deep", max_examples=2000)
+settings.load_profile("tier1")
 
 # ---------------------------------------------------------------------------
 # Hypothesis strategies

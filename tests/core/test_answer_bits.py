@@ -2,15 +2,20 @@
 
 For every instance below and each of SS, QVC, NFC and MND, the sha256
 of ``dr.tobytes()`` and the per-structure ``io_reads`` of one cold
-``select()`` are pinned.  The pins were recorded before the join tasks
-evaluated all their leaf pairs in one kernel call and before QVC's
-quadrant-NN search ran on node columns; both changes promise the same
-bits and the same reads.  Every instance is served twice, as an
-in-memory :class:`~repro.core.workspace.Workspace` and as a mapped
+``select()`` are pinned.  The io pins were recorded before the join
+tasks evaluated all their leaf pairs in one kernel call and before
+QVC's quadrant-NN search ran on node columns; both changes promise the
+same reads.  The dr pins are each potential's correctly rounded sum of
+its terms, so they are one hash per instance, ``core.naive``'s, for
+every method and both served forms.  The one exception is QVC on
+``ties``: QVC skips a potential exactly on a facility, where the
+others' ``np.hypot`` test can collect a one-ulp term.  Every instance
+is served twice, as an in-memory
+:class:`~repro.core.workspace.Workspace` and as a mapped
 :class:`~repro.core.diskmode.DiskWorkspace` over its persisted pages,
 each with its own pin: ``persist_indexes`` blocks the flat files at the
 default page size whatever the workspace's, so at other page sizes SS
-and QVC read other file blocks, and SS sums its dr in other groups.
+and QVC read other file blocks.
 
 The instances:
 
@@ -32,7 +37,7 @@ import random
 
 import pytest
 
-from repro.core import Workspace, make_selector
+from repro.core import Workspace, make_selector, naive
 from repro.core.diskmode import DiskWorkspace, persist_indexes
 from repro.datasets.generators import SpatialInstance, make_instance
 from repro.geometry.point import Point
@@ -89,51 +94,51 @@ def answer_bits(ws) -> dict[str, tuple[str, dict[str, int]]]:
     return out
 
 
-#: name -> served form -> method -> (dr sha256, io_reads), recorded
-#: before the many-tile kernel and the column NN stream.
+#: name -> served form -> method -> (dr sha256, io_reads); the reads
+#: were recorded before the many-tile kernel and the column NN stream.
 PINS: dict[str, dict[str, dict[str, tuple[str, dict[str, int]]]]] = {
     "deep": {
         "memory": {
             "SS": (
-                "f7e33af579511e23c2b093d79bc8309f"
-                "821c34a66deae6f52a0c2a2ca408fb74",
+                "ac401cbaaaeca14385957dc7c682fae0"
+                "46f74c3b0763afdd7c3a7f6373c3c768",
                 {"file.C": 5344, "file.P": 16},
             ),
             "QVC": (
-                "2364524f4c6f7b5c528fd8d8b90c3490"
-                "27aa09e5550df52a4713c2dcb79d7d66",
+                "ac401cbaaaeca14385957dc7c682fae0"
+                "46f74c3b0763afdd7c3a7f6373c3c768",
                 {"R_C": 6541, "R_F": 2120, "file.P": 16},
             ),
             "NFC": (
-                "2abbb2598c6b499aa6083e76bb8ed928"
-                "8a9343ffc0ae573dc16ee5ca60986495",
+                "ac401cbaaaeca14385957dc7c682fae0"
+                "46f74c3b0763afdd7c3a7f6373c3c768",
                 {"R_C^n": 2223, "R_P": 408},
             ),
             "MND": (
-                "0afa70441290bb376dfe6b34d7184151"
-                "d4dcef3c7d6670439027605887286926",
+                "ac401cbaaaeca14385957dc7c682fae0"
+                "46f74c3b0763afdd7c3a7f6373c3c768",
                 {"R_C^m": 3322, "R_P": 251},
             ),
         },
         "disk": {
             "SS": (
-                "3ff76c012fda0424025fdac6ea4ddf16"
-                "0a2ddc88204efb4ecfda37e91c3e3332",
+                "ac401cbaaaeca14385957dc7c682fae0"
+                "46f74c3b0763afdd7c3a7f6373c3c768",
                 {"file.C": 84, "file.P": 2},
             ),
             "QVC": (
-                "2364524f4c6f7b5c528fd8d8b90c3490"
-                "27aa09e5550df52a4713c2dcb79d7d66",
+                "ac401cbaaaeca14385957dc7c682fae0"
+                "46f74c3b0763afdd7c3a7f6373c3c768",
                 {"R_C": 1494, "R_F": 2120, "file.P": 2},
             ),
             "NFC": (
-                "2abbb2598c6b499aa6083e76bb8ed928"
-                "8a9343ffc0ae573dc16ee5ca60986495",
+                "ac401cbaaaeca14385957dc7c682fae0"
+                "46f74c3b0763afdd7c3a7f6373c3c768",
                 {"R_C^n": 2223, "R_P": 408},
             ),
             "MND": (
-                "0afa70441290bb376dfe6b34d7184151"
-                "d4dcef3c7d6670439027605887286926",
+                "ac401cbaaaeca14385957dc7c682fae0"
+                "46f74c3b0763afdd7c3a7f6373c3c768",
                 {"R_C^m": 3322, "R_P": 251},
             ),
         },
@@ -141,45 +146,45 @@ PINS: dict[str, dict[str, dict[str, tuple[str, dict[str, int]]]]] = {
     "ties": {
         "memory": {
             "SS": (
-                "fc256862fac644fac5392c8e9e996ebc"
-                "2fa3021a94d74a102fca28006422ee39",
+                "d2807a93ba6d7a11f308012f20bed1a8"
+                "8a73675060e19ac00a89cc1c4a95740c",
                 {"file.C": 102, "file.P": 2},
             ),
             "QVC": (
-                "fac31ccee1a4f87c2ddd2d7ce0437610"
-                "56b9bea7b1b59f430b2bef4416f126b0",
+                "564133bb46017e6a572727005f14c078"
+                "5eb7333c9a68f3b2093b34d7bee5515f",
                 {"R_C": 159, "R_F": 199, "file.P": 2},
             ),
             "NFC": (
-                "45c60d0ee4c71c95c95af293fc82bf19"
-                "e2b5715d265c09382e8578535b81f5af",
+                "d2807a93ba6d7a11f308012f20bed1a8"
+                "8a73675060e19ac00a89cc1c4a95740c",
                 {"R_C^n": 160, "R_P": 14},
             ),
             "MND": (
-                "7c3bcc439800021df80002f65c12e82a"
-                "ce4700d9f8226265202410e4f120f18c",
+                "d2807a93ba6d7a11f308012f20bed1a8"
+                "8a73675060e19ac00a89cc1c4a95740c",
                 {"R_C^m": 202, "R_P": 22},
             ),
         },
         "disk": {
             "SS": (
-                "0f75e1982b04a377626e3e2971e94ee1"
-                "4bff9687dc56ac60373767b0a8a24972",
+                "d2807a93ba6d7a11f308012f20bed1a8"
+                "8a73675060e19ac00a89cc1c4a95740c",
                 {"file.C": 13, "file.P": 1},
             ),
             "QVC": (
-                "fac31ccee1a4f87c2ddd2d7ce0437610"
-                "56b9bea7b1b59f430b2bef4416f126b0",
+                "564133bb46017e6a572727005f14c078"
+                "5eb7333c9a68f3b2093b34d7bee5515f",
                 {"R_C": 104, "R_F": 199, "file.P": 1},
             ),
             "NFC": (
-                "45c60d0ee4c71c95c95af293fc82bf19"
-                "e2b5715d265c09382e8578535b81f5af",
+                "d2807a93ba6d7a11f308012f20bed1a8"
+                "8a73675060e19ac00a89cc1c4a95740c",
                 {"R_C^n": 160, "R_P": 14},
             ),
             "MND": (
-                "7c3bcc439800021df80002f65c12e82a"
-                "ce4700d9f8226265202410e4f120f18c",
+                "d2807a93ba6d7a11f308012f20bed1a8"
+                "8a73675060e19ac00a89cc1c4a95740c",
                 {"R_C^m": 202, "R_P": 22},
             ),
         },
@@ -187,45 +192,45 @@ PINS: dict[str, dict[str, dict[str, tuple[str, dict[str, int]]]]] = {
     "uniform-20k-seed1": {
         "memory": {
             "SS": (
-                "ae715185275de65118a72aecbb26138b"
-                "263663513cf18c9a3f88ae7d467f5920",
+                "a1f052a2ac2ced6ab9a2851c8cbe7eca"
+                "02b2cb19df04664def0972606bb00a28",
                 {"file.C": 137, "file.P": 1},
             ),
             "QVC": (
-                "4d71c0c643ae67f07f741404542a04a3"
-                "3496979be369ee2778adc30e38db8e7b",
+                "a1f052a2ac2ced6ab9a2851c8cbe7eca"
+                "02b2cb19df04664def0972606bb00a28",
                 {"R_C": 255, "R_F": 503, "file.P": 1},
             ),
             "NFC": (
-                "caabc6b7c123b71f60ede090ea35f2b0"
-                "687a165fcdd45a0116f14bea757f7e2b",
+                "a1f052a2ac2ced6ab9a2851c8cbe7eca"
+                "02b2cb19df04664def0972606bb00a28",
                 {"R_C^n": 331, "R_P": 10},
             ),
             "MND": (
-                "a15af4fc790bca03063d025910cea310"
-                "78d873bf5cf59f3c4ad4a04d191bd604",
+                "a1f052a2ac2ced6ab9a2851c8cbe7eca"
+                "02b2cb19df04664def0972606bb00a28",
                 {"R_C^m": 401, "R_P": 12},
             ),
         },
         "disk": {
             "SS": (
-                "ae715185275de65118a72aecbb26138b"
-                "263663513cf18c9a3f88ae7d467f5920",
+                "a1f052a2ac2ced6ab9a2851c8cbe7eca"
+                "02b2cb19df04664def0972606bb00a28",
                 {"file.C": 137, "file.P": 1},
             ),
             "QVC": (
-                "4d71c0c643ae67f07f741404542a04a3"
-                "3496979be369ee2778adc30e38db8e7b",
+                "a1f052a2ac2ced6ab9a2851c8cbe7eca"
+                "02b2cb19df04664def0972606bb00a28",
                 {"R_C": 255, "R_F": 503, "file.P": 1},
             ),
             "NFC": (
-                "caabc6b7c123b71f60ede090ea35f2b0"
-                "687a165fcdd45a0116f14bea757f7e2b",
+                "a1f052a2ac2ced6ab9a2851c8cbe7eca"
+                "02b2cb19df04664def0972606bb00a28",
                 {"R_C^n": 331, "R_P": 10},
             ),
             "MND": (
-                "a15af4fc790bca03063d025910cea310"
-                "78d873bf5cf59f3c4ad4a04d191bd604",
+                "a1f052a2ac2ced6ab9a2851c8cbe7eca"
+                "02b2cb19df04664def0972606bb00a28",
                 {"R_C^m": 401, "R_P": 12},
             ),
         },
@@ -233,45 +238,45 @@ PINS: dict[str, dict[str, dict[str, tuple[str, dict[str, int]]]]] = {
     "uniform-20k-seed2": {
         "memory": {
             "SS": (
-                "2ca14b5feac63528f10f322a396f29e2"
-                "95eea8da431ebb2a51c3786be550b8f0",
+                "9d7c2622eff3d9d42263649f2f92f38a"
+                "96b33cefa91379bf557ae00937dda8be",
                 {"file.C": 137, "file.P": 1},
             ),
             "QVC": (
-                "21b5e87b32922b907972805ef39d569b"
-                "acbdf17006a6c44dcc089c41a31ddf7b",
+                "9d7c2622eff3d9d42263649f2f92f38a"
+                "96b33cefa91379bf557ae00937dda8be",
                 {"R_C": 257, "R_F": 506, "file.P": 1},
             ),
             "NFC": (
-                "76b0d9371a9dd82fe1e934b79b1b2c64"
-                "e5e4ffc911a2dccf03824f7c91be23b3",
+                "9d7c2622eff3d9d42263649f2f92f38a"
+                "96b33cefa91379bf557ae00937dda8be",
                 {"R_C^n": 333, "R_P": 10},
             ),
             "MND": (
-                "ac0c91df3d9637d38ce27f0a856e08ac"
-                "27ed3c93cdfa759d73f1eabb6b09145c",
+                "9d7c2622eff3d9d42263649f2f92f38a"
+                "96b33cefa91379bf557ae00937dda8be",
                 {"R_C^m": 406, "R_P": 11},
             ),
         },
         "disk": {
             "SS": (
-                "2ca14b5feac63528f10f322a396f29e2"
-                "95eea8da431ebb2a51c3786be550b8f0",
+                "9d7c2622eff3d9d42263649f2f92f38a"
+                "96b33cefa91379bf557ae00937dda8be",
                 {"file.C": 137, "file.P": 1},
             ),
             "QVC": (
-                "21b5e87b32922b907972805ef39d569b"
-                "acbdf17006a6c44dcc089c41a31ddf7b",
+                "9d7c2622eff3d9d42263649f2f92f38a"
+                "96b33cefa91379bf557ae00937dda8be",
                 {"R_C": 257, "R_F": 506, "file.P": 1},
             ),
             "NFC": (
-                "76b0d9371a9dd82fe1e934b79b1b2c64"
-                "e5e4ffc911a2dccf03824f7c91be23b3",
+                "9d7c2622eff3d9d42263649f2f92f38a"
+                "96b33cefa91379bf557ae00937dda8be",
                 {"R_C^n": 333, "R_P": 10},
             ),
             "MND": (
-                "ac0c91df3d9637d38ce27f0a856e08ac"
-                "27ed3c93cdfa759d73f1eabb6b09145c",
+                "9d7c2622eff3d9d42263649f2f92f38a"
+                "96b33cefa91379bf557ae00937dda8be",
                 {"R_C^m": 406, "R_P": 11},
             ),
         },
@@ -297,6 +302,16 @@ def test_mapped_disk_answers_are_pinned(served):
     name, __, persisted = served
     with DiskWorkspace(persisted) as disk:
         assert answer_bits(disk) == PINS[name]["disk"]
+
+
+def test_pinned_dr_is_the_oracles(served):
+    """Every method's dr pin is ``core.naive``'s, but QVC's on ``ties``."""
+    name, ws, __ = served
+    digest = hashlib.sha256(naive.distance_reductions(ws).tobytes()).hexdigest()
+    for form, pins in PINS[name].items():
+        for method, (pinned, __) in pins.items():
+            if (name, method) != ("ties", "QVC"):
+                assert pinned == digest, (form, method)
 
 
 if __name__ == "__main__":

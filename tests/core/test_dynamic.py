@@ -5,7 +5,7 @@ import random
 import numpy as np
 import pytest
 
-from repro.churn import TREE_DR_RTOL, rebuild_twin, verify_parity
+from repro.churn import rebuild_twin, verify_parity
 from repro.core import METHODS, make_selector
 from repro.core import naive
 from repro.core.dynamic import DynamicWorkspace
@@ -127,13 +127,10 @@ class TestFacilityUpdates:
             twin = rebuild_twin(ws)
             verify_parity(ws, twin=twin)  # its selects re-warm every decode
             for method in sorted(METHODS):
-                np.testing.assert_allclose(
+                assert np.array_equal(
                     make_selector(ws, method).distance_reductions(),
                     make_selector(twin, method).distance_reductions(),
-                    rtol=TREE_DR_RTOL,
-                    atol=TREE_DR_RTOL,
-                    err_msg=method,
-                )
+                ), method
 
         for method in sorted(METHODS):
             make_selector(ws, method).select()

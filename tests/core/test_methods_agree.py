@@ -16,17 +16,37 @@ from repro.geometry.point import Point
 ALL_METHODS = sorted(METHODS)
 
 
+def on_facility(ws: Workspace) -> np.ndarray:
+    """Which potentials sit exactly on a facility."""
+    sites = {(f.x, f.y) for f in ws.facilities}
+    return np.array([(p.x, p.y) in sites for p in ws.potentials], dtype=bool)
+
+
+def assert_equals_oracle(ws: Workspace, name: str, vec: np.ndarray, oracle):
+    """``vec`` is the oracle's dr bit for bit: every method sums each
+    potential's terms exactly, so only a different term set could move
+    a bit.  The one exception is QVC at a potential exactly on a
+    facility: QVC skips it (``IS(p)`` is empty, so ``dr`` is 0), while
+    SS, NFC, MND and the oracle test ``np.hypot(c - p) < dnn(c)``, which
+    can fall one ulp below a ``dnn`` from the sqrt formula and collect
+    a tiny term (ROADMAP item 1's distance formula)."""
+    if name == "QVC":
+        skipped = on_facility(ws)
+        assert not vec[skipped].any(), name
+        vec, oracle = vec[~skipped], oracle[~skipped]
+    assert np.array_equal(vec, oracle), name
+
+
 def assert_all_methods_match_oracle(ws: Workspace):
     oracle = naive.distance_reductions(ws)
-    best_dr = float(oracle.max())
     for name in ALL_METHODS:
         selector = make_selector(ws, name)
         result = selector.select()
         vec = selector.distance_reductions()
-        np.testing.assert_allclose(vec, oracle, atol=1e-6, err_msg=name)
-        assert result.dr == pytest.approx(best_dr, abs=1e-6), name
+        assert_equals_oracle(ws, name, vec, oracle)
+        assert result.dr == vec.max(), name
         # The reported location must realise the optimum.
-        assert oracle[result.location.sid] == pytest.approx(best_dr, abs=1e-6)
+        assert vec[result.location.sid] == result.dr, name
 
 
 class TestDistributions:
@@ -141,4 +161,4 @@ class TestPropertyRandomInstances:
         oracle = naive.distance_reductions(ws)
         for name in ALL_METHODS:
             vec = make_selector(ws, name).distance_reductions()
-            np.testing.assert_allclose(vec, oracle, atol=1e-6, err_msg=name)
+            assert_equals_oracle(ws, name, vec, oracle)

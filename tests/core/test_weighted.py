@@ -5,6 +5,7 @@ import pytest
 
 from repro.core import METHODS, Workspace, make_selector
 from repro.core import naive
+from repro.core.evaluate import evaluate_location
 from repro.datasets.generators import SpatialInstance, make_instance
 from repro.geometry.point import Point
 
@@ -36,6 +37,16 @@ class TestWeightedQuery:
         for name in METHODS:
             vec = make_selector(ws, name).distance_reductions()
             np.testing.assert_allclose(vec, oracle, atol=1e-6, err_msg=name)
+
+    def test_evaluate_reports_the_selects_dr(self):
+        """``evaluate``'s dr is the weighted sum over IS(p), correctly
+        rounded: every method's ``dr[p]`` bit for bit."""
+        ws = weighted_ws()
+        reported = np.array([evaluate_location(ws, p).dr for p in range(ws.n_p)])
+        assert np.array_equal(reported, naive.distance_reductions(ws))
+        for name in METHODS:
+            vec = make_selector(ws, name).distance_reductions()
+            assert np.array_equal(vec, reported), name
 
     def test_unweighted_defaults_to_one(self):
         inst = make_instance(200, 10, 15, rng=162)

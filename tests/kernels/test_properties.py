@@ -10,13 +10,12 @@ Two families of invariants:
   sitting exactly on rectangle edges and zero-area rectangles) the two
   implementations return identical arrays, and the geometry kernels
   agree with the :class:`~repro.geometry.rect.Rect` methods;
-* the many-tile ``accumulate_reductions`` is one call per tile, bit for
-  bit — per candidate row, and after
-  :meth:`~repro.core.leafpairs.LeafPairs.accumulate` folds the rows
-  into a partial in tile order;
-* the shared-candidates ``accumulate_reductions`` (client offsets only)
-  is one call per client tile added in tile order, bit for bit, on both
-  sides of the y-band rule.
+* ``accumulate_reductions`` emits the influence terms of a batch in
+  both its forms (every candidate against every client, and tiles):
+  the vector kernel's ``(row, term)`` multiset equals the scalar
+  twin's, and its nonzero terms are those of the dense oracle
+  ``clip(dnn - d, 0) * w``; :class:`~repro.core.leafpairs.LeafPairs`
+  maps the rows to potential ids in both of its groupings.
 """
 
 from __future__ import annotations
@@ -27,7 +26,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.core.leafpairs import LeafPairs
@@ -82,6 +81,69 @@ def assert_matches_the_reference(kernel, *args):
     if got_vector.dtype == np.float64:
         assert not np.isnan(got_vector).any()
     return got_vector
+
+
+def _bits(values: np.ndarray) -> np.ndarray:
+    return np.asarray(values, dtype=np.float64).view(np.int64)
+
+
+def assert_same_terms(got, want):
+    """Two ``(rows, terms)`` outputs hold the same multiset of (row,
+    term bits) pairs."""
+    canonical = []
+    for rows, terms in (got, want):
+        rows = np.asarray(rows, dtype=np.int64)
+        bits = _bits(terms)
+        order = np.lexsort((bits, rows))
+        canonical.append((rows[order], bits[order]))
+    (got_rows, got_bits), (want_rows, want_bits) = canonical
+    assert np.array_equal(got_rows, want_rows)
+    assert np.array_equal(got_bits, want_bits)
+
+
+def dense_terms(px, py, cx, cy, dnn, w):
+    """The dense oracle: every pair evaluated, ``d < dnn`` kept, and the
+    nonzero entries of ``clip(dnn - d, 0) * w``."""
+    d = vector.pairwise_distances(px, py, cx, cy)
+    i, j = np.nonzero(d < dnn[None, :])
+    nonzero = np.clip(dnn[None, :] - d, 0.0, None) * w[None, :]
+    k, __ = np.nonzero(nonzero)
+    return (i, (dnn[j] - d[i, j]) * w[j]), (k, nonzero[nonzero != 0])
+
+
+def assert_terms_match_the_oracles(px, py, cx, cy, dnn, w, tiles=None):
+    """The vector kernel's ``(row, term)`` multiset equals the scalar
+    twin's and the dense oracle's, whose nonzero terms it holds.
+
+    ``tiles`` (``p_offsets, c_offsets``) selects the tiled form; the
+    oracle then evaluates each tile on its own."""
+    kwargs = {}
+    p_offsets, c_offsets = [0, len(px)], [0, len(cx)]
+    if tiles is not None:
+        p_offsets, c_offsets = tiles
+        kwargs = {"p_offsets": p_offsets, "c_offsets": c_offsets}
+    got = vector.accumulate_reductions(px, py, cx, cy, dnn, w, **kwargs)
+    assert got[0].dtype == np.intp and got[1].dtype == np.float64
+    assert_same_terms(
+        got, scalar.accumulate_reductions(px, py, cx, cy, dnn, w, **kwargs)
+    )
+    pairs, nonzero = [], []
+    for t in range(len(p_offsets) - 1):
+        p = slice(p_offsets[t], p_offsets[t + 1])
+        c = slice(c_offsets[t], c_offsets[t + 1])
+        tile_pairs, tile_nonzero = dense_terms(px[p], py[p], cx[c], cy[c], dnn[c], w[c])
+        pairs.append((tile_pairs[0] + p.start, tile_pairs[1]))
+        nonzero.append((tile_nonzero[0] + p.start, tile_nonzero[1]))
+    assert_same_terms(got, _joined(pairs))
+    kept = got[1] != 0
+    assert_same_terms((got[0][kept], got[1][kept]), _joined(nonzero))
+    assert not np.signbit(got[1]).any()
+    return got
+
+
+def _joined(parts):
+    """``(rows, terms)`` parts as one ``(rows, terms)``."""
+    return tuple(np.concatenate(column) for column in zip(*parts))
 
 
 # ---------------------------------------------------------------------------
@@ -188,32 +250,35 @@ class TestBackendEquivalence:
     @settings(max_examples=80, deadline=None)
     def test_strip_path_matches_the_scalar_twin(self, batch):
         px, py, cx, cy, dnn, w = batch
-        acc = assert_matches_the_reference(
-            "accumulate_reductions", px, py, cx, cy, dnn, w
-        )
-        assert not np.signbit(acc).any()
+        assert_terms_match_the_oracles(px, py, cx, cy, dnn, w)
         inf = assert_matches_the_reference("influence_matrix", px, py, cx, cy, dnn)
         assert np.array_equal(
             inf, vector.pairwise_distances(px, py, cx, cy) < dnn[None, :]
         )
 
     @given(px=coord_batches, py=coord_batches, c=client_batches())
+    @example(  # the weight's term underflows to +0.0: it still influences
+        px=np.array([0.0]),
+        py=np.array([0.0]),
+        c=tuple(np.array([v]) for v in (0.0, 0.0, 0.5, 5e-324)),
+    )
     @settings(max_examples=60)
     def test_distance_and_reduction_kernels(self, px, py, c):
         n = min(len(px), len(py))
         px, py = px[:n], py[:n]
         cx, cy, dnn, w = c
         d = vector.pairwise_distances(px, py, cx, cy)
-        acc = assert_matches_the_reference(
-            "accumulate_reductions", px, py, cx, cy, dnn, w
-        )
+        rows, terms = assert_terms_match_the_oracles(px, py, cx, cy, dnn, w)
         inf = assert_matches_the_reference("influence_matrix", px, py, cx, cy, dnn)
-        # Cross-kernel consistency: influence is exactly d < dnn, and a
-        # client reduces a candidate iff it influences it.
+        # Cross-kernel consistency: influence is exactly d < dnn; every
+        # nonzero dense term comes from an influencing pair, and each
+        # influencing pair's term is exactly fl((dnn - d) * w), which
+        # may be +0.0 (a zero weight, or an underflow).
         assert np.array_equal(inf, d < dnn[None, :])
-        assert acc.shape == (n,)
-        positive = (np.clip(dnn[None, :] - d, 0.0, None) * w[None, :]) > 0
-        assert np.array_equal(positive, inf & (w[None, :] > 0))
+        dense = np.clip(dnn[None, :] - d, 0.0, None) * w[None, :]
+        assert not dense[~inf].any()
+        i, j = np.nonzero(inf)
+        assert_same_terms((rows, terms), (i, (dnn[j] - d[i, j]) * w[j]))
 
     @given(batch=rect_batches(), rect=any_rects())
     @settings(max_examples=60)
@@ -309,8 +374,23 @@ class TestBackendEquivalence:
 
 
 # ---------------------------------------------------------------------------
-# Many tiles in one call
+# Both kernel forms, and LeafPairs
 # ---------------------------------------------------------------------------
+
+
+@st.composite
+def tiled_strip_batches(draw):
+    """A :func:`strip_batches` batch cut into tiles at drawn points, so a
+    tile may be empty, hold one row, or sit on either side of
+    ``DENSE_ROWS``; returns the batch and ``(p_offsets, c_offsets)``."""
+    batch = draw(strip_batches())
+    n_tiles = draw(st.integers(1, 5))
+
+    def offsets(n):
+        cuts = st.lists(st.integers(0, n), min_size=n_tiles - 1, max_size=n_tiles - 1)
+        return np.array([0] + sorted(draw(cuts)) + [n])
+
+    return batch, (offsets(len(batch[0])), offsets(len(batch[2])))
 
 
 @st.composite
@@ -320,13 +400,12 @@ def tile_lists(draw):
     Tile sizes include 0 and 1 and cross both size rules (``DENSE_ROWS``
     and ``DENSE_PAIRS``), so a list mixes widths and evaluation paths.
     Candidates are drawn from a small pool of ids and positions: the
-    same id recurs across tiles (its rows fold in tile order), and
-    coincident candidates sit in one tile and across tiles.  Clients
-    cluster on candidates with a wide ``dnn``, so many rows take three
-    or more hits, and pairs are rigged into exact ties and one ulp past
-    them (also on the strip's x-edge), coincident points, zero and
-    subnormal ``dnn``, and zero weights — around an origin that may sit
-    at ±1e6.
+    same id recurs across tiles, and coincident candidates sit in one
+    tile and across tiles.  Clients cluster on candidates with a wide
+    ``dnn``, so many rows take three or more hits, and pairs are rigged
+    into exact ties and one ulp past them (also on the strip's x-edge),
+    coincident points, zero and subnormal ``dnn``, and zero weights —
+    around an origin that may sit at ±1e6.
     """
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     origin = draw(st.sampled_from([0.0, 1e6, -1e6]))
@@ -381,69 +460,32 @@ def _many_tile_args(tiles):
     return (px, py, *cols), p_offsets, c_offsets
 
 
-def _one_tile(module, tile):
-    __, px, py, c = tile
-    return module.accumulate_reductions(px, py, c.xs, c.ys, c.dnn, c.weights)
-
-
-def _bits(values: np.ndarray) -> np.ndarray:
-    return np.asarray(values, dtype=np.float64).view(np.int64)
-
-
-class TestManyTiles:
-    @given(drawn=tile_lists())
-    @settings(max_examples=60, deadline=None)
-    def test_rows_match_one_call_per_tile(self, drawn):
-        __, tiles = drawn
-        args, p_offsets, c_offsets = _many_tile_args(tiles)
-        per_tile = np.concatenate([_one_tile(vector, t) for t in tiles])
-        for module in (vector, scalar):
-            got = module.accumulate_reductions(
-                *args, p_offsets=p_offsets, c_offsets=c_offsets
-            )
-            assert np.array_equal(_bits(got), _bits(per_tile)), module.__name__
-        per_tile_scalar = np.concatenate([_one_tile(scalar, t) for t in tiles])
-        assert np.array_equal(_bits(per_tile), _bits(per_tile_scalar))
-        assert not np.signbit(per_tile).any()
-
-    @given(drawn=tile_lists())
-    @settings(max_examples=60, deadline=None)
-    def test_fold_matches_one_call_per_tile(self, drawn):
-        n_ids, tiles = drawn
-        expected = np.zeros(n_ids)
-        for tile in tiles:
-            expected[tile[0]] += _one_tile(vector, tile)
-        for kernel_set in (nullcontext, scalar.installed):
-            pairs = LeafPairs()
-            for tile in tiles:
-                pairs.add(*tile)
-            local = np.zeros(n_ids)
-            with kernel_set():
-                pairs.accumulate(local)
-            assert np.array_equal(_bits(local), _bits(expected)), kernel_set
-            assert pairs.candidates == sum(len(t[0]) for t in tiles)
-
-
-# ---------------------------------------------------------------------------
-# Shared candidates: every candidate against many client tiles
-# ---------------------------------------------------------------------------
+def _many_tile_args(tiles):
+    p_offsets = np.cumsum([0] + [len(t[0]) for t in tiles])
+    c_offsets = np.cumsum([0] + [len(t[3]) for t in tiles])
+    cols = [
+        np.concatenate([getattr(t[3], field) for t in tiles])
+        for field in ("xs", "ys", "dnn", "weights")
+    ]
+    px = np.concatenate([t[1] for t in tiles])
+    py = np.concatenate([t[2] for t in tiles])
+    return (px, py, *cols), p_offsets, c_offsets
 
 
 @st.composite
 def shared_calls(draw):
-    """Candidates and client tiles for the shared-candidates form.
+    """Candidates and clients for the shared form.
 
     Half the draws hold enough clients per candidate for the y-bands
     (:func:`~repro.kernels.vector._y_bands`) and the binned bounds, half
-    too few.  Tile widths include 0 and 1.  Clients cluster on the
-    candidates with a wide ``dnn``, so a (candidate, tile) group takes
-    0, 1, 2 or many hits.  Pairs are rigged into exact ties and one ulp
-    past them on the x-strip edge (``py == cy``) and on the y edge
-    (``px == cx``); clients sit on or just off the candidates at the
-    edges of the y-bands with a tiny ``dnn``, so only that candidate
-    can count; candidates are duplicated and clients coincident; and
-    ``dnn`` may be zero or subnormal and weights zero — all around an
-    origin that may sit at ±1e6.
+    too few.  Clients cluster on the candidates with a wide ``dnn``, so
+    a candidate takes 0, 1, 2 or many hits.  Pairs are rigged into exact
+    ties and one ulp past them on the x-strip edge (``py == cy``) and on
+    the y edge (``px == cx``); clients sit on or just off the candidates
+    at the edges of the y-bands with a tiny ``dnn``, so only that
+    candidate can count; candidates are duplicated and clients
+    coincident; and ``dnn`` may be zero or subnormal and weights zero —
+    all around an origin that may sit at ±1e6.
     """
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     origin = draw(st.sampled_from([0.0, 1e6, -1e6]))
@@ -453,10 +495,6 @@ def shared_calls(draw):
         n_c = vector.BAND_CLIENTS * n_p + draw(st.integers(0, 200))
     else:
         n_p, n_c = draw(st.integers(1, 40)), draw(st.integers(0, 300))
-    widths = []
-    while sum(widths) < n_c or not widths:
-        widths.append(draw(st.sampled_from([0, 1, 2, 5, 40, 146])))
-    widths[-1] -= sum(widths) - n_c
     spots = rng.uniform(0.0, 10 * spread, (8, 2)) + origin
     p = spots[rng.integers(len(spots), size=n_p)]
     p += rng.normal(0.0, spread, (n_p, 2))
@@ -494,34 +532,65 @@ def shared_calls(draw):
         for __ in range(draw(st.integers(0, 3))):  # zero or subnormal dnn
             dnn[rng.integers(n_c)] = draw(st.sampled_from([0.0, 5e-324, 1e-310]))
         w[rng.random(n_c) < draw(st.sampled_from([0.0, 0.3]))] = 0.0
-    return px, py, cx, cy, dnn, w, np.cumsum([0] + widths)
+    return px, py, cx, cy, dnn, w
 
 
 class TestSharedCandidates:
     @given(drawn=shared_calls(), chunk=st.sampled_from([None, 1, 50, 300]))
     @settings(max_examples=60, deadline=None)
-    def test_tile_sums_fold_as_one_call_per_tile(self, drawn, chunk):
-        """Also with the client file cut into smaller chunks, so chunks
-        of many tiles, of one tile wider than a chunk, and of empty
-        tiles each start their fold from the last one's result."""
-        px, py, cx, cy, dnn, w, c_offsets = drawn
-        expected = np.zeros(len(px))
-        for t in range(len(c_offsets) - 1):
-            c = slice(c_offsets[t], c_offsets[t + 1])
-            expected += vector.accumulate_reductions(px, py, cx[c], cy[c], dnn[c], w[c])
+    def test_terms_match_the_oracles(self, drawn, chunk):
+        """On both sides of the y-band rule, also with the clients cut
+        into smaller chunks (down to one client a chunk)."""
         with mock.patch.object(vector, "SHARED_CHUNK", chunk or vector.SHARED_CHUNK):
-            for module in (vector, scalar):
-                got = module.accumulate_reductions(
-                    px, py, cx, cy, dnn, w, c_offsets=c_offsets
-                )
-                assert np.array_equal(_bits(got), _bits(expected)), module.__name__
-        assert not np.signbit(expected).any()
+            assert_terms_match_the_oracles(*drawn)
 
     @given(drawn=shared_calls())
     @settings(max_examples=30, deadline=None)
     def test_influence_matches_the_dense_test(self, drawn):
-        px, py, cx, cy, dnn, __, __ = drawn
+        px, py, cx, cy, dnn, __ = drawn
         assert np.array_equal(
             vector.influence_matrix(px, py, cx, cy, dnn),
             vector.pairwise_distances(px, py, cx, cy) < dnn[None, :],
         )
+
+
+class TestTiledForm:
+    @given(drawn=tiled_strip_batches())
+    @settings(max_examples=60, deadline=None)
+    def test_strip_batches_in_tiles(self, drawn):
+        batch, tiles = drawn
+        assert_terms_match_the_oracles(*batch, tiles=tiles)
+
+    @given(drawn=tile_lists())
+    @settings(max_examples=60, deadline=None)
+    def test_tile_lists(self, drawn):
+        __, tiles = drawn
+        args, p_offsets, c_offsets = _many_tile_args(tiles)
+        assert_terms_match_the_oracles(*args, tiles=(p_offsets, c_offsets))
+
+
+class TestLeafPairs:
+    @given(drawn=tile_lists(), leaves=st.integers(1, 3))
+    @settings(max_examples=60, deadline=None)
+    def test_both_groupings_give_each_tiles_terms_by_id(self, drawn, leaves):
+        """``terms`` (one tiled call) and ``leaf_terms`` (one shared call
+        per candidate leaf) both give the ids and terms of one call per
+        tile, on either kernel set.  Tile ``t`` comes from candidate leaf
+        ``t % leaves`` and carries that leaf's candidates, as a join's
+        tiles of one ``R_P`` leaf do."""
+        __, tiles = drawn
+        pairs = LeafPairs()
+        leaf_rows: dict[int, tuple] = {}
+        expected = [(np.zeros(0, dtype=np.intp), np.zeros(0))]
+        for t, (ids, px, py, c) in enumerate(tiles):
+            ids, px, py = leaf_rows.setdefault(t % leaves, (ids, px, py))
+            pairs.add(ids, px, py, c, leaf=t % leaves)
+            rows, terms = vector.accumulate_reductions(
+                px, py, c.xs, c.ys, c.dnn, c.weights
+            )
+            expected.append((ids[rows], terms))
+        for kernel_set in (nullcontext, scalar.installed):
+            with kernel_set():
+                assert_same_terms(pairs.terms(), _joined(expected))
+                assert_same_terms(pairs.leaf_terms(), _joined(expected))
+        assert pairs.candidates == sum(len(ids) for ids in pairs.ids)

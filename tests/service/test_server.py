@@ -15,6 +15,7 @@ from __future__ import annotations
 import json
 import socket
 import threading
+import time
 
 import pytest
 
@@ -111,6 +112,18 @@ class TestWireParity:
             assert fingerprint(answer.result) == expected[method]
         # A pipelined burst within one window coalesces into one batch.
         assert any(a.batch_size and a.batch_size > 1 for a in answers)
+
+    def test_a_lone_select_does_not_wait_out_the_window(self, expected):
+        """With nothing else admitted, the batcher runs a select at once
+        instead of holding it for ``batch_window_s``."""
+        ws = Workspace(make_instance(rng=SEED, **SIZES))
+        config = ServiceConfig(batch_window_s=5.0, workers=1)
+        with serve_in_thread({"default": ws}, config) as handle:
+            with ServiceClient(handle.host, handle.port) as c:
+                started = time.monotonic()
+                answer = c.select("MND", no_cache=True)
+                assert time.monotonic() - started < 2.5
+        assert fingerprint(answer.result) == expected["MND"]
 
     @pytest.mark.smoke
     def test_cached_answers_are_byte_identical(self, client, expected):
@@ -289,13 +302,30 @@ class TestTypedRejections:
                     c.select_many(["MND"] * 6, no_cache=True)
 
     def test_deadline_exceeded_cancels_the_wait(self):
-        """A deadline shorter than the batch window fires immediately."""
+        """A deadline shorter than the batch window fires immediately.
+
+        A lone select runs at once, so a pipelined burst on another
+        connection holds the window open first, and the short-deadline
+        request joins its batch."""
         ws = Workspace(make_instance(rng=SEED, **SIZES))
         config = ServiceConfig(batch_window_s=0.5, workers=1)
         with serve_in_thread({"default": ws}, config) as handle:
-            with ServiceClient(handle.host, handle.port) as c:
-                with pytest.raises(DeadlineExceededError, match="deadline"):
-                    c.select("MND", timeout_s=0.05, no_cache=True)
+            with ServiceClient(handle.host, handle.port) as burst:
+                answers = []
+                sender = threading.Thread(
+                    target=lambda: answers.extend(
+                        burst.select_many(["SS", "MND"], no_cache=True)
+                    )
+                )
+                sender.start()
+                with ServiceClient(handle.host, handle.port) as c:
+                    give_up = time.monotonic() + 10.0
+                    while c.stats()["workspaces"]["default"]["pending"] < 2:
+                        assert time.monotonic() < give_up, "the burst never queued"
+                    with pytest.raises(DeadlineExceededError, match="deadline"):
+                        c.select("MND", timeout_s=0.05, no_cache=True)
+                sender.join()
+        assert [a.result.method for a in answers] == ["SS", "MND"]
 
 
 class TestIntrospection:
