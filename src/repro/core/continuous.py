@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro import kernels
 from repro.core import naive
 from repro.core.dynamic import DynamicWorkspace
 from repro.core.types import Client, Site
@@ -47,7 +48,7 @@ class ContinuousSelection:
     # ------------------------------------------------------------------
     def _contribution(self, x: float, y: float, radius: float, weight: float):
         """One client's contribution vector across all candidates."""
-        d = np.hypot(self._px - x, self._py - y)
+        d = kernels.norms(self._px - x, self._py - y)
         return np.clip(radius - d, 0.0, None) * weight
 
     # ------------------------------------------------------------------

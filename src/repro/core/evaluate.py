@@ -81,7 +81,7 @@ def evaluate_location(ws: Workspace, location: Site | int) -> LocationReport:
     cx = ws.client_xyd[:, 0]
     cy = ws.client_xyd[:, 1]
     dnn = ws.client_xyd[:, 2]
-    dist = np.hypot(cx - site.x, cy - site.y)
+    dist = kernels.norms(cx - site.x, cy - site.y)
     gain = np.clip(dnn - dist, 0.0, None)
     influenced = np.flatnonzero(dist < dnn)
     terms = (dnn[influenced] - dist[influenced]) * ws.client_w[influenced]

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro import kernels
 from repro.core.mnd import MaximumNFCDistance
 from repro.core.types import Site
 from repro.core.workspace import Workspace
@@ -30,7 +31,7 @@ def influence_counts(ws: Workspace) -> np.ndarray:
     w = ws.client_w
     out = np.zeros(ws.n_p, dtype=np.float64)
     for i, (px, py) in enumerate(ws.potential_xy):
-        d = np.hypot(cx - px, cy - py)
+        d = kernels.norms(cx - px, cy - py)
         out[i] = w[d < dnn].sum()
     return out
 

@@ -26,7 +26,7 @@ def distance_reductions(ws: Workspace) -> np.ndarray:
     w = ws.client_w
     ids, terms = [np.zeros(0, dtype=np.intp)], [np.zeros(0)]
     for i, (px, py) in enumerate(ws.potential_xy):
-        d = np.hypot(cx - px, cy - py)
+        d = kernels.norms(cx - px, cy - py)
         hit = np.flatnonzero(d < dnn)
         ids.append(np.full(len(hit), i))
         terms.append((dnn[hit] - d[hit]) * w[hit])
@@ -39,7 +39,7 @@ def influence_set(ws: Workspace, p: Site) -> list[int]:
     cx = ws.client_xyd[:, 0]
     cy = ws.client_xyd[:, 1]
     dnn = ws.client_xyd[:, 2]
-    d = np.hypot(cx - p.x, cy - p.y)
+    d = kernels.norms(cx - p.x, cy - p.y)
     return [int(i) for i in np.nonzero(d < dnn)[0]]
 
 
@@ -69,5 +69,5 @@ def objective_sum(ws: Workspace, extra: Site | Point | None = None) -> float:
         ex, ey = (extra.x, extra.y) if isinstance(extra, Site) else (extra[0], extra[1])
         sites.append((ex, ey))
     for fx, fy in sites:
-        np.minimum(best, np.hypot(cx - fx, cy - fy), out=best)
+        np.minimum(best, kernels.norms(cx - fx, cy - fy), out=best)
     return float(best.sum())

@@ -21,7 +21,10 @@ Edge cases the pseudocode leaves implicit:
   bounded by the data-space rectangle on that side;
 * a facility coincident with ``p`` makes ``IS(p)`` empty (no client can
   be strictly closer to ``p`` than to that facility), so ``p`` is
-  skipped with ``dr(p) = 0``.
+  skipped with ``dr(p) = 0``, which also spares the degenerate
+  bisector.  The other methods reach the same 0: every distance is one
+  formula, so ``dist(c, p)`` is then bit for bit ``dist(c, f)`` for a
+  facility ``f``, never below ``dnn(c, F)``, the least such distance.
 
 For the execution engine the method splits into two stages of one task
 per potential block each: AIR construction and the batched window

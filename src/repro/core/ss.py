@@ -90,7 +90,7 @@ class SequentialScan(LocationSelector):
                 return NO_TERMS
             # The blocks just charged, as the columns the file gathered
             # once (the file is read-only while it lives).
-            __, (cx, cy, dnn, w) = client_file.columns()
+            cx, cy, dnn, w = client_file.columns()
             rows, terms = kernels.accumulate_reductions(
                 p_block[:, 0], p_block[:, 1], cx, cy, dnn, w
             )

@@ -32,6 +32,7 @@ import numpy as np
 from repro.core.regions import RegionClock
 from repro.core.types import Client, Site
 from repro.datasets.generators import SpatialInstance
+from repro.geometry.point import COORD_LIMIT
 from repro.geometry.rect import Rect
 from repro.knnjoin.grid import nn_join_columns
 from repro.obs.trace import NOOP_TRACER, NoopTracer, Tracer
@@ -60,12 +61,21 @@ def _check_finite(values: np.ndarray, what: str, source: Sequence) -> np.ndarray
 
 def _coordinates(points: Sequence, what: str) -> tuple[tuple, tuple, np.ndarray]:
     """A point set's coordinate objects ``(xs, ys)`` and its ``(n, 2)``
-    float64 columns."""
+    float64 columns; a ValueError names the first point with a NaN or
+    infinite coordinate, or one beyond ``COORD_LIMIT`` in magnitude."""
     xs, ys = zip(*points) if len(points) else ((), ())
     xy = np.empty((len(xs), 2), dtype=np.float64)
     xy[:, 0] = np.fromiter(xs, np.float64, len(xs))
     xy[:, 1] = np.fromiter(ys, np.float64, len(ys))
-    return xs, ys, _check_finite(xy, what, points)
+    _check_finite(xy, what, points)
+    inside = (np.abs(xy) <= COORD_LIMIT).all(axis=1)
+    if not inside.all():
+        index = int(np.argmin(inside))
+        raise ValueError(
+            f"{what} {index} has a coordinate beyond 2**510 in magnitude: "
+            f"{points[index]!r}"
+        )
+    return xs, ys, xy
 
 
 def _site_xy(sites: Sequence[Site]) -> np.ndarray:

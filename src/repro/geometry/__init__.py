@@ -25,7 +25,7 @@ from repro.geometry.maxmindist import (
     mnd_of_circles,
     mnd_of_regions,
 )
-from repro.geometry.point import Point, dist, dist_sq
+from repro.geometry.point import Point, dist, dist_sq, norm
 from repro.geometry.polygon import ConvexPolygon
 from repro.geometry.rect import Rect
 
@@ -42,4 +42,5 @@ __all__ = [
     "max_min_dist_circle_rect",
     "mnd_of_circles",
     "mnd_of_regions",
+    "norm",
 ]

@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 from typing import NamedTuple
 
-from repro.geometry.point import Point
+from repro.geometry.point import Point, norm
 from repro.geometry.rect import Rect
 
 
@@ -38,15 +38,13 @@ class Circle(NamedTuple):
 
         ``strict`` matches the paper's ``dist(c, p) < dnn(c, F)``: a point
         exactly on the boundary yields no distance reduction and is
-        excluded by default.
+        excluded by default.  The distance is :func:`norm`'s, as in every
+        ``IS(p)`` test.
         """
-        dx = p[0] - self.center[0]
-        dy = p[1] - self.center[1]
-        d_sq = dx * dx + dy * dy
-        r_sq = self.radius * self.radius
+        d = norm(p[0] - self.center[0], p[1] - self.center[1])
         if strict:
-            return d_sq < r_sq
-        return d_sq <= r_sq
+            return d < self.radius
+        return d <= self.radius
 
     def intersects_rect(self, rect: Rect) -> bool:
         """Whether the circle and rectangle share at least one point."""

@@ -12,6 +12,23 @@ from __future__ import annotations
 import math
 from typing import NamedTuple
 
+#: The largest coordinate magnitude an instance or an update may hold.
+#: Within it a coordinate difference is at most ``2**511``, its square at
+#: most ``2**1022`` and the sum of two squares at most ``2**1023``, so
+#: every :func:`norm` (and :func:`repro.kernels.norms`) stays finite.
+#: Beyond it a ``dnn`` could overflow to ``inf``, and an infinite ``dnn``
+#: would give every potential an infinite ``dr``.
+COORD_LIMIT = 2.0**510
+
+
+def norm(dx: float, dy: float) -> float:
+    """``sqrt(dx*dx + dy*dy)``: the one distance formula, on Python floats.
+
+    Two multiplies, one add and one square root, each correctly
+    rounded, so it gives the bits of :func:`repro.kernels.norms`.
+    """
+    return math.sqrt(dx * dx + dy * dy)
+
 
 class Point(NamedTuple):
     """A point in the 2-D Euclidean plane."""
@@ -21,7 +38,7 @@ class Point(NamedTuple):
 
     def distance_to(self, other: "Point") -> float:
         """Euclidean (L2) distance to ``other``."""
-        return math.hypot(self.x - other.x, self.y - other.y)
+        return norm(self.x - other.x, self.y - other.y)
 
     def distance_sq_to(self, other: "Point") -> float:
         """Squared Euclidean distance to ``other`` (avoids the sqrt)."""
@@ -54,7 +71,7 @@ class Point(NamedTuple):
 
 def dist(a: Point, b: Point) -> float:
     """Euclidean distance between two points (free-function form)."""
-    return math.hypot(a[0] - b[0], a[1] - b[1])
+    return norm(a[0] - b[0], a[1] - b[1])
 
 
 def dist_sq(a: Point, b: Point) -> float:

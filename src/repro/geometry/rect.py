@@ -12,10 +12,9 @@ immutable, hashable and cheap to unpack in join loops.
 
 from __future__ import annotations
 
-import math
 from typing import Iterable, NamedTuple
 
-from repro.geometry.point import Point
+from repro.geometry.point import Point, norm
 
 
 class Rect(NamedTuple):
@@ -182,11 +181,7 @@ class Rect(NamedTuple):
             dy = self.ymin - p[1]
         elif p[1] > self.ymax:
             dy = p[1] - self.ymax
-        if dx == 0.0:
-            return dy
-        if dy == 0.0:
-            return dx
-        return math.hypot(dx, dy)
+        return norm(dx, dy)
 
     def min_dist_sq_point(self, p: Point) -> float:
         """Squared ``minDist(p, M)``; preferred in best-first NN heaps."""
@@ -215,17 +210,13 @@ class Rect(NamedTuple):
             dy = self.ymin - other.ymax
         elif other.ymin > self.ymax:
             dy = other.ymin - self.ymax
-        if dx == 0.0:
-            return dy
-        if dy == 0.0:
-            return dx
-        return math.hypot(dx, dy)
+        return norm(dx, dy)
 
     def max_dist_point(self, p: Point) -> float:
         """``maxDist(p, M)``: distance from a point to the farthest corner."""
         dx = max(abs(p[0] - self.xmin), abs(p[0] - self.xmax))
         dy = max(abs(p[1] - self.ymin), abs(p[1] - self.ymax))
-        return math.hypot(dx, dy)
+        return norm(dx, dy)
 
     def corners(self) -> tuple[Point, Point, Point, Point]:
         """The four corner points, counter-clockwise from the lower-left."""

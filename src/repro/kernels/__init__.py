@@ -2,7 +2,7 @@
 
 The paper measures queries in page reads, but wall-clock time in this
 reproduction used to be dominated by per-record Python work: one
-``struct.unpack`` per leaf record, one ``math.hypot`` per (candidate,
+``struct.unpack`` per leaf record, one distance per (candidate,
 client) pair.  This package is the columnar fast path that removes
 both costs without moving a single page read:
 
@@ -46,7 +46,10 @@ its tiles), and *tiled*, with ``p_offsets``/``c_offsets``, where each
 client tile meets its own candidates (QVC's window,
 :mod:`repro.core.leafpairs`).  ``exact_sums`` is not a kernel: it has
 no scalar twin, since both kernel sets emit terms and share it, and it
-stays out of ``__all__``.
+stays out of ``__all__``.  Nor is ``norms``, the one distance formula
+``sqrt(dx*dx + dy*dy)`` on arrays, which every kernel and every
+array distance in :mod:`repro` computes; the scalar twin does the same
+arithmetic in its own pair loop.
 
 The exactness contract: the oracle returns the same query results, dr
 vectors, traversal order and I/O accounting — only the arithmetic runs
@@ -71,8 +74,8 @@ from repro.kernels.vector import (
     circle_columns_from_rects,
     decode_branch_columns,
     influence_matrix,
-    min_dist_rects_point,
     min_dist_rects_rect,
+    norms,
     paired_min_dist_point,
     pairwise_min_dist_rects,
     rect_intersect_matrix,
@@ -90,7 +93,6 @@ __all__ = [
     "circle_columns_from_rects",
     "decode_branch_columns",
     "influence_matrix",
-    "min_dist_rects_point",
     "min_dist_rects_rect",
     "paired_min_dist_point",
     "pairwise_min_dist_rects",

@@ -12,10 +12,9 @@ and I/O counts.
 
 Two exactness rules make bitwise parity achievable:
 
-* distances call the ``np.hypot`` ufunc element-wise, never
-  ``math.hypot`` (the two differ in the last ulp for about 1 in 160
-  operand pairs) — except in :func:`min_dist_rects_point`, whose vector
-  twin calls ``math.hypot`` too, to equal ``Rect.min_dist_point``;
+* every distance is ``math.sqrt(dx * dx + dy * dy)`` on one pair, the
+  arithmetic of the vector twin's ``norms``: each operation is
+  correctly rounded, so the loop and the arrays give the same bits;
 * :func:`accumulate_reductions` emits the same ``(row, term)`` pairs as
   its twin, in pair order, and both sets share one sum,
   :func:`repro.kernels.exact.exact_sums`, which depends on the terms
@@ -109,7 +108,7 @@ def accumulate_reductions(
     for t in range(len(p_offsets) - 1):
         for i in range(p_offsets[t], p_offsets[t + 1]):
             for j in range(c_offsets[t], c_offsets[t + 1]):
-                d = np.hypot(px[i] - cx[j], py[i] - cy[j])
+                d = _norm(px[i] - cx[j], py[i] - cy[j])
                 if d < dnn[j]:
                     rows.append(i)
                     terms.append((dnn[j] - d) * weights[j])
@@ -128,7 +127,7 @@ def influence_matrix(
     for i in range(len(px)):
         x, y = px[i], py[i]
         for j in range(len(cx)):
-            out[i, j] = np.hypot(x - cx[j], y - cy[j]) < dnn[j]
+            out[i, j] = _norm(x - cx[j], y - cy[j]) < dnn[j]
     return out
 
 
@@ -141,12 +140,9 @@ def _gap(lo: float, hi: float, qlo: float, qhi: float) -> float:
     return 0.0
 
 
-def _combine(dx: float, dy: float) -> float:
-    if dx == 0.0:
-        return dy
-    if dy == 0.0:
-        return dx
-    return np.hypot(dx, dy)
+def _norm(dx: float, dy: float) -> float:
+    """One pair's distance: ``sqrt(dx*dx + dy*dy)``."""
+    return math.sqrt(dx * dx + dy * dy)
 
 
 def min_dist_rects_rect(rects: RectColumns, rect: Any) -> np.ndarray:
@@ -155,32 +151,19 @@ def min_dist_rects_rect(rects: RectColumns, rect: Any) -> np.ndarray:
     for i in range(len(rects)):
         dx = _gap(rects.xmin[i], rects.xmax[i], rect.xmin, rect.xmax)
         dy = _gap(rects.ymin[i], rects.ymax[i], rect.ymin, rect.ymax)
-        out[i] = _combine(dx, dy)
-    return out
-
-
-def min_dist_rects_point(rects: RectColumns, x: float, y: float) -> np.ndarray:
-    """``minDist((x, y), rects_i)`` one rectangle at a time, with
-    ``math.hypot`` as in :meth:`Rect.min_dist_point`."""
-    out = np.empty(len(rects), dtype=np.float64)
-    for i in range(len(rects)):
-        dx = _gap(rects.xmin[i], rects.xmax[i], x, x)
-        dy = _gap(rects.ymin[i], rects.ymax[i], y, y)
-        out[i] = dy if dx == 0.0 else dx if dy == 0.0 else math.hypot(dx, dy)
+        out[i] = _norm(dx, dy)
     return out
 
 
 def paired_min_dist_point(
     rects: RectColumns, xs: np.ndarray, ys: np.ndarray
 ) -> np.ndarray:
-    """``minDist((xs_i, ys_i), rects_i)`` one row at a time, with
-    ``math.hypot`` as in :meth:`Rect.min_dist_point`."""
+    """``minDist((xs_i, ys_i), rects_i)`` one row at a time."""
     out = np.empty(len(rects), dtype=np.float64)
     for i in range(len(rects)):
-        x, y = float(xs[i]), float(ys[i])
-        dx = _gap(rects.xmin[i], rects.xmax[i], x, x)
-        dy = _gap(rects.ymin[i], rects.ymax[i], y, y)
-        out[i] = dy if dx == 0.0 else dx if dy == 0.0 else math.hypot(dx, dy)
+        dx = _gap(rects.xmin[i], rects.xmax[i], xs[i], xs[i])
+        dy = _gap(rects.ymin[i], rects.ymax[i], ys[i], ys[i])
+        out[i] = _norm(dx, dy)
     return out
 
 
@@ -191,7 +174,7 @@ def pairwise_min_dist_rects(a: RectColumns, b: RectColumns) -> np.ndarray:
         for j in range(len(b)):
             dx = _gap(a.xmin[i], a.xmax[i], b.xmin[j], b.xmax[j])
             dy = _gap(a.ymin[i], a.ymax[i], b.ymin[j], b.ymax[j])
-            out[i, j] = _combine(dx, dy)
+            out[i, j] = _norm(dx, dy)
     return out
 
 

@@ -13,14 +13,13 @@ not just speed:
   same IEEE-754 bytes ``struct.unpack`` would produce, without the
   ``n`` tuple allocations (leaf pages are stored as columns already,
   see :mod:`repro.storage.soa`);
-* distances use ``np.hypot`` here and in the reference.  ``math.hypot``
-  is *not* interchangeable — it disagrees with ``np.hypot`` in the last
-  ulp for about 1 in 160 random operand pairs — so the reference calls
-  the numpy ufunc element-wise rather than the stdlib function;
-* rectangle ``minDist`` replicates the exact branch structure of
-  :meth:`repro.geometry.rect.Rect.min_dist_rect` (return the other
-  axis' gap when one axis overlaps; ``hypot`` only when both gaps are
-  positive), so corner-vs-edge cases keep the same float results;
+* every distance is :func:`norms`, ``sqrt(dx*dx + dy*dy)``: two
+  multiplies, one add and one square root, each correctly rounded, so
+  the reference's pair loop and :func:`repro.geometry.point.norm` give
+  the same bits, and so does the NN join that computes ``dnn``;
+* rectangle ``minDist`` is :func:`norms` of the per-axis gaps, with
+  the same comparisons as :meth:`repro.geometry.rect.Rect.min_dist_rect`
+  choosing each gap's subtraction;
 * ``IS(p)`` membership and the ``dr`` terms evaluate only the pairs
   that can influence: a client reaches no candidate farther than its
   ``dnn`` along x or y, so above :data:`DENSE_PAIRS` pairs the
@@ -37,7 +36,6 @@ the callers obtained through the usual charged ``read_*`` paths.
 
 from __future__ import annotations
 
-import math
 from typing import Any
 
 import numpy as np
@@ -97,11 +95,24 @@ def circle_columns_from_rects(
 # ---------------------------------------------------------------------------
 
 
+def norms(dx: Any, dy: Any) -> np.ndarray:
+    """``sqrt(dx*dx + dy*dy)`` elementwise: the one distance formula.
+
+    Each of its four operations is correctly rounded, so the bits do
+    not depend on the platform's libm, and it equals the Python-float
+    form :func:`repro.geometry.point.norm` on every pair.  Squares are
+    products, never ``** 2``: ``pow(x, 2.0)`` is not correctly rounded
+    on every platform.  With coordinates within
+    :data:`~repro.geometry.point.COORD_LIMIT` no square overflows.
+    """
+    return np.sqrt(dx * dx + dy * dy)
+
+
 def pairwise_distances(
     px: np.ndarray, py: np.ndarray, cx: np.ndarray, cy: np.ndarray
 ) -> np.ndarray:
     """``dist(p_i, c_j)`` for every pair — shape ``(len(px), len(cx))``."""
-    return np.hypot(px[:, None] - cx[None, :], py[:, None] - cy[None, :])
+    return norms(px[:, None] - cx[None, :], py[:, None] - cy[None, :])
 
 
 #: Below this many (candidate, client) pairs the dense formula is
@@ -116,6 +127,15 @@ DENSE_PAIRS = 2000
 
 #: Relative widening of each client's x-strip beyond its ``dnn``.
 STRIP_SLACK = 2.0**-40
+
+#: The least reach of a strip.  ``sqrt(fl(x*x)) == |x|`` holds wherever
+#: ``x*x`` does not underflow (Boldo, *Stupid is as stupid does: taking
+#: the square root of the square of a floating-point number*, 2015),
+#: that is for ``|x| >= 2**-511``.  Below, a distance can round under
+#: its own ``|dx|``: a client at (0, 0) and a candidate at (1e-160, 0)
+#: are 9.99994e-161 apart.  A reach of at least this floor keeps every
+#: ``|dx|`` it excludes in the range where ``d >= |dx|``.
+REACH_FLOOR = 2.0**-511
 
 #: In a tiled call, tiles of at most this many candidates evaluate
 #: every pair; the rest share one strip search, whose set-up the call
@@ -265,25 +285,25 @@ def _influencing_pairs(
     Below :data:`DENSE_PAIRS` pairs every pair is evaluated.  Above,
     the candidates are split into :func:`_y_bands` bands of equal count
     by y.  Only pairs in client ``j``'s strip ``|px - cx_j| <= r_j``,
-    with ``r_j = fl(dnn_j * (1 + STRIP_SLACK))``, within the bands that
+    with the reach ``r_j`` of :func:`_reach`, within the bands that
     hold a y in ``[fl(cy_j - r_j), fl(cy_j + r_j)]`` are evaluated (and
     perhaps a few more, see :func:`_bounds`), and each ``d_ij`` is the
-    same ``np.hypot`` of the same differences as
-    :func:`pairwise_distances`.  Skipping the rest is exact: the bounds
-    ``fl(cx_j ± r_j)`` are floats, so a ``px`` beyond one lies beyond
-    ``cx_j ± r_j`` exactly, and since rounding is monotone
-    ``|fl(px - cx_j)| >= r_j >= dnn_j``; ``np.hypot(a, b) >= |a|``
-    (faithful rounding cannot fall below the float ``|a|``), so
-    ``d_ij >= dnn_j`` and the pair does not influence.  The same holds
-    for y, since ``np.hypot(a, b) >= |b|``.  The slack only adds margin
-    against a less accurate ``hypot``.
+    same :func:`norms` of the same differences as
+    :func:`pairwise_distances`.  Skipping the rest is exact for any
+    ``dnn``: the bounds ``fl(cx_j ± r_j)`` are floats, so a ``px``
+    beyond one lies beyond ``cx_j ± r_j`` exactly, and since rounding
+    is monotone ``a = |fl(px - cx_j)| >= r_j >= dnn_j``.  As ``a >=``
+    :data:`REACH_FLOOR`, ``a*a`` does not underflow and
+    ``sqrt(fl(a*a)) == a``; adding ``b*b`` and the square root are
+    monotone, so ``d_ij >= a >= dnn_j`` and the pair does not
+    influence.  The same holds for y.
     """
     n_p, n_c = len(px), len(cx)
     if n_p * n_c < DENSE_PAIRS:
         d = pairwise_distances(px, py, cx, cy)
         i, j = np.nonzero(d < dnn[None, :])
         return i, j, d[i, j]
-    reach = dnn * (1.0 + STRIP_SLACK)
+    reach = _reach(dnn)
     bands = _y_bands(n_p, n_c)
     if bands == 1:
         i, j = _strip_pairs(px, 0, 1, cx, reach, 0)
@@ -298,9 +318,15 @@ def _influencing_pairs(
         count = (hi - 1) * bands // n_p - first + 1
         count[hi <= lo] = 0
         i, j = _strip_pairs(px, band, bands, cx, reach, first, count)
-    d = np.hypot(px[i] - cx[j], py[i] - cy[j])
+    d = norms(px[i] - cx[j], py[i] - cy[j])
     hit = d < dnn[j]
     return i[hit], j[hit], d[hit]
+
+
+def _reach(dnn: np.ndarray) -> np.ndarray:
+    """Each client's strip half-width: ``fl(dnn * (1 + STRIP_SLACK))``,
+    and at least :data:`REACH_FLOOR`.  The slack only adds margin."""
+    return np.maximum(dnn * (1.0 + STRIP_SLACK), REACH_FLOOR)
 
 
 def accumulate_reductions(
@@ -318,7 +344,7 @@ def accumulate_reductions(
     Returns ``(rows, terms)``: one entry for every influencing pair,
     ``d_ij = dist(p_i, c_j) < dnn_j``, with its candidate row ``i`` and
     its term ``(dnn_j - d_ij) * w_j``, in no particular order.  Each
-    ``d_ij`` is :func:`pairwise_distances`' ``np.hypot`` of the pair.
+    ``d_ij`` is :func:`pairwise_distances`' :func:`norms` of the pair.
     A candidate's ``dr`` is the correctly rounded sum of its terms
     (:func:`~repro.kernels.exact.exact_sums`), so neither the order of
     the pairs nor how a query groups its calls changes a bit.
@@ -342,7 +368,7 @@ def accumulate_reductions(
         i, j = _tile_pairs(
             px, cx, dnn, np.asarray(p_offsets), np.asarray(c_offsets)
         )
-        d = np.hypot(px[i] - cx[j], py[i] - cy[j])
+        d = norms(px[i] - cx[j], py[i] - cy[j])
         hit = d < dnn[j]
         i, j, d = i[hit], j[hit], d[hit]
     return i, (dnn[j] - d) * weights[j]
@@ -394,7 +420,7 @@ def _tile_pairs(
         strip_no[p_tile[rows]],
         int(strip.sum()),
         cx[clients],
-        dnn[clients] * (1.0 + STRIP_SLACK),
+        _reach(dnn[clients]),
         strip_no[c_tile[clients]],
     )
     return (
@@ -443,53 +469,11 @@ def _axis_gaps(
     )
 
 
-def _combine_min_dist(dx: np.ndarray, dy: np.ndarray) -> np.ndarray:
-    """``Rect.min_dist_*``'s final branch: other-axis gap, else hypot."""
-    return np.where(dx == 0.0, dy, np.where(dy == 0.0, dx, np.hypot(dx, dy)))
-
-
 def min_dist_rects_rect(rects: RectColumns, rect: Any) -> np.ndarray:
     """``minDist(rects_i, rect)`` for a batch of rectangles against one."""
-    dx = _axis_gaps(rects.xmin, rects.xmax, rect.xmin, rect.xmax)
-    dy = _axis_gaps(rects.ymin, rects.ymax, rect.ymin, rect.ymax)
-    return _combine_min_dist(dx, dy)
-
-
-#: Below this many rectangles :func:`min_dist_rects_point` runs the
-#: ``Rect.min_dist_point`` ladder per rectangle in Python: its numpy
-#: form costs ~25 µs a call, more than ~0.5 µs a rectangle in Python
-#: below about 30 rectangles (2-vCPU x86-64, numpy 2.4).  A best-first
-#: stream reads small branch nodes (``R_F``'s root holds 2–18 entries
-#: in the benchmarks) once per query point.
-SMALL_RECTS = 32
-
-
-def min_dist_rects_point(rects: RectColumns, x: float, y: float) -> np.ndarray:
-    """``minDist((x, y), rects_i)``, bitwise :meth:`Rect.min_dist_point`.
-
-    The same comparison ladder as :func:`min_dist_rects_rect`, but the
-    corner case takes ``math.hypot`` as the ``Rect`` method does: it is
-    correctly rounded where ``np.hypot`` is not always, and a best-first
-    stream whose distances moved by an ulp could pop tied entries in
-    another order.  Below :data:`SMALL_RECTS` the ladder runs per
-    rectangle on Python floats, with the same operations.
-    """
-    if len(rects) < SMALL_RECTS:
-        return np.array(
-            [
-                _min_dist_point(*bounds, x, y)
-                for bounds in zip(
-                    rects.xmin.tolist(),
-                    rects.ymin.tolist(),
-                    rects.xmax.tolist(),
-                    rects.ymax.tolist(),
-                )
-            ],
-            dtype=np.float64,
-        )
-    return _point_ladder(
-        _axis_gaps(rects.xmin, rects.xmax, x, x),
-        _axis_gaps(rects.ymin, rects.ymax, y, y),
+    return norms(
+        _axis_gaps(rects.xmin, rects.xmax, rect.xmin, rect.xmax),
+        _axis_gaps(rects.ymin, rects.ymax, rect.ymin, rect.ymax),
     )
 
 
@@ -499,37 +483,16 @@ def paired_min_dist_point(
     """``minDist((xs_i, ys_i), rects_i)`` for paired rows, bitwise
     :meth:`Rect.min_dist_point` per row.
 
-    The batched quadrant-NN pass (:func:`repro.rtree.nn.quadrant_nearest_block`)
-    evaluates many query points against many nodes in one call, one
-    row per (query, entry) pair; the ladder and ``math.hypot`` are
-    :func:`min_dist_rects_point`'s.
+    A best-first stream (:func:`repro.rtree.nn.best_first`) passes its
+    query point on every row of a node; the batched quadrant-NN pass
+    (:func:`repro.rtree.nn.quadrant_nearest_block`) evaluates many query
+    points against many nodes in one call, one row per (query, entry)
+    pair.
     """
-    return _point_ladder(
+    return norms(
         _axis_gaps(rects.xmin, rects.xmax, xs, xs),
         _axis_gaps(rects.ymin, rects.ymax, ys, ys),
     )
-
-
-def _point_ladder(dx: np.ndarray, dy: np.ndarray) -> np.ndarray:
-    """``Rect.min_dist_point``'s last step: the other axis' gap, else
-    ``math.hypot`` (correctly rounded, unlike ``np.hypot``)."""
-    out = np.where(dx == 0.0, dy, dx)
-    corner = np.flatnonzero((dx != 0.0) & (dy != 0.0))
-    out[corner] = np.fromiter(
-        map(math.hypot, dx[corner].tolist(), dy[corner].tolist()),
-        np.float64,
-        len(corner),
-    )
-    return out
-
-
-def _min_dist_point(
-    xmin: float, ymin: float, xmax: float, ymax: float, x: float, y: float
-) -> float:
-    """``Rect.min_dist_point``'s ladder on one rectangle."""
-    dx = xmin - x if x < xmin else x - xmax if x > xmax else 0.0
-    dy = ymin - y if y < ymin else y - ymax if y > ymax else 0.0
-    return dy if dx == 0.0 else dx if dy == 0.0 else math.hypot(dx, dy)
 
 
 def pairwise_min_dist_rects(a: RectColumns, b: RectColumns) -> np.ndarray:
@@ -540,7 +503,7 @@ def pairwise_min_dist_rects(a: RectColumns, b: RectColumns) -> np.ndarray:
     dy = _axis_gaps(
         a.ymin[:, None], a.ymax[:, None], b.ymin[None, :], b.ymax[None, :]
     )
-    return _combine_min_dist(dx, dy)
+    return norms(dx, dy)
 
 
 def rects_intersect_rect(rects: RectColumns, rect: Any) -> np.ndarray:

@@ -20,16 +20,18 @@ never rebuilds one.  The vectorised grid join
 joins: the initial vector and :meth:`verify`, which compares bit for
 bit.
 
-**Bit-exactness.** Every distance here uses the grid join's formula —
-``sqrt(dx*dx + dy*dy)`` over IEEE doubles (see
-:meth:`FacilityGrid.nearest`) — *not* ``hypot``, which rounds
-differently in the last ulp.  Subtraction, squaring, addition and
-``sqrt`` are all correctly rounded, and ``sqrt`` is monotone, so the
-minimum over facilities commutes with the square root: the maintained
-``dnn`` vector is bit-identical to a from-scratch
+**Bit-exactness.** Every distance here is the one formula,
+``sqrt(dx*dx + dy*dy)`` over IEEE doubles (:func:`repro.kernels.norms`,
+the grid join's :meth:`FacilityGrid.nearest` and every ``IS(p)`` test
+compute it too).  Subtraction, squaring, addition and ``sqrt`` are all
+correctly rounded, and ``sqrt`` is monotone, so the minimum over
+facilities commutes with the square root: the maintained ``dnn``
+vector is bit-identical to a from-scratch
 :func:`~repro.knnjoin.grid.nn_join_columns` at every step.  The churn
 engine's rebuild-parity guarantee (``repro.churn``) rests on exactly
-this property.
+this property, and so does :meth:`DnnMaintainer.close_facility`: a
+closed site's distance equals, bit for bit, the ``dnn`` of each client
+it served.
 """
 
 from __future__ import annotations
@@ -38,10 +40,9 @@ from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
+from repro import kernels
 from repro.geometry.point import Point
 from repro.knnjoin.grid import nn_join_columns, point_columns
-
-_EPS = 1e-9
 
 #: Distance-matrix cells per block of :func:`_nearest_distances`, which
 #: bounds its scratch memory (~8 MiB of float64) at any client count.
@@ -50,9 +51,7 @@ _BLOCK_CELLS = 1 << 20
 
 def _distances(cx: np.ndarray, cy: np.ndarray, f: Point) -> np.ndarray:
     """Vectorised client-to-``f`` distances, grid-formula-exact."""
-    dx = cx - f[0]
-    dy = cy - f[1]
-    return np.sqrt(dx * dx + dy * dy)
+    return kernels.norms(cx - f[0], cy - f[1])
 
 
 def _nearest_distances(
@@ -162,11 +161,13 @@ class DnnMaintainer:
         ``(indices, old_dnn, new_dnn)`` for the clients it served.
 
         Raises if it is not present or is the last facility.  Served
-        clients are detected by exact distance equality (the maintained
-        vector uses the same formula, so the realising facility matches
-        bit-for-bit) widened by ``_EPS`` for externally-seeded vectors;
-        a co-located duplicate facility keeps serving them, which the
-        recomputation over the remaining facilities handles naturally.
+        clients are detected by exact distance equality: every ``dnn``
+        the maintainer holds or is seeded with (the grid join, a shard
+        tile's partition, persisted pages) comes from the same formula,
+        so the realising facility matches bit for bit; a workspace's
+        ``precomputed_dnn`` must come from it too.  A co-located
+        duplicate facility keeps serving them, which the recomputation
+        over the remaining facilities handles naturally.
         """
         f = Point(*f)
         matches = np.flatnonzero((self._fx == f[0]) & (self._fy == f[1]))
@@ -177,7 +178,7 @@ class DnnMaintainer:
         self._fx = np.delete(self._fx, matches[0])
         self._fy = np.delete(self._fy, matches[0])
         dist = _distances(self._cx, self._cy, f)
-        stale = np.flatnonzero(np.abs(dist - self._dnn) <= _EPS)
+        stale = np.flatnonzero(dist == self._dnn)
         old = self._dnn[stale].copy()
         self._dnn[stale] = _nearest_distances(
             self._cx[stale], self._cy[stale], self._fx, self._fy

@@ -30,6 +30,6 @@ def nn_join_nested_loop(
     fy = np.fromiter((f[1] for f in facilities), dtype=np.float64)
     out: list[float] = []
     for cx, cy in clients:
-        d_sq = (fx - cx) ** 2 + (fy - cy) ** 2
-        out.append(float(np.sqrt(d_sq.min())))
+        dx, dy = fx - cx, fy - cy
+        out.append(float(np.sqrt((dx * dx + dy * dy).min())))
     return out

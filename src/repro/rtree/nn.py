@@ -12,11 +12,12 @@ All node fetches that a search makes are charged through
 
 :func:`best_first` is the one incremental search loop.  It works on
 node columns: a read node's entry minDists come from one
-:func:`repro.kernels.min_dist_rects_point` call, and the node enters the
-heap once, as a *cursor* over its entries in stable-argsort order.  The
-object-at-a-time search pushed every entry as ``(minDist, seq)`` with
-``seq`` a running push counter, so ties went to the node expanded first
-and, within a node, to the lower entry index.  A cursor keeps only its
+:func:`repro.kernels.paired_min_dist_point` call with the query point
+on every row, and the node enters the heap once, as a *cursor* over its
+entries in stable-argsort order.  The object-at-a-time search pushed
+every entry as ``(minDist, seq)`` with ``seq`` a running push counter,
+so ties went to the node expanded first and, within a node, to the
+lower entry index.  A cursor keeps only its
 smallest remaining entry in the heap, keyed ``(minDist, n)`` with ``n``
 the node's expansion number: its entries' push numbers lay in one block
 that every later node's block follows, and the stable argsort orders a
@@ -29,8 +30,10 @@ one heap push instead of one per entry.
 all in lockstep: each round, every live stream expands one node, and
 the nodes of a round are evaluated in one ragged numpy pass.  A
 stream's heap holds only branch cursors.  A read leaf instead offers,
-per quadrant, its first entry in ``(minDist, entry index)`` order, and
-a quadrant's candidate is *settled* — the object loop pops it — once
+per quadrant, its first entry in ``(minDist, entry index)`` order (a
+point entry's minDist is :func:`repro.kernels.norms` of its offset,
+bit for bit ``paired_min_dist_point`` of its point rectangle), and a
+quadrant's candidate is *settled* — the object loop pops it — once
 its ``(minDist, expansion number)`` comes before the stream's next
 node.  A stream stops when its four quadrants are settled or its heap
 is empty, which is where the object loop stops, so it reads the same
@@ -111,7 +114,10 @@ def best_first(
     for expanded in itertools.count():
         tracer.count("nn.nodes")
         node = tree.read_node(node_id, stats=stats)
-        dists = kernels.min_dist_rects_point(_entry_rects(node), qx, qy)
+        rects = _entry_rects(node)
+        dists = kernels.paired_min_dist_point(
+            rects, np.full(len(rects), qx), np.full(len(rects), qy)
+        )
         kept = None if keep is None else np.flatnonzero(keep(node))
         if kept is not None:
             dists = dists[kept]
@@ -134,17 +140,6 @@ def best_first(
 # ---------------------------------------------------------------------------
 # The lockstep quadrant pass
 # ---------------------------------------------------------------------------
-
-#: Screening slack for a leaf's quadrant minimum.  Squared distances are
-#: screened first, and the rows whose ``dx*dx + dy*dy`` lies within this
-#: factor (plus :data:`_SCREEN_FLOOR`) of their group's minimum get the
-#: exact minDist.  An exact distance is within an ulp of the true one
-#: and the squared screen within a few ulps of its square, so every row
-#: that ties the exact minimum passes a slack of ``2**-40``; the floor
-#: covers squares that underflow.
-_SCREEN_SLACK = 1.0 + 2.0**-40
-_SCREEN_FLOOR = 2.0**-990
-
 
 def _rows(sizes: np.ndarray, which: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The ragged (stream, entry) rows of a round: stream ``k`` expands
@@ -259,22 +254,15 @@ class _QuadrantPass:
         px, py = self.qx[owners][stream], self.qy[owners][stream]
         right, top = fx >= px, fy >= py
         group = 4 * stream + np.where(top, np.where(right, 0, 1), np.where(right, 3, 2))
-        # Screen on squared distances, then rank the near-minimal rows exactly.
-        dx, dy = fx - px, fy - py
-        d2 = dx * dx + dy * dy
+        # Each group's first row in (minDist, entry index) order: the first
+        # row at its minimum, since rows of one group follow their entry index.
+        d = kernels.norms(fx - px, fy - py)
         low = np.full(4 * len(which), np.inf)
-        np.minimum.at(low, group, d2)
-        near = np.flatnonzero(d2 <= low[group] * _SCREEN_SLACK + _SCREEN_FLOOR)
-        exact = kernels.paired_min_dist_point(
-            RectColumns(fx[near], fy[near], fx[near], fy[near]), px[near], py[near]
-        )
-        # Each group's first row in (minDist, entry index) order; rows of
-        # one group follow their entry index.
-        rank = np.lexsort((near, exact, group[near]))
-        g = group[near][rank]
-        first = np.ones(len(g), dtype=bool)
-        first[1:] = g[1:] != g[:-1]
-        rows, dist, g = near[rank][first], exact[rank][first], g[first]
+        np.minimum.at(low, group, d)
+        at_low = np.flatnonzero(d == low[group])
+        g, first = np.unique(group[at_low], return_index=True)
+        rows = at_low[first]
+        dist = d[rows]
         s, q = owners[g // 4], g % 4
         # A later node's entry wins only on a strictly smaller minDist (its
         # expansion number is larger), and a settled quadrant is final.

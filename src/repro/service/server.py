@@ -37,8 +37,9 @@ potential location leaves ``select``/``partials`` answers cached, and a
 facility mutation that changes no client leaves ``evaluate`` answers
 cached too — the cache stays *warm* under spatially disjoint churn
 instead of starting cold after every write.  Updates reject malformed
-or non-finite numbers with a typed ``bad_request`` before touching the
-workspace.
+or non-finite numbers, and coordinates beyond ±2**510 (whose squared
+distances could overflow), with a typed ``bad_request`` before touching
+the workspace.
 
 Every request is handled as its own task, so a single connection may
 pipeline many requests (responses re-associate by ``id``) — that is
@@ -67,6 +68,7 @@ from repro.core.dynamic import DynamicWorkspace
 from repro.core.evaluate import evaluate_location
 from repro.core.regions import RegionClock
 from repro.exec import BufferPoolWorkspaceError, QueryEngine
+from repro.geometry.point import COORD_LIMIT
 from repro.obs.openmetrics import CONTENT_TYPE
 from repro.obs.registry import REGISTRY
 from repro.obs.sinks import CallbackSink
@@ -513,16 +515,18 @@ def _finite(value: Any) -> Optional[float]:
 
 
 def update_point(params: dict) -> tuple[float, float]:
-    """The ``point`` an update names: two finite real coordinates."""
+    """The ``point`` an update names: two finite real coordinates, each
+    at most :data:`~repro.geometry.point.COORD_LIMIT` in magnitude."""
     point = params.get("point")
     xy = (
         [_finite(v) for v in point]
         if isinstance(point, (list, tuple)) and len(point) == 2
         else [None]
     )
-    if None in xy:
+    if None in xy or max(abs(v) for v in xy) > COORD_LIMIT:
         raise BadRequestError(
-            f"update needs 'point': [x, y] of finite numbers, got {point!r}"
+            "update needs 'point': [x, y] of finite numbers within "
+            f"±2**510, got {point!r}"
         )
     return xy[0], xy[1]
 

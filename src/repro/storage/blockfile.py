@@ -40,7 +40,7 @@ class BlockFile:
         for start in range(0, len(records), capacity):
             self._pager.allocate(records[start : start + capacity])
         self._num_records = len(records)
-        self._columns: Optional[tuple[np.ndarray, tuple[np.ndarray, ...]]] = None
+        self._columns: Optional[tuple[np.ndarray, ...]] = None
 
     # ------------------------------------------------------------------
     @property
@@ -81,8 +81,8 @@ class BlockFile:
         """
         return self._pager.peek(block_id)
 
-    def columns(self) -> tuple[np.ndarray, tuple[np.ndarray, ...]]:
-        """The whole file as columns, with each block's first row
+    def columns(self) -> tuple[np.ndarray, ...]:
+        """The whole file as columns, one array per field
         (:func:`~repro.storage.soa.gather_block_columns`).
 
         Gathered from uncharged peeks on first use and kept, since the

@@ -95,7 +95,7 @@ class DiskBlockFile:
         self._file = PageFile(path).open()
         self._pager = DiskPager(name, self._file, stats, buffer_pool)
         self._decoded: dict[int, soa.ColumnBlock] = {}
-        self._columns: Optional[tuple[np.ndarray, tuple[np.ndarray, ...]]] = None
+        self._columns: Optional[tuple[np.ndarray, ...]] = None
         meta = bytes(self._file.read_page(0)[: _META.size])
         self._num_records, self._records_per_block, self._ncols = _META.unpack(meta)
         expected = (
@@ -151,7 +151,7 @@ class DiskBlockFile:
             block = self._decoded.setdefault(block_id, soa.decode_block_columns(data))
         return block
 
-    def columns(self) -> tuple[np.ndarray, tuple[np.ndarray, ...]]:
+    def columns(self) -> tuple[np.ndarray, ...]:
         """The whole file as columns (see ``BlockFile.columns``), gathered
         on first use and kept until :meth:`drop_decoded`."""
         if self._columns is None:

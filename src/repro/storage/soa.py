@@ -144,16 +144,12 @@ class ColumnBlock:
         return f"ColumnBlock(shape={self.shape})"
 
 
-def gather_block_columns(blocks: list) -> tuple[np.ndarray, tuple[np.ndarray, ...]]:
-    """A block file's blocks as whole-file columns.
-
-    Returns ``(offsets, columns)``: ``offsets`` holds each block's first
-    row and then the row count, and ``columns`` one array per field.
-    """
-    offsets = np.cumsum([0] + [len(block) for block in blocks])
+def gather_block_columns(blocks: list) -> tuple[np.ndarray, ...]:
+    """A block file's blocks as whole-file columns, one array per field
+    (none for an empty file)."""
     if not blocks:
-        return offsets, ()
-    return offsets, tuple(
+        return ()
+    return tuple(
         np.concatenate([block[:, k] for block in blocks])
         for k in range(blocks[0].shape[1])
     )

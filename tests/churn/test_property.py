@@ -17,7 +17,7 @@ from repro.rtree.validate import validate_rtree
 
 # Coordinates drawn from a small integer lattice: co-located points and
 # exactly equidistant facility pairs occur constantly, driving the
-# tie paths (strict-< on open, _EPS-widened equality on close).
+# tie paths (strict-< on open, exact distance equality on close).
 coord = st.integers(min_value=0, max_value=12).map(float)
 
 # An op is (kind, x, y); kind: 0/1 add/remove client, 2/3 open/close
@@ -114,9 +114,9 @@ def test_equidistant_tie_survives_closing_either_twin():
 
 
 def test_near_tie_within_eps_is_recomputed_exactly():
-    """A runner-up within _EPS of the closed facility's distance: the
-    recompute must land on the exact survivor distance, not keep the
-    stale value."""
+    """A runner-up 1e-12 beyond the closed facility's distance: the
+    served client is found by exact equality, and the recompute must land
+    on the exact survivor distance, not keep the stale value."""
     survivor = Point(8.0 + 1e-12, 5.0)
     maintainer = DnnMaintainer([Point(5.0, 5.0)], [Point(2.0, 5.0), survivor])
     assert maintainer.dnn_of(0) == 3.0

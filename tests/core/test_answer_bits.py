@@ -6,11 +6,10 @@ of ``dr.tobytes()`` and the per-structure ``io_reads`` of one cold
 tasks evaluated all their leaf pairs in one kernel call and before
 QVC's quadrant-NN search ran on node columns; both changes promise the
 same reads.  The dr pins are each potential's correctly rounded sum of
-its terms, so they are one hash per instance, ``core.naive``'s, for
-every method and both served forms.  The one exception is QVC on
-``ties``: QVC skips a potential exactly on a facility, where the
-others' ``np.hypot`` test can collect a one-ulp term.  Every instance
-is served twice, as an in-memory
+its terms, with every distance ``sqrt(dx*dx + dy*dy)``, so they are one
+hash per instance, ``core.naive``'s, for every method and both served
+forms, potentials on facilities included.  Every instance is served
+twice, as an in-memory
 :class:`~repro.core.workspace.Workspace` and as a mapped
 :class:`~repro.core.diskmode.DiskWorkspace` over its persisted pages,
 each with its own pin: ``persist_indexes`` blocks the flat files at the
@@ -100,45 +99,45 @@ PINS: dict[str, dict[str, dict[str, tuple[str, dict[str, int]]]]] = {
     "deep": {
         "memory": {
             "SS": (
-                "ac401cbaaaeca14385957dc7c682fae0"
-                "46f74c3b0763afdd7c3a7f6373c3c768",
+                "4b750790f8ff757ebc228de0f7ea4a97"
+                "32be7af8b3a279d58bb6f53ada13df1b",
                 {"file.C": 5344, "file.P": 16},
             ),
             "QVC": (
-                "ac401cbaaaeca14385957dc7c682fae0"
-                "46f74c3b0763afdd7c3a7f6373c3c768",
+                "4b750790f8ff757ebc228de0f7ea4a97"
+                "32be7af8b3a279d58bb6f53ada13df1b",
                 {"R_C": 6541, "R_F": 2120, "file.P": 16},
             ),
             "NFC": (
-                "ac401cbaaaeca14385957dc7c682fae0"
-                "46f74c3b0763afdd7c3a7f6373c3c768",
+                "4b750790f8ff757ebc228de0f7ea4a97"
+                "32be7af8b3a279d58bb6f53ada13df1b",
                 {"R_C^n": 2223, "R_P": 408},
             ),
             "MND": (
-                "ac401cbaaaeca14385957dc7c682fae0"
-                "46f74c3b0763afdd7c3a7f6373c3c768",
+                "4b750790f8ff757ebc228de0f7ea4a97"
+                "32be7af8b3a279d58bb6f53ada13df1b",
                 {"R_C^m": 3322, "R_P": 251},
             ),
         },
         "disk": {
             "SS": (
-                "ac401cbaaaeca14385957dc7c682fae0"
-                "46f74c3b0763afdd7c3a7f6373c3c768",
+                "4b750790f8ff757ebc228de0f7ea4a97"
+                "32be7af8b3a279d58bb6f53ada13df1b",
                 {"file.C": 84, "file.P": 2},
             ),
             "QVC": (
-                "ac401cbaaaeca14385957dc7c682fae0"
-                "46f74c3b0763afdd7c3a7f6373c3c768",
+                "4b750790f8ff757ebc228de0f7ea4a97"
+                "32be7af8b3a279d58bb6f53ada13df1b",
                 {"R_C": 1494, "R_F": 2120, "file.P": 2},
             ),
             "NFC": (
-                "ac401cbaaaeca14385957dc7c682fae0"
-                "46f74c3b0763afdd7c3a7f6373c3c768",
+                "4b750790f8ff757ebc228de0f7ea4a97"
+                "32be7af8b3a279d58bb6f53ada13df1b",
                 {"R_C^n": 2223, "R_P": 408},
             ),
             "MND": (
-                "ac401cbaaaeca14385957dc7c682fae0"
-                "46f74c3b0763afdd7c3a7f6373c3c768",
+                "4b750790f8ff757ebc228de0f7ea4a97"
+                "32be7af8b3a279d58bb6f53ada13df1b",
                 {"R_C^m": 3322, "R_P": 251},
             ),
         },
@@ -146,45 +145,45 @@ PINS: dict[str, dict[str, dict[str, tuple[str, dict[str, int]]]]] = {
     "ties": {
         "memory": {
             "SS": (
-                "d2807a93ba6d7a11f308012f20bed1a8"
-                "8a73675060e19ac00a89cc1c4a95740c",
+                "e10b0e8a5258f0ab567c130cf8b13e6e"
+                "f2a65437a71a34d2269de5b225bbb728",
                 {"file.C": 102, "file.P": 2},
             ),
             "QVC": (
-                "564133bb46017e6a572727005f14c078"
-                "5eb7333c9a68f3b2093b34d7bee5515f",
+                "e10b0e8a5258f0ab567c130cf8b13e6e"
+                "f2a65437a71a34d2269de5b225bbb728",
                 {"R_C": 159, "R_F": 199, "file.P": 2},
             ),
             "NFC": (
-                "d2807a93ba6d7a11f308012f20bed1a8"
-                "8a73675060e19ac00a89cc1c4a95740c",
+                "e10b0e8a5258f0ab567c130cf8b13e6e"
+                "f2a65437a71a34d2269de5b225bbb728",
                 {"R_C^n": 160, "R_P": 14},
             ),
             "MND": (
-                "d2807a93ba6d7a11f308012f20bed1a8"
-                "8a73675060e19ac00a89cc1c4a95740c",
+                "e10b0e8a5258f0ab567c130cf8b13e6e"
+                "f2a65437a71a34d2269de5b225bbb728",
                 {"R_C^m": 202, "R_P": 22},
             ),
         },
         "disk": {
             "SS": (
-                "d2807a93ba6d7a11f308012f20bed1a8"
-                "8a73675060e19ac00a89cc1c4a95740c",
+                "e10b0e8a5258f0ab567c130cf8b13e6e"
+                "f2a65437a71a34d2269de5b225bbb728",
                 {"file.C": 13, "file.P": 1},
             ),
             "QVC": (
-                "564133bb46017e6a572727005f14c078"
-                "5eb7333c9a68f3b2093b34d7bee5515f",
+                "e10b0e8a5258f0ab567c130cf8b13e6e"
+                "f2a65437a71a34d2269de5b225bbb728",
                 {"R_C": 104, "R_F": 199, "file.P": 1},
             ),
             "NFC": (
-                "d2807a93ba6d7a11f308012f20bed1a8"
-                "8a73675060e19ac00a89cc1c4a95740c",
+                "e10b0e8a5258f0ab567c130cf8b13e6e"
+                "f2a65437a71a34d2269de5b225bbb728",
                 {"R_C^n": 160, "R_P": 14},
             ),
             "MND": (
-                "d2807a93ba6d7a11f308012f20bed1a8"
-                "8a73675060e19ac00a89cc1c4a95740c",
+                "e10b0e8a5258f0ab567c130cf8b13e6e"
+                "f2a65437a71a34d2269de5b225bbb728",
                 {"R_C^m": 202, "R_P": 22},
             ),
         },
@@ -192,45 +191,45 @@ PINS: dict[str, dict[str, dict[str, tuple[str, dict[str, int]]]]] = {
     "uniform-20k-seed1": {
         "memory": {
             "SS": (
-                "a1f052a2ac2ced6ab9a2851c8cbe7eca"
-                "02b2cb19df04664def0972606bb00a28",
+                "38a3e1f0efd788a74a565385b6ee738e"
+                "da4ae652a2db9ab8219cfece6ec5b330",
                 {"file.C": 137, "file.P": 1},
             ),
             "QVC": (
-                "a1f052a2ac2ced6ab9a2851c8cbe7eca"
-                "02b2cb19df04664def0972606bb00a28",
+                "38a3e1f0efd788a74a565385b6ee738e"
+                "da4ae652a2db9ab8219cfece6ec5b330",
                 {"R_C": 255, "R_F": 503, "file.P": 1},
             ),
             "NFC": (
-                "a1f052a2ac2ced6ab9a2851c8cbe7eca"
-                "02b2cb19df04664def0972606bb00a28",
+                "38a3e1f0efd788a74a565385b6ee738e"
+                "da4ae652a2db9ab8219cfece6ec5b330",
                 {"R_C^n": 331, "R_P": 10},
             ),
             "MND": (
-                "a1f052a2ac2ced6ab9a2851c8cbe7eca"
-                "02b2cb19df04664def0972606bb00a28",
+                "38a3e1f0efd788a74a565385b6ee738e"
+                "da4ae652a2db9ab8219cfece6ec5b330",
                 {"R_C^m": 401, "R_P": 12},
             ),
         },
         "disk": {
             "SS": (
-                "a1f052a2ac2ced6ab9a2851c8cbe7eca"
-                "02b2cb19df04664def0972606bb00a28",
+                "38a3e1f0efd788a74a565385b6ee738e"
+                "da4ae652a2db9ab8219cfece6ec5b330",
                 {"file.C": 137, "file.P": 1},
             ),
             "QVC": (
-                "a1f052a2ac2ced6ab9a2851c8cbe7eca"
-                "02b2cb19df04664def0972606bb00a28",
+                "38a3e1f0efd788a74a565385b6ee738e"
+                "da4ae652a2db9ab8219cfece6ec5b330",
                 {"R_C": 255, "R_F": 503, "file.P": 1},
             ),
             "NFC": (
-                "a1f052a2ac2ced6ab9a2851c8cbe7eca"
-                "02b2cb19df04664def0972606bb00a28",
+                "38a3e1f0efd788a74a565385b6ee738e"
+                "da4ae652a2db9ab8219cfece6ec5b330",
                 {"R_C^n": 331, "R_P": 10},
             ),
             "MND": (
-                "a1f052a2ac2ced6ab9a2851c8cbe7eca"
-                "02b2cb19df04664def0972606bb00a28",
+                "38a3e1f0efd788a74a565385b6ee738e"
+                "da4ae652a2db9ab8219cfece6ec5b330",
                 {"R_C^m": 401, "R_P": 12},
             ),
         },
@@ -238,45 +237,45 @@ PINS: dict[str, dict[str, dict[str, tuple[str, dict[str, int]]]]] = {
     "uniform-20k-seed2": {
         "memory": {
             "SS": (
-                "9d7c2622eff3d9d42263649f2f92f38a"
-                "96b33cefa91379bf557ae00937dda8be",
+                "8ff3e92150588dee4d9ad7673d957a39"
+                "4065a1957cccb4f5511a84f0e9f213f3",
                 {"file.C": 137, "file.P": 1},
             ),
             "QVC": (
-                "9d7c2622eff3d9d42263649f2f92f38a"
-                "96b33cefa91379bf557ae00937dda8be",
+                "8ff3e92150588dee4d9ad7673d957a39"
+                "4065a1957cccb4f5511a84f0e9f213f3",
                 {"R_C": 257, "R_F": 506, "file.P": 1},
             ),
             "NFC": (
-                "9d7c2622eff3d9d42263649f2f92f38a"
-                "96b33cefa91379bf557ae00937dda8be",
+                "8ff3e92150588dee4d9ad7673d957a39"
+                "4065a1957cccb4f5511a84f0e9f213f3",
                 {"R_C^n": 333, "R_P": 10},
             ),
             "MND": (
-                "9d7c2622eff3d9d42263649f2f92f38a"
-                "96b33cefa91379bf557ae00937dda8be",
+                "8ff3e92150588dee4d9ad7673d957a39"
+                "4065a1957cccb4f5511a84f0e9f213f3",
                 {"R_C^m": 406, "R_P": 11},
             ),
         },
         "disk": {
             "SS": (
-                "9d7c2622eff3d9d42263649f2f92f38a"
-                "96b33cefa91379bf557ae00937dda8be",
+                "8ff3e92150588dee4d9ad7673d957a39"
+                "4065a1957cccb4f5511a84f0e9f213f3",
                 {"file.C": 137, "file.P": 1},
             ),
             "QVC": (
-                "9d7c2622eff3d9d42263649f2f92f38a"
-                "96b33cefa91379bf557ae00937dda8be",
+                "8ff3e92150588dee4d9ad7673d957a39"
+                "4065a1957cccb4f5511a84f0e9f213f3",
                 {"R_C": 257, "R_F": 506, "file.P": 1},
             ),
             "NFC": (
-                "9d7c2622eff3d9d42263649f2f92f38a"
-                "96b33cefa91379bf557ae00937dda8be",
+                "8ff3e92150588dee4d9ad7673d957a39"
+                "4065a1957cccb4f5511a84f0e9f213f3",
                 {"R_C^n": 333, "R_P": 10},
             ),
             "MND": (
-                "9d7c2622eff3d9d42263649f2f92f38a"
-                "96b33cefa91379bf557ae00937dda8be",
+                "8ff3e92150588dee4d9ad7673d957a39"
+                "4065a1957cccb4f5511a84f0e9f213f3",
                 {"R_C^m": 406, "R_P": 11},
             ),
         },
@@ -305,13 +304,12 @@ def test_mapped_disk_answers_are_pinned(served):
 
 
 def test_pinned_dr_is_the_oracles(served):
-    """Every method's dr pin is ``core.naive``'s, but QVC's on ``ties``."""
+    """Every method's dr pin is ``core.naive``'s."""
     name, ws, __ = served
     digest = hashlib.sha256(naive.distance_reductions(ws).tobytes()).hexdigest()
     for form, pins in PINS[name].items():
         for method, (pinned, __) in pins.items():
-            if (name, method) != ("ties", "QVC"):
-                assert pinned == digest, (form, method)
+            assert pinned == digest, (form, method)
 
 
 if __name__ == "__main__":

@@ -6,15 +6,15 @@ must survive:
 * exact ties — clients, facilities and potentials on an integer
   lattice, so a client often lies as far from a potential as from its
   nearest facility (``d == dnn``, which does not influence);
+* off-lattice float coordinates, where two distance formulas would
+  round apart (a lattice distance is exact under any of them);
+* potentials on facilities, whose ``IS(p)`` is empty (QVC skips them,
+  and every other method must reach the same 0), and on clients;
 * duplicate clients, and clients on facilities (``dnn = 0``);
 * zero weights;
 * ``n_p = 1``, and potentials far outside the data, whose ``IS(p)`` is
   empty;
 * page sizes that give one leaf or trees several levels deep.
-
-No potential sits exactly on a facility: there QVC skips ``p``, while
-the others' ``np.hypot`` test can collect a one-ulp term (ROADMAP
-item 1's distance formula).
 
 SS, QVC, NFC and MND must return the oracle's dr vector bit for bit, in
 memory and on a mapped disk workspace over the persisted pages.  Disk
@@ -49,19 +49,29 @@ def instances(draw) -> tuple[SpatialInstance, int]:
     lattice = st.tuples(st.integers(0, side), st.integers(0, side)).map(
         lambda xy: Point(float(xy[0]), float(xy[1]))
     )
-    facilities = draw(st.lists(lattice, min_size=1, max_size=6))
-    clients = draw(st.lists(lattice, min_size=1, max_size=60))
+    # Uniform floats: full mantissas, which two distance formulas would
+    # round apart in about one pair in six.
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    off_lattice = st.sampled_from(
+        [Point(x, y) for x, y in rng.uniform(0.0, side, (100, 2)).tolist()]
+    )
+    points = st.one_of(lattice, off_lattice)
+    facilities = draw(st.lists(points, min_size=1, max_size=6))
+    clients = draw(st.lists(points, min_size=1, max_size=60))
     clients += draw(st.lists(st.sampled_from(clients), max_size=10))  # duplicates
     clients += draw(st.lists(st.sampled_from(facilities), max_size=3))  # dnn = 0
-    on_facility = {(f.x, f.y) for f in facilities}
     halves = st.tuples(st.integers(0, 2 * side), st.integers(0, 2 * side)).map(
         lambda xy: Point(xy[0] / 2.0, xy[1] / 2.0)
     )
     far = st.just(Point(-10.0 * side, 11.0 * side))  # IS(p) is empty
     potentials = draw(
         st.lists(
-            st.one_of(lattice, halves, far).filter(
-                lambda p: (p.x, p.y) not in on_facility
+            st.one_of(
+                points,
+                halves,
+                far,
+                st.sampled_from(facilities),  # IS(p) is empty
+                st.sampled_from(clients),
             ),
             min_size=1,
             max_size=15,

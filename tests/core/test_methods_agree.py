@@ -3,6 +3,8 @@ brute-force oracle on the full distance-reduction vector, across data
 distributions and degenerate inputs.
 """
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -10,31 +12,12 @@ from hypothesis import strategies as st
 
 from repro.core import METHODS, Workspace, make_selector
 from repro.core import naive
+from repro.core.diskmode import DiskWorkspace, persist_indexes
 from repro.datasets.generators import SpatialInstance, make_instance
 from repro.geometry.point import Point
+from repro.geometry.rect import Rect
 
 ALL_METHODS = sorted(METHODS)
-
-
-def on_facility(ws: Workspace) -> np.ndarray:
-    """Which potentials sit exactly on a facility."""
-    sites = {(f.x, f.y) for f in ws.facilities}
-    return np.array([(p.x, p.y) in sites for p in ws.potentials], dtype=bool)
-
-
-def assert_equals_oracle(ws: Workspace, name: str, vec: np.ndarray, oracle):
-    """``vec`` is the oracle's dr bit for bit: every method sums each
-    potential's terms exactly, so only a different term set could move
-    a bit.  The one exception is QVC at a potential exactly on a
-    facility: QVC skips it (``IS(p)`` is empty, so ``dr`` is 0), while
-    SS, NFC, MND and the oracle test ``np.hypot(c - p) < dnn(c)``, which
-    can fall one ulp below a ``dnn`` from the sqrt formula and collect
-    a tiny term (ROADMAP item 1's distance formula)."""
-    if name == "QVC":
-        skipped = on_facility(ws)
-        assert not vec[skipped].any(), name
-        vec, oracle = vec[~skipped], oracle[~skipped]
-    assert np.array_equal(vec, oracle), name
 
 
 def assert_all_methods_match_oracle(ws: Workspace):
@@ -43,7 +26,9 @@ def assert_all_methods_match_oracle(ws: Workspace):
         selector = make_selector(ws, name)
         result = selector.select()
         vec = selector.distance_reductions()
-        assert_equals_oracle(ws, name, vec, oracle)
+        # Every method sums each potential's terms exactly and tests
+        # d < dnn with one distance formula: the same vector, bit for bit.
+        assert np.array_equal(vec, oracle), name
         assert result.dr == vec.max(), name
         # The reported location must realise the optimum.
         assert vec[result.location.sid] == result.dr, name
@@ -111,7 +96,7 @@ class TestDegenerateInputs:
         assert_all_methods_match_oracle(ws)
         for name in ALL_METHODS:
             vec = make_selector(ws, name).distance_reductions()
-            assert vec[0] == pytest.approx(0.0, abs=1e-9)
+            assert vec[0] == 0.0
 
     def test_potential_coincides_with_client(self):
         inst = SpatialInstance("t", [Point(3, 3)], [Point(10, 10)], [Point(3, 3)])
@@ -147,6 +132,53 @@ class TestDegenerateInputs:
             assert make_selector(ws, name).select().location.sid == 0
 
 
+class TestPotentialsOnFacilities:
+    """Every potential sits on a facility, so every ``IS(p)`` is empty:
+    ``dist(c, p)`` is then ``dist(c, f)`` for a facility ``f``, bit for
+    bit, and never below ``dnn(c, F)``."""
+
+    def test_every_method_gives_zero_everywhere(self, tmp_path):
+        inst = make_instance(2000, 50, 10, rng=1)
+        ws = Workspace(replace(inst, potentials=list(inst.facilities)))
+        assert not naive.distance_reductions(ws).any()
+        with DiskWorkspace(persist_indexes(ws, tmp_path)) as disk:
+            for served in (ws, disk):
+                for name in ALL_METHODS:
+                    selector = make_selector(served, name)
+                    result = selector.select()
+                    assert not selector.distance_reductions().any(), name
+                    assert (result.location.sid, result.dr) == (0, 0.0), name
+
+
+class TestCoordinateLimit:
+    @pytest.mark.parametrize("exponent", [480, 500, 510])
+    def test_methods_match_the_oracle_at_the_limit(self, exponent):
+        """An instance scaled to ``±2**exponent``: no squared distance
+        overflows up to the workspace's coordinate limit, ``2**510``."""
+        scale = 2.0**exponent
+
+        def scaled(points):
+            return [
+                Point((p.x / 500.0 - 1.0) * scale, (p.y / 500.0 - 1.0) * scale)
+                for p in points
+            ]
+
+        inst = make_instance(600, 20, 40, rng=5)
+        ws = Workspace(
+            SpatialInstance(
+                "scaled",
+                scaled(inst.clients),
+                scaled(inst.facilities),
+                scaled(inst.potentials),
+                domain=Rect(-scale, -scale, scale, scale),
+            )
+        )
+        assert np.isfinite(ws.client_xyd).all()
+        oracle = naive.distance_reductions(ws)
+        assert np.isfinite(oracle).all() and oracle.any()
+        assert_all_methods_match_oracle(ws)
+
+
 class TestPropertyRandomInstances:
     @settings(max_examples=25, deadline=None)
     @given(
@@ -161,4 +193,4 @@ class TestPropertyRandomInstances:
         oracle = naive.distance_reductions(ws)
         for name in ALL_METHODS:
             vec = make_selector(ws, name).distance_reductions()
-            assert_equals_oracle(ws, name, vec, oracle)
+            assert np.array_equal(vec, oracle), name

@@ -134,6 +134,6 @@ class TestGatheredClientColumns:
         p = ws.potentials[0]
         ws.add_client((p.x, p.y + 1e-3), weight=5.0)
         after = SequentialScan(ws).distance_reductions()
-        assert len(ws.client_file.columns()[1][0]) == 601
+        assert len(ws.client_file.columns()[0]) == 601
         assert after[0] > before[0]
         np.testing.assert_allclose(after, naive.distance_reductions(ws), rtol=1e-12)

@@ -74,6 +74,36 @@ class TestNonFiniteInput:
             Workspace(inst)
 
 
+class TestCoordinateLimit:
+    """A coordinate beyond ``±2**510`` is rejected like a NaN: its
+    squared distances could overflow, and one infinite ``dnn`` would
+    give every potential an infinite ``dr``."""
+
+    def test_huge_client_is_rejected(self):
+        inst = make_instance(2000, 50, 40, rng=5)
+        inst.clients.append(Point(1e200, 1e200))
+        with pytest.raises(ValueError, match="client 2000 has a coordinate beyond"):
+            Workspace(inst)
+
+    @pytest.mark.parametrize("what", ["facility", "potential"])
+    def test_huge_site_is_rejected(self, what):
+        inst = make_instance(50, 5, 5, rng=5)
+        points = inst.facilities if what == "facility" else inst.potentials
+        points[3] = Point(1.0, -(2.0**511))
+        with pytest.raises(ValueError, match=f"{what} 3 has a coordinate beyond"):
+            Workspace(inst)
+
+    def test_the_limit_itself_is_accepted(self):
+        limit = 2.0**510
+        inst = SpatialInstance(
+            "t",
+            [Point(-limit, -limit), Point(limit, limit)],
+            [Point(limit, -limit)],
+            [Point(-limit, limit)],
+        )
+        assert np.isfinite(Workspace(inst).client_xyd).all()
+
+
 class TestPrecomputation:
     def test_dnn_values_are_exact(self, small_workspace):
         ws = small_workspace

@@ -1,20 +1,28 @@
-"""One kernel path, and the reference swapped in for parity runs.
+"""One kernel path, one distance formula, and the reference swapped in
+for parity runs.
 
 :mod:`repro.kernels` exports :mod:`~repro.kernels.vector`'s kernels as
 they are; the scalar reference runs a query only inside
 :func:`repro.kernels.scalar.installed`, which rebinds the package's
 names for one block.  The swap reaches a caller only if it reads
-``kernels.<fn>`` at call time, so the last test imports every
-``repro`` module and fails on one that holds a kernel function (or the
-vector module) itself: that binding would escape the swap, and the
-parity runs would compare the vector kernels with themselves.
+``kernels.<fn>`` at call time, so one test imports every ``repro``
+module and fails on one that holds a kernel function (or the vector
+module) itself: that binding would escape the swap, and the parity
+runs would compare the vector kernels with themselves.
+
+Every distance is ``sqrt(dx*dx + dy*dy)``, and the last test reads
+every ``repro`` source file and fails on any use of a ``hypot``: its
+bits differ from the formula's (and ``np.hypot``'s from
+``math.hypot``'s), so one would bring back a second formula.
 """
 
 from __future__ import annotations
 
+import ast
 import importlib
 import inspect
 import pkgutil
+from pathlib import Path
 
 import pytest
 
@@ -28,7 +36,7 @@ KERNELS = [
 
 
 def test_every_kernel_is_the_vector_function_itself():
-    assert len(KERNELS) == 10
+    assert len(KERNELS) == 9
     for name in KERNELS:
         assert getattr(kernels, name) is getattr(vector, name), name
 
@@ -89,3 +97,32 @@ def test_no_module_outside_the_package_holds_a_kernel():
         for where, namespace in namespaces:
             escaped += [f"{where}.{name}" for name in _bound_kernels(namespace)]
     assert escaped == []
+
+
+def _hypot_uses(source: str) -> list[int]:
+    """The lines of ``source`` that name a ``hypot`` in code: a call, a
+    reference such as ``map(math.hypot, ...)``, or an import."""
+    lines = []
+    for node in ast.walk(ast.parse(source)):
+        if (
+            isinstance(node, ast.Attribute)
+            and node.attr == "hypot"
+            or isinstance(node, ast.Name)
+            and node.id == "hypot"
+            or isinstance(node, ast.alias)
+            and node.name.rsplit(".", 1)[-1] == "hypot"
+        ):
+            lines.append(node.lineno)
+    return sorted(lines)
+
+
+def test_no_module_computes_a_distance_with_hypot():
+    probe = "d = np.hypot(a, b)\nf = map(math.hypot, a, b)\nfrom math import hypot"
+    assert _hypot_uses(probe) == [1, 2, 3]  # the scan can see each form
+    root = Path(repro.__file__).parent
+    found = [
+        f"{path.relative_to(root.parent)}:{line}"
+        for path in sorted(root.rglob("*.py"))
+        for line in _hypot_uses(path.read_text(encoding="utf-8"))
+    ]
+    assert found == []

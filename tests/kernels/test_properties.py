@@ -203,11 +203,14 @@ def strip_batches(draw):
     Clients sit in a few tight clusters with short ``dnn``, so some
     candidate rows are influenced and most are not.  Single pairs are
     then rigged into the cases the exactness argument must survive: a
-    ``dnn`` equal to ``np.hypot`` of the client's offset to a candidate
+    ``dnn`` equal to the distance of the client's offset to a candidate
     or one ulp above it (an exact tie or the nearest influence, also on
     the strip's x-edge), coincident points and duplicate candidates, a
-    zero or subnormal ``dnn``, and zero weights — all around an origin
-    that may sit at ±1e6.
+    zero or subnormal ``dnn``, zero weights, and a pair whose square
+    underflows, so its distance rounds under its own ``|dx|`` (a client
+    at the origin, a candidate 1e-160 away on an axis, and a ``dnn``
+    between the two; the strip's reach floor must take it in) — all
+    around an origin that may sit at ±1e6.
     """
     root = math.isqrt(vector.DENSE_PAIRS - 1)
     small = draw(st.booleans())
@@ -231,7 +234,7 @@ def strip_batches(draw):
         i, j = pick()
         if draw(st.booleans()):
             py[i] = cy[j]  # on the strip's x-edge: d == |px - cx|
-        tie = np.hypot(px[i] - cx[j], py[i] - cy[j])
+        tie = vector.norms(px[i] - cx[j], py[i] - cy[j])
         dnn[j] = draw(st.sampled_from([tie, np.nextafter(tie, np.inf)]))
     for __ in range(draw(st.integers(0, 3))):  # coincident points
         i, j = pick()
@@ -242,11 +245,38 @@ def strip_batches(draw):
     for __ in range(draw(st.integers(0, 3))):  # zero or subnormal dnn
         dnn[rng.integers(n_c)] = draw(st.sampled_from([0.0, 5e-324, 1e-310]))
     w[rng.random(n_c) < draw(st.sampled_from([0.0, 0.3]))] = 0.0
+    if draw(st.booleans()):  # d = 9.99994e-161 < dnn < |dx| = 1e-160
+        i, j = pick()
+        cx[j] = cy[j] = 0.0
+        px[i], py[i] = draw(st.sampled_from(UNDERFLOW_OFFSETS))
+        dnn[j] = UNDERFLOW_DNN
+    return px, py, cx, cy, dnn, w
+
+
+#: A candidate's offsets from a client at the origin whose squares
+#: underflow, and a ``dnn`` between the distance and ``|dx|``.
+UNDERFLOW_OFFSETS = [(1e-160, 0.0), (-1e-160, 0.0), (0.0, 1e-160), (0.0, -1e-160)]
+UNDERFLOW_DNN = 9.99997e-161
+
+
+def underflow_batch(n_p, n_c, offset):
+    """A strip-path batch (``n_p * n_c >= DENSE_PAIRS``) whose candidate 0
+    sits at ``offset`` from client 0 at the origin, with
+    :data:`UNDERFLOW_DNN`: only the strip's reach floor takes the pair
+    in.  At 40 × 640 the candidates fall in two y-bands, and the bounds
+    are searched, not binned (binning widens a strip to a whole cell)."""
+    rng = np.random.default_rng(11)
+    px, py = rng.uniform(1.0, 10.0, (2, n_p))
+    cx, cy = rng.uniform(1.0, 10.0, (2, n_c))
+    dnn = rng.exponential(0.5, n_c)
+    w = rng.uniform(0.5, 10.0, n_c)
+    (px[0], py[0]), cx[0], cy[0], dnn[0] = offset, 0.0, 0.0, UNDERFLOW_DNN
     return px, py, cx, cy, dnn, w
 
 
 class TestBackendEquivalence:
     @given(batch=strip_batches())
+    @example(batch=underflow_batch(50, 50, UNDERFLOW_OFFSETS[0]))
     @settings(max_examples=80, deadline=None)
     def test_strip_path_matches_the_scalar_twin(self, batch):
         px, py, cx, cy, dnn, w = batch
@@ -295,17 +325,16 @@ class TestBackendEquivalence:
                 assert mind[i] == 0.0
 
     @given(
-        n=st.sampled_from([1, 3, vector.SMALL_RECTS - 1, vector.SMALL_RECTS, 200]),
+        n=st.sampled_from([1, 3, 32, 200]),
         seed=st.integers(0, 2**32 - 1),
         snap=st.sampled_from(["free", "edge", "corner"]),
     )
     @settings(max_examples=40, deadline=None)
     def test_rects_vs_one_point_match_the_reference_bitwise(self, n, seed, snap):
-        """``min_dist_rects_point`` is ``Rect.min_dist_point`` bit for bit
-        (``math.hypot``; ``np.hypot`` differs in about 1 in 160 random
-        pairs), on both sides of its small-batch rule, also for points on
-        an edge or a corner of some rectangle, and for point rectangles;
-        twenty query points a batch."""
+        """``paired_min_dist_point`` with one query point on every row, as
+        a best-first stream calls it, is ``Rect.min_dist_point`` bit for
+        bit, also for points on an edge or a corner of some rectangle, and
+        for point rectangles; twenty query points a batch."""
         rng = np.random.default_rng(seed)
         lo = rng.uniform(-100.0, 1100.0, (n, 2))
         size = rng.exponential(20.0, (n, 2)) * (rng.random((n, 1)) < 0.7)
@@ -317,7 +346,9 @@ class TestBackendEquivalence:
                 x = box.xmax
             if snap == "corner":
                 y = box.ymin
-            got = assert_matches_the_reference("min_dist_rects_point", batch, x, y)
+            got = assert_matches_the_reference(
+                "paired_min_dist_point", batch, np.full(n, x), np.full(n, y)
+            )
             want = [box.min_dist_point(Point(x, y)) for box in boxes]
             assert [float(d).hex() for d in got] == [float(d).hex() for d in want]
 
@@ -433,7 +464,7 @@ def tile_lists(draw):
                 i, j = rng.integers(n_p), rng.integers(n_c)
                 if draw(st.booleans()):
                     py[i] = cy[j]  # on the strip's x-edge
-                tie = np.hypot(px[i] - cx[j], py[i] - cy[j])
+                tie = vector.norms(px[i] - cx[j], py[i] - cy[j])
                 dnn[j] = draw(st.sampled_from([tie, np.nextafter(tie, np.inf)]))
             for __ in range(draw(st.integers(0, 2))):  # coincident points
                 i, j = rng.integers(n_p), rng.integers(n_c)
@@ -513,7 +544,7 @@ def shared_calls(draw):
                 py[i] = cy[j]  # on the x-strip's edge: d == |px - cx|
             else:
                 px[i] = cx[j]  # on the y edge: d == |py - cy|
-            tie = np.hypot(px[i] - cx[j], py[i] - cy[j])
+            tie = vector.norms(px[i] - cx[j], py[i] - cy[j])
             dnn[j] = draw(st.sampled_from([tie, np.nextafter(tie, np.inf)]))
         # Clients on or just off the candidates at the band edges.
         bands = vector._y_bands(n_p, n_c)
@@ -537,6 +568,8 @@ def shared_calls(draw):
 
 class TestSharedCandidates:
     @given(drawn=shared_calls(), chunk=st.sampled_from([None, 1, 50, 300]))
+    @example(drawn=underflow_batch(40, 640, UNDERFLOW_OFFSETS[2]), chunk=None)
+    @example(drawn=underflow_batch(40, 640, UNDERFLOW_OFFSETS[1]), chunk=None)
     @settings(max_examples=60, deadline=None)
     def test_terms_match_the_oracles(self, drawn, chunk):
         """On both sides of the y-band rule, also with the clients cut
@@ -556,6 +589,12 @@ class TestSharedCandidates:
 
 class TestTiledForm:
     @given(drawn=tiled_strip_batches())
+    @example(
+        drawn=(
+            underflow_batch(40, 640, UNDERFLOW_OFFSETS[0]),
+            (np.array([0, 40]), np.array([0, 640])),
+        )
+    )
     @settings(max_examples=60, deadline=None)
     def test_strip_batches_in_tiles(self, drawn):
         batch, tiles = drawn

@@ -331,8 +331,9 @@ def tie_queries(tree, rng):
     queries += [
         Point(rng.randint(-2, 14) / 2, rng.randint(-2, 14) / 2) for __ in range(12)
     ]
-    # Off the grid, about one distance in 160 rounds differently under
-    # np.hypot than under Rect.min_dist_point's math.hypot.
+    # Off the grid, distances carry full mantissas, where a kernel and
+    # Rect.min_dist_point would round apart unless both compute
+    # sqrt(dx*dx + dy*dy).
     queries += [Point(rng.uniform(-1, 13), rng.uniform(-1, 13)) for __ in range(12)]
     return queries
 

@@ -44,8 +44,9 @@ SIZES = dict(n_c=800, n_f=40, n_p=60)
 
 NAN, INF = float("nan"), float("inf")
 #: Updates whose numbers must be rejected: a NaN or infinite coordinate
-#: or weight turns every ``dr`` into NaN, a weight must be a number
-#: >= 0, and JSON ``true`` is not a number.
+#: or weight turns every ``dr`` into NaN, a coordinate beyond ±2**510
+#: can overflow a squared distance, a weight must be a number >= 0, and
+#: JSON ``true`` is not a number.
 MALFORMED_UPDATES = [
     pytest.param(
         "add_client", {"point": [1.0, 2.0], "weight": bad}, id=f"weight-{name}"
@@ -66,6 +67,7 @@ MALFORMED_UPDATES = [
         ("nan", [NAN, 2.0]),
         ("inf", [1.0, -INF]),
         ("overflow", [10**400, 2.0]),
+        ("beyond-limit", [1e200, 0.0]),
     ]
 ]
 
