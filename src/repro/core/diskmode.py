@@ -54,7 +54,6 @@ from repro.core.workspace import Workspace
 from repro.geometry.rect import Rect
 from repro.obs.trace import NOOP_TRACER, Tracer
 from repro.rtree.persist import DiskRTree, save_rtree
-from repro.storage.buffer import LRUBufferPool
 from repro.storage.codecs import ClientCodec, SiteCodec
 from repro.storage.diskblocks import DiskBlockFile, save_block_file
 from repro.storage.leafcache import DecodedLeafCache
@@ -204,7 +203,6 @@ class DiskWorkspace:
         self,
         indexes: PersistedIndexes,
         stats: Optional[IOStats] = None,
-        buffer_pool: Optional[LRUBufferPool] = None,
         io_latency_s: float = Workspace.DEFAULT_IO_LATENCY_S,
         mapped: bool = True,
     ):
@@ -216,7 +214,6 @@ class DiskWorkspace:
         self.indexes = indexes
         self.stats = stats or IOStats()
         self.tracer = NOOP_TRACER
-        self.buffer_pool = buffer_pool
         self.io_latency_s = io_latency_s
         self.leaf_cache = DecodedLeafCache()
         #: Never advances: a read-only view has no mutations to count.
@@ -229,12 +226,11 @@ class DiskWorkspace:
                     indexes.mnd_tree_path,
                     ClientCodec(),
                     self.stats,
-                    buffer_pool,
                     radius_of=lambda c: c.dnn,
                 )
             )
             self.r_p = opened.enter_context(
-                DiskRTree("R_P", indexes.r_p_path, SiteCodec(), self.stats, buffer_pool)
+                DiskRTree("R_P", indexes.r_p_path, SiteCodec(), self.stats)
             )
             # Rebuild the candidate table from the R_P leaves (ids are the
             # original candidate ids, so ordering by id restores it).
@@ -254,16 +250,12 @@ class DiskWorkspace:
     @cached_property
     def r_c(self) -> DiskRTree:
         """``R_C``: the client point tree (QVC)."""
-        return DiskRTree(
-            "R_C", self.indexes.r_c_path, ClientCodec(), self.stats, self.buffer_pool
-        )
+        return DiskRTree("R_C", self.indexes.r_c_path, ClientCodec(), self.stats)
 
     @cached_property
     def r_f(self) -> DiskRTree:
         """``R_F``: the facility tree (QVC quadrant NN queries)."""
-        return DiskRTree(
-            "R_F", self.indexes.r_f_path, SiteCodec(), self.stats, self.buffer_pool
-        )
+        return DiskRTree("R_F", self.indexes.r_f_path, SiteCodec(), self.stats)
 
     @cached_property
     def rnn_tree(self) -> DiskRTree:
@@ -278,23 +270,18 @@ class DiskWorkspace:
             self.indexes.rnn_tree_path,
             ClientCodec(),
             self.stats,
-            self.buffer_pool,
             leaf_shape="circle",
         )
 
     @cached_property
     def client_file(self) -> DiskBlockFile:
         """``file.C``: the flat client file of the SS scan."""
-        return DiskBlockFile(
-            "file.C", self.indexes.client_file_path, self.stats, self.buffer_pool
-        )
+        return DiskBlockFile("file.C", self.indexes.client_file_path, self.stats)
 
     @cached_property
     def potential_file(self) -> DiskBlockFile:
         """``file.P``: the flat potential-location file (SS, QVC)."""
-        return DiskBlockFile(
-            "file.P", self.indexes.potential_file_path, self.stats, self.buffer_pool
-        )
+        return DiskBlockFile("file.P", self.indexes.potential_file_path, self.stats)
 
     @cached_property
     def data_bounds(self) -> Rect:
@@ -316,8 +303,6 @@ class DiskWorkspace:
 
     def reset_stats(self) -> None:
         self.stats.reset()
-        if self.buffer_pool is not None:
-            self.buffer_pool.clear()
 
     def invalidate_leaf_cache(self) -> None:
         """Drop every decode: the leaf cache and each open file's pages."""

@@ -53,7 +53,7 @@ import numpy as np
 
 from repro.core.regions import region_covers_any
 from repro.core.types import Client, Site
-from repro.core.workspace import Workspace
+from repro.core.workspace import Workspace, _check_finite, _coordinates
 from repro.geometry.circle import Circle
 from repro.geometry.point import Point
 from repro.geometry.rect import Rect
@@ -180,10 +180,19 @@ class DynamicWorkspace(Workspace):
     def add_client(
         self, point: Point | tuple[float, float], weight: float = 1.0
     ) -> Client:
-        """A new client arrives; returns its record (with fresh dnn)."""
+        """A new client arrives; returns its record (with fresh dnn).
+
+        Raises ValueError, before any state changes, for what the
+        constructor rejects: a coordinate that is not finite or lies
+        beyond ``COORD_LIMIT``, and a weight that is not finite or is
+        negative."""
+        p = Point(*point)
+        _coordinates([p], "client")
+        _check_finite(
+            np.array([weight], dtype=np.float64), "weight of client", [weight]
+        )
         if weight < 0:
             raise ValueError("client weights must be non-negative")
-        p = Point(*point)
         dnn = self.maintainer.add_client(p)
         client = Client(self._take_client_id(), p[0], p[1], dnn, weight)
         self.client_cids = np.append(self.client_cids, client.cid)
@@ -254,8 +263,12 @@ class DynamicWorkspace(Workspace):
         return counter
 
     def add_facility(self, point: Point | tuple[float, float]) -> Site:
-        """A facility opens: affected clients' dnn (and NFCs) shrink."""
+        """A facility opens: affected clients' dnn (and NFCs) shrink.
+
+        Raises ValueError, before any state changes, for a coordinate
+        that is not finite or lies beyond ``COORD_LIMIT``."""
         p = Point(*point)
+        _coordinates([p], "facility")
         # Materialise the maintainer from the *pre-mutation* facility
         # set before the lists change underneath its lazy constructor.
         maintainer = self.maintainer

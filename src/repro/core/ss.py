@@ -16,13 +16,13 @@ analyses.
 The scan decomposes for the execution engine as Algorithm 1 loops: one
 task per potential block.  The driver charges each potential block once
 at planning time (the serial loop holds it in memory across the inner
-scan); each task re-fetches it for free via ``peek_block``, reads and
-is charged for every client block in order, and makes one shared-form
-kernel call over the whole client file, whose columns the file gathers
-once and keeps (``BlockFile.columns``).  The call returns the block's
-influence terms, and the reduce rounds each potential's terms once
-(:func:`~repro.core.plan.reduce_terms`), so ``dr`` does not depend on
-the page size's blocking of either file.
+scan); each task re-fetches it for free via ``peek_block``, charges
+every client block in order with one ``charge`` call, and makes one
+shared-form kernel call over the whole client file, whose columns the
+file gathers once and keeps (``BlockFile.columns``).  The call returns
+the block's influence terms, and the reduce rounds each potential's
+terms once (:func:`~repro.core.plan.reduce_terms`), so ``dr`` does not
+depend on the page size's blocking of either file.
 """
 
 from __future__ import annotations
@@ -76,17 +76,17 @@ class SequentialScan(LocationSelector):
         self, task: tuple[int, int], stats: IOStats
     ) -> tuple[np.ndarray, np.ndarray]:
         """One potential block against the whole client file (Algorithm 1's
-        inner loop): every client block read in order, then one kernel
+        inner loop): every client block charged in order, then one kernel
         call; returns the block's ``(potential ids, terms)``."""
         p_id, offset = task
         ws = self.ws
         p_block = ws.potential_file.peek_block(p_id)  # charged at planning
         client_file = ws.client_file
+        blocks = client_file.num_blocks
         with stats.tracer.span("ss.client_pass") as sp:
-            for c_id in range(client_file.num_blocks):
-                client_file.read_block(c_id, stats=stats)
-            sp.count("client_blocks", client_file.num_blocks)
-            if not client_file.num_blocks:
+            client_file.charge(range(blocks), stats)
+            sp.count("client_blocks", blocks)
+            if not blocks:
                 return NO_TERMS
             # The blocks just charged, as the columns the file gathered
             # once (the file is read-only while it lives).

@@ -41,7 +41,6 @@ from repro.rtree.mnd_tree import MNDTree
 from repro.rtree.rnn_tree import build_rnn_tree
 from repro.rtree.rtree import RTree
 from repro.storage.blockfile import BlockFile
-from repro.storage.buffer import LRUBufferPool
 from repro.storage.leafcache import DecodedLeafCache
 from repro.storage.records import CLIENT_RECORD, PAGE_SIZE, POINT_RECORD, RTREE_ENTRY
 from repro.storage.stats import IOStats
@@ -100,7 +99,6 @@ class Workspace:
         self,
         instance: SpatialInstance,
         page_size: int = PAGE_SIZE,
-        buffer_pool_pages: Optional[int] = None,
         use_bulk_load: bool = True,
         io_latency_s: float = DEFAULT_IO_LATENCY_S,
         precomputed_dnn: Optional[Sequence[float]] = None,
@@ -126,12 +124,9 @@ class Workspace:
         self.tracer: Tracer | NoopTracer = NOOP_TRACER
         if tracer is not None:
             self.attach_tracer(tracer)
-        self.buffer_pool = (
-            LRUBufferPool(buffer_pool_pages) if buffer_pool_pages else None
-        )
         # Decoded leaf arrays, shared by all methods and all queries over
-        # this workspace (the decode is CPU-only; page reads are charged
-        # by the caller before consulting the cache, so io_total never
+        # this workspace (the decode is CPU-only; the caller charges every
+        # page read whether or not the cache hits, so io_total never
         # depends on cache state).
         self.leaf_cache = DecodedLeafCache()
 
@@ -190,15 +185,13 @@ class Workspace:
         return len(self.potentials)
 
     def reset_stats(self) -> None:
-        """Clear I/O counters (and cold-start the buffer pool, if any).
+        """Clear I/O counters.
 
         The decoded-leaf cache deliberately survives: it caches a CPU
         artefact, never a charge, so keeping it warm across queries
         cannot perturb I/O accounting.
         """
         self.stats.reset()
-        if self.buffer_pool is not None:
-            self.buffer_pool.clear()
 
     def invalidate_leaf_cache(self) -> None:
         """Drop every decoded leaf array (after any data mutation)."""
@@ -258,25 +251,13 @@ class Workspace:
         slot models the paper's unweighted record (weights are an
         extension and ride along without changing the block maths)."""
         data = np.column_stack([self.client_xyd, self.client_w])
-        return BlockFile(
-            "file.C",
-            data,
-            CLIENT_RECORD,
-            self.stats,
-            self.buffer_pool,
-            self.page_size,
-        )
+        return BlockFile("file.C", data, CLIENT_RECORD, self.stats, self.page_size)
 
     @cached_property
     def potential_file(self) -> BlockFile:
         """Potential locations as ``(x, y)`` rows in 20-byte slots."""
         return BlockFile(
-            "file.P",
-            self.potential_xy,
-            POINT_RECORD,
-            self.stats,
-            self.buffer_pool,
-            self.page_size,
+            "file.P", self.potential_xy, POINT_RECORD, self.stats, self.page_size
         )
 
     # ------------------------------------------------------------------
@@ -293,7 +274,6 @@ class Workspace:
             name,
             self.stats,
             leaf_layout=RTREE_ENTRY,
-            buffer_pool=self.buffer_pool,
             page_size=self.page_size,
         )
         return load_entries(
@@ -340,7 +320,6 @@ class Workspace:
             self.stats,
             self.clients,
             self.client_xyd,
-            buffer_pool=self.buffer_pool,
             page_size=self.page_size,
             use_bulk_load=self.use_bulk_load,
         )
@@ -349,11 +328,7 @@ class Workspace:
     def mnd_tree(self) -> MNDTree:
         """``R_C^m``: the MND-augmented client tree of the MND method."""
         tree = MNDTree(
-            "R_C^m",
-            self.stats,
-            radius_of=lambda c: c.dnn,
-            buffer_pool=self.buffer_pool,
-            page_size=self.page_size,
+            "R_C^m", self.stats, radius_of=lambda c: c.dnn, page_size=self.page_size
         )
         bounds = _point_bounds(self.client_xyd[:, :2])
         return load_entries(

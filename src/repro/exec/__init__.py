@@ -19,11 +19,6 @@ Quick usage::
     results = run_batch(ws, ["SS", "QVC", "NFC", "MND"], workers=4)
 """
 
-from repro.exec.engine import (
-    BufferPoolWorkspaceError,
-    QueryEngine,
-    run_batch,
-    run_query,
-)
+from repro.exec.engine import QueryEngine, run_batch, run_query
 
-__all__ = ["BufferPoolWorkspaceError", "QueryEngine", "run_batch", "run_query"]
+__all__ = ["QueryEngine", "run_batch", "run_query"]

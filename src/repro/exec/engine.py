@@ -19,11 +19,6 @@ accounting that is **deterministic by construction**:
   rounded sum of its terms (:func:`repro.core.plan.reduce_terms`),
   which no grouping or scheduling can move.
 
-The engine refuses workspaces with a buffer pool: LRU hit/miss state
-makes page charges depend on task interleaving, which is exactly the
-non-determinism this engine exists to exclude (ablate buffer pools on
-the serial path instead).
-
 Simulated-latency realisation: with ``realize_latency=True`` each task
 sleeps ``reads x io_latency_s`` *inside its worker*, so wall-clock time
 behaves like the paper's disk-bound setting — concurrent tasks overlap
@@ -53,32 +48,13 @@ from repro.storage.stats import IOStats
 MethodLike = Union[str, LocationSelector]
 
 
-class BufferPoolWorkspaceError(ValueError):
-    """The workspace has an LRU buffer pool, which the engine refuses.
-
-    Warm-pool hit/miss state makes page charges depend on task
-    interleaving — exactly the non-determinism the engine exists to
-    exclude.  Typed (rather than a bare ``ValueError``) so hosting
-    layers such as :mod:`repro.service` can turn it into an actionable
-    configuration message instead of an opaque internal error.
-    """
-
-    def __init__(self, message: Optional[str] = None):
-        super().__init__(
-            message
-            or "parallel execution requires a workspace without a buffer "
-            "pool: LRU hit/miss state makes page charges depend on task "
-            "interleaving (run buffer-pool ablations on the serial path)"
-        )
-
-
 class QueryEngine:
     """Runs selection queries over one workspace on a worker pool.
 
     Parameters
     ----------
     workspace:
-        The (buffer-pool-free) workspace all queries share.
+        The workspace all queries share.
     workers:
         Pool size; ``1`` runs every task inline on the driver, which is
         exactly the serial traversal.
@@ -111,8 +87,6 @@ class QueryEngine:
             raise ValueError(
                 f"unknown executor {executor!r}; expected 'thread' or 'process'"
             )
-        if getattr(workspace, "buffer_pool", None) is not None:
-            raise BufferPoolWorkspaceError()
         if task_target is not None and task_target < 1:
             raise ValueError("task_target must be >= 1")
         self.ws = workspace

@@ -11,7 +11,7 @@ the same prepared workspace: the reported wall time is the median of
 the repeats (noise smoothing for the benchmark recorder) while the
 page-read counts — which are fully deterministic given a dataset — are
 required to be identical across repeats.  A mismatch means some state
-leaked between runs (buffer pool not cold-started, index mutated) and
+leaked between runs (stats not reset, index mutated) and
 raises instead of reporting an unreproducible number.
 """
 

@@ -11,8 +11,8 @@ Profiling a query takes three lines::
 
 Every workspace defaults to :data:`NOOP_TRACER`, whose spans are inert
 singletons — instrumentation costs effectively nothing until a real
-tracer is attached.  Process-lifetime totals (pager reads, buffer hit
-rates, node fetches) accumulate in :data:`REGISTRY` regardless.
+tracer is attached.  Process-lifetime totals (page reads, page
+allocations, node reads) accumulate in :data:`REGISTRY` regardless.
 """
 
 from __future__ import annotations

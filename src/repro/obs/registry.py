@@ -2,11 +2,11 @@
 
 Where spans (:mod:`repro.obs.trace`) attribute cost to *one query's
 phases*, the registry accumulates *process-lifetime* totals: how many
-pages the pager served, how often the buffer pool hit, how many R-tree
-nodes were fetched.  The storage layer reports into the default
-:data:`REGISTRY` while remaining fully backward compatible with the
-per-workspace :class:`~repro.storage.stats.IOStats` counters the
-experiments are denominated in.
+pages were read and allocated, how many R-tree nodes were read.  The
+storage layer reports into the default :data:`REGISTRY` while remaining
+fully backward compatible with the per-workspace
+:class:`~repro.storage.stats.IOStats` counters the experiments are
+denominated in.
 
 Metric handles are get-or-create and cached by the hot callers at
 construction time, so the steady-state cost of reporting is one bound
@@ -64,7 +64,7 @@ class Counter:
 
 
 class Gauge:
-    """A value that can go up and down (e.g. resident buffer pages)."""
+    """A value that can go up and down (e.g. open connections)."""
 
     __slots__ = ("name", "value", "_lock")
 

@@ -27,7 +27,6 @@ from repro.geometry.maxmindist import max_min_dist_region_rect, max_min_dist_run
 from repro.rtree.entry import BranchEntry
 from repro.rtree.node import Node
 from repro.rtree.rtree import RTree
-from repro.storage.buffer import LRUBufferPool
 from repro.storage.records import MND_ENTRY, PAGE_SIZE
 from repro.storage.stats import IOStats
 
@@ -40,7 +39,6 @@ class MNDTree(RTree):
         name: str,
         stats: IOStats,
         radius_of: Callable[[Any], float],
-        buffer_pool: Optional[LRUBufferPool] = None,
         page_size: int = PAGE_SIZE,
         max_leaf_entries: Optional[int] = None,
         max_branch_entries: Optional[int] = None,
@@ -60,7 +58,6 @@ class MNDTree(RTree):
             stats,
             leaf_layout=MND_ENTRY,
             branch_layout=MND_ENTRY,
-            buffer_pool=buffer_pool,
             page_size=page_size,
             max_leaf_entries=max_leaf_entries,
             max_branch_entries=max_branch_entries,

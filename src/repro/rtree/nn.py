@@ -7,8 +7,9 @@ them for a whole block of potentials in one lockstep pass;
 quadrant's quarter-plane.  Results are retrieved incrementally, so
 callers stop as soon as every quadrant is served.
 
-All node fetches that a search makes are charged through
-``tree.read_node`` and are therefore counted as I/Os.
+Every node a search reads is charged as an I/O: :func:`best_first`
+fetches through ``tree.read_node``, and the quadrant pass charges its
+block's reads with one ``tree.charge``.
 
 :func:`best_first` is the one incremental search loop.  It works on
 node columns: a read node's entry minDists come from one
@@ -37,9 +38,9 @@ quadrant's candidate is *settled* — the object loop pops it — once
 its ``(minDist, expansion number)`` comes before the stream's next
 node.  A stream stops when its four quadrants are settled or its heap
 is empty, which is where the object loop stops, so it reads the same
-nodes; the pass charges them afterwards, stream by stream in query
-order, which is the order of one stream per query run one after the
-other.
+nodes; the pass then charges them with one ``tree.charge`` call,
+stream by stream in query order, which is the order of one stream per
+query run one after the other.
 """
 
 from __future__ import annotations
@@ -168,17 +169,17 @@ def quadrant_nearest_block(
     read and their order are those of one best-first stream stopped
     once every quadrant is served (the object-at-a-time loop in
     ``tests/rtree/test_nn.py``).  The pass evaluates on uncharged
-    ``tree.node`` fetches, then charges the reads to ``stats`` query by
-    query.
+    ``tree.node`` fetches, then charges the block's reads to ``stats``
+    at once, query by query.
     """
     block = _QuadrantPass(tree, cache, qx, qy)
     if len(qx) and tree.num_entries:
         block.run()
-    tracer = (stats if stats is not None else tree.stats).tracer
-    for stream in block.reads:
-        for node_id in stream:
-            tracer.count("nn.nodes")
-            tree.read_node(node_id, stats=stats)
+    reads = list(itertools.chain.from_iterable(block.reads))
+    if reads:
+        tracer = (stats if stats is not None else tree.stats).tracer
+        tracer.count("nn.nodes", len(reads))
+        tree.charge(reads, stats)
     return block.sids, block.xs, block.ys
 
 

@@ -30,8 +30,9 @@ Branch pages keep the packed entry layout (they are small, and
 traversal needs their entry objects anyway); a branch node carries both
 its entry objects and the ``BranchColumns`` decoded from the page.
 
-Each page is decoded at most once per open file.  Every read is still
-charged, and then served the node decoded at the page's first read.
+Each page is decoded at most once per open file, and sliced from the
+map only then.  Every read is still charged, and then served the node
+decoded at the page's first fetch.
 
 File layout per node page::
 
@@ -55,12 +56,10 @@ from repro.geometry.maxmindist import max_min_dist_region_rect
 from repro.geometry.rect import Rect
 from repro.rtree.entry import BranchEntry, LeafEntry
 from repro.rtree.mnd_tree import MNDTree
-from repro.obs.registry import REGISTRY
 from repro.rtree.node import Node
-from repro.rtree.rtree import RTree
-from repro.storage.buffer import LRUBufferPool
+from repro.rtree.rtree import RTree, TreeReads
 from repro.storage.codecs import PayloadCodec, encode_branch
-from repro.storage.diskfile import DiskPager, PageFile, PageFileError
+from repro.storage.diskfile import PageFile, PageFileError
 from repro.storage.stats import IOStats
 
 _NODE_HEADER = struct.Struct("<HH")
@@ -200,22 +199,38 @@ class ColumnBranchNode(Node):
         self.columns = columns
 
 
-class DiskRTree:
+class _DecodedNodes(dict):
+    """Page id -> node, each page sliced from the map and decoded at its
+    first fetch; the first decode wins if two threads decode one page
+    at once."""
+
+    __slots__ = ("_decode",)
+
+    def __init__(self, decode: Callable[[int], Node]):
+        super().__init__()
+        self._decode = decode
+
+    def __missing__(self, page_id: int) -> Node:
+        return self.setdefault(page_id, self._decode(page_id))
+
+
+class DiskRTree(TreeReads):
     """A read-only R-tree served from a page file.
 
-    Duck-type compatible with :class:`~repro.rtree.rtree.RTree` for all
-    query paths (``read_node`` / ``node`` / ``root_id`` /
-    ``num_entries``), so :func:`~repro.rtree.window.window_query`,
+    Interchangeable with :class:`~repro.rtree.rtree.RTree` for all
+    query paths (``read_node`` / ``charge`` / ``node`` / ``root_id`` /
+    ``num_entries``; both charge their reads by the one
+    :class:`~repro.rtree.rtree.TreeReads` rule), so
+    :func:`~repro.rtree.window.window_query`,
     :func:`~repro.rtree.nn.nearest_neighbor`,
     :func:`~repro.rtree.join.intersection_join` and the method joins of
     :mod:`repro.core` all work unchanged on disk-backed indexes.
 
     Each page is decoded at most once per open file: ``read_node``
-    charges every read as before, then returns the node decoded at the
-    page's first read (or first ``node`` peek).  The decoded nodes are
-    shared by every reader, engine threads included, and are read-only.
-    :meth:`drop_decoded` forgets them, and :meth:`close` drops them
-    before unmapping the file.
+    charges every read, and returns the node decoded at the page's
+    first fetch.  The decoded nodes are shared by every reader, engine
+    threads included, and are read-only.  :meth:`drop_decoded` forgets
+    them, and :meth:`close` drops them before unmapping the file.
     """
 
     def __init__(
@@ -224,7 +239,6 @@ class DiskRTree:
         path: str | Path,
         codec: PayloadCodec,
         stats: IOStats,
-        buffer_pool: Optional[LRUBufferPool] = None,
         radius_of: Optional[Callable[[Any], float]] = None,
         leaf_shape: str = "point",
     ):
@@ -235,12 +249,12 @@ class DiskRTree:
         leaf-level MND (an MND-augmented client tree)."""
         if leaf_shape not in LEAF_SHAPES:
             raise ValueError(f"unknown leaf shape {leaf_shape!r}")
+        super().__init__(
+            name,
+            stats,
+            _DecodedNodes(lambda page: self._decode(page, self._file.read_page(page))),
+        )
         self._file = PageFile(path).open()
-        self._pager = DiskPager(name, self._file, stats, buffer_pool)
-        self.name = name
-        self._reg_node_reads = REGISTRY.counter("rtree.node_reads")
-        self._leaf_read_key = f"reads.{name}.leaf"
-        self._branch_read_key = f"reads.{name}.branch"
         self._codec = codec
         self._radius_of = radius_of
         self._leaf_shape = leaf_shape
@@ -251,7 +265,6 @@ class DiskRTree:
         # Read-only trees never mutate, so decoded-leaf caches keyed on
         # (name, version) stay valid for the file's lifetime.
         self.version = 0
-        self._decoded: dict[int, Node] = {}
 
     # ------------------------------------------------------------------
     # Decoding
@@ -323,28 +336,9 @@ class DiskRTree:
     # ------------------------------------------------------------------
     # RTree-compatible query interface
     # ------------------------------------------------------------------
-    def read_node(self, node_id: int, stats: Optional[IOStats] = None) -> Node:
-        node = self._decoded_node(node_id, self._pager.read(node_id, stats=stats))
-        self._reg_node_reads.inc()
-        tracer = (stats if stats is not None else self._pager.stats)._tracer
-        if tracer is not None:
-            tracer.count(self._leaf_read_key if node.is_leaf else self._branch_read_key)
-        return node
-
-    def node(self, node_id: int) -> Node:
-        return self._decoded_node(node_id, self._pager.peek(node_id))
-
-    def _decoded_node(self, node_id: int, data) -> Node:
-        """The node decoded at the page's first read; the first decode
-        wins if two threads decode one page at once."""
-        node = self._decoded.get(node_id)
-        if node is None:
-            node = self._decoded.setdefault(node_id, self._decode(node_id, data))
-        return node
-
     def drop_decoded(self) -> None:
         """Forget every decoded node; the next read of a page decodes it."""
-        self._decoded.clear()
+        self._nodes.clear()
 
     @property
     def root(self) -> Node:
@@ -357,10 +351,6 @@ class DiskRTree:
     @property
     def size_pages(self) -> int:
         return self.num_nodes
-
-    @property
-    def stats(self) -> IOStats:
-        return self._pager.stats
 
     def __len__(self) -> int:
         return self.num_entries
@@ -414,7 +404,7 @@ class DiskRTree:
         raise ReadOnlyTreeError(f"{self.name} is a read-only disk tree")
 
     def close(self) -> None:
-        self._decoded.clear()  # its leaves are views of the map
+        self._nodes.clear()  # its leaves are views of the map
         self._file.close()
 
     def __enter__(self) -> "DiskRTree":

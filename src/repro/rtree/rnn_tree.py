@@ -14,13 +14,12 @@ the leaves.
 
 from __future__ import annotations
 
-from typing import Any, Optional, Sequence
+from typing import Any, Sequence
 
 import numpy as np
 
 from repro.rtree.bulk import load_entries
 from repro.rtree.rtree import RTree
-from repro.storage.buffer import LRUBufferPool
 from repro.storage.records import PAGE_SIZE, RNN_ENTRY
 from repro.storage.stats import IOStats
 
@@ -38,7 +37,6 @@ def build_rnn_tree(
     stats: IOStats,
     clients: Sequence[Any],
     xyd: np.ndarray,
-    buffer_pool: Optional[LRUBufferPool] = None,
     page_size: int = PAGE_SIZE,
     use_bulk_load: bool = True,
 ) -> RTree:
@@ -55,7 +53,6 @@ def build_rnn_tree(
         stats,
         leaf_layout=RNN_ENTRY,
         branch_layout=RNN_ENTRY,
-        buffer_pool=buffer_pool,
         page_size=page_size,
     )
     xyd = np.asarray(xyd, dtype=np.float64).reshape(-1, 3)

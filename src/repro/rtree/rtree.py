@@ -1,11 +1,13 @@
 """The R-tree proper (Guttman, SIGMOD 1984).
 
-One node == one simulated disk page, so the page-read counter of the
-underlying :class:`~repro.storage.pager.Pager` measures exactly the
-"number of I/Os" the paper reports.  Query code must access nodes through
-:meth:`RTree.read_node` (counted); construction and maintenance use the
-uncounted :meth:`RTree.node` accessor, because the paper excludes index
-building from query costs.
+One node == one simulated disk page, so the node reads a query charges
+measure exactly the "number of I/Os" the paper reports.  Query code must
+access nodes through :meth:`~TreeReads.read_node` (counted), or fetch
+them with the uncounted :meth:`RTree.node` and charge the reads it
+stands for with one :meth:`~TreeReads.charge`; construction and
+maintenance use ``node`` alone, because the paper excludes index
+building from query costs.  :class:`TreeReads` is the one charge rule,
+shared with the on-disk :class:`~repro.rtree.persist.DiskRTree`.
 
 Subclasses customise the directory entries through two hooks —
 :meth:`RTree._entry_for_child` and :meth:`RTree._refresh_entry` — which is
@@ -17,20 +19,77 @@ on columns, asks for a whole level's values through
 
 from __future__ import annotations
 
-from typing import Any, Iterable, Iterator, Optional
+from typing import Any, Iterable, Iterator, Optional, Sequence
 
 from repro.geometry.rect import Rect
 from repro.obs.registry import REGISTRY
 from repro.rtree.entry import BranchEntry, LeafEntry
 from repro.rtree.node import Node
 from repro.rtree.split import quadratic_split
-from repro.storage.buffer import LRUBufferPool
 from repro.storage.pager import Pager
 from repro.storage.records import PAGE_SIZE, RTREE_ENTRY, RecordLayout
 from repro.storage.stats import IOStats
 
 
-class RTree:
+class TreeReads:
+    """The charge rule for tree reads, and the query-time read path.
+
+    A charge of ``n`` node reads is one ``record_read(name, n)`` on the
+    per-query :class:`IOStats`, one ``rtree.node_reads`` registry
+    increment of ``n`` and — only while a tracer is bound — one count
+    each of the leaves and branches among them on the open span
+    (``reads.<name>.leaf`` / ``.branch``), so profiles separate
+    directory descent from leaf scans.
+
+    ``nodes`` maps a node id to its node: the in-memory tree's page
+    list, or the disk tree's pages decoded on first fetch.
+    """
+
+    def __init__(self, name: str, stats: IOStats, nodes):
+        self.name = name
+        self.stats = stats
+        self._nodes = nodes
+        self._reg_node_reads = REGISTRY.counter("rtree.node_reads")
+        self._leaf_read_key = f"reads.{name}.leaf"
+        self._branch_read_key = f"reads.{name}.branch"
+
+    def node(self, node_id: int) -> Node:
+        """Fetch a node without accounting: for construction and
+        maintenance, and for passes that charge their reads at once."""
+        return self._nodes[node_id]
+
+    def read_node(self, node_id: int, stats: Optional[IOStats] = None) -> Node:
+        """Fetch a node with I/O accounting — one uncharged fetch and one
+        :meth:`charge`."""
+        node = self._nodes[node_id]
+        self.charge((node_id,), stats)
+        return node
+
+    def charge(self, node_ids: Sequence[int], stats: Optional[IOStats] = None) -> None:
+        """Charge the reads of ``node_ids`` at once; no ids charge nothing.
+
+        ``stats`` redirects the charge (and the leaf/branch span
+        counts) to a caller-private accounting; parallel tasks use this
+        so the engine can merge per-task partials determinately.
+        """
+        reads = len(node_ids)
+        if not reads:
+            return
+        stats = self.stats if stats is None else stats
+        stats.record_read(self.name, reads)
+        self._reg_node_reads.inc(reads)
+        tracer = stats._tracer
+        if tracer is not None:
+            nodes, leaves = self._nodes, 0
+            for node_id in node_ids:
+                leaves += nodes[node_id].level == 0
+            if leaves:
+                tracer.count(self._leaf_read_key, leaves)
+            if leaves < reads:
+                tracer.count(self._branch_read_key, reads - leaves)
+
+
+class RTree(TreeReads):
     """A disk-based R-tree over ``(Rect, payload)`` data entries."""
 
     def __init__(
@@ -39,17 +98,13 @@ class RTree:
         stats: IOStats,
         leaf_layout: RecordLayout = RTREE_ENTRY,
         branch_layout: RecordLayout = RTREE_ENTRY,
-        buffer_pool: Optional[LRUBufferPool] = None,
         page_size: int = PAGE_SIZE,
         max_leaf_entries: Optional[int] = None,
         max_branch_entries: Optional[int] = None,
         min_fill: float = 0.4,
     ):
-        self.name = name
-        self._pager = Pager(name, branch_layout, stats, buffer_pool, page_size)
-        self._reg_node_reads = REGISTRY.counter("rtree.node_reads")
-        self._leaf_read_key = f"reads.{name}.leaf"
-        self._branch_read_key = f"reads.{name}.branch"
+        self._pager = Pager(name, branch_layout, stats, page_size)
+        super().__init__(name, stats, self._pager._pages)
         self.max_leaf = max_leaf_entries or leaf_layout.capacity(page_size)
         self.max_branch = max_branch_entries or branch_layout.capacity(page_size)
         if self.max_leaf < 2 or self.max_branch < 2:
@@ -82,38 +137,15 @@ class RTree:
     # ------------------------------------------------------------------
     # Page plumbing
     # ------------------------------------------------------------------
-    def read_node(self, node_id: int, stats: Optional[IOStats] = None) -> Node:
-        """Fetch a node with I/O accounting — the query-time accessor.
-
-        Besides the per-query :class:`IOStats` charge (made by the
-        pager), the fetch bumps the process-wide ``rtree.node_reads``
-        metric and — when a tracer is bound — a per-span leaf/branch
-        counter, so profiles separate directory descent from leaf scans.
-
-        ``stats`` redirects the charge (and the leaf/branch span
-        counter) to a caller-private accounting; parallel tasks use this
-        so the engine can merge per-task partials determinately.
-        """
-        node = self._pager.read(node_id, stats=stats)
-        self._reg_node_reads.inc()
-        tracer = (stats if stats is not None else self._pager.stats)._tracer
-        if tracer is not None:
-            tracer.count(self._leaf_read_key if node.is_leaf else self._branch_read_key)
-        return node
-
-    def node(self, node_id: int) -> Node:
-        """Fetch a node without accounting (construction/maintenance)."""
-        return self._pager.peek(node_id)
-
     @property
     def root(self) -> Node:
-        return self._pager.peek(self.root_id)
+        return self._nodes[self.root_id]
 
     def _alloc_node(self, level: int) -> Node:
         if self._free_pages:
             node_id = self._free_pages.pop()
             node = Node(node_id, level, [])
-            self._pager._pages[node_id] = node
+            self._nodes[node_id] = node
         else:
             node = Node(-1, level, [])
             node.node_id = self._pager.allocate(node)
@@ -121,7 +153,7 @@ class RTree:
         return node
 
     def _free_node(self, node_id: int) -> None:
-        self._pager._pages[node_id] = None
+        self._nodes[node_id] = None
         self._free_pages.append(node_id)
         # Drop the decode *now*: the page id recycles, and a later
         # occupant must never inherit a stale cached decode.
@@ -164,10 +196,6 @@ class RTree:
     @property
     def size_bytes(self) -> int:
         return self.num_nodes * self._pager.page_size
-
-    @property
-    def stats(self) -> IOStats:
-        return self._pager.stats
 
     def __len__(self) -> int:
         return self.num_entries

@@ -67,7 +67,7 @@ from repro.core import METHODS, make_selector
 from repro.core.dynamic import DynamicWorkspace
 from repro.core.evaluate import evaluate_location
 from repro.core.regions import RegionClock
-from repro.exec import BufferPoolWorkspaceError, QueryEngine
+from repro.exec import QueryEngine
 from repro.geometry.point import COORD_LIMIT
 from repro.obs.openmetrics import CONTENT_TYPE
 from repro.obs.registry import REGISTRY
@@ -149,14 +149,9 @@ class WorkspaceHost:
         self.config = config
         self.cache = cache
         self.telemetry = telemetry
-        try:
-            self.engine = QueryEngine(
-                workspace, workers=config.workers, executor=config.executor
-            )
-        except BufferPoolWorkspaceError as exc:
-            raise BufferPoolWorkspaceError(
-                f"workspace {name!r} cannot be served: {exc}"
-            ) from None
+        self.engine = QueryEngine(
+            workspace, workers=config.workers, executor=config.executor
+        )
         #: Engine span roots of the current batch, in query order.  Safe
         #: as plain state: one batch runs at a time per workspace, and
         #: the list is cleared before / drained after each run_batch.

@@ -7,16 +7,13 @@ reproduces that environment in memory:
 * :mod:`~repro.storage.records` — byte-accurate record and entry layouts;
   page capacities (the paper's ``C_m``) are derived from them.
 * :mod:`~repro.storage.stats` — hierarchical I/O counters.
-* :mod:`~repro.storage.pager` — a paged "disk" whose every page read is
-  counted, with an optional buffer pool in front of it.
+* :mod:`~repro.storage.pager` — a paged "disk"; its owners charge every
+  page read a query makes against a cold disk, as the paper counts.
 * :mod:`~repro.storage.blockfile` — sequential files read one block at a
   time, used by the SS and QVC methods to scan the flat datasets.
-* :mod:`~repro.storage.buffer` — an LRU buffer pool (disabled by default
-  to match the paper's raw-I/O counting; enabling it is an ablation).
 """
 
 from repro.storage.blockfile import BlockFile
-from repro.storage.buffer import LRUBufferPool
 from repro.storage.leafcache import DecodedLeafCache
 from repro.storage.pager import Pager
 from repro.storage.records import (
@@ -35,7 +32,6 @@ __all__ = [
     "CLIENT_RECORD",
     "DecodedLeafCache",
     "IOStats",
-    "LRUBufferPool",
     "MND_ENTRY",
     "PAGE_SIZE",
     "POINT_RECORD",

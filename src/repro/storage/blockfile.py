@@ -3,24 +3,79 @@
 The SS method scans the client and potential-location datasets as flat
 files, one block at a time (``ReadBlock`` in Algorithm 1); the QVC method
 likewise reads ``P`` in blocks.  ``BlockFile`` chunks a record list into
-pages on a :class:`~repro.storage.pager.Pager` and yields them back with
+pages on a :class:`~repro.storage.pager.Pager` and serves them back with
 one counted I/O per block.
+
+:class:`BlockReads` is the read path ``BlockFile`` shares with its
+on-disk twin :class:`~repro.storage.diskblocks.DiskBlockFile`: a
+charged ``read_block`` is the uncharged ``peek_block`` plus
+:meth:`~BlockReads.charge`, which charges any number of block reads in
+one call (the SS client pass charges the whole file that way).
 """
 
 from __future__ import annotations
 
-from typing import Any, Iterator, Optional, Sequence
+from typing import Any, Iterator, Optional, Sequence, Sized
 
 import numpy as np
 
 from repro.storage import soa
-from repro.storage.buffer import LRUBufferPool
 from repro.storage.pager import Pager
 from repro.storage.records import PAGE_SIZE, RecordLayout
 from repro.storage.stats import IOStats
 
 
-class BlockFile:
+class BlockReads:
+    """The charged read path of a block file.
+
+    A subclass sets ``name``, ``stats`` and ``_columns`` (None), and
+    provides ``num_blocks`` and the uncharged ``peek_block``.
+    """
+
+    name: str
+    stats: IOStats
+    _columns: Optional[tuple[np.ndarray, ...]]
+
+    def read_block(self, block_id: int, stats: Optional[IOStats] = None) -> Any:
+        """Read one block (one counted I/O, charged to ``stats`` if given)."""
+        block = self.peek_block(block_id)
+        self.charge((block_id,), stats)
+        return block
+
+    def charge(self, block_ids: Sized, stats: Optional[IOStats] = None) -> None:
+        """Charge one read per id in ``block_ids`` with one call, to
+        ``stats`` if given (a task's private accounting), else to the
+        file's own.  No ids charge nothing."""
+        reads = len(block_ids)
+        if reads:
+            (self.stats if stats is None else stats).record_read(self.name, reads)
+
+    def columns(self) -> tuple[np.ndarray, ...]:
+        """The whole file as columns, one array per field
+        (:func:`~repro.storage.soa.gather_block_columns`).
+
+        Gathered from uncharged peeks on first use and kept, since the
+        file is read-only; callers charge the block reads they stand
+        for.  Needs blocks of rows (numpy matrices).
+        """
+        if self._columns is None:
+            self._columns = soa.gather_block_columns(
+                [self.peek_block(b) for b in range(self.num_blocks)]
+            )
+        return self._columns
+
+    def iter_blocks(self) -> Iterator[Any]:
+        """Scan the file front to back, one I/O per block."""
+        for block_id in range(self.num_blocks):
+            yield self.read_block(block_id)
+
+    def iter_records(self) -> Iterator[Any]:
+        """Scan all records (I/O still counted per block, not per record)."""
+        for block in self.iter_blocks():
+            yield from block
+
+
+class BlockFile(BlockReads):
     """A read-only sequential file of fixed-size records."""
 
     def __init__(
@@ -29,10 +84,11 @@ class BlockFile:
         records: Sequence[Any],
         layout: RecordLayout,
         stats: IOStats,
-        buffer_pool: Optional[LRUBufferPool] = None,
         page_size: int = PAGE_SIZE,
     ):
-        self._pager = Pager(name, layout, stats, buffer_pool, page_size)
+        self.name = name
+        self.stats = stats
+        self._pager = Pager(name, layout, stats, page_size)
         capacity = self._pager.capacity
         # Blocks are stored as slices of the input sequence so that both
         # plain lists and numpy arrays (used by the vectorised SS scan)
@@ -43,10 +99,6 @@ class BlockFile:
         self._columns: Optional[tuple[np.ndarray, ...]] = None
 
     # ------------------------------------------------------------------
-    @property
-    def name(self) -> str:
-        return self._pager.name
-
     @property
     def num_records(self) -> int:
         return self._num_records
@@ -64,12 +116,6 @@ class BlockFile:
         return self._pager.size_bytes
 
     # ------------------------------------------------------------------
-    def read_block(
-        self, block_id: int, stats: Optional[IOStats] = None
-    ) -> list[Any]:
-        """Read one block (one counted I/O, charged to ``stats`` if given)."""
-        return self._pager.read(block_id, stats=stats)
-
     def peek_block(self, block_id: int) -> list[Any]:
         """Fetch a block *without* I/O accounting.
 
@@ -80,27 +126,3 @@ class BlockFile:
         block in memory across the inner scan).
         """
         return self._pager.peek(block_id)
-
-    def columns(self) -> tuple[np.ndarray, ...]:
-        """The whole file as columns, one array per field
-        (:func:`~repro.storage.soa.gather_block_columns`).
-
-        Gathered from uncharged peeks on first use and kept, since the
-        file is read-only; callers charge the block reads they stand
-        for.  Needs blocks of rows (numpy matrices).
-        """
-        if self._columns is None:
-            self._columns = soa.gather_block_columns(
-                [self.peek_block(b) for b in range(self.num_blocks)]
-            )
-        return self._columns
-
-    def iter_blocks(self) -> Iterator[list[Any]]:
-        """Scan the file front to back, one I/O per block."""
-        for block_id in range(self._pager.num_pages):
-            yield self._pager.read(block_id)
-
-    def iter_records(self) -> Iterator[Any]:
-        """Scan all records (I/O still counted per block, not per record)."""
-        for block in self.iter_blocks():
-            yield from block

@@ -26,13 +26,13 @@ from __future__ import annotations
 
 import struct
 from pathlib import Path
-from typing import Iterator, Optional
+from typing import Optional
 
 import numpy as np
 
 from repro.storage import soa
-from repro.storage.buffer import LRUBufferPool
-from repro.storage.diskfile import DiskPager, PageFile, PageFileError
+from repro.storage.blockfile import BlockReads
+from repro.storage.diskfile import PageFile, PageFileError
 from repro.storage.records import PAGE_SIZE
 from repro.storage.stats import IOStats
 
@@ -73,27 +73,22 @@ def save_block_file(
     return len(pages)
 
 
-class DiskBlockFile:
+class DiskBlockFile(BlockReads):
     """A read-only block file served from a page file on disk.
 
-    Duck-type compatible with :class:`~repro.storage.blockfile.BlockFile`
+    Interchangeable with :class:`~repro.storage.blockfile.BlockFile`
     for every consumer in :mod:`repro.core`: same properties, same
-    counted ``read_block`` / uncounted ``peek_block`` contract.  Blocks
+    read path (:class:`~repro.storage.blockfile.BlockReads`).  Blocks
     come back as zero-copy views over one ``mmap`` of the file, each
     decoded at most once per open file and shared by every reader, as
     are the whole-file :meth:`columns` (:meth:`drop_decoded` forgets
     both; :meth:`close` drops them before unmapping).
     """
 
-    def __init__(
-        self,
-        name: str,
-        path: str | Path,
-        stats: IOStats,
-        buffer_pool: Optional[LRUBufferPool] = None,
-    ):
+    def __init__(self, name: str, path: str | Path, stats: IOStats):
+        self.name = name
+        self.stats = stats
         self._file = PageFile(path).open()
-        self._pager = DiskPager(name, self._file, stats, buffer_pool)
         self._decoded: dict[int, soa.ColumnBlock] = {}
         self._columns: Optional[tuple[np.ndarray, ...]] = None
         meta = bytes(self._file.read_page(0)[: _META.size])
@@ -109,10 +104,6 @@ class DiskBlockFile:
             )
 
     # ------------------------------------------------------------------
-    @property
-    def name(self) -> str:
-        return self._pager.name
-
     @property
     def num_records(self) -> int:
         return self._num_records
@@ -130,35 +121,16 @@ class DiskBlockFile:
         return self._ncols
 
     # ------------------------------------------------------------------
-    def read_block(
-        self, block_id: int, stats: Optional[IOStats] = None
-    ) -> soa.ColumnBlock:
-        """Read one block (one counted I/O, charged to ``stats`` if given)."""
-        self._check_block_id(block_id)
-        data = self._pager.read(block_id + 1, stats=stats)
-        return self._decoded_block(block_id, data)
-
     def peek_block(self, block_id: int) -> soa.ColumnBlock:
-        """Fetch a block *without* I/O accounting (see BlockFile.peek_block)."""
-        self._check_block_id(block_id)
-        return self._decoded_block(block_id, self._pager.peek(block_id + 1))
-
-    def _decoded_block(self, block_id: int, data) -> soa.ColumnBlock:
-        """The block decoded at its first read; the first decode wins if
-        two threads decode one block at once."""
+        """Fetch a block *without* I/O accounting (see BlockFile.peek_block):
+        the block decoded at its first fetch, the page sliced only then.
+        The first decode wins if two threads decode one block at once."""
         block = self._decoded.get(block_id)
         if block is None:
+            self._check_block_id(block_id)
+            data = self._file.read_page(block_id + 1)
             block = self._decoded.setdefault(block_id, soa.decode_block_columns(data))
         return block
-
-    def columns(self) -> tuple[np.ndarray, ...]:
-        """The whole file as columns (see ``BlockFile.columns``), gathered
-        on first use and kept until :meth:`drop_decoded`."""
-        if self._columns is None:
-            self._columns = soa.gather_block_columns(
-                [self.peek_block(b) for b in range(self.num_blocks)]
-            )
-        return self._columns
 
     def drop_decoded(self) -> None:
         """Forget every decoded block and the gathered columns; the next
@@ -171,16 +143,6 @@ class DiskBlockFile:
             raise PageFileError(
                 f"block {block_id} out of range 0..{self.num_blocks - 1}"
             )
-
-    def iter_blocks(self) -> Iterator[soa.ColumnBlock]:
-        """Scan the file front to back, one I/O per block."""
-        for block_id in range(self.num_blocks):
-            yield self.read_block(block_id)
-
-    def iter_records(self) -> Iterator[tuple[float, ...]]:
-        """Scan all records (I/O still counted per block, not per record)."""
-        for block in self.iter_blocks():
-            yield from block
 
     def close(self) -> None:
         self.drop_decoded()  # its blocks are views of the map

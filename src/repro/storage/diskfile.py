@@ -10,9 +10,9 @@ Reading is zero-copy: ``open`` validates the header and ``mmap``-s the
 whole file once, and every ``read_page`` returns a ``memoryview`` slice
 of the map — no per-read syscall, no bytes copy.  Consumers that run
 ``struct.unpack_from`` or ``np.frombuffer`` over the page operate
-directly on the mapped region.  :class:`DiskPager` layers the
-I/O-accounting contract on top: a page read is charged on a buffer-pool
-miss, exactly like the in-memory pager.
+directly on the mapped region.  A page file charges nothing: the
+disk tree and block file over it charge their reads exactly as their
+in-memory twins do.
 
 The header declares format version :data:`FORMAT_VERSION` (2): leaf
 and block pages hold structure-of-arrays column blocks
@@ -31,9 +31,7 @@ import struct
 from pathlib import Path
 from typing import Optional
 
-from repro.storage.buffer import LRUBufferPool
 from repro.storage.records import PAGE_SIZE
-from repro.storage.stats import IOStats
 
 #: File magic + format version.
 _MAGIC = b"MDLS"
@@ -156,38 +154,3 @@ class PageFile:
 
     def __exit__(self, *exc) -> None:
         self.close()
-
-
-class DiskPager:
-    """A read-only pager over a :class:`PageFile` with I/O accounting.
-
-    Decoding from bytes to node objects is the caller's job (see
-    :mod:`repro.rtree.persist`); the pager only counts and serves raw
-    pages, optionally through a buffer pool.
-    """
-
-    def __init__(
-        self,
-        name: str,
-        page_file: PageFile,
-        stats: IOStats,
-        buffer_pool: Optional[LRUBufferPool] = None,
-    ):
-        self.name = name
-        self.file = page_file
-        self.stats = stats
-        self.buffer_pool = buffer_pool
-
-    def read(self, page_id: int, stats: Optional[IOStats] = None) -> memoryview:
-        """Read a page, charging one I/O on a buffer miss.
-
-        ``stats`` redirects the charge to a caller-private accounting
-        (parallel tasks); the default is the pager's shared stats.
-        """
-        if self.buffer_pool is None or not self.buffer_pool.access(self.name, page_id):
-            (stats if stats is not None else self.stats).record_read(self.name)
-        return self.file.read_page(page_id)
-
-    def peek(self, page_id: int) -> memoryview:
-        """Uncounted read (validation and tooling)."""
-        return self.file.read_page(page_id)

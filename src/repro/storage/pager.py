@@ -6,19 +6,21 @@ but callers declare a :class:`~repro.storage.records.RecordLayout` so the
 pager can enforce capacity — a page can never hold more records than
 would physically fit in ``PAGE_SIZE`` bytes.
 
-Every ``read`` is charged to a shared :class:`~repro.storage.stats.IOStats`
-instance unless an attached buffer pool reports a hit.  Allocation
-volume additionally feeds the process-wide ``storage.pages_allocated``
+The pager stores and serves pages and charges no reads: its owners
+charge the reads a query makes, in one call per pass where they can
+(:meth:`~repro.storage.blockfile.BlockReads.charge` for block files,
+:meth:`~repro.rtree.rtree.TreeReads.charge` for trees).  Writes are
+charged to the pager's :class:`~repro.storage.stats.IOStats`.
+Allocation volume feeds the process-wide ``storage.pages_allocated``
 metric (:mod:`repro.obs.registry`); read/write totals flow into the
 registry through :class:`IOStats` itself.
 """
 
 from __future__ import annotations
 
-from typing import Any, Optional
+from typing import Any
 
 from repro.obs.registry import REGISTRY
-from repro.storage.buffer import LRUBufferPool
 from repro.storage.records import PAGE_SIZE, RecordLayout
 from repro.storage.stats import IOStats
 
@@ -26,22 +28,20 @@ _PAGES_ALLOCATED = REGISTRY.counter("storage.pages_allocated")
 
 
 class Pager:
-    """A paged file with read accounting."""
+    """A paged file: pages, their capacity and their write accounting."""
 
-    __slots__ = ("name", "layout", "stats", "buffer_pool", "_pages", "page_size")
+    __slots__ = ("name", "layout", "stats", "_pages", "page_size")
 
     def __init__(
         self,
         name: str,
         layout: RecordLayout,
         stats: IOStats,
-        buffer_pool: Optional[LRUBufferPool] = None,
         page_size: int = PAGE_SIZE,
     ):
         self.name = name
         self.layout = layout
         self.stats = stats
-        self.buffer_pool = buffer_pool
         self.page_size = page_size
         self._pages: list[Any] = []
 
@@ -71,22 +71,6 @@ class Pager:
         self._pages[page_id] = payload
         self.stats.record_write(self.name)
 
-    def read(self, page_id: int, stats: Optional[IOStats] = None) -> Any:
-        """Read a page, charging one I/O unless the buffer pool hits.
-
-        ``stats`` redirects the charge to a caller-private accounting
-        (used by the parallel execution engine so each task charges its
-        own :class:`IOStats` and the engine merges them determinately);
-        by default the pager's shared accounting is charged.
-        """
-        if self.buffer_pool is None or not self.buffer_pool.access(self.name, page_id):
-            (stats if stats is not None else self.stats).record_read(self.name)
-        return self._pages[page_id]
-
     def peek(self, page_id: int) -> Any:
-        """Read a page *without* I/O accounting.
-
-        Reserved for index construction and validation, which the paper
-        excludes from query-time I/O counts.
-        """
+        """A page, uncharged; the owner charges the reads a query makes."""
         return self._pages[page_id]

@@ -13,7 +13,6 @@ from repro.core.types import fingerprint
 from repro.datasets.generators import make_instance
 from repro.rtree.persist import DiskRTree
 from repro.storage.diskfile import PageFileError
-from repro.storage.stats import IOStats
 
 
 @pytest.fixture(scope="module")
@@ -58,19 +57,6 @@ class TestDiskMode:
     def test_files_exist_on_disk(self, persisted):
         assert persisted.mnd_tree_path.stat().st_size > 4096
         assert persisted.r_p_path.stat().st_size > 4096
-
-    def test_buffer_pool_on_disk_workspace(self, mem_ws, persisted):
-        from repro.storage.buffer import LRUBufferPool
-
-        cold_stats, warm_stats = IOStats(), IOStats()
-        with DiskWorkspace(persisted, stats=cold_stats) as cold:
-            MaximumNFCDistance(cold).select()
-        with DiskWorkspace(
-            persisted, stats=warm_stats, buffer_pool=LRUBufferPool(512)
-        ) as warm:
-            MaximumNFCDistance(warm).select()
-        # select() resets stats, so compare totals recorded during runs.
-        assert warm_stats.total_reads <= cold_stats.total_reads
 
     def test_corrupt_metadata_detected(self, mem_ws, tmp_path):
         persisted = persist_indexes(mem_ws, tmp_path / "x")

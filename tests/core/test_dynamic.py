@@ -9,6 +9,7 @@ from repro.churn import rebuild_twin, verify_parity
 from repro.core import METHODS, make_selector
 from repro.core import naive
 from repro.core.dynamic import DynamicWorkspace
+from repro.core.types import fingerprint
 from repro.datasets.generators import make_instance
 from repro.geometry.point import Point
 from repro.rtree.validate import validate_rtree
@@ -70,6 +71,63 @@ class TestClientUpdates:
         ws.remove_client(ws.clients[0])
         assert ws.mnd_tree.num_entries == ws.n_c
         assert_consistent(ws)
+
+
+NAN, INF = float("nan"), float("inf")
+
+
+class TestRejectedInput:
+    """The mutators reject what the constructor and the service reject,
+    before they change any state."""
+
+    @staticmethod
+    def state(ws: DynamicWorkspace) -> tuple:
+        clock = ws.region_clock
+        select = make_selector(ws, "SS").select()
+        dr = make_selector(ws, "SS").distance_reductions()
+        return (
+            ws.n_c,
+            ws.n_f,
+            (clock.epoch, clock.select_epoch, clock.evaluate_epoch),
+            fingerprint(select),
+            dr.tobytes(),
+        )
+
+    @pytest.mark.parametrize(
+        "point, weight",
+        [
+            ((1e200, 1e200), 1.0),
+            ((NAN, 1.0), 1.0),
+            ((1.0, INF), 1.0),
+            ((-(2.0**511), 1.0), 1.0),
+            ((1.0, 1.0), NAN),
+            ((1.0, 1.0), INF),
+            ((1.0, 1.0), -1.0),
+        ],
+    )
+    def test_add_client_rejects(self, point, weight):
+        ws = DynamicWorkspace(make_instance(300, 10, 20, rng=5))
+        before = self.state(ws)
+        with pytest.raises(ValueError):
+            ws.add_client(point, weight=weight)
+        assert self.state(ws) == before
+
+    @pytest.mark.parametrize(
+        "point", [(INF, 2.0), (NAN, 2.0), (2.0, -INF), (1e200, 1e200)]
+    )
+    def test_add_facility_rejects(self, point):
+        ws = DynamicWorkspace(make_instance(300, 10, 20, rng=5))
+        before = self.state(ws)
+        with pytest.raises(ValueError):
+            ws.add_facility(point)
+        assert self.state(ws) == before
+
+    def test_limits_are_inclusive(self):
+        """A coordinate at ``COORD_LIMIT`` and a zero weight are valid."""
+        ws = DynamicWorkspace(make_instance(300, 10, 20, rng=5))
+        ws.add_client((1.0, 2.0**510), weight=0.0)
+        ws.add_facility((-(2.0**510), 1.0))
+        assert (ws.n_c, ws.n_f) == (301, 11)
 
 
 class TestFacilityUpdates:

@@ -70,7 +70,8 @@ class TestSSIOModel:
 
 class TestGatheredClientColumns:
     """A select's tasks share the client file's columns, gathered once per
-    file object; every block read is still charged, in order."""
+    file object; every block read is still charged, in order, with one
+    charge per task."""
 
     @staticmethod
     def count_gathers(monkeypatch):
@@ -99,18 +100,19 @@ class TestGatheredClientColumns:
                 first = SequentialScan(served).select()
                 assert calls == [math.ceil(2000 / 146)]
                 log = []
-                read = served.client_file.read_block
-                monkeypatch.setattr(
-                    served.client_file,
-                    "read_block",
-                    lambda b, stats=None: log.append(b) or read(b, stats=stats),
-                )
+                charge = served.client_file.charge
+
+                def logged(block_ids, stats=None):
+                    log.append(list(block_ids))
+                    charge(block_ids, stats=stats)
+
+                monkeypatch.setattr(served.client_file, "charge", logged)
                 second = SequentialScan(served).select()
                 assert calls == [math.ceil(2000 / 146)]
                 assert second.io_reads == first.io_reads
                 assert fingerprint(second) == fingerprint(first)
                 blocks = list(range(served.client_file.num_blocks))
-                assert log == blocks * math.ceil(450 / 204)
+                assert log == [blocks] * math.ceil(450 / 204)
 
     def test_dropped_decodes_drop_the_columns(self, tmp_path, monkeypatch):
         from repro.core.diskmode import DiskWorkspace, persist_indexes

@@ -156,15 +156,6 @@ class TestLazyStructures:
         assert ws.client_file.records_per_block == 146  # 28-byte records
         assert ws.potential_file.records_per_block == 204  # 20-byte records
 
-    def test_reset_stats_clears_buffer_too(self):
-        inst = make_instance(100, 5, 5, rng=2)
-        ws = Workspace(inst, buffer_pool_pages=16)
-        ws.client_file.read_block(0)
-        assert len(ws.buffer_pool) == 1
-        ws.reset_stats()
-        assert len(ws.buffer_pool) == 0
-        assert ws.stats.total == 0
-
 
 class TestMNDTreeIntegration:
     def test_mnd_radius_uses_dnn(self, small_workspace):

@@ -4,8 +4,7 @@ The determinism ladder (identical numbers at every worker count) lives
 in test_determinism.py; here we pin the contract around it: engine
 results at one worker are *exactly* the legacy ``select()`` numbers,
 batches preserve order and leave shared counters untouched, and the
-engine refuses configurations whose accounting could not be
-deterministic (buffer pools) or are simply invalid.
+engine refuses invalid configurations.
 """
 
 from __future__ import annotations
@@ -15,7 +14,7 @@ import pytest
 from repro.core import METHODS, Workspace, make_selector
 from repro.core.types import fingerprint
 from repro.datasets.generators import make_instance
-from repro.exec import BufferPoolWorkspaceError, QueryEngine, run_batch, run_query
+from repro.exec import QueryEngine, run_batch, run_query
 
 
 @pytest.fixture(scope="module")
@@ -157,20 +156,6 @@ class TestDegenerateInputs:
 
 
 class TestValidation:
-    def test_rejects_buffer_pool_workspaces(self, small_instance_module):
-        pooled = Workspace(small_instance_module, buffer_pool_pages=64)
-        with pytest.raises(ValueError, match="buffer"):
-            QueryEngine(pooled, workers=2)
-
-    def test_buffer_pool_rejection_is_typed(self, small_instance_module):
-        """Callers (the service) catch the dedicated subclass, not a
-        bare ValueError they would have to string-match."""
-        pooled = Workspace(small_instance_module, buffer_pool_pages=64)
-        with pytest.raises(BufferPoolWorkspaceError) as excinfo:
-            QueryEngine(pooled, workers=2)
-        assert isinstance(excinfo.value, ValueError)  # backward compatible
-        assert "buffer" in str(excinfo.value)
-
     def test_rejects_bad_worker_counts(self, ws):
         with pytest.raises(ValueError, match="workers"):
             QueryEngine(ws, workers=0)

@@ -1,10 +1,10 @@
 """Thread-safety of the shared observability/storage counters.
 
-The execution engine's threaded tasks share the metrics registry and
-(outside the engine) the buffer pool; a lost update would silently
-corrupt I/O accounting.  These tests hammer the shared structures from
-8 threads and assert *exact* totals — not approximate ones — so a data
-race shows up as a hard failure rather than flaky noise.  All
+The execution engine's threaded tasks share the metrics registry; a
+lost update would silently corrupt I/O accounting.  These tests hammer
+the shared structures from 8 threads and assert *exact* totals — not
+approximate ones — so a data race shows up as a hard failure rather
+than flaky noise.  All
 assertions are on deltas, so the tests are safe under test
 parallelism themselves.
 """
@@ -15,7 +15,6 @@ import threading
 from concurrent.futures import ThreadPoolExecutor
 
 from repro.obs import REGISTRY
-from repro.storage.buffer import LRUBufferPool
 from repro.storage.stats import IOStats
 
 THREADS = 8
@@ -73,34 +72,3 @@ class TestIOStats:
         assert total.total_reads == THREADS * ROUNDS
         assert total.reads["src0"] == THREADS // 2 * ROUNDS
         assert total.reads["src1"] == THREADS // 2 * ROUNDS
-
-
-class TestBufferPool:
-    def test_concurrent_access_totals_are_exact(self):
-        pool = LRUBufferPool(capacity=THREADS * 4)
-        hits_before = REGISTRY.counter("storage.buffer.hits").value
-        misses_before = REGISTRY.counter("storage.buffer.misses").value
-
-        def touch(i: int) -> None:
-            # Each thread loops over its own 4 resident pages: first 4
-            # accesses miss, the rest hit (capacity covers all threads).
-            for r in range(ROUNDS):
-                pool.access(f"file{i}", r % 4)
-
-        _hammer(touch)
-        assert pool.hits + pool.misses == THREADS * ROUNDS
-        assert pool.misses == THREADS * 4
-        assert pool.hits == THREADS * (ROUNDS - 4)
-        # The process-lifetime registry totals observed the same events.
-        delta_hits = REGISTRY.counter("storage.buffer.hits").value - hits_before
-        delta_misses = (
-            REGISTRY.counter("storage.buffer.misses").value - misses_before
-        )
-        assert delta_hits == pool.hits
-        assert delta_misses == pool.misses
-
-    def test_concurrent_eviction_never_corrupts_residency(self):
-        pool = LRUBufferPool(capacity=8)
-        _hammer(lambda i: [pool.access(f"file{i}", r) for r in range(ROUNDS)])
-        assert len(pool) <= 8
-        assert pool.hits + pool.misses == THREADS * ROUNDS

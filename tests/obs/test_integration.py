@@ -12,6 +12,7 @@ import pytest
 
 from repro.cli import main as cli_main
 from repro.core import METHODS, Workspace, make_selector
+from repro.core.diskmode import DiskWorkspace, persist_indexes
 from repro.datasets import make_instance
 from repro.experiments.config import ExperimentConfig
 from repro.experiments.runner import run_config
@@ -22,6 +23,7 @@ from repro.obs import (
     Tracer,
     phase_breakdown,
 )
+from repro.storage.blockfile import BlockFile
 from repro.storage.pager import Pager
 from repro.storage.records import POINT_RECORD
 from repro.storage.stats import IOStats
@@ -30,6 +32,16 @@ from repro.storage.stats import IOStats
 @pytest.fixture(scope="module")
 def ws() -> Workspace:
     return Workspace(make_instance(n_c=2_000, n_f=100, n_p=100, rng=11))
+
+
+@pytest.fixture(scope="module")
+def served(tmp_path_factory):
+    """Two potential blocks (n_p = 300), in memory and on a mapped disk
+    workspace."""
+    mem = Workspace(make_instance(n_c=2_000, n_f=100, n_p=300, rng=11))
+    directory = tmp_path_factory.mktemp("served")
+    with DiskWorkspace(persist_indexes(mem, directory), mapped=True) as disk:
+        yield {"memory": mem, "disk": disk}
 
 
 def _profiled_select(ws: Workspace, method: str):
@@ -79,6 +91,31 @@ class TestQueryAttribution:
         assert leaf + branch == result.io_reads.get("R_C^m", 0)
         assert leaf > 0 and branch > 0
 
+    @pytest.mark.parametrize("backend", ["memory", "disk"])
+    @pytest.mark.parametrize("method", sorted(METHODS))
+    def test_every_tree_charge_reaches_every_counter(self, served, backend, method):
+        """For every tree a select reads, the span leaf and branch counts
+        add up to its reads; the registry's node and page reads advance
+        by the select's tree reads and its ``io_total``."""
+        node_reads = REGISTRY.counter("rtree.node_reads")
+        page_reads = REGISTRY.counter("storage.page_reads")
+        before = node_reads.value, page_reads.value
+        result, root = _profiled_select(served[backend], method)
+        trees = {
+            name: reads
+            for name, reads in result.io_reads.items()
+            if not name.startswith("file.")
+        }
+        for name, reads in trees.items():
+            kinds = [f"reads.{name}.leaf", f"reads.{name}.branch"]
+            counted = sum(
+                span.counters.get(k, 0) for span in root.walk() for k in kinds
+            )
+            assert counted == reads, name
+        assert bool(trees) == (method != "SS")
+        assert node_reads.value - before[0] == sum(trees.values())
+        assert page_reads.value - before[1] == result.io_total
+
     def test_detach_restores_noop(self, ws):
         _profiled_select(ws, "NFC")
         assert ws.tracer is NOOP_TRACER
@@ -87,25 +124,24 @@ class TestQueryAttribution:
 
 class TestStorageAttribution:
     def test_pager_reads_attributed_under_nested_spans(self):
+        """Block reads land on the span open when they are charged."""
         stats = IOStats()
-        pager = Pager("T", POINT_RECORD, stats)
-        ids = [pager.allocate(payload) for payload in ("a", "b", "c")]
+        blocks = BlockFile("T", [(0.0, 0.0)] * 600, POINT_RECORD, stats)
+        assert blocks.num_blocks == 3
         tracer = Tracer()
         stats.bind_tracer(tracer)
         with tracer.span("outer") as outer:
-            pager.read(ids[0])
+            blocks.read_block(0)
             with tracer.span("inner") as inner:
-                pager.read(ids[1])
-                pager.read(ids[2])
+                blocks.read_block(1)
+                blocks.read_block(2)
         assert outer.reads == {"T": 1}
         assert inner.reads == {"T": 2}
         assert outer.total_reads == stats.total_reads == 3
 
     def test_unbound_stats_still_count(self):
         stats = IOStats()
-        pager = Pager("T", POINT_RECORD, stats)
-        pid = pager.allocate("x")
-        pager.read(pid)
+        BlockFile("T", ["x"], POINT_RECORD, stats).read_block(0)
         assert stats.total_reads == 1
 
     def test_binding_noop_tracer_unbinds(self):

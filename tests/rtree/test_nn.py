@@ -278,15 +278,16 @@ def oracle_air(ws, p, found=None):
 
 
 def recorded_reads(tree, monkeypatch):
-    """Log every ``read_node`` id of ``tree``, in order."""
+    """Log every node id ``tree`` charges, in order: ``read_node``
+    charges its one node, the quadrant pass its whole block at once."""
     log = []
-    read = tree.read_node
+    charge = tree.charge
 
-    def logged(node_id, stats=None):
-        log.append(node_id)
-        return read(node_id, stats=stats)
+    def logged(node_ids, stats=None):
+        log.extend(node_ids)
+        return charge(node_ids, stats=stats)
 
-    monkeypatch.setattr(tree, "read_node", logged)
+    monkeypatch.setattr(tree, "charge", logged)
     return log
 
 

@@ -10,6 +10,7 @@ import pytest
 from repro.core.types import Client, Site
 from repro.geometry.point import Point
 from repro.geometry.rect import Rect
+from repro.obs import REGISTRY, Tracer
 from repro.rtree.bulk import bulk_load
 from repro.rtree.mnd_tree import MNDTree
 from repro.rtree.nn import nearest_neighbor
@@ -132,6 +133,74 @@ class TestIOAccounting:
         with DiskRTree("d", path, SiteCodec(), disk_stats) as disk:
             list(window_query(disk, w))
         assert disk_stats.total_reads == mem_io
+
+    def test_private_stats_redirect(self, tmp_path):
+        """A read charged to a task's private stats leaves the tree's own
+        stats untouched."""
+        tree = build_site_tree(random_sites(100, seed=4))
+        path = tmp_path / "tree.pages"
+        save_rtree(tree, path, SiteCodec())
+        shared, private = IOStats(), IOStats()
+        with DiskRTree("d", path, SiteCodec(), shared) as disk:
+            disk.read_node(disk.root_id, stats=private)
+            assert private.snapshot() == {"d": 1}
+            assert shared.snapshot() == {}
+            disk.read_node(disk.root_id)
+            assert private.snapshot() == shared.snapshot() == {"d": 1}
+
+
+def node_ids(tree):
+    """Every node id of ``tree``, fetched uncharged."""
+    ids, stack = [], [tree.root_id]
+    while stack:
+        node_id = stack.pop()
+        ids.append(node_id)
+        node = tree.node(node_id)
+        if not node.is_leaf:
+            stack.extend(entry.child_id for entry in node.entries)
+    return ids
+
+
+class TestCharge:
+    """One charge rule for the memory and the disk tree."""
+
+    @pytest.fixture
+    def trees(self, tmp_path):
+        """The same tree in memory and mapped from its page file."""
+        tree = build_site_tree(random_sites(300, seed=9))
+        save_rtree(tree, tmp_path / "t.pages", SiteCodec())
+        with DiskRTree("t", tmp_path / "t.pages", SiteCodec(), IOStats()) as disk:
+            yield tree, disk
+
+    @staticmethod
+    def traced(tree, charge):
+        """``charge(stats)`` under a bound tracer: the stats, the span's
+        reads and counters, and the ``rtree.node_reads`` advance."""
+        node_reads = REGISTRY.counter("rtree.node_reads")
+        stats, tracer = IOStats(), Tracer()
+        stats.bind_tracer(tracer)
+        before = node_reads.value
+        with tracer.span("q") as span:
+            charge(stats)
+        return stats.snapshot(), span.reads, span.counters, node_reads.value - before
+
+    def test_one_charge_counts_as_its_reads_one_by_one(self, trees):
+        for tree in trees:
+            ids = node_ids(tree)
+            one_by_one = self.traced(
+                tree, lambda s: [tree.read_node(i, stats=s) for i in ids]
+            )
+            at_once = self.traced(tree, lambda s: tree.charge(ids, stats=s))
+            assert at_once == one_by_one
+            __, reads, counters, node_reads = at_once
+            assert reads == {"t": len(ids)} and node_reads == len(ids)
+            assert counters["reads.t.leaf"] > 0 and counters["reads.t.branch"] > 0
+            assert sum(counters.values()) == len(ids)
+
+    def test_charging_no_nodes_records_nothing(self, trees):
+        for tree in trees:
+            nothing = self.traced(tree, lambda s: tree.charge([], stats=s))
+            assert nothing == ({}, {}, {}, 0)
 
 
 class TestReadOnly:

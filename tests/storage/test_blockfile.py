@@ -49,6 +49,27 @@ class TestIteration:
         assert list(f.read_block(2)) == [8, 9]
 
 
+class TestCharge:
+    def test_one_charge_stands_for_many_block_reads(self):
+        stats = IOStats()
+        f = BlockFile("f", list(range(10)), SMALL, stats)
+        f.charge(range(f.num_blocks))
+        assert stats.snapshot() == {"f": 3}
+
+    def test_charging_no_blocks_records_nothing(self):
+        stats = IOStats()
+        BlockFile("f", [], SMALL, stats).charge(range(0))
+        assert stats.snapshot() == {}
+
+    def test_private_stats_redirect(self):
+        shared, private = IOStats(), IOStats()
+        f = BlockFile("f", list(range(10)), SMALL, shared)
+        f.charge([0, 2], stats=private)
+        f.read_block(1, stats=private)
+        assert private.snapshot() == {"f": 3}
+        assert shared.snapshot() == {}
+
+
 class TestNumpyBacked:
     def test_numpy_blocks_are_arrays(self):
         data = np.arange(20.0).reshape(10, 2)

@@ -5,7 +5,6 @@ import pytest
 
 from repro.storage import soa
 from repro.storage.blockfile import BlockFile
-from repro.storage.buffer import LRUBufferPool
 from repro.storage.diskblocks import DiskBlockFile, save_block_file
 from repro.storage.diskfile import PageFileError
 from repro.storage.records import CLIENT_RECORD, PAGE_SIZE
@@ -62,22 +61,12 @@ class TestDiskBlockFile:
             f.read_block(0)
             f.read_block(2)
             f.peek_block(1)  # uncharged
-        assert (
-            opened._pager.stats.snapshot() == mem._pager.stats.snapshot() == {"file.C": 2}
-        )
+        assert opened.stats.snapshot() == mem.stats.snapshot() == {"file.C": 2}
 
     def test_private_stats_redirect(self, opened):
         private = IOStats()
         opened.read_block(1, stats=private)
         assert private.snapshot() == {"file.C": 1}
-
-    def test_buffer_pool_hits_uncharged(self, saved):
-        stats = IOStats()
-        f = DiskBlockFile("file.C", saved, stats, buffer_pool=LRUBufferPool(8))
-        f.read_block(0)
-        f.read_block(0)
-        assert stats.snapshot() == {"file.C": 1}
-        f.close()
 
     def test_out_of_range_block(self, opened):
         with pytest.raises(PageFileError, match="out of range"):

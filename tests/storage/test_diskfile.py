@@ -7,15 +7,7 @@ import warnings
 import numpy as np
 import pytest
 
-from repro.storage.buffer import LRUBufferPool
-from repro.storage.diskfile import (
-    FORMAT_VERSION,
-    HEADER_SIZE,
-    DiskPager,
-    PageFile,
-    PageFileError,
-)
-from repro.storage.stats import IOStats
+from repro.storage.diskfile import FORMAT_VERSION, HEADER_SIZE, PageFile, PageFileError
 
 
 def make_file(path, pages=None, root=0, page_size=256):
@@ -120,26 +112,3 @@ class TestMappedParity:
         assert version == FORMAT_VERSION == 2
         with PageFile(path).open() as pf:
             assert pf.num_pages == 4
-
-
-class TestDiskPagerAccounting:
-    def test_charges_buffer_misses_only(self, tmp_path):
-        path = make_file(tmp_path / "t.pages")
-        stats = IOStats()
-        with PageFile(path).open() as pf:
-            pager = DiskPager("T", pf, stats, LRUBufferPool(2))
-            for page_id in [0, 1, 1, 2, 0, 3, 1]:
-                pager.read(page_id)
-            pager.peek(0)  # never charged
-        # LRU(2): only the second read of page 1 hits the pool.
-        assert stats.snapshot() == {"T": 6}
-
-    def test_private_stats_redirect(self, tmp_path):
-        path = make_file(tmp_path / "t.pages")
-        shared, private = IOStats(), IOStats()
-        pager = DiskPager("T", PageFile(path).open(), shared)
-        pager.read(0)
-        pager.read(1, stats=private)
-        assert shared.snapshot() == {"T": 1}
-        assert private.snapshot() == {"T": 1}
-        pager.file.close()

@@ -1,6 +1,6 @@
 """Tests for the paged disk simulation."""
 
-from repro.storage.buffer import LRUBufferPool
+from repro.storage.blockfile import BlockFile
 from repro.storage.pager import Pager
 from repro.storage.records import POINT_RECORD, RTREE_ENTRY
 from repro.storage.stats import IOStats
@@ -8,10 +8,11 @@ from repro.storage.stats import IOStats
 
 class TestPagerBasics:
     def test_allocate_and_read(self):
+        """The pager's pages are read, and charged, through their owner:
+        here a block file, whose ``read_block`` charges one read."""
         stats = IOStats()
-        pager = Pager("f", POINT_RECORD, stats)
-        pid = pager.allocate("payload")
-        assert pager.read(pid) == "payload"
+        blocks = BlockFile("f", ["a", "b", "c"], POINT_RECORD, stats)
+        assert blocks.read_block(0) == ["a", "b", "c"]
         assert stats.reads["f"] == 1
 
     def test_peek_is_not_counted(self):
@@ -39,26 +40,3 @@ class TestPagerBasics:
             pager.allocate(i)
         assert pager.num_pages == 3
         assert pager.size_bytes == 3 * 4096
-
-
-class TestPagerWithBuffer:
-    def test_repeated_read_hits_buffer(self):
-        stats = IOStats()
-        pool = LRUBufferPool(4)
-        pager = Pager("f", POINT_RECORD, stats, buffer_pool=pool)
-        pid = pager.allocate("x")
-        pager.read(pid)
-        pager.read(pid)
-        pager.read(pid)
-        assert stats.reads["f"] == 1  # only the cold miss
-        assert pool.hits == 2
-
-    def test_eviction_causes_reread(self):
-        stats = IOStats()
-        pool = LRUBufferPool(2)
-        pager = Pager("f", POINT_RECORD, stats, buffer_pool=pool)
-        ids = [pager.allocate(i) for i in range(3)]
-        for pid in ids:       # fills and overflows the pool
-            pager.read(pid)
-        pager.read(ids[0])    # evicted by now -> one more miss
-        assert stats.reads["f"] == 4
