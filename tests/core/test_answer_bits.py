@@ -25,14 +25,25 @@ The instances:
 * ``ties`` — an integer lattice: duplicate clients, potentials on
   facilities and on facility axes, and clients on facilities.
 
-Regenerate the table with ``PYTHONPATH=src:. python -m
-tests.core.test_answer_bits`` — only when an answer is meant to move.
+Next to them, :data:`COUNTER_PINS` holds each method's traversal
+counters of one traced ``select()``, summed over its span tree: the
+join's ``join.node_pairs`` and ``join.pruned_pairs``, the window's
+``window.nodes`` and ``window.leaf_evals``, the quadrant search's
+``nn.nodes``, and the leaf and branch reads of every tree
+(``reads.<tree>.leaf`` / ``.branch``).  They were recorded on the
+recursive joins and window query, before the level-synchronous
+descent, which promises the same counts.
+
+Regenerate both tables with ``PYTHONPATH=src:. python -m
+tests.core.test_answer_bits`` — only when an answer or a traversal is
+meant to move.
 """
 
 from __future__ import annotations
 
 import hashlib
 import random
+from collections import Counter
 
 import pytest
 
@@ -41,6 +52,7 @@ from repro.core.diskmode import DiskWorkspace, persist_indexes
 from repro.datasets.generators import SpatialInstance, make_instance
 from repro.geometry.point import Point
 from repro.geometry.rect import Rect
+from repro.obs import InMemorySink, Tracer
 from repro.storage.records import PAGE_SIZE
 
 METHODS = ("SS", "QVC", "NFC", "MND")
@@ -90,6 +102,36 @@ def answer_bits(ws) -> dict[str, tuple[str, dict[str, int]]]:
         result = selector.select()
         digest = hashlib.sha256(selector.distance_reductions().tobytes()).hexdigest()
         out[method] = (digest, dict(sorted(result.io_reads.items())))
+    return out
+
+
+#: The traversal counters :func:`traversal_counts` sums; with them go
+#: the ``reads.<tree>.leaf`` and ``reads.<tree>.branch`` counts.
+COUNTERS = (
+    "join.node_pairs",
+    "join.pruned_pairs",
+    "window.nodes",
+    "window.leaf_evals",
+    "nn.nodes",
+)
+
+
+def traversal_counts(ws) -> dict[str, dict[str, int]]:
+    """Per method: the traversal counters of one traced select."""
+    out = {}
+    for method in METHODS:
+        sink = InMemorySink()
+        ws.attach_tracer(Tracer([sink]))
+        try:
+            make_selector(ws, method).select()
+        finally:
+            ws.detach_tracer()
+        totals: Counter[str] = Counter()
+        for span in sink.last.walk():
+            for name, value in span.counters.items():
+                if name in COUNTERS or name.startswith("reads."):
+                    totals[name] += value
+        out[method] = dict(sorted(totals.items()))
     return out
 
 
@@ -283,6 +325,245 @@ PINS: dict[str, dict[str, dict[str, tuple[str, dict[str, int]]]]] = {
 }
 
 
+#: name -> served form -> method -> traversal counter totals, recorded
+#: on the recursive joins and window query.
+COUNTER_PINS: dict[str, dict[str, dict[str, dict[str, int]]]] = {
+    "deep": {
+        "memory": {
+            "SS": {},
+            "QVC": {
+                "nn.nodes": 2120,
+                "reads.R_C.branch": 1115,
+                "reads.R_C.leaf": 5426,
+                "reads.R_F.branch": 400,
+                "reads.R_F.leaf": 1720,
+                "window.leaf_evals": 8107,
+                "window.nodes": 6541,
+            },
+            "NFC": {
+                "join.node_pairs": 2223,
+                "join.pruned_pairs": 1447,
+                "reads.R_C^n.branch": 408,
+                "reads.R_C^n.leaf": 1815,
+                "reads.R_P.branch": 24,
+                "reads.R_P.leaf": 384,
+            },
+            "MND": {
+                "join.node_pairs": 3322,
+                "join.pruned_pairs": 575,
+                "reads.R_C^m.branch": 911,
+                "reads.R_C^m.leaf": 2411,
+                "reads.R_P.branch": 16,
+                "reads.R_P.leaf": 235,
+            },
+        },
+        "disk": {
+            "SS": {},
+            "QVC": {
+                "nn.nodes": 2120,
+                "reads.R_C.branch": 170,
+                "reads.R_C.leaf": 1324,
+                "reads.R_F.branch": 400,
+                "reads.R_F.leaf": 1720,
+                "window.leaf_evals": 8107,
+                "window.nodes": 1494,
+            },
+            "NFC": {
+                "join.node_pairs": 2223,
+                "join.pruned_pairs": 1447,
+                "reads.R_C^n.branch": 408,
+                "reads.R_C^n.leaf": 1815,
+                "reads.R_P.branch": 24,
+                "reads.R_P.leaf": 384,
+            },
+            "MND": {
+                "join.node_pairs": 3322,
+                "join.pruned_pairs": 575,
+                "reads.R_C^m.branch": 911,
+                "reads.R_C^m.leaf": 2411,
+                "reads.R_P.branch": 16,
+                "reads.R_P.leaf": 235,
+            },
+        },
+    },
+    "ties": {
+        "memory": {
+            "SS": {},
+            "QVC": {
+                "nn.nodes": 199,
+                "reads.R_C.branch": 14,
+                "reads.R_C.leaf": 145,
+                "reads.R_F.branch": 60,
+                "reads.R_F.leaf": 139,
+                "window.leaf_evals": 431,
+                "window.nodes": 159,
+            },
+            "NFC": {
+                "join.node_pairs": 160,
+                "join.pruned_pairs": 11,
+                "reads.R_C^n.branch": 14,
+                "reads.R_C^n.leaf": 146,
+                "reads.R_P.branch": 1,
+                "reads.R_P.leaf": 13,
+            },
+            "MND": {
+                "join.node_pairs": 202,
+                "join.pruned_pairs": 11,
+                "reads.R_C^m.branch": 22,
+                "reads.R_C^m.leaf": 180,
+                "reads.R_P.branch": 1,
+                "reads.R_P.leaf": 21,
+            },
+        },
+        "disk": {
+            "SS": {},
+            "QVC": {
+                "nn.nodes": 199,
+                "reads.R_C.branch": 7,
+                "reads.R_C.leaf": 97,
+                "reads.R_F.branch": 60,
+                "reads.R_F.leaf": 139,
+                "window.leaf_evals": 431,
+                "window.nodes": 104,
+            },
+            "NFC": {
+                "join.node_pairs": 160,
+                "join.pruned_pairs": 11,
+                "reads.R_C^n.branch": 14,
+                "reads.R_C^n.leaf": 146,
+                "reads.R_P.branch": 1,
+                "reads.R_P.leaf": 13,
+            },
+            "MND": {
+                "join.node_pairs": 202,
+                "join.pruned_pairs": 11,
+                "reads.R_C^m.branch": 22,
+                "reads.R_C^m.leaf": 180,
+                "reads.R_P.branch": 1,
+                "reads.R_P.leaf": 21,
+            },
+        },
+    },
+    "uniform-20k-seed1": {
+        "memory": {
+            "SS": {},
+            "QVC": {
+                "nn.nodes": 503,
+                "reads.R_C.branch": 5,
+                "reads.R_C.leaf": 250,
+                "reads.R_F.branch": 200,
+                "reads.R_F.leaf": 303,
+                "window.leaf_evals": 1225,
+                "window.nodes": 255,
+            },
+            "NFC": {
+                "join.node_pairs": 331,
+                "join.pruned_pairs": 3,
+                "reads.R_C^n.branch": 10,
+                "reads.R_C^n.leaf": 321,
+                "reads.R_P.branch": 1,
+                "reads.R_P.leaf": 9,
+            },
+            "MND": {
+                "join.node_pairs": 401,
+                "join.pruned_pairs": 4,
+                "reads.R_C^m.branch": 12,
+                "reads.R_C^m.leaf": 389,
+                "reads.R_P.branch": 1,
+                "reads.R_P.leaf": 11,
+            },
+        },
+        "disk": {
+            "SS": {},
+            "QVC": {
+                "nn.nodes": 503,
+                "reads.R_C.branch": 5,
+                "reads.R_C.leaf": 250,
+                "reads.R_F.branch": 200,
+                "reads.R_F.leaf": 303,
+                "window.leaf_evals": 1225,
+                "window.nodes": 255,
+            },
+            "NFC": {
+                "join.node_pairs": 331,
+                "join.pruned_pairs": 3,
+                "reads.R_C^n.branch": 10,
+                "reads.R_C^n.leaf": 321,
+                "reads.R_P.branch": 1,
+                "reads.R_P.leaf": 9,
+            },
+            "MND": {
+                "join.node_pairs": 401,
+                "join.pruned_pairs": 4,
+                "reads.R_C^m.branch": 12,
+                "reads.R_C^m.leaf": 389,
+                "reads.R_P.branch": 1,
+                "reads.R_P.leaf": 11,
+            },
+        },
+    },
+    "uniform-20k-seed2": {
+        "memory": {
+            "SS": {},
+            "QVC": {
+                "nn.nodes": 506,
+                "reads.R_C.branch": 5,
+                "reads.R_C.leaf": 252,
+                "reads.R_F.branch": 200,
+                "reads.R_F.leaf": 306,
+                "window.leaf_evals": 1254,
+                "window.nodes": 257,
+            },
+            "NFC": {
+                "join.node_pairs": 333,
+                "join.pruned_pairs": 3,
+                "reads.R_C^n.branch": 10,
+                "reads.R_C^n.leaf": 323,
+                "reads.R_P.branch": 1,
+                "reads.R_P.leaf": 9,
+            },
+            "MND": {
+                "join.node_pairs": 406,
+                "join.pruned_pairs": 5,
+                "reads.R_C^m.branch": 11,
+                "reads.R_C^m.leaf": 395,
+                "reads.R_P.branch": 1,
+                "reads.R_P.leaf": 10,
+            },
+        },
+        "disk": {
+            "SS": {},
+            "QVC": {
+                "nn.nodes": 506,
+                "reads.R_C.branch": 5,
+                "reads.R_C.leaf": 252,
+                "reads.R_F.branch": 200,
+                "reads.R_F.leaf": 306,
+                "window.leaf_evals": 1254,
+                "window.nodes": 257,
+            },
+            "NFC": {
+                "join.node_pairs": 333,
+                "join.pruned_pairs": 3,
+                "reads.R_C^n.branch": 10,
+                "reads.R_C^n.leaf": 323,
+                "reads.R_P.branch": 1,
+                "reads.R_P.leaf": 9,
+            },
+            "MND": {
+                "join.node_pairs": 406,
+                "join.pruned_pairs": 5,
+                "reads.R_C^m.branch": 11,
+                "reads.R_C^m.leaf": 395,
+                "reads.R_P.branch": 1,
+                "reads.R_P.leaf": 10,
+            },
+        },
+    },
+}
+
+
+
 @pytest.fixture(scope="module", params=sorted(INSTANCES))
 def served(request, tmp_path_factory):
     """(instance name, in-memory workspace, persisted indexes)."""
@@ -303,6 +584,13 @@ def test_mapped_disk_answers_are_pinned(served):
         assert answer_bits(disk) == PINS[name]["disk"]
 
 
+def test_traversal_counters_are_pinned(served):
+    name, ws, persisted = served
+    assert traversal_counts(ws) == COUNTER_PINS[name]["memory"]
+    with DiskWorkspace(persisted) as disk:
+        assert traversal_counts(disk) == COUNTER_PINS[name]["disk"]
+
+
 def test_pinned_dr_is_the_oracles(served):
     """Every method's dr pin is ``core.naive``'s."""
     name, ws, __ = served
@@ -316,11 +604,14 @@ if __name__ == "__main__":
     import pprint
     import tempfile
 
-    table = {}
+    table, counters = {}, {}
     for name, (factory, page_size) in sorted(INSTANCES.items()):
         ws = Workspace(factory(), page_size=page_size)
         table[name] = {"memory": answer_bits(ws)}
+        counters[name] = {"memory": traversal_counts(ws)}
         with tempfile.TemporaryDirectory() as tmp:
             with DiskWorkspace(persist_indexes(ws, tmp)) as disk:
                 table[name]["disk"] = answer_bits(disk)
+                counters[name]["disk"] = traversal_counts(disk)
     pprint.pprint(table, width=88)
+    pprint.pprint(counters, width=88)
