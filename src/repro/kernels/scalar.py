@@ -145,12 +145,21 @@ def _norm(dx: float, dy: float) -> float:
     return math.sqrt(dx * dx + dy * dy)
 
 
+def _row(rect: Any, i: int) -> tuple:
+    """``xmin, ymin, xmax, ymax`` of ``rect``, or of its row ``i`` when
+    it is a :class:`RectColumns` paired row for row with the batch."""
+    if isinstance(rect, RectColumns):
+        return rect.xmin[i], rect.ymin[i], rect.xmax[i], rect.ymax[i]
+    return rect.xmin, rect.ymin, rect.xmax, rect.ymax
+
+
 def min_dist_rects_rect(rects: RectColumns, rect: Any) -> np.ndarray:
-    """``minDist(rects_i, rect)`` one rectangle at a time."""
+    """``minDist(rects_i, rect)`` (or ``rect_i``) one rectangle at a time."""
     out = np.empty(len(rects), dtype=np.float64)
     for i in range(len(rects)):
-        dx = _gap(rects.xmin[i], rects.xmax[i], rect.xmin, rect.xmax)
-        dy = _gap(rects.ymin[i], rects.ymax[i], rect.ymin, rect.ymax)
+        xmin, ymin, xmax, ymax = _row(rect, i)
+        dx = _gap(rects.xmin[i], rects.xmax[i], xmin, xmax)
+        dy = _gap(rects.ymin[i], rects.ymax[i], ymin, ymax)
         out[i] = _norm(dx, dy)
     return out
 
@@ -179,14 +188,16 @@ def pairwise_min_dist_rects(a: RectColumns, b: RectColumns) -> np.ndarray:
 
 
 def rects_intersect_rect(rects: RectColumns, rect: Any) -> np.ndarray:
-    """Closed-boundary intersection with ``rect``, one rectangle at a time."""
+    """Closed-boundary intersection with ``rect`` (or ``rect_i``), one
+    rectangle at a time."""
     out = np.empty(len(rects), dtype=bool)
     for i in range(len(rects)):
+        xmin, ymin, xmax, ymax = _row(rect, i)
         out[i] = not (
-            rects.xmin[i] > rect.xmax
-            or rects.xmax[i] < rect.xmin
-            or rects.ymin[i] > rect.ymax
-            or rects.ymax[i] < rect.ymin
+            rects.xmin[i] > xmax
+            or rects.xmax[i] < xmin
+            or rects.ymin[i] > ymax
+            or rects.ymax[i] < ymin
         )
     return out
 

@@ -470,7 +470,13 @@ def _axis_gaps(
 
 
 def min_dist_rects_rect(rects: RectColumns, rect: Any) -> np.ndarray:
-    """``minDist(rects_i, rect)`` for a batch of rectangles against one."""
+    """``minDist(rects_i, rect)`` for a batch of rectangles against one,
+    or ``minDist(rects_i, rect_i)`` when ``rect`` is a
+    :class:`RectColumns` paired row for row with ``rects``.
+
+    Either argument order gives the same bits: :func:`_axis_gaps`
+    subtracts the same two bounds whichever interval comes first.
+    """
     return norms(
         _axis_gaps(rects.xmin, rects.xmax, rect.xmin, rect.xmax),
         _axis_gaps(rects.ymin, rects.ymax, rect.ymin, rect.ymax),
@@ -507,7 +513,9 @@ def pairwise_min_dist_rects(a: RectColumns, b: RectColumns) -> np.ndarray:
 
 
 def rects_intersect_rect(rects: RectColumns, rect: Any) -> np.ndarray:
-    """Which rectangles intersect ``rect`` (closed-boundary semantics)."""
+    """Which rectangles intersect ``rect`` (closed-boundary semantics),
+    or each ``rect_i`` when ``rect`` is a :class:`RectColumns` paired
+    row for row with ``rects``."""
     return ~(
         (rects.xmin > rect.xmax)
         | (rects.xmax < rect.xmin)

@@ -324,6 +324,25 @@ class TestBackendEquivalence:
             if hits[i]:
                 assert mind[i] == 0.0
 
+    @given(pairs=st.lists(st.tuples(any_rects(), any_rects()), min_size=1, max_size=8))
+    @settings(max_examples=60)
+    def test_paired_rows_are_per_row_calls(self, pairs):
+        """With a :class:`RectColumns` as ``rect``, row ``i`` meets
+        ``rect_i``: bit for bit one call per row, on both kernel sets,
+        and swapping the two arguments changes no bit."""
+        a = RectColumns.from_rects(p for p, __ in pairs)
+        b = RectColumns.from_rects(q for __, q in pairs)
+        for kernel in ("min_dist_rects_rect", "rects_intersect_rect"):
+            paired = assert_matches_the_reference(kernel, a, b)
+            for module in (vector, scalar):
+                fn = getattr(module, kernel)
+                rows = [
+                    fn(RectColumns.from_rects([p]), q) for p, q in pairs
+                ]
+                for got in (fn(a, b), fn(b, a), np.concatenate(rows)):
+                    assert got.dtype == paired.dtype
+                    assert got.tobytes() == paired.tobytes(), (module, kernel)
+
     @given(
         n=st.sampled_from([1, 3, 32, 200]),
         seed=st.integers(0, 2**32 - 1),
