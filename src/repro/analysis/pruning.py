@@ -2,8 +2,10 @@
 
 Section VII's cost analysis hinges on the *pruning power* ``w`` — the
 fraction of node pairs the NFC/MND joins never visit.  This module
-measures it directly, per tree level, by replaying the join predicates
-over the index structures (without touching the I/O counters):
+measures it directly, per tree level, by running the joins' own
+level-synchronous descent (:mod:`repro.rtree.descent`) with a private
+:class:`~repro.storage.stats.IOStats`, so the workspace's I/O counters
+do not move, and taking each level's counts from it:
 
 * how many node pairs exist at each level combination,
 * how many survive the intersection predicate (NFC) or the MND test,
@@ -19,9 +21,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.core.workspace import Workspace
-from repro.rtree.mnd_tree import MNDTree
-from repro.rtree.node import Node
-from repro.rtree.rtree import RTree
+from repro.rtree.descent import join_level, join_roots
+from repro.storage.stats import IOStats
 
 
 @dataclass
@@ -91,75 +92,30 @@ class JoinProfile:
         return "\n".join(lines)
 
 
-def _profile_join(
-    tree_p: RTree,
-    tree_c: RTree,
-    predicate,
-    method: str,
-) -> JoinProfile:
-    """Replay a synchronized traversal, counting pairs per level.
-
-    ``predicate(entry_or_node_c, mbr_p, mnd_c)`` decides descent; the
-    concrete predicates below adapt it for NFC and MND.
-    """
+def _profile_join(ws: Workspace, tree_c, method: str) -> JoinProfile:
+    """Run a join's descent level by level, keeping each level's pairs
+    tested, pairs surviving and reads charged."""
     profile = JoinProfile(method)
+    tree_p = ws.r_p
     if tree_p.num_entries == 0 or tree_c.num_entries == 0:
         return profile
-
-    def recurse(node_p: Node, node_c: Node, mnd_c: float | None) -> None:
-        if node_p.is_leaf and node_c.is_leaf:
-            return
-        if node_p.is_leaf:
-            mbr_p = node_p.mbr()
-            level = profile._level(node_p.level, node_c.level - 1)
-            for e_c in node_c.entries:
-                level.considered += 1
-                if predicate(e_c.mbr, mbr_p, e_c.mnd):
-                    level.survived += 1
-                    level.reads += 1
-                    recurse(node_p, tree_c.node(e_c.child_id), e_c.mnd)
-        elif node_c.is_leaf:
-            mbr_c = node_c.mbr()
-            level = profile._level(node_p.level - 1, node_c.level)
-            for e_p in node_p.entries:
-                level.considered += 1
-                if predicate(mbr_c, e_p.mbr, mnd_c):
-                    level.survived += 1
-                    level.reads += 1
-                    recurse(tree_p.node(e_p.child_id), node_c, mnd_c)
-        else:
-            level = profile._level(node_p.level - 1, node_c.level - 1)
-            for e_p in node_p.entries:
-                for e_c in node_c.entries:
-                    level.considered += 1
-                    if predicate(e_c.mbr, e_p.mbr, e_c.mnd):
-                        level.survived += 1
-                        level.reads += 2
-                        recurse(
-                            tree_p.node(e_p.child_id),
-                            tree_c.node(e_c.child_id),
-                            e_c.mnd,
-                        )
-
-    root_c = tree_c.node(tree_c.root_id)
-    root_mnd = tree_c.compute_mnd(root_c) if isinstance(tree_c, MNDTree) else None
-    recurse(tree_p.node(tree_p.root_id), root_c, root_mnd)
+    stats = IOStats()
+    rows = join_roots(tree_p, tree_c, stats, mnd=method == "MND")
+    while len(rows) and not rows.at_leaves:
+        before = stats.total_reads
+        rows, considered = join_level(tree_p, tree_c, rows, ws.leaf_cache, stats)
+        level = profile._level(rows.level_p, rows.level_c)
+        level.considered += considered
+        level.survived += len(rows)
+        level.reads += stats.total_reads - before
     return profile
 
 
 def profile_nfc_join(ws: Workspace) -> JoinProfile:
     """Pruning profile of the NFC join (``R_P`` x ``R_C^n``)."""
-
-    def predicate(mbr_c, mbr_p, __mnd):
-        return mbr_c.intersects(mbr_p)
-
-    return _profile_join(ws.r_p, ws.rnn_tree, predicate, "NFC")
+    return _profile_join(ws, ws.rnn_tree, "NFC")
 
 
 def profile_mnd_join(ws: Workspace) -> JoinProfile:
     """Pruning profile of the MND join (``R_P`` x ``R_C^m``)."""
-
-    def predicate(mbr_c, mbr_p, mnd):
-        return mbr_c.min_dist_rect(mbr_p) < mnd
-
-    return _profile_join(ws.r_p, ws.mnd_tree, predicate, "MND")
+    return _profile_join(ws, ws.mnd_tree, "MND")

@@ -23,7 +23,6 @@ import numpy as np
 
 from repro.core.types import SelectionResult, Site
 from repro.core.workspace import Workspace
-from repro.rtree.frontier import DEFAULT_TASK_TARGET
 
 if TYPE_CHECKING:
     from repro.core.plan import StageSpec
@@ -35,10 +34,14 @@ class LocationSelector(ABC):
     #: Method name as used in the paper's figures.
     name: ClassVar[str] = "?"
 
-    #: How many tasks the parallel plan aims to split a traversal into.
-    #: It changes neither ``dr`` (each potential's terms are summed
-    #: exactly, see :mod:`repro.core.plan`) nor the I/O totals.
-    task_target: int = DEFAULT_TASK_TARGET
+    #: How many tasks a join's plan cuts its frontier into: the plan
+    #: expands whole levels on the driver until the frontier holds this
+    #: many node pairs.  The default runs each join as one task, as the
+    #: serial path and a one-worker engine do; :class:`~repro.exec.QueryEngine`
+    #: sets it to its worker count.  It changes neither ``dr`` (each
+    #: potential's terms are summed exactly, see :mod:`repro.core.plan`)
+    #: nor any read count.
+    task_target: int = 1
 
     def __init__(self, workspace: Workspace):
         self.ws = workspace

@@ -3,16 +3,16 @@
 Each method exposes its traversal as a list of :class:`StageSpec`
 stages.  A stage is planned on the driver (``plan`` charges the reads
 the serial code performs *before* fanning out — potential-file blocks,
-join roots, frontier expansion), executed as independent tasks (the
-``kernel`` selector method, which charges every deeper read to a
-task-private :class:`~repro.storage.stats.IOStats`), and folded back in
-task order (``reduce``, which also threads a carry value between
-stages — QVC's AIR groups feed its window stage).
+join roots, the join levels expanded before the cut), executed as
+independent tasks (the ``kernel`` selector method, which charges every
+deeper read to a task-private :class:`~repro.storage.stats.IOStats`),
+and folded back in task order (``reduce``, which also threads a carry
+value between stages — QVC's AIR groups feed its window stage).
 
 The contract that keeps results byte-identical at any worker count:
 
 * **task lists are deterministic** — planning depends only on the
-  workspace and the task-target, never on workers or timing;
+  workspace and the selector's ``task_target``, never on timing;
 * **kernels are pure** w.r.t. shared state — they write only their own
   partials and charge only their own stats;
 * **dr is exact** — a task returns the ``dr`` terms of the influencing
@@ -21,10 +21,10 @@ The contract that keeps results byte-identical at any worker count:
   (:func:`repro.kernels.exact_sums`).  That sum depends on the terms
   alone, so no split of the traversal into tasks, order of their
   outputs or worker count moves a bit;
-* **I/O is placement-invariant** — a page is charged by whoever the
-  *serial* code had read it: moving work between driver and tasks never
-  creates or removes a charge, so merged totals equal serial totals
-  exactly.
+* **I/O is placement-invariant** — each read of the serial traversal
+  is charged once, by the driver or by the task that makes it: moving
+  a level between driver and tasks never creates or removes a charge,
+  so merged totals equal serial totals exactly.
 
 Kernels are referenced by *method name* (a string) so a process pool
 can look them up on its own unpickled selector instead of pickling
@@ -39,9 +39,8 @@ from typing import Any, Callable, Optional
 import numpy as np
 
 from repro import kernels
-from repro.rtree.frontier import DEFAULT_TASK_TARGET
 
-__all__ = ["DEFAULT_TASK_TARGET", "NO_TERMS", "StageSpec", "reduce_terms"]
+__all__ = ["NO_TERMS", "StageSpec", "reduce_terms"]
 
 
 @dataclass(frozen=True)

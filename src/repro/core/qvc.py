@@ -40,9 +40,11 @@ best-first stream, the same nodes read in the same order, charged
 potential by potential), then clips all the cells at once
 (:func:`~repro.geometry.polygon.clip_all_columns`, bit for bit
 :meth:`ConvexPolygon.clip_all`).  It hands the window task AIR columns.  A
-window task carries row indices into them down ``R_C``, records the
-(candidate rows × client leaf) pairs its descent reaches, and evaluates
-them in one kernel call (:class:`~repro.core.leafpairs.LeafPairs`).
+window task runs them down ``R_C`` together, one level at a time
+(:func:`~repro.rtree.descent.window_leaves`: the level's (node, AIR row)
+pairs tested in one intersection-kernel call, each distinct node reached
+charged once), and evaluates the (client leaf × candidate rows) pairs it
+reaches in one kernel call (:func:`~repro.core.leafpairs.window_terms`).
 """
 
 from __future__ import annotations
@@ -51,16 +53,15 @@ from typing import Optional
 
 import numpy as np
 
-from repro import kernels
 from repro.core.base import LocationSelector
-from repro.core.leafpairs import LeafPairs
+from repro.core.leafpairs import window_terms
 from repro.core.plan import StageSpec, reduce_terms
 from repro.core.types import Site
 from repro.geometry.point import Point
 from repro.geometry.polygon import clip_all_columns, mbr_columns
 from repro.geometry.rect import Rect
 from repro.kernels.columnar import RectColumns
-from repro.rtree.columns import branch_columns, leaf_client_columns
+from repro.rtree.descent import window_leaves
 from repro.rtree.nn import quadrant_nearest_block
 from repro.storage.stats import IOStats
 
@@ -240,18 +241,18 @@ class QuasiVoronoiCell(LocationSelector):
     ) -> tuple[np.ndarray, np.ndarray]:
         """The batched window query of one block (Algorithm 3).
 
-        The descent carries row indices into the block's AIR columns and
-        records the leaf pairs, which are evaluated in one kernel call
-        at the end; returns their ``(potential ids, terms)``.
+        The descent runs every AIR of the block down ``R_C`` together
+        and ends at the (client leaf, AIR row) pairs they reach, which
+        are evaluated in one kernel call; returns their ``(potential
+        ids, terms)``.
         """
         __, (pids, px, py, xmin, ymin, xmax, ymax) = task
-        block = (pids, px, py, RectColumns(xmin, ymin, xmax, ymax))
-        pairs = LeafPairs()
+        ws = self.ws
         with stats.tracer.span("qvc.window"):
-            self._window_query(
-                self.ws.r_c.root_id, np.arange(len(pids)), block, pairs, stats
+            leaves, rows = window_leaves(
+                ws.r_c, RectColumns(xmin, ymin, xmax, ymax), ws.leaf_cache, stats
             )
-            return pairs.terms()
+            return window_terms(ws.r_c, leaves, rows, (pids, px, py), ws.leaf_cache)
 
     # ------------------------------------------------------------------
     def _compute_distance_reductions(self) -> np.ndarray:
@@ -276,43 +277,3 @@ class QuasiVoronoiCell(LocationSelector):
             window_outs = [self.run_window_task(task, stats) for task in window_tasks]
             reduce_terms(window_outs, dr)
         return dr
-
-    def _window_query(
-        self,
-        node_id: int,
-        rows: np.ndarray,
-        block: tuple[np.ndarray, np.ndarray, np.ndarray, RectColumns],
-        pairs: LeafPairs,
-        stats: Optional[IOStats] = None,
-    ) -> None:
-        """Algorithm 3: one traversal of ``R_C`` shared by a whole block.
-
-        ``rows`` index the block's ``(pids, px, py, airs)`` columns:
-        the potentials whose AIR reaches this node, in block order.
-        """
-        node = self.ws.r_c.read_node(node_id, stats=stats)
-        trace = (stats if stats is not None else self.ws.stats).tracer
-        trace.count("window.nodes")
-        cache = self.ws.leaf_cache
-        pids, px, py, airs = block
-        if node.is_leaf:
-            trace.count("window.leaf_evals", len(rows))
-            c_cols = leaf_client_columns(self.ws.r_c, node, cache)
-            pairs.add(pids[rows], px[rows], py[rows], c_cols)
-            return
-        reach = RectColumns(
-            airs.xmin[rows], airs.ymin[rows], airs.xmax[rows], airs.ymax[rows]
-        )
-        node_cols = branch_columns(self.ws.r_c, node, cache)
-        overlap = kernels.rect_intersect_matrix(reach, node_cols.rects)
-        # Entry-major: the children in entry order, each with its rows
-        # ascending — the DFS order of one scan per entry.
-        entries, hits = np.nonzero(overlap.T)
-        if not len(entries):
-            return
-        starts = np.flatnonzero(np.diff(entries, prepend=-1))
-        children = node_cols.children[entries[starts]].tolist()
-        bounds = starts.tolist() + [len(entries)]
-        rows = rows[hits]
-        for child, lo, hi in zip(children, bounds, bounds[1:]):
-            self._window_query(child, rows[lo:hi], block, pairs, stats)

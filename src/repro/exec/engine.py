@@ -7,7 +7,8 @@ into independent tasks — on a thread or process pool, with I/O
 accounting that is **deterministic by construction**:
 
 * the *plan* runs on the driver and charges exactly the page reads the
-  serial traversal performs down to the task frontier;
+  serial traversal performs above the tasks (for a join, the whole
+  levels it expands before cutting the frontier into tasks);
 * every *task* records into a private
   :class:`~repro.storage.stats.IOStats` (and, when tracing, a private
   :class:`~repro.obs.trace.Tracer`), so concurrent tasks never contend
@@ -67,10 +68,10 @@ class QueryEngine:
         Sleep out each task's simulated page-read latency inside its
         worker (see module docstring).
     task_target:
-        Overrides :attr:`LocationSelector.task_target` for every query
-        this engine runs (fixed per engine, never derived from
-        ``workers``, so the task decomposition — and with it the float
-        grouping — is identical at any worker count).
+        The :attr:`LocationSelector.task_target` of every query this
+        engine runs: how many tasks a join's plan cuts its frontier
+        into.  Defaults to ``workers``, one task per worker.  No answer
+        bit or read count depends on it.
     """
 
     def __init__(
@@ -93,7 +94,7 @@ class QueryEngine:
         self.workers = workers
         self.executor = executor
         self.realize_latency = realize_latency
-        self.task_target = task_target
+        self.task_target = workers if task_target is None else task_target
         self._pool: Optional[Executor] = None
 
     # ------------------------------------------------------------------
@@ -143,8 +144,7 @@ class QueryEngine:
             selector = method
         else:
             selector = make_selector(self.ws, method)
-        if self.task_target is not None:
-            selector.task_target = self.task_target
+        selector.task_target = self.task_target
         return selector
 
     def run(
