@@ -30,6 +30,12 @@ Each tree and block file decodes a page at most once while it is open
 and charges every read as before; :meth:`DiskWorkspace.invalidate_leaf_cache`
 drops those decodes along with the leaf cache.
 
+Client leaf pages carry no weight field, so only a workspace whose
+client weights are all 1 can be persisted; :func:`persist_indexes`
+refuses any other with :class:`WeightedPersistError` before it writes
+a byte (the flat client file keeps weights, and disk SS would answer
+weighted while QVC, NFC and MND answered unit-weight).
+
 Typical flow::
 
     paths = persist_indexes(ws, directory)
@@ -94,6 +100,11 @@ _PATH_FIELDS = (
 )
 
 
+class WeightedPersistError(ValueError):
+    """A workspace with a client weight other than 1 cannot be persisted:
+    its client leaf pages would carry unit weights."""
+
+
 def persist_indexes(
     ws: Workspace, directory: str | Path, leaf_format: str = "columns"
 ) -> PersistedIndexes:
@@ -103,11 +114,21 @@ def persist_indexes(
     :func:`load_persisted` can reopen the directory without the source
     workspace.  ``leaf_format`` is kept for callers of the retired
     two-format API and accepts only ``"columns"``, the one encoding.
+    Raises :class:`WeightedPersistError`, writing nothing, when a client
+    weight is not 1.
     """
     if leaf_format != "columns":
         raise ValueError(
             f"leaf_format={leaf_format!r} is not supported; page files are "
             "always written with leaf_format='columns'"
+        )
+    weighted = np.flatnonzero(ws.client_w != 1.0)
+    if len(weighted):
+        i = int(weighted[0])
+        raise WeightedPersistError(
+            f"cannot persist a weighted workspace: client leaf pages carry no "
+            f"weight field ({len(weighted)} clients weigh other than 1, "
+            f"client row {i} weighs {float(ws.client_w[i])!r})"
         )
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)

@@ -7,7 +7,12 @@ import numpy as np
 import pytest
 
 from repro.core import Workspace, diskmode
-from repro.core.diskmode import DiskWorkspace, load_persisted, persist_indexes
+from repro.core.diskmode import (
+    DiskWorkspace,
+    WeightedPersistError,
+    load_persisted,
+    persist_indexes,
+)
 from repro.core.mnd import MaximumNFCDistance
 from repro.core.types import fingerprint
 from repro.datasets.generators import make_instance
@@ -92,6 +97,33 @@ class TestDiskMode:
             path.write_bytes(bytes(data))
         with pytest.raises(PageFileError, match="version 1"):
             DiskWorkspace(load_persisted(persisted.directory))
+
+
+class TestWeightedRefusal:
+    """Leaf pages carry no weight field: on this instance disk QVC, NFC
+    and MND summed unit-weight terms (dr 9864.172…) while SS and every
+    in-memory method summed weighted ones (dr 27366.957…)."""
+
+    def weighted(self) -> Workspace:
+        instance = make_instance(3000, 40, 60, rng=3)
+        weights = np.random.default_rng(3).uniform(0, 5, len(instance.clients))
+        return Workspace(replace(instance, client_weights=weights.tolist()))
+
+    def test_refused_before_anything_is_written(self, tmp_path):
+        target = tmp_path / "weighted"
+        with pytest.raises(WeightedPersistError, match="weight"):
+            persist_indexes(self.weighted(), target)
+        assert not target.exists()
+
+    def test_is_a_value_error(self):
+        assert issubclass(WeightedPersistError, ValueError)
+
+    def test_unit_weights_persist(self, tmp_path):
+        instance = make_instance(300, 10, 20, rng=3)
+        ones = [1.0] * len(instance.clients)
+        ws = Workspace(replace(instance, client_weights=ones))
+        with DiskWorkspace(persist_indexes(ws, tmp_path)) as disk:
+            assert disk.n_c == ws.n_c
 
 
 @pytest.fixture(scope="module")

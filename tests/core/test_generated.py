@@ -17,11 +17,16 @@ must survive:
 * page sizes that give one leaf or trees several levels deep.
 
 SS, QVC, NFC and MND must return the oracle's dr vector bit for bit, in
-memory and on a mapped disk workspace over the persisted pages.  Disk
-leaves carry no weight field, so the disk check serves the instance
-with unit weights.  The number of draws comes from the hypothesis
-profile (``tests/conftest.py``): bounded in tier-1, deep in CI's smoke
-job (``--hypothesis-profile=deep``).
+memory and on a mapped disk workspace over the persisted pages, through
+``select()`` and through a two-thread
+:class:`~repro.exec.QueryEngine` at task targets 1 and 3, which must
+also read the select's pages.  The small page sizes give trees of
+unequal height, so the engine's whole-level plan and its cuts meet
+every level case of the join descent.  Disk leaves carry no weight
+field and a weighted workspace cannot be persisted, so the disk check
+serves the instance with unit weights.  The number of draws comes from
+the hypothesis profile (``tests/conftest.py``): bounded in tier-1, deep
+in CI's smoke job (``--hypothesis-profile=deep``).
 """
 
 from __future__ import annotations
@@ -36,10 +41,14 @@ from hypothesis import strategies as st
 from repro.core import Workspace, make_selector, naive
 from repro.core.diskmode import DiskWorkspace, persist_indexes
 from repro.datasets.generators import SpatialInstance
+from repro.exec import QueryEngine
 from repro.geometry.point import Point
 from repro.geometry.rect import Rect
 
 METHODS = ("SS", "QVC", "NFC", "MND")
+
+#: The engine's join task targets: one task, and a frontier cut in three.
+TASK_TARGETS = (1, 3)
 
 
 @st.composite
@@ -97,11 +106,24 @@ def instances(draw) -> tuple[SpatialInstance, int]:
 
 
 def assert_methods_return_the_oracle(ws, oracle: np.ndarray) -> None:
-    for method in METHODS:
-        selector = make_selector(ws, method)
-        result = selector.select()
-        assert np.array_equal(selector.distance_reductions(), oracle), method
-        assert result.location.sid == int(np.argmax(oracle)), method
+    engines = [QueryEngine(ws, workers=2, task_target=t) for t in TASK_TARGETS]
+    try:
+        for method in METHODS:
+            selector = make_selector(ws, method)
+            result = selector.select()
+            assert np.array_equal(selector.distance_reductions(), oracle), method
+            assert result.location.sid == int(np.argmax(oracle)), method
+            for engine in engines:
+                run = make_selector(ws, method)
+                got = engine.run(run)
+                assert np.array_equal(run.distance_reductions(), oracle), (
+                    method,
+                    engine.task_target,
+                )
+                assert got.io_reads == result.io_reads, (method, engine.task_target)
+    finally:
+        for engine in engines:
+            engine.close()
 
 
 @given(drawn=instances())
