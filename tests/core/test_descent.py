@@ -11,6 +11,14 @@ the service runs it:
 * ``TreeReads.charge`` runs at most once per tree and level, plus the
   root read.
 
+On an instance of four potential blocks, SS and both of QVC's stages
+plan one task per worker, not one per block: a one-worker engine runs
+SS's scan as one task with one ``accumulate_reductions`` call, and
+QVC's AIR stage as one task with one quadrant pass and its window stage
+as one task with one ``accumulate_reductions`` call and at most
+``height(R_C)`` ``R_C`` charges; a target of three tasks plans three a
+stage and reads and answers as the serial select does.
+
 The kernels are counted where every caller reads them, at
 ``repro.kernels.<fn>`` (as the benchmark's traced run wraps them).
 """
@@ -22,7 +30,8 @@ from collections import Counter
 import pytest
 
 from repro import kernels
-from repro.core import QuasiVoronoiCell, Workspace
+from repro.core import QuasiVoronoiCell, SequentialScan, Workspace, make_selector
+from repro.core import qvc as qvc_module
 from repro.core.diskmode import DiskWorkspace, persist_indexes
 from repro.datasets.generators import make_instance
 from repro.exec import QueryEngine
@@ -112,3 +121,108 @@ def test_a_window_task_makes_one_kernel_call_and_charge_a_level(ws, monkeypatch)
     for calls, charges in per_task:
         assert 1 <= calls <= height - 1
         assert charges <= height
+
+
+# ---------------------------------------------------------------------------
+# One task per worker for SS and QVC
+# ---------------------------------------------------------------------------
+
+
+@pytest.fixture(scope="module", params=["memory", "disk"])
+def blocks_ws(request, tmp_path_factory):
+    """Four potential blocks at the default page size."""
+    memory = Workspace(make_instance(20000, 300, 700, rng=1))
+    assert memory.potential_file.num_blocks == 4
+    if request.param == "memory":
+        yield memory
+        return
+    persisted = persist_indexes(memory, tmp_path_factory.mktemp("blocks"))
+    with DiskWorkspace(persisted) as disk:
+        yield disk
+
+
+class StageSpy(Spy):
+    """Also counts ``accumulate_reductions`` calls and QVC's quadrant
+    passes, in total and per task of each wrapped task kernel."""
+
+    def __init__(self, monkeypatch):
+        super().__init__(monkeypatch)
+        self.reductions = 0
+        self.quadrant_passes = 0
+        self.per_task: dict[str, list[tuple[int, int, int]]] = {}
+        monkeypatch.setattr(
+            kernels,
+            "accumulate_reductions",
+            self._tally("reductions", kernels.accumulate_reductions),
+        )
+        monkeypatch.setattr(
+            qvc_module,
+            "quadrant_nearest_block",
+            self._tally("quadrant_passes", qvc_module.quadrant_nearest_block),
+        )
+        for cls, kernel in (
+            (SequentialScan, "run_scan_task"),
+            (QuasiVoronoiCell, "run_air_task"),
+            (QuasiVoronoiCell, "run_window_task"),
+        ):
+            monkeypatch.setattr(cls, kernel, self._per_task(kernel, getattr(cls, kernel)))
+
+    def _tally(self, field, fn):
+        def counted(*args, **kwargs):
+            setattr(self, field, getattr(self, field) + 1)
+            return fn(*args, **kwargs)
+
+        return counted
+
+    def _per_task(self, kernel, fn):
+        def measured(selector, task, stats):
+            before = self._state(selector)
+            out = fn(selector, task, stats)
+            after = self._state(selector)
+            deltas = tuple(b - a for a, b in zip(before, after))
+            self.per_task.setdefault(kernel, []).append(deltas)
+            return out
+
+        return measured
+
+    def _state(self, selector):
+        """Reduction calls, quadrant passes and ``R_C`` charges so far."""
+        return self.reductions, self.quadrant_passes, self.charges[selector.ws.r_c.name]
+
+
+def test_ss_scans_every_potential_block_in_one_task_and_one_call(
+    blocks_ws, monkeypatch
+):
+    spy = StageSpy(monkeypatch)
+    with QueryEngine(blocks_ws, workers=1) as engine:
+        engine.run("SS")
+    assert spy.planned == [("ss.scan", 1)]
+    assert spy.reductions == 1
+
+
+def test_qvc_runs_each_stage_as_one_task(blocks_ws, monkeypatch):
+    spy = StageSpy(monkeypatch)
+    with QueryEngine(blocks_ws, workers=1) as engine:
+        engine.run("QVC")
+    assert spy.planned == [("qvc.blocks", 1), ("qvc.window", 1)]
+    assert spy.per_task["run_air_task"] == [(0, 1, 0)]
+    ((reductions, passes, charges),) = spy.per_task["run_window_task"]
+    assert (reductions, passes) == (1, 0)
+    assert 1 <= charges <= blocks_ws.r_c.height
+
+
+@pytest.mark.parametrize("method", ["SS", "QVC"])
+def test_three_tasks_read_and_answer_as_the_serial_select(
+    blocks_ws, method, monkeypatch
+):
+    serial = make_selector(blocks_ws, method)
+    expected = serial.select()
+    expected_dr = serial.distance_reductions()
+    spy = StageSpy(monkeypatch)
+    selector = make_selector(blocks_ws, method)
+    with QueryEngine(blocks_ws, workers=2, task_target=3) as engine:
+        got = engine.run(selector)
+    stages = [stage.name for stage in selector.execution_plan()]
+    assert spy.planned == [(stage, 3) for stage in stages]
+    assert got.io_reads == expected.io_reads
+    assert selector.distance_reductions().tobytes() == expected_dr.tobytes()
