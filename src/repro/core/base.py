@@ -34,13 +34,15 @@ class LocationSelector(ABC):
     #: Method name as used in the paper's figures.
     name: ClassVar[str] = "?"
 
-    #: How many tasks a join's plan cuts its frontier into: the plan
-    #: expands whole levels on the driver until the frontier holds this
-    #: many node pairs.  The default runs each join as one task, as the
-    #: serial path and a one-worker engine do; :class:`~repro.exec.QueryEngine`
-    #: sets it to its worker count.  It changes neither ``dr`` (each
-    #: potential's terms are summed exactly, see :mod:`repro.core.plan`)
-    #: nor any read count.
+    #: How many tasks each stage of a plan is cut into, at most: a
+    #: join's plan expands whole levels on the driver until the frontier
+    #: holds this many node pairs and cuts it into that many runs, and
+    #: SS's scan and both of QVC's stages cut the potential blocks into
+    #: that many groups of whole blocks.  The default runs each stage as
+    #: one task, as the serial path and a one-worker engine do;
+    #: :class:`~repro.exec.QueryEngine` sets it to its worker count.  It
+    #: changes neither ``dr`` (each potential's terms are summed
+    #: exactly, see :mod:`repro.core.plan`) nor any read count.
     task_target: int = 1
 
     def __init__(self, workspace: Workspace):

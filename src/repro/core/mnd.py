@@ -25,7 +25,7 @@ from repro import kernels
 from repro.core.base import LocationSelector
 from repro.core.leafpairs import join_terms
 from repro.core.plan import StageSpec, reduce_terms
-from repro.rtree.columns import leaf_client_columns, leaf_site_columns
+from repro.rtree.columns import client_columns, site_columns
 from repro.rtree.descent import JoinRows, descend_join, join_roots
 from repro.storage.stats import IOStats
 
@@ -120,14 +120,17 @@ class MaximumNFCDistance(LocationSelector):
         cache = ws.leaf_cache
         rows = join_roots(ws.r_p, ws.mnd_tree, ws.stats, mnd=True)
         rows = descend_join(ws.r_p, ws.mnd_tree, rows, cache, ws.stats)
-        for p, c in zip(rows.p.tolist(), rows.c.tolist()):
-            p_cols = leaf_site_columns(ws.r_p, ws.r_p.node(p), cache)
-            c_cols = leaf_client_columns(ws.mnd_tree, ws.mnd_tree.node(c), cache)
+        p_leaves, p_index = np.unique(rows.p, return_inverse=True)
+        c_leaves, c_index = np.unique(rows.c, return_inverse=True)
+        p_cols = site_columns(ws.r_p, p_leaves.tolist(), cache)
+        c_cols = client_columns(ws.mnd_tree, c_leaves.tolist(), cache)
+        for p, c in zip(p_index.tolist(), c_index.tolist()):
+            sites, clients = p_cols[p], c_cols[c]
             influenced = kernels.influence_matrix(
-                p_cols.xs, p_cols.ys, c_cols.xs, c_cols.ys, c_cols.dnn
+                sites.xs, sites.ys, clients.xs, clients.ys, clients.dnn
             )
-            cids = c_cols.ids.tolist()
-            for i, sid in enumerate(p_cols.ids.tolist()):
+            cids = clients.ids.tolist()
+            for i, sid in enumerate(sites.ids.tolist()):
                 members = np.flatnonzero(influenced[i])
                 if len(members):
                     out[sid].extend(cids[j] for j in members)

@@ -3,11 +3,15 @@
 Each method exposes its traversal as a list of :class:`StageSpec`
 stages.  A stage is planned on the driver (``plan`` charges the reads
 the serial code performs *before* fanning out — potential-file blocks,
-join roots, the join levels expanded before the cut), executed as
-independent tasks (the ``kernel`` selector method, which charges every
-deeper read to a task-private :class:`~repro.storage.stats.IOStats`),
-and folded back in task order (``reduce``, which also threads a carry
-value between stages — QVC's AIR groups feed its window stage).
+join roots, the join levels expanded before the cut) and cut into at
+most ``task_target`` contiguous tasks by one rule
+(:func:`~repro.rtree.descent.split_bounds`, over a join's frontier rows
+or, by :func:`block_tasks`, over SS's and QVC's whole potential
+blocks), executed as independent tasks (the ``kernel`` selector method,
+which charges every deeper read to a task-private
+:class:`~repro.storage.stats.IOStats`), and folded back in task order
+(``reduce``, which also threads a carry value between stages — QVC's
+AIR columns feed its window stage).
 
 The contract that keeps results byte-identical at any worker count:
 
@@ -39,8 +43,10 @@ from typing import Any, Callable, Optional
 import numpy as np
 
 from repro import kernels
+from repro.rtree.descent import split_bounds
+from repro.storage.stats import IOStats
 
-__all__ = ["NO_TERMS", "StageSpec", "reduce_terms"]
+__all__ = ["NO_TERMS", "StageSpec", "block_rows", "block_tasks", "reduce_terms"]
 
 
 @dataclass(frozen=True)
@@ -70,3 +76,29 @@ def reduce_terms(outs: list[tuple[np.ndarray, np.ndarray]], dr: np.ndarray) -> N
     if outs:
         ids, terms = (np.concatenate(parts) for parts in zip(*outs))
         dr += kernels.exact_sums(ids, terms, len(dr))
+
+
+def block_tasks(blocks: Any, stats: IOStats, parts: int) -> list[tuple[int, int, int]]:
+    """Read every block of ``blocks`` (a potential file), charged in
+    block order, and cut them into ``min(parts, num_blocks)`` contiguous
+    groups of whole blocks (:func:`~repro.rtree.descent.split_bounds`,
+    the joins' rule): one ``(first block, end block, first row)`` task
+    per group."""
+    sizes = [len(blocks.read_block(b, stats=stats)) for b in range(blocks.num_blocks)]
+    offsets = np.cumsum([0] + sizes).tolist()
+    bounds = split_bounds(len(sizes), parts).tolist()
+    return [(lo, hi, offsets[lo]) for lo, hi in zip(bounds, bounds[1:])]
+
+
+def block_rows(blocks: Any, task: tuple[int, int, int]) -> tuple[np.ndarray, ...]:
+    """A :func:`block_tasks` group's rows, fetched uncharged (the plan
+    charged them): their potential ids, ``x`` and ``y`` columns and
+    block numbers."""
+    lo, hi, first = task
+    parts = [blocks.peek_block(b) for b in range(lo, hi)]
+    xs, ys = (
+        np.concatenate([np.asarray(part[:, k], dtype=np.float64) for part in parts])
+        for k in (0, 1)
+    )
+    block = np.repeat(np.arange(lo, hi), [len(part) for part in parts])
+    return first + np.arange(len(xs)), xs, ys, block

@@ -26,25 +26,33 @@ Edge cases the pseudocode leaves implicit:
   formula, so ``dist(c, p)`` is then bit for bit ``dist(c, f)`` for a
   facility ``f``, never below ``dnn(c, F)``, the least such distance.
 
-For the execution engine the method splits into two stages of one task
-per potential block each: AIR construction and the batched window
-query.  A window task returns the ``dr`` terms of the pairs it found,
-and the reduce rounds each potential's terms once
-(:func:`~repro.core.plan.reduce_terms`); the I/O multiset matches the
-serial interleaving, keeping results byte-identical.
+For the execution engine the method splits into two stages, AIR
+construction and the batched window query, each planned one task per
+worker, as the joins are: the driver charges the potential-file blocks
+and cuts them into ``task_target`` contiguous groups of whole blocks
+(:func:`~repro.core.plan.block_tasks`), and the window stage cuts its
+AIR rows along the same block lines.  The paper batches one block's
+AIRs into one window query because a block is its unit of I/O; a task
+here runs all of its blocks' queries at once, and still charges each
+block's reads as that block's own query would.  A window task returns
+the ``dr`` terms of the pairs it found, and the reduce rounds each
+potential's terms once (:func:`~repro.core.plan.reduce_terms`), so no
+grouping moves a bit or a read.
 
-Both stages run on columns.  An AIR task finds its block's quadrant NNs
-with one lockstep pass over ``R_F``
+Both stages run on columns.  An AIR task finds its potentials' quadrant
+NNs with one lockstep pass over ``R_F``
 (:func:`~repro.rtree.nn.quadrant_nearest_block`: every potential's
 best-first stream, the same nodes read in the same order, charged
-potential by potential), then clips all the cells at once
-(:func:`~repro.geometry.polygon.clip_all_columns`, bit for bit
-:meth:`ConvexPolygon.clip_all`).  It hands the window task AIR columns.  A
-window task runs them down ``R_C`` together, one level at a time
+potential by potential, in block order), then clips all the cells at
+once (:func:`~repro.geometry.polygon.clip_all_columns`, bit for bit
+:meth:`ConvexPolygon.clip_all`).  It hands the window stage AIR columns,
+each row tagged with its block.  A window task runs them down ``R_C``
+together, one level at a time
 (:func:`~repro.rtree.descent.window_leaves`: the level's (node, AIR row)
-pairs tested in one intersection-kernel call, each distinct node reached
-charged once), and evaluates the (client leaf × candidate rows) pairs it
-reaches in one kernel call (:func:`~repro.core.leafpairs.window_terms`).
+pairs tested in one intersection-kernel call, each distinct (block,
+node) pair reached charged once), and evaluates the (client leaf ×
+candidate rows) pairs it reaches in one kernel call
+(:func:`~repro.core.leafpairs.window_terms`).
 """
 
 from __future__ import annotations
@@ -55,18 +63,18 @@ import numpy as np
 
 from repro.core.base import LocationSelector
 from repro.core.leafpairs import window_terms
-from repro.core.plan import StageSpec, reduce_terms
+from repro.core.plan import StageSpec, block_rows, block_tasks, reduce_terms
 from repro.core.types import Site
 from repro.geometry.point import Point
 from repro.geometry.polygon import clip_all_columns, mbr_columns
 from repro.geometry.rect import Rect
 from repro.kernels.columnar import RectColumns
-from repro.rtree.descent import window_leaves
+from repro.rtree.descent import split_bounds, window_leaves
 from repro.rtree.nn import quadrant_nearest_block
 from repro.storage.stats import IOStats
 
-#: One block's AIRs as columns: potential ids, coordinates, and the
-#: AIR bounds ``xmin, ymin, xmax, ymax``.
+#: AIRs as columns: potential ids, coordinates, the AIR bounds ``xmin,
+#: ymin, xmax, ymax`` and each row's potential block.
 AirColumns = tuple[np.ndarray, ...]
 
 
@@ -193,64 +201,59 @@ class QuasiVoronoiCell(LocationSelector):
         ]
 
     def _plan_air(self, stats: IOStats, carry: object = None) -> list[tuple]:
-        """One AIR task per potential block; charges the potential-file
-        block reads."""
-        ws = self.ws
-        tasks: list[tuple[int, int]] = []
-        offset = 0
-        for block_id in range(ws.potential_file.num_blocks):
-            p_block = ws.potential_file.read_block(block_id, stats=stats)
-            tasks.append((block_id, offset))
-            offset += len(p_block)
-        return tasks
+        """The potential blocks, each charged, cut into ``task_target``
+        contiguous groups: one AIR task per group."""
+        return block_tasks(self.ws.potential_file, stats, self.task_target)
 
     def run_air_task(
-        self, task: tuple[int, int], stats: IOStats
-    ) -> tuple[int, AirColumns]:
-        """AIR construction for one potential block: one quadrant-NN pass
-        over ``R_F``, then every cell clipped as columns."""
-        block_id, offset = task
-        p_block = self.ws.potential_file.peek_block(block_id)  # charged at planning
-        px = np.array(p_block[:, 0], dtype=np.float64)
-        py = np.array(p_block[:, 1], dtype=np.float64)
+        self, task: tuple[int, int, int], stats: IOStats
+    ) -> AirColumns:
+        """AIR construction for a group of potential blocks: one
+        quadrant-NN pass over ``R_F`` for all of its potentials, then
+        every cell clipped as columns."""
+        ids, px, py, block = block_rows(self.ws.potential_file, task)
         with stats.tracer.span("qvc.air") as sp:
             kept, bounds = self.airs(px, py, stats)
             if len(kept) < len(px):
                 sp.count("empty_cells", len(px) - len(kept))
             sp.count("cells", len(kept))
-        return block_id, (offset + kept, px[kept], py[kept], *bounds)
+        return (ids[kept], px[kept], py[kept], *bounds, block[kept])
 
-    def _reduce_air(
-        self, outs: list[tuple[int, AirColumns]], dr: np.ndarray
-    ) -> dict[int, AirColumns]:
-        """Each block's AIR columns, keyed by block id."""
-        return dict(outs)
+    def _reduce_air(self, outs: list[AirColumns], dr: np.ndarray) -> AirColumns:
+        """Every group's AIR columns, concatenated in block order."""
+        return tuple(np.concatenate(columns) for columns in zip(*outs))
 
-    def _plan_windows(
-        self, stats: IOStats, carry: dict[int, AirColumns]
-    ) -> list[tuple[int, AirColumns]]:
-        """One window-query task per potential block with a cell."""
+    def _plan_windows(self, stats: IOStats, carry: AirColumns) -> list[AirColumns]:
+        """The AIR rows cut into ``task_target`` contiguous groups of
+        whole blocks (the blocks with a cell): one window task per
+        group."""
+        block = carry[-1]
+        starts = np.flatnonzero(np.diff(block, prepend=-1))
+        bounds = split_bounds(len(starts), self.task_target)
+        cuts = np.append(starts, len(block))[bounds].tolist()
         return [
-            (block_id, carry[block_id])
-            for block_id in sorted(carry)
-            if len(carry[block_id][0])
+            tuple(column[lo:hi] for column in carry) for lo, hi in zip(cuts, cuts[1:])
         ]
 
     def run_window_task(
-        self, task: tuple[int, AirColumns], stats: IOStats
+        self, task: AirColumns, stats: IOStats
     ) -> tuple[np.ndarray, np.ndarray]:
-        """The batched window query of one block (Algorithm 3).
+        """The batched window queries of a group of blocks (Algorithm 3).
 
-        The descent runs every AIR of the block down ``R_C`` together
-        and ends at the (client leaf, AIR row) pairs they reach, which
-        are evaluated in one kernel call; returns their ``(potential
-        ids, terms)``.
+        The descent runs every AIR of the group down ``R_C`` together,
+        charging each block's reads as its own query would, and ends at
+        the (client leaf, AIR row) pairs they reach, which are evaluated
+        in one kernel call; returns their ``(potential ids, terms)``.
         """
-        __, (pids, px, py, xmin, ymin, xmax, ymax) = task
+        pids, px, py, xmin, ymin, xmax, ymax, block = task
         ws = self.ws
         with stats.tracer.span("qvc.window"):
             leaves, rows = window_leaves(
-                ws.r_c, RectColumns(xmin, ymin, xmax, ymax), ws.leaf_cache, stats
+                ws.r_c,
+                RectColumns(xmin, ymin, xmax, ymax),
+                block,
+                ws.leaf_cache,
+                stats,
             )
             return window_terms(ws.r_c, leaves, rows, (pids, px, py), ws.leaf_cache)
 

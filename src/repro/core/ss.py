@@ -13,16 +13,20 @@ cross-checked against its scalar twin); this changes constants, not the
 I/O pattern or the asymptotic CPU cost, both of which the paper
 analyses.
 
-The scan decomposes for the execution engine as Algorithm 1 loops: one
-task per potential block.  The driver charges each potential block once
-at planning time (the serial loop holds it in memory across the inner
-scan); each task re-fetches it for free via ``peek_block``, charges
-every client block in order with one ``charge`` call, and makes one
-shared-form kernel call over the whole client file, whose columns the
-file gathers once and keeps (``BlockFile.columns``).  The call returns
-the block's influence terms, and the reduce rounds each potential's
-terms once (:func:`~repro.core.plan.reduce_terms`), so ``dr`` does not
-depend on the page size's blocking of either file.
+For the execution engine the scan runs one task per worker, as the
+joins do.  The driver charges each potential block once at planning
+time (the serial loop holds it in memory across the inner scan) and
+cuts the blocks into ``task_target`` contiguous groups of whole blocks
+(:func:`~repro.core.plan.block_tasks`).  A task re-fetches its blocks
+for free via ``peek_block``, charges the whole client file once per
+potential block, in block order, with one ``charge`` call per block —
+the paper's per-block rescan, read for read — and then makes **one**
+shared-form kernel call of all its potentials over the whole client
+file, whose columns the file gathers once and keeps
+(``BlockFile.columns``).  The call returns the influence terms, and the
+reduce rounds each potential's terms once
+(:func:`~repro.core.plan.reduce_terms`), so ``dr`` depends neither on
+the page size's blocking of either file nor on the grouping.
 """
 
 from __future__ import annotations
@@ -31,7 +35,7 @@ import numpy as np
 
 from repro import kernels
 from repro.core.base import LocationSelector
-from repro.core.plan import NO_TERMS, StageSpec, reduce_terms
+from repro.core.plan import NO_TERMS, StageSpec, block_rows, block_tasks, reduce_terms
 from repro.storage.stats import IOStats
 
 
@@ -61,40 +65,35 @@ class SequentialScan(LocationSelector):
         ]
 
     def _plan_scan(self, stats: IOStats, carry: object = None) -> list[tuple]:
-        """One task per potential block; charges the P reads."""
-        ws = self.ws
-        tasks: list[tuple[int, int]] = []
-        offset = 0
-        for p_id in range(ws.potential_file.num_blocks):
-            p_block = ws.potential_file.read_block(p_id, stats=stats)
-            stats.tracer.count("potential_blocks")
-            tasks.append((p_id, offset))
-            offset += len(p_block)
-        return tasks
+        """The potential blocks, each charged, cut into ``task_target``
+        contiguous groups: one task per group."""
+        potential_file = self.ws.potential_file
+        stats.tracer.count("potential_blocks", potential_file.num_blocks)
+        return block_tasks(potential_file, stats, self.task_target)
 
     def run_scan_task(
-        self, task: tuple[int, int], stats: IOStats
+        self, task: tuple[int, int, int], stats: IOStats
     ) -> tuple[np.ndarray, np.ndarray]:
-        """One potential block against the whole client file (Algorithm 1's
-        inner loop): every client block charged in order, then one kernel
-        call; returns the block's ``(potential ids, terms)``."""
-        p_id, offset = task
-        ws = self.ws
-        p_block = ws.potential_file.peek_block(p_id)  # charged at planning
-        client_file = ws.client_file
+        """A group of potential blocks against the whole client file
+        (Algorithm 1's inner loop, once per block): every client block
+        charged in order for each potential block, then one kernel call
+        over all of the group's potentials; returns their ``(potential
+        ids, terms)``."""
+        lo, hi, __ = task
+        ids, px, py, __ = block_rows(self.ws.potential_file, task)
+        client_file = self.ws.client_file
         blocks = client_file.num_blocks
         with stats.tracer.span("ss.client_pass") as sp:
-            client_file.charge(range(blocks), stats)
-            sp.count("client_blocks", blocks)
+            for __ in range(lo, hi):
+                client_file.charge(range(blocks), stats)
+            sp.count("client_blocks", blocks * (hi - lo))
             if not blocks:
                 return NO_TERMS
             # The blocks just charged, as the columns the file gathered
             # once (the file is read-only while it lives).
             cx, cy, dnn, w = client_file.columns()
-            rows, terms = kernels.accumulate_reductions(
-                p_block[:, 0], p_block[:, 1], cx, cy, dnn, w
-            )
-        return offset + rows, terms
+            rows, terms = kernels.accumulate_reductions(px, py, cx, cy, dnn, w)
+        return ids[rows], terms
 
     # ------------------------------------------------------------------
     def _compute_distance_reductions(self) -> np.ndarray:
@@ -103,9 +102,8 @@ class SequentialScan(LocationSelector):
         stats = ws.stats
         dr = np.zeros(ws.n_p, dtype=np.float64)
         # Phases: reads of file.P land on "ss.scan" (charged while
-        # planning); each potential block's pass over the client file
-        # opens its own "ss.client_pass" child span carrying the file.C
-        # reads.
+        # planning); each task's passes over the client file open one
+        # "ss.client_pass" child span carrying the file.C reads.
         with stats.tracer.span("ss.scan"):
             tasks = self._plan_scan(stats)
             outs = [self.run_scan_task(task, stats) for task in tasks]

@@ -8,7 +8,8 @@ accounting that is **deterministic by construction**:
 
 * the *plan* runs on the driver and charges exactly the page reads the
   serial traversal performs above the tasks (for a join, the whole
-  levels it expands before cutting the frontier into tasks);
+  levels it expands before cutting the frontier into tasks; for SS and
+  QVC, the potential-file blocks it cuts into groups);
 * every *task* records into a private
   :class:`~repro.storage.stats.IOStats` (and, when tracing, a private
   :class:`~repro.obs.trace.Tracer`), so concurrent tasks never contend
@@ -69,9 +70,10 @@ class QueryEngine:
         worker (see module docstring).
     task_target:
         The :attr:`LocationSelector.task_target` of every query this
-        engine runs: how many tasks a join's plan cuts its frontier
-        into.  Defaults to ``workers``, one task per worker.  No answer
-        bit or read count depends on it.
+        engine runs: how many tasks each stage of a plan is cut into
+        (a join's frontier, SS's and QVC's potential blocks).  Defaults
+        to ``workers``, one task per worker.  No answer bit or read
+        count depends on it.
     """
 
     def __init__(

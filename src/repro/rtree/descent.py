@@ -10,7 +10,8 @@ Breadth-First Traversal with Global Optimizations*, VLDB 1997):
 
 * a level's frontier is held as columns — :class:`JoinRows` for a join
   (``R_P`` node ids, client-tree node ids and, for MND, the carried
-  MND), node ids and query rows for the window;
+  MND), node ids and query rows (each with its potential block) for the
+  window;
 * every row's children are paired up as rows of columns, gathered from
   each distinct node's branch columns, and tested in **one** kernel
   call: rectangle intersection for NFC and the window, ``minDist <
@@ -29,9 +30,9 @@ counts are those of a node-pair-at-a-time traversal:
   ``join.pruned_pairs`` the child pairs a branch-branch level prunes;
 * a surviving pair charges each child it descends into — two reads
   when both sides expand, one otherwise, duplicates included;
-* the window charges each distinct node a block reaches once, and
-  counts it in ``window.nodes``; ``window.leaf_evals`` counts the
-  (leaf, row) pairs it reaches.
+* the window charges each distinct node a block reaches once a level,
+  and counts it in ``window.nodes``, however many blocks run together;
+  ``window.leaf_evals`` counts the (leaf, row) pairs it reaches.
 
 The descents only record where they end: the leaf-leaf rows of a join
 and the (leaf, row) pairs of a window.  Evaluating those reads no page
@@ -51,6 +52,13 @@ from repro import kernels
 from repro.kernels.columnar import RectColumns
 from repro.rtree.columns import branch_columns
 from repro.storage.stats import IOStats
+
+
+def split_bounds(n: int, parts: int) -> np.ndarray:
+    """The bounds of ``min(parts, n)`` contiguous, non-empty, near-equal
+    runs of ``n`` items: run ``k`` is ``bounds[k]:bounds[k + 1]``.  The
+    one rule by which a plan cuts its work into tasks."""
+    return np.linspace(0, n, min(parts, n) + 1).astype(np.intp)
 
 
 @dataclass(frozen=True)
@@ -75,7 +83,7 @@ class JoinRows:
 
     def split(self, parts: int) -> list["JoinRows"]:
         """At most ``parts`` contiguous, non-empty slices, in order."""
-        bounds = np.linspace(0, len(self), min(parts, len(self)) + 1).astype(np.intp)
+        bounds = split_bounds(len(self), parts).tolist()
         return [self._slice(lo, hi) for lo, hi in zip(bounds, bounds[1:])]
 
     def _slice(self, lo: int, hi: int) -> "JoinRows":
@@ -149,13 +157,23 @@ def join_level(
 
 
 def window_leaves(
-    tree: Any, rects: RectColumns, cache: Any, stats: IOStats
+    tree: Any, rects: RectColumns, blocks: np.ndarray, cache: Any, stats: IOStats
 ) -> tuple[np.ndarray, np.ndarray]:
-    """The batched window query of ``rects`` over ``tree``: the ``(leaf
-    ids, rows)`` of every leaf that row ``rows[k]``'s rectangle reaches."""
+    """The batched window queries of ``rects`` over ``tree``, one per
+    block, run together: row ``k`` belongs to block ``blocks[k]``
+    (non-decreasing).  Returns the ``(leaf ids, rows)`` of every leaf
+    that row ``rows[k]``'s rectangle reaches.
+
+    Each block is charged as its own query would be: its root, then at
+    every level each distinct node its rows reach, once.  The roots go
+    in one charge, and each level's nodes in another, in (block, node
+    id) order."""
     trace = stats.tracer
-    root = tree.read_node(tree.root_id, stats=stats)
-    trace.count("window.nodes")
+    root = tree.node(tree.root_id)
+    queries = len(np.unique(blocks))
+    tree.charge([root.node_id] * queries, stats)
+    if queries:
+        trace.count("window.nodes", queries)
     rows = np.arange(len(rects))
     nodes = np.full(len(rows), root.node_id, dtype=np.intp)
     for __ in range(root.level):
@@ -167,7 +185,8 @@ def window_leaves(
         rows = rows[row]
         keep = kernels.rects_intersect_rect(_take(side.table, j), _take(rects, rows))
         nodes, rows = side.ids[j[keep]], rows[keep]
-        reached = np.unique(nodes)
+        stride = int(nodes.max()) + 1 if len(nodes) else 1
+        reached = np.unique(blocks[rows] * stride + nodes) % stride
         tree.charge(reached, stats)
         if len(reached):
             trace.count("window.nodes", len(reached))
@@ -190,7 +209,7 @@ class _Side:
     def __init__(self, tree: Any, node_ids: np.ndarray, expand: bool, cache: Any):
         nodes, inverse = np.unique(node_ids, return_inverse=True)
         if expand:
-            cols = [branch_columns(tree, tree.node(n), cache) for n in nodes.tolist()]
+            cols = branch_columns(tree, nodes.tolist(), cache)
             counts = np.array([len(c) for c in cols], dtype=np.intp)
             rects = [c.rects for c in cols]
             self.table = RectColumns(

@@ -55,7 +55,7 @@ from repro import kernels
 from repro.geometry.point import Point
 from repro.geometry.rect import Rect
 from repro.kernels.columnar import RectColumns
-from repro.rtree.columns import branch_columns, leaf_site_columns
+from repro.rtree.columns import branch_columns, site_columns
 from repro.rtree.node import Node
 from repro.rtree.rtree import RTree
 from repro.storage.stats import IOStats
@@ -217,10 +217,12 @@ class _QuadrantPass:
 
     def _expand(self, live: np.ndarray, nodes: list[int], expansion: int) -> None:
         """Evaluate one round's nodes in one pass per node kind: push each
-        branch's cursor, and offer each leaf's quadrant firsts."""
+        branch's cursor, and offer each leaf's quadrant firsts.  The
+        round's distinct leaves, and its distinct branches, are looked
+        up in the leaf cache in one call each."""
         tree = self.tree
         slots: dict[int, int] = {}
-        leaves: list = []
+        leaves: list[int] = []
         branches: list = []
         which = []
         for node_id in nodes:
@@ -229,7 +231,7 @@ class _QuadrantPass:
                 node = tree.node(node_id)
                 if node.is_leaf:
                     slot = len(leaves)
-                    leaves.append(leaf_site_columns(tree, node, self.cache))
+                    leaves.append(node_id)
                 else:
                     slot = ~len(branches)
                     branches.append(node)
@@ -238,7 +240,12 @@ class _QuadrantPass:
         which = np.array(which, dtype=np.intp)
         at_leaf = np.flatnonzero(which >= 0)
         if len(at_leaf):
-            self._offer_leaves(leaves, which[at_leaf], live[at_leaf], expansion)
+            self._offer_leaves(
+                site_columns(tree, leaves, self.cache),
+                which[at_leaf],
+                live[at_leaf],
+                expansion,
+            )
         at_branch = np.flatnonzero(which < 0)
         if len(at_branch):
             self._push_branches(
@@ -278,7 +285,8 @@ class _QuadrantPass:
     def _push_branches(
         self, nodes: list, which: np.ndarray, owners: np.ndarray, expansion: int
     ) -> None:
-        rects = [branch_columns(self.tree, node, self.cache).rects for node in nodes]
+        ids = [node.node_id for node in nodes]
+        rects = [c.rects for c in branch_columns(self.tree, ids, self.cache)]
         sizes = np.array([len(r) for r in rects], dtype=np.intp)
         entry, stream = _rows(sizes, which)
         dist = kernels.paired_min_dist_point(

@@ -98,6 +98,12 @@ from repro.service.protocol import (
 #: ``StreamReader`` limit, passed explicitly so the error can name it.
 MAX_LINE_BYTES = 2**16
 
+#: The most unfinished requests one connection may hold.  At the bound
+#: the server stops reading that connection until one of them finishes,
+#: so a client that pipelines without reading its answers cannot grow
+#: the server's task set without limit.
+MAX_PIPELINED = 256
+
 
 @dataclass(frozen=True)
 class ServiceConfig:
@@ -654,8 +660,10 @@ class QueryService:
         self._connections.inc()
         write_lock = asyncio.Lock()
         tasks: set[asyncio.Task] = set()
+        slots = asyncio.Semaphore(MAX_PIPELINED)
         try:
             while True:
+                await slots.acquire()  # read on only below MAX_PIPELINED
                 try:
                     line = await reader.readline()
                 except ValueError:
@@ -670,6 +678,7 @@ class QueryService:
                 if not line:
                     break
                 if not line.strip():
+                    slots.release()
                     continue
                 # One task per request: pipelined requests on one
                 # connection run concurrently (and so can micro-batch).
@@ -678,6 +687,7 @@ class QueryService:
                 )
                 tasks.add(task)
                 task.add_done_callback(tasks.discard)
+                task.add_done_callback(lambda __: slots.release())
         except (ConnectionError, asyncio.IncompleteReadError):
             pass
         finally:

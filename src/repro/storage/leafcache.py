@@ -26,10 +26,16 @@ workspace-owned cache:
   so a version change on a *tracked* tree keeps every untouched decode
   instead of clearing the tree wholesale.  Under a mutation stream the
   cache stays warm everywhere the mutation didn't reach;
+* looked up a call at a time: :meth:`DecodedLeafCache.get_many` takes a
+  caller's node ids (a descent level's distinct nodes, a task's
+  leaves), looks them all up under one lock, decodes the missing ones
+  outside it and stores them under a second, and moves the hit and
+  miss counters once each; :meth:`~DecodedLeafCache.get` is its
+  one-id case;
 * guarded by a lock so concurrent tasks of the execution engine can
   share it safely.  Decodes are pure functions of immutable node
   payloads, so a racing double-decode is benign — the lock only
-  protects the dict bookkeeping.
+  protects the dict bookkeeping, and the first decode stored wins.
 
 Since the columnar kernels landed, the cached values are the
 structure-of-arrays buffers of :mod:`repro.kernels.columnar`
@@ -42,7 +48,7 @@ Each instance keeps local ``hits``/``misses`` attributes for tests and
 from __future__ import annotations
 
 import threading
-from typing import Any, Callable
+from typing import Any, Callable, Iterable
 
 from repro.obs.registry import REGISTRY
 
@@ -100,17 +106,31 @@ class DecodedLeafCache:
         node_id: int,
         decode: Callable[[], Any],
     ) -> Any:
-        """The decoded arrays for one leaf, decoding on first use.
+        """The decoded arrays for one leaf: :meth:`get_many` of one id."""
+        return self.get_many(tree_name, version, (node_id,), lambda __: decode())[0]
 
-        ``version`` is the owning tree's current mutation counter; a
-        version change invalidates every cached leaf of that tree —
-        unless the tree is *tracked* (see :meth:`track`), in which case
-        the dirty notifications already dropped the stale decodes and
-        everything else is still exact.  (For untracked trees node ids
-        recycled by splits/merges make per-node invalidation unsound,
-        hence the wholesale drop.)
+    def get_many(
+        self,
+        tree_name: str,
+        version: int,
+        node_ids: Iterable[int],
+        decode: Callable[[int], Any],
+    ) -> list[Any]:
+        """The decoded arrays for each of ``node_ids``, in order;
+        ``decode(node_id)`` runs once per id not yet cached.
+
+        The call takes the lock once to look every id up and once to
+        store the decodes, and moves each hit/miss counter once, by the
+        counts that per-id lookups would give (a repeated missing id
+        misses once, then hits).  ``version`` is the owning tree's
+        current mutation counter; a version change invalidates every
+        cached leaf of that tree — unless the tree is *tracked* (see
+        :meth:`track`), in which case the dirty notifications already
+        dropped the stale decodes and everything else is still exact.
+        (For untracked trees node ids recycled by splits/merges make
+        per-node invalidation unsound, hence the wholesale drop.)
         """
-        key = (tree_name, node_id)
+        keys = [(tree_name, node_id) for node_id in node_ids]
         with self._lock:
             if (
                 self._versions.get(tree_name, version) != version
@@ -118,18 +138,23 @@ class DecodedLeafCache:
             ):
                 self._drop_tree_locked(tree_name)
             self._versions[tree_name] = version
-            cached = self._entries.get(key)
-            if cached is not None:
-                self.hits += 1
-                self._hits_metric.inc()
-                return cached
-            self.misses += 1
-            self._misses_metric.inc()
-        value = decode()
+            found = [self._entries.get(key) for key in keys]
+            missing = dict.fromkeys(k for k, v in zip(keys, found) if v is None)
+            hits, misses = len(keys) - len(missing), len(missing)
+            self.hits += hits
+            self.misses += misses
+        if hits:
+            self._hits_metric.inc(hits)
+        if not misses:
+            return found
+        self._misses_metric.inc(misses)
+        decoded = {key: decode(key[1]) for key in missing}
         with self._lock:
             # Keep the first decode if another task raced us (both are
             # identical by construction).
-            return self._entries.setdefault(key, value)
+            for key, value in decoded.items():
+                decoded[key] = self._entries.setdefault(key, value)
+        return [decoded[key] if v is None else v for key, v in zip(keys, found)]
 
     # ------------------------------------------------------------------
     def _drop_tree_locked(self, tree_name: str) -> None:

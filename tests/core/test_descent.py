@@ -165,7 +165,9 @@ class StageSpy(Spy):
             (QuasiVoronoiCell, "run_air_task"),
             (QuasiVoronoiCell, "run_window_task"),
         ):
-            monkeypatch.setattr(cls, kernel, self._per_task(kernel, getattr(cls, kernel)))
+            monkeypatch.setattr(
+                cls, kernel, self._per_task(kernel, getattr(cls, kernel))
+            )
 
     def _tally(self, field, fn):
         def counted(*args, **kwargs):

@@ -14,14 +14,15 @@ Two families of invariants:
   both its forms (every candidate against every client, and tiles):
   the vector kernel's ``(row, term)`` multiset equals the scalar
   twin's, and its nonzero terms are those of the dense oracle
-  ``clip(dnn - d, 0) * w``; :class:`~repro.core.leafpairs.LeafPairs`
-  maps the rows to potential ids in both of its groupings.
+  ``clip(dnn - d, 0) * w``; :mod:`repro.core.leafpairs` maps the rows
+  to potential ids in both of its groupings (a join's, and a window's).
 """
 
 from __future__ import annotations
 
 import math
 from contextlib import nullcontext
+from types import SimpleNamespace
 from unittest import mock
 
 import numpy as np
@@ -29,12 +30,15 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from repro.core.leafpairs import LeafPairs
+from repro.core.leafpairs import join_terms, window_terms
+from repro.core.plan import NO_TERMS
 from repro.core.types import Client, Site
 from repro.geometry.point import Point
 from repro.geometry.rect import Rect
 from repro.kernels import scalar, vector
-from repro.kernels.columnar import ClientColumns, RectColumns
+from repro.kernels.columnar import ClientColumns, RectColumns, SiteColumns
+from repro.rtree.descent import JoinRows
+from repro.storage import DecodedLeafCache
 from repro.storage.codecs import (
     ClientCodec,
     SiteCodec,
@@ -43,6 +47,7 @@ from repro.storage.codecs import (
     encode_branch,
     encode_rect,
 )
+from repro.storage.stats import IOStats
 from tests.conftest import coords, rects
 
 ids = st.integers(min_value=0, max_value=2**32 - 1)
@@ -424,7 +429,7 @@ class TestBackendEquivalence:
 
 
 # ---------------------------------------------------------------------------
-# Both kernel forms, and LeafPairs
+# Both kernel forms, and the leaf-pair groupings
 # ---------------------------------------------------------------------------
 
 
@@ -496,18 +501,6 @@ def tile_lists(draw):
         clients = ClientColumns(np.arange(n_c, dtype=np.uint32), cx, cy, dnn, w)
         tiles.append((ids, px, py, clients))
     return n_ids, tiles
-
-
-def _many_tile_args(tiles):
-    p_offsets = np.cumsum([0] + [len(t[0]) for t in tiles])
-    c_offsets = np.cumsum([0] + [len(t[3]) for t in tiles])
-    cols = [
-        np.concatenate([getattr(t[3], field) for t in tiles])
-        for field in ("xs", "ys", "dnn", "weights")
-    ]
-    px = np.concatenate([t[1] for t in tiles])
-    py = np.concatenate([t[2] for t in tiles])
-    return (px, py, *cols), p_offsets, c_offsets
 
 
 def _many_tile_args(tiles):
@@ -627,28 +620,56 @@ class TestTiledForm:
         assert_terms_match_the_oracles(*args, tiles=(p_offsets, c_offsets))
 
 
+class _LeafTree:
+    """Leaves that carry their columns, as a disk tree's do: all that
+    :func:`join_terms` and :func:`window_terms` read of a tree."""
+
+    def __init__(self, name, columns):
+        self.name, self.version = name, 0
+        self._leaves = [SimpleNamespace(columns=c) for c in columns]
+
+    def node(self, node_id):
+        return self._leaves[node_id]
+
+
+def _tile_terms(ids, px, py, c):
+    """The ids and terms of one shared call per tile."""
+    rows, terms = vector.accumulate_reductions(px, py, c.xs, c.ys, c.dnn, c.weights)
+    return ids[rows], terms
+
+
 class TestLeafPairs:
     @given(drawn=tile_lists(), leaves=st.integers(1, 3))
     @settings(max_examples=60, deadline=None)
     def test_both_groupings_give_each_tiles_terms_by_id(self, drawn, leaves):
-        """``terms`` (one tiled call) and ``leaf_terms`` (one shared call
-        per candidate leaf) both give the ids and terms of one call per
-        tile, on either kernel set.  Tile ``t`` comes from candidate leaf
+        """``join_terms`` (one shared call per candidate leaf) and
+        ``window_terms`` (one tiled call) both give the ids and terms of
+        one call per tile, on either kernel set.  Tile ``t`` meets client
+        leaf ``t``.  In the join it comes from candidate leaf
         ``t % leaves`` and carries that leaf's candidates, as a join's
-        tiles of one ``R_P`` leaf do."""
+        tiles of one ``R_P`` leaf do, and its rows are out of leaf order,
+        so the join groups them itself; in the window it carries its own
+        candidates, its rows of the task's block."""
         __, tiles = drawn
-        pairs = LeafPairs()
-        leaf_rows: dict[int, tuple] = {}
-        expected = [(np.zeros(0, dtype=np.intp), np.zeros(0))]
+        sites: dict[int, SiteColumns] = {}
+        joined, windowed = [NO_TERMS], [NO_TERMS]
         for t, (ids, px, py, c) in enumerate(tiles):
-            ids, px, py = leaf_rows.setdefault(t % leaves, (ids, px, py))
-            pairs.add(ids, px, py, c, leaf=t % leaves)
-            rows, terms = vector.accumulate_reductions(
-                px, py, c.xs, c.ys, c.dnn, c.weights
-            )
-            expected.append((ids[rows], terms))
+            leaf = sites.setdefault(t % leaves, SiteColumns(ids, px, py))
+            joined.append(_tile_terms(leaf.ids, leaf.xs, leaf.ys, c))
+            windowed.append(_tile_terms(ids, px, py, c))
+        tree_p = _LeafTree("R_P", [sites[k] for k in range(len(sites))])
+        tree_c = _LeafTree("R_C", [c for *__, c in tiles])
+        n = len(tiles)
+        rows = JoinRows(0, 0, np.arange(n) % leaves, np.arange(n))
+        block = tuple(np.concatenate([t[k] for t in tiles]) for k in range(3))
+        reached = np.repeat(np.arange(n), [len(t[0]) for t in tiles])
         for kernel_set in (nullcontext, scalar.installed):
             with kernel_set():
-                assert_same_terms(pairs.terms(), _joined(expected))
-                assert_same_terms(pairs.leaf_terms(), _joined(expected))
-        assert pairs.candidates == sum(len(ids) for ids in pairs.ids)
+                got = join_terms(
+                    tree_p, tree_c, rows, DecodedLeafCache(), IOStats(), "eval"
+                )
+                assert_same_terms(got, _joined(joined))
+                got = window_terms(
+                    tree_c, reached, np.arange(len(reached)), block, DecodedLeafCache()
+                )
+                assert_same_terms(got, _joined(windowed))

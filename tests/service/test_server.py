@@ -12,6 +12,7 @@ invalidation, ``queue_full`` admission and a graceful drain.
 
 from __future__ import annotations
 
+import asyncio
 import json
 import socket
 import threading
@@ -37,7 +38,7 @@ from repro.service import (
     serve_in_thread,
 )
 from repro.service.protocol import encode
-from repro.service.server import MAX_LINE_BYTES
+from repro.service.server import MAX_LINE_BYTES, MAX_PIPELINED, QueryService
 
 SEED = 11
 SIZES = dict(n_c=800, n_f=40, n_p=60)
@@ -302,6 +303,46 @@ class TestTypedRejections:
             with ServiceClient(handle.host, handle.port) as c:
                 with pytest.raises(QueueFullError, match="full"):
                     c.select_many(["MND"] * 6, no_cache=True)
+
+    def test_pipelined_requests_per_connection_are_bounded(self, monkeypatch):
+        """A client that pipelines without reading holds at most
+        ``MAX_PIPELINED`` unfinished requests: the server stops reading
+        its connection at the bound, and answers every request once the
+        held ones finish."""
+        release = threading.Event()
+        active, peak = [0], [0]
+        handle_line = QueryService._handle_line
+
+        async def held(service, line, writer, write_lock):
+            active[0] += 1
+            peak[0] = max(peak[0], active[0])
+            try:
+                while not release.is_set():
+                    await asyncio.sleep(0.005)
+                await handle_line(service, line, writer, write_lock)
+            finally:
+                active[0] -= 1
+
+        monkeypatch.setattr(QueryService, "_handle_line", held)
+        n = 2 * MAX_PIPELINED
+        ws = Workspace(make_instance(rng=SEED, **SIZES))
+        burst = b"".join(encode({"id": i, "op": "health"}) for i in range(n))
+        with serve_in_thread({"default": ws}, ServiceConfig(workers=1)) as handle:
+            address = (handle.host, handle.port)
+            with socket.create_connection(address, timeout=30) as sock:
+                sock.sendall(burst)
+                give_up = time.monotonic() + 10.0
+                while active[0] < MAX_PIPELINED:
+                    assert time.monotonic() < give_up, "the burst never started"
+                    time.sleep(0.01)
+                time.sleep(0.2)  # room to overrun the bound, were it not kept
+                assert peak[0] == MAX_PIPELINED
+                release.set()
+                with sock.makefile("rb") as replies:
+                    answers = [json.loads(replies.readline()) for __ in range(n)]
+        assert peak[0] == MAX_PIPELINED
+        assert sorted(a["id"] for a in answers) == list(range(n))
+        assert all(a["ok"] for a in answers)
 
     def test_deadline_exceeded_cancels_the_wait(self):
         """A deadline shorter than the batch window fires immediately.

@@ -71,6 +71,79 @@ class TestDecodedLeafCache:
         assert len({id(v) for v in values}) == 1
 
 
+class TestGetMany:
+    """One bulk lookup behaves as its per-id ``get`` calls would, under
+    one lock round for the lookups and one for the stores."""
+
+    IDS = [4, 1, 9, 1, 7, 4]
+
+    @staticmethod
+    def counters():
+        hits = REGISTRY.counter("leafcache.hits")
+        misses = REGISTRY.counter("leafcache.misses")
+        return hits.value, misses.value
+
+    @staticmethod
+    def warm(cache):
+        cache.get("R_C", 0, 1, lambda: "one")
+        cache.get("R_C", 0, 7, lambda: "seven")
+
+    def test_returns_and_counts_what_per_id_gets_do(self):
+        bulk, single = DecodedLeafCache(), DecodedLeafCache()
+        self.warm(bulk)
+        self.warm(single)
+        before = self.counters()
+        expected = [single.get("R_C", 0, n, lambda n=n: f"node {n}") for n in self.IDS]
+        mid = self.counters()
+        got = bulk.get_many("R_C", 0, self.IDS, lambda n: f"node {n}")
+        after = self.counters()
+        assert got == expected == ["node 4", "one", "node 9", "one", "seven", "node 4"]
+        assert (bulk.hits, bulk.misses) == (single.hits, single.misses) == (4, 4)
+        per_id = tuple(b - a for a, b in zip(before, mid))
+        assert tuple(b - a for a, b in zip(mid, after)) == per_id == (4, 2)
+
+    def test_decodes_once_per_missing_id(self):
+        cache = DecodedLeafCache()
+        self.warm(cache)
+        decoded = []
+        got = cache.get_many("R_C", 0, self.IDS, lambda n: decoded.append(n) or n)
+        assert decoded == [4, 9]
+        assert got == [4, "one", 9, "one", "seven", 4]
+        assert cache.get_many("R_C", 0, self.IDS, lambda n: decoded.append(n)) == got
+        assert decoded == [4, 9]
+
+    def test_version_bumps_drop_untracked_trees_only(self):
+        cache = DecodedLeafCache()
+        cache.track("R_Cm")
+        for tree in ("R_C", "R_Cm"):
+            cache.get_many(tree, 0, [1, 2], lambda n: f"old {n}")
+        cache.note_dirty("R_Cm", [2])
+        assert cache.get_many("R_C", 1, [1, 2], lambda n: f"new {n}") == [
+            "new 1",
+            "new 2",
+        ]
+        assert cache.get_many("R_Cm", 1, [1, 2], lambda n: f"new {n}") == [
+            "old 1",
+            "new 2",
+        ]
+
+    def test_racing_threads_keep_the_first_decode(self):
+        cache = DecodedLeafCache()
+        both_missed = threading.Barrier(2, timeout=10)
+
+        def decode(node_id):
+            both_missed.wait()  # each thread looked up before either stored
+            return object()
+
+        with ThreadPoolExecutor(max_workers=2) as pool:
+            runs = list(
+                pool.map(lambda __: cache.get_many("R_C", 0, [3, 5], decode), range(2))
+            )
+        assert [id(v) for v in runs[0]] == [id(v) for v in runs[1]]
+        assert cache.get_many("R_C", 0, [3, 5], decode) == runs[0]
+        assert cache.misses == 4 and cache.hits == 2
+
+
 class TestScopedInvalidation:
     """Tracked trees: mutations drop exactly the dirtied decodes."""
 
@@ -167,7 +240,7 @@ class TestColumnarValues:
     def test_eight_threads_read_exact_columns(self, small_workspace):
         """Concurrent cache readers all see one buffer with the exact
         serially-decoded contents."""
-        from repro.rtree.columns import leaf_client_columns
+        from repro.rtree.columns import client_columns
 
         ws = small_workspace
         tree = ws.r_c
@@ -175,12 +248,12 @@ class TestColumnarValues:
         while not node.is_leaf:
             node = tree.read_node(node.entries[0].child_id)
 
-        reference = leaf_client_columns(tree, node, DecodedLeafCache())
+        (reference,) = client_columns(tree, [node.node_id], DecodedLeafCache())
         barrier = threading.Barrier(8)
 
         def fetch(i: int):
             barrier.wait()
-            return leaf_client_columns(tree, node, ws.leaf_cache)
+            return client_columns(tree, [node.node_id], ws.leaf_cache)[0]
 
         with ThreadPoolExecutor(max_workers=8) as pool:
             results = list(pool.map(fetch, range(8)))
