@@ -71,19 +71,19 @@ def window_terms(
     tree: Any,
     leaves: np.ndarray,
     rows: np.ndarray,
-    block: tuple[np.ndarray, np.ndarray, np.ndarray],
+    candidates: tuple[np.ndarray, np.ndarray, np.ndarray],
     cache: Any,
 ) -> tuple[np.ndarray, np.ndarray]:
     """``(potential ids, terms)`` of a window's ``(leaf, row)`` pairs, in
     one tiled call: one tile per client leaf, its rows of the task's
-    ``(pids, px, py)``."""
+    ``candidates`` ``(pids, px, py)``."""
     if not len(rows):
         return NO_TERMS
     order = np.argsort(leaves, kind="stable")
     leaves, rows = leaves[order], rows[order]
     starts = np.flatnonzero(np.diff(leaves, prepend=-1))
     clients = client_columns(tree, leaves[starts].tolist(), cache)
-    ids, px, py = (column[rows] for column in block)
+    ids, px, py = (column[rows] for column in candidates)
     found, terms = kernels.accumulate_reductions(
         px,
         py,

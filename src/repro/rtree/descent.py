@@ -160,9 +160,9 @@ def window_leaves(
     tree: Any, rects: RectColumns, blocks: np.ndarray, cache: Any, stats: IOStats
 ) -> tuple[np.ndarray, np.ndarray]:
     """The batched window queries of ``rects`` over ``tree``, one per
-    block, run together: row ``k`` belongs to block ``blocks[k]``
-    (non-decreasing).  Returns the ``(leaf ids, rows)`` of every leaf
-    that row ``rows[k]``'s rectangle reaches.
+    block, run together: row ``k`` belongs to block ``blocks[k]``.
+    Returns the ``(leaf ids, rows)`` of every leaf that row
+    ``rows[k]``'s rectangle reaches.
 
     Each block is charged as its own query would be: its root, then at
     every level each distinct node its rows reach, once.  The roots go

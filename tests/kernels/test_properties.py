@@ -649,7 +649,7 @@ class TestLeafPairs:
         ``t % leaves`` and carries that leaf's candidates, as a join's
         tiles of one ``R_P`` leaf do, and its rows are out of leaf order,
         so the join groups them itself; in the window it carries its own
-        candidates, its rows of the task's block."""
+        candidates, its rows of the task's candidate columns."""
         __, tiles = drawn
         sites: dict[int, SiteColumns] = {}
         joined, windowed = [NO_TERMS], [NO_TERMS]
@@ -661,7 +661,7 @@ class TestLeafPairs:
         tree_c = _LeafTree("R_C", [c for *__, c in tiles])
         n = len(tiles)
         rows = JoinRows(0, 0, np.arange(n) % leaves, np.arange(n))
-        block = tuple(np.concatenate([t[k] for t in tiles]) for k in range(3))
+        candidates = tuple(np.concatenate([t[k] for t in tiles]) for k in range(3))
         reached = np.repeat(np.arange(n), [len(t[0]) for t in tiles])
         for kernel_set in (nullcontext, scalar.installed):
             with kernel_set():
@@ -670,6 +670,10 @@ class TestLeafPairs:
                 )
                 assert_same_terms(got, _joined(joined))
                 got = window_terms(
-                    tree_c, reached, np.arange(len(reached)), block, DecodedLeafCache()
+                    tree_c,
+                    reached,
+                    np.arange(len(reached)),
+                    candidates,
+                    DecodedLeafCache(),
                 )
                 assert_same_terms(got, _joined(windowed))

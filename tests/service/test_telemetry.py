@@ -39,7 +39,8 @@ from repro.service import (
 
 SEED = 23
 SIZES = dict(n_c=600, n_f=30, n_p=50)
-#: Potentials for three 204-point blocks: SS and QVC plan three tasks.
+#: Potentials for three 204-point blocks: SS and QVC cut them into one
+#: task per worker, two here.
 WIDE = dict(n_c=600, n_f=30, n_p=450)
 
 
@@ -122,10 +123,10 @@ class TestTracePropagation:
     @pytest.mark.smoke
     def test_engine_span_tree_is_tagged_with_the_trace_id(self, client):
         """The engine root and every task span adopted from the pool
-        carry the request's tag.  SS and QVC plan their tasks one per
-        potential block, and this instance's 50 potentials fill one: the
-        engine runs each lone task inline on the driver, so their trees
-        hold no adopted task span to tag."""
+        carry the request's tag.  SS and QVC cut their tasks along whole
+        potential blocks, and this instance's 50 potentials fill one:
+        the engine runs each lone task inline on the driver, so their
+        trees hold no adopted task span to tag."""
         for method in sorted(METHODS):
             tasks = tagged_engine_tasks(client, method, "static")
             assert bool(tasks) == (method not in ("SS", "QVC")), method
