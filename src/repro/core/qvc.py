@@ -205,9 +205,7 @@ class QuasiVoronoiCell(LocationSelector):
         contiguous groups: one AIR task per group."""
         return block_tasks(self.ws.potential_file, stats, self.task_target)
 
-    def run_air_task(
-        self, task: tuple[int, int, int], stats: IOStats
-    ) -> AirColumns:
+    def run_air_task(self, task: tuple[int, int, int], stats: IOStats) -> AirColumns:
         """AIR construction for a group of potential blocks: one
         quadrant-NN pass over ``R_F`` for all of its potentials, then
         every cell clipped as columns."""
